@@ -7,7 +7,7 @@ y = c*x^r + sum beta_k(log_q x) * x^k, solving one polynomial difference
 equation per exponent.  All arithmetic is exact rational.
 """
 
-from .algebra import ParamPoly, Rat, TPoly, q_log, q_pow, rational_roots
+from .algebra import ParamPoly, TPoly, q_log, q_pow, rational_roots
 from .errors import (
     DegreeBoundError,
     EmptySupportError,
@@ -94,7 +94,6 @@ __all__ = [
     "QDulacError",
     "QPolynomial",
     "QTerm",
-    "Rat",
     "ReservedSymbolError",
     "TPoly",
     "TruncatedSolution",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     IndeterminateEquationError,
@@ -33,8 +33,6 @@ from .errors import (
     ReservedSymbolError,
     UnboundSymbolError,
 )
-
-Rat = Fraction
 
 # Symbol names the parameter ring must not use: the independent variable,
 # the unknown and the logarithmic variable.
@@ -64,7 +62,14 @@ def _check_symbol(name: str) -> str:
 
 
 class ParamPoly:
-    """Multivariate polynomial over Q in named parameter symbols."""
+    """Multivariate polynomial over Q in named parameter symbols.
+
+    The public constructors (`ParamPoly(mapping)`, `const`, `symbol`,
+    `coerce`) validate what they are given: exact rational coefficients,
+    nonempty unreserved symbol names, exponents >= 1.  Arithmetic results
+    are trusted: they are built from operands already in canonical form
+    and only drop zero coefficients.
+    """
 
     __slots__ = ("_terms",)
 
@@ -82,6 +87,13 @@ class ParamPoly:
                 clean[tuple(sorted(mono))] = coef
         self._terms = clean
 
+    @classmethod
+    def _trusted(cls, terms: dict) -> "ParamPoly":
+        """Canonical terms from arithmetic: sorted valid monomials."""
+        out = cls.__new__(cls)
+        out._terms = {mono: coef for mono, coef in terms.items() if coef}
+        return out
+
     # -- constructors
 
     @classmethod
@@ -90,7 +102,7 @@ class ParamPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> "ParamPoly":
-        return cls({(): _as_rat(value)})
+        return cls._trusted({(): _as_rat(value)})
 
     @classmethod
     def symbol(cls, name: str) -> "ParamPoly":
@@ -128,13 +140,15 @@ class ParamPoly:
         other = ParamPoly.coerce(other)
         out = dict(self._terms)
         for mono, coef in other._terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coef
-        return ParamPoly(out)
+            out[mono] = out.get(mono, 0) + coef
+        return ParamPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly({mono: -coef for mono, coef in self._terms.items()})
+        return ParamPoly._trusted(
+            {mono: -coef for mono, coef in self._terms.items()}
+        )
 
     def __sub__(self, other) -> "ParamPoly":
         return self + (-ParamPoly.coerce(other))
@@ -148,8 +162,8 @@ class ParamPoly:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _merge_monomials(m1, m2)
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return ParamPoly(out)
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return ParamPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -157,7 +171,7 @@ class ParamPoly:
         scalar = _as_rat(scalar)
         if scalar == 0:
             raise ZeroDivisionError("division of ParamPoly by zero")
-        return ParamPoly(
+        return ParamPoly._trusted(
             {mono: coef / scalar for mono, coef in self._terms.items()}
         )
 
@@ -238,12 +252,6 @@ def rat_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def _monomial_str(mono: Monomial) -> str:
-    return "*".join(
-        name if exp == 1 else f"{name}^{exp}" for name, exp in mono
-    )
 
 
 def monomial_factor_strings(mono: Monomial, coef_abs: Fraction) -> list[str]:
@@ -415,11 +423,6 @@ class TPoly:
 
     def __repr__(self) -> str:
         return f"TPoly({self})"
-
-
-def evaluate(p: ParamPoly, assignment: Mapping[str, Scalar]) -> Fraction:
-    """Exact rational value of `p` under a full symbol assignment."""
-    return p.evaluate(assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -444,12 +444,14 @@ def _latex_series(series: PowerLogSeries, var: str) -> str:
 # -- shared input handling
 
 
+def _split_params(text: str) -> list:
+    """The --params list; argparse applies it to the default "" as well."""
+    return [p.strip() for p in text.split(",") if p.strip()]
+
+
 def _load_equation(args) -> QPolynomial:
-    params = []
-    if getattr(args, "params", None):
-        params = [p.strip() for p in args.params.split(",") if p.strip()]
     text = Path(args.eq).read_text(encoding="utf-8")
-    return parse_equation(text, params)
+    return parse_equation(text, args.params)
 
 
 def _parse_point_text(text: str):
@@ -490,30 +492,23 @@ def _parse_assignment(text: str) -> dict:
     return out
 
 
-def _overrides(args):
-    c_override = None
-    if getattr(args, "c", None):
-        params = []
-        if getattr(args, "params", None):
-            params = [p.strip() for p in args.params.split(",") if p.strip()]
-        c_override = parse_param_expr(args.c, params)
-    r_override = parse_rat(args.r) if getattr(args, "r", None) else None
-    return c_override, r_override
-
-
-def _analyses(f, polygon, args, q):
-    c_override, r_override = _overrides(args)
-    faces = _select_faces(polygon, args.face)
-    return [
+def _truncate_pipeline(args):
+    """Equation, q, per-face analyses and the parsed (--c, --r)."""
+    f = _load_equation(args)
+    q = check_q(parse_rat(args.q))
+    polygon = build_polygon(support(f))
+    c_override = parse_param_expr(args.c, args.params) if args.c else None
+    r_override = parse_rat(args.r) if args.r else None
+    analyses = [
         analyze_face(f, polygon, face, q, c_override, r_override)
-        for face in faces
+        for face in _select_faces(polygon, args.face)
     ]
+    return f, q, analyses, (c_override, r_override)
 
 
-def _pick_candidate(analyses, args):
+def _pick_candidate(analyses, args, c_override, r_override):
     if args.face == "auto" and (args.c or args.r):
         raise ValueError("--c/--r need an explicit --face")
-    c_override, r_override = _overrides(args)
     candidates = [ts for an in analyses for ts in an.candidates]
     if c_override is not None:
         candidates = [ts for ts in candidates if ts.c == c_override]
@@ -647,10 +642,7 @@ def _truncate_face_json(analysis: FaceAnalysis) -> dict:
 
 
 def cmd_truncate(args) -> int:
-    f = _load_equation(args)
-    q = check_q(parse_rat(args.q))
-    polygon = build_polygon(support(f))
-    analyses = _analyses(f, polygon, args, q)
+    _, q, analyses, _ = _truncate_pipeline(args)
     if args.format == "json":
         _print_json(
             {
@@ -701,11 +693,8 @@ def cmd_truncate(args) -> int:
 
 
 def _expand_pipeline(args):
-    f = _load_equation(args)
-    q = check_q(parse_rat(args.q))
-    polygon = build_polygon(support(f))
-    analyses = _analyses(f, polygon, args, q)
-    ts = _pick_candidate(analyses, args)
+    f, q, analyses, overrides = _truncate_pipeline(args)
+    ts = _pick_candidate(analyses, args, *overrides)
     k_max = parse_rat(args.kmax)
     result = expand_solution(f, ts, q, k_max)
     return f, q, k_max, result
@@ -789,7 +778,10 @@ def cmd_plot(args) -> int:
 def _add_common(sub, *, q: bool, face: bool, kmax: bool) -> None:
     sub.add_argument("--eq", required=True, help="equation file (DSL, UTF-8)")
     sub.add_argument(
-        "--params", default="", help="comma-separated parameter names"
+        "--params",
+        default="",
+        type=_split_params,
+        help="comma-separated parameter names",
     )
     if q:
         sub.add_argument("--q", required=True, help="the base q, as p/m")
@@ -850,7 +842,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("plot", help="render the Newton polygon as SVG")
     sub.add_argument("--eq", required=True, help="equation file (DSL, UTF-8)")
     sub.add_argument(
-        "--params", default="", help="comma-separated parameter names"
+        "--params",
+        default="",
+        type=_split_params,
+        help="comma-separated parameter names",
     )
     sub.add_argument("--svg", required=True, help="output SVG path")
     sub.set_defaults(func=cmd_plot)

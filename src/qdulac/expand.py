@@ -29,12 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from typing import Callable, Iterable, Mapping
 
 from .algebra import (
     ParamPoly,
-    Rat,
     TPoly,
     check_q,
     q_log,
@@ -79,9 +79,14 @@ class LinearPart:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
+    @cached_property
+    def roots(self) -> dict:
+        """Rational roots of L(s) with their multiplicities, found once."""
+        return dict(rational_roots(self.coeffs))
+
     def root_multiplicity(self, w: Fraction) -> int:
         """Multiplicity of w as a root of L(s)."""
-        return dict(rational_roots(self.coeffs)).get(w, 0)
+        return self.roots.get(w, 0)
 
 
 @dataclass(frozen=True)
@@ -115,14 +120,6 @@ class ExpansionResult:
     skipped_irrational: tuple
     unresolved: int
     linear_part: LinearPart
-
-    @property
-    def base_c(self) -> ParamPoly:
-        return self.series.base_shift[0]
-
-    @property
-    def base_r(self) -> Fraction:
-        return self.series.base_shift[1]
 
 
 def extract_linear_part(ft: QPolynomial):
@@ -178,7 +175,7 @@ def critical_numbers(L: LinearPart, q, r) -> CriticalData:
     eigen = []
     skipped = []
     resolved = 0
-    for s, mult in rational_roots(L.coeffs):
+    for s, mult in L.roots.items():
         resolved += mult
         if s <= 0:
             skipped.append(s)

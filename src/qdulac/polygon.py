@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import Rat, rat_str
+from .algebra import rat_str
 
 Point = tuple  # (Fraction, Fraction)
 

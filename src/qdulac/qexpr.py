@@ -25,9 +25,10 @@ from typing import Iterable, Mapping
 
 from .algebra import (
     ParamPoly,
-    Rat,
     Scalar,
     TPoly,
+    _as_rat,
+    _merge_monomials,
     check_q,
     monomial_factor_strings,
     q_pow,
@@ -39,14 +40,6 @@ from .errors import EmptySupportError
 SigmaPowers = tuple
 
 Point = tuple  # (Fraction, Fraction)
-
-
-def _as_exp(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"exponents must be exact rationals, got {type(value).__name__}")
 
 
 def _normalize_sigma(powers) -> SigmaPowers:
@@ -89,6 +82,13 @@ class QTerm:
 class QPolynomial:
     """Canonical finite sum of QTerms (like terms merged, zeros dropped).
 
+    Stored as {(x_exp, sigma_powers): coeff}.  The public constructor
+    `QPolynomial(terms)` validates each term (exact exponent, nonnegative
+    levels, positive powers) and merges like terms; `zero`, `constant`,
+    `x_power` and `unknown` go through it.  Arithmetic results are
+    trusted: they are built on the dict directly and only drop zero
+    coefficients.  `terms` is the sorted view for iteration and display.
+
     `var` is a display name for the unknown; it is carried through
     arithmetic but takes no part in equality or hashing (a sum and its
     renamed copy are the same object mathematically).
@@ -99,14 +99,20 @@ class QPolynomial:
     def __init__(self, terms: Iterable[QTerm] = (), var: str = "y"):
         merged: dict[tuple[Fraction, SigmaPowers], ParamPoly] = {}
         for term in terms:
-            key = (_as_exp(term.x_exp), _normalize_sigma(term.sigma_powers))
-            coeff = merged.get(key)
-            coeff = term.coeff if coeff is None else coeff + term.coeff
-            merged[key] = coeff
+            key = (_as_rat(term.x_exp), _normalize_sigma(term.sigma_powers))
+            _add_into(merged, key, term.coeff)
         self._terms = {
             key: coeff for key, coeff in merged.items() if not coeff.is_zero()
         }
         self.var = var
+
+    @classmethod
+    def _trusted(cls, terms: dict, var: str) -> "QPolynomial":
+        """Canonical keys from arithmetic; only zero coefficients drop."""
+        out = cls.__new__(cls)
+        out._terms = {key: c for key, c in terms.items() if not c.is_zero()}
+        out.var = var
+        return out
 
     # -- constructors
 
@@ -120,7 +126,7 @@ class QPolynomial:
 
     @classmethod
     def x_power(cls, e: Scalar, var: str = "y") -> "QPolynomial":
-        return cls([QTerm(ParamPoly.const(1), _as_exp(e), ())], var)
+        return cls([QTerm(ParamPoly.const(1), _as_rat(e), ())], var)
 
     @classmethod
     def unknown(cls, level: int = 0, var: str = "y") -> "QPolynomial":
@@ -155,23 +161,17 @@ class QPolynomial:
 
     def shift_x(self, delta: Scalar) -> "QPolynomial":
         """Multiply by x^delta (delta may be negative)."""
-        delta = _as_exp(delta)
-        return QPolynomial(
-            [QTerm(c, key[0] + delta, key[1]) for key, c in self._terms.items()],
+        delta = _as_rat(delta)
+        return QPolynomial._trusted(
+            {(e + delta, sig): c for (e, sig), c in self._terms.items()},
             self.var,
         )
 
     def renamed(self, var: str) -> "QPolynomial":
-        out = QPolynomial.zero(var)
-        out._terms = dict(self._terms)
-        return out
-
-    def coeff_at(self, x_exp: Scalar, sigma_powers) -> ParamPoly:
-        key = (_as_exp(x_exp), _normalize_sigma(sigma_powers))
-        return self._terms.get(key, ParamPoly.zero())
+        return QPolynomial._trusted(self._terms, var)
 
     def terms_at_point(self, point: Point) -> "QPolynomial":
-        q1, q2 = _as_exp(point[0]), _as_exp(point[1])
+        q1, q2 = _as_rat(point[0]), _as_rat(point[1])
         return QPolynomial(
             [t for t in self.terms if t.x_exp == q1 and Fraction(t.y_degree) == q2],
             self.var,
@@ -187,14 +187,16 @@ class QPolynomial:
         raise TypeError(f"cannot combine QPolynomial with {type(other).__name__}")
 
     def __add__(self, other) -> "QPolynomial":
-        other = self._coerce(other)
-        return QPolynomial(list(self.terms) + list(other.terms), self.var)
+        out = dict(self._terms)
+        for key, c in self._coerce(other)._terms.items():
+            _add_into(out, key, c)
+        return QPolynomial._trusted(out, self.var)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPolynomial":
-        return QPolynomial(
-            [QTerm(-t.coeff, t.x_exp, t.sigma_powers) for t in self.terms], self.var
+        return QPolynomial._trusted(
+            {key: -c for key, c in self._terms.items()}, self.var
         )
 
     def __sub__(self, other) -> "QPolynomial":
@@ -202,17 +204,12 @@ class QPolynomial:
 
     def __mul__(self, other) -> "QPolynomial":
         other = self._coerce(other)
-        out = []
-        for t1 in self.terms:
-            for t2 in other.terms:
-                out.append(
-                    QTerm(
-                        t1.coeff * t2.coeff,
-                        t1.x_exp + t2.x_exp,
-                        t1.sigma_powers + t2.sigma_powers,
-                    )
-                )
-        return QPolynomial(out, self.var)
+        out: dict = {}
+        for (e1, s1), c1 in self._terms.items():
+            for (e2, s2), c2 in other._terms.items():
+                # sigma tuples have the shape of monomials: sorted (level, power)
+                _add_into(out, (e1 + e2, _merge_monomials(s1, s2)), c1 * c2)
+        return QPolynomial._trusted(out, self.var)
 
     __rmul__ = __mul__
 
@@ -242,6 +239,11 @@ class QPolynomial:
 
     def __repr__(self) -> str:
         return f"QPolynomial({self})"
+
+
+def _add_into(terms: dict, key, coeff: ParamPoly) -> None:
+    prev = terms.get(key)
+    terms[key] = coeff if prev is None else prev + coeff
 
 
 def _exp_str(e: Fraction) -> str:
@@ -319,7 +321,7 @@ class PowerLogSeries:
         self.q = check_q(q)
         merged: dict[Fraction, TPoly] = {}
         for k, beta in terms:
-            k = _as_exp(k)
+            k = _as_rat(k)
             if not isinstance(beta, TPoly):
                 beta = TPoly.const(ParamPoly.coerce(beta))
             merged[k] = merged.get(k, TPoly.zero()) + beta
@@ -328,7 +330,7 @@ class PowerLogSeries:
         )
         if base_shift is not None:
             c, r = base_shift
-            base_shift = (ParamPoly.coerce(c), _as_exp(r))
+            base_shift = (ParamPoly.coerce(c), _as_rat(r))
         self.base_shift = base_shift
 
     @property
@@ -342,7 +344,7 @@ class PowerLogSeries:
         return tuple(k for k, _ in self._terms)
 
     def coefficient(self, k: Scalar) -> TPoly:
-        k = _as_exp(k)
+        k = _as_rat(k)
         for kk, beta in self._terms:
             if kk == k:
                 return beta
@@ -352,13 +354,8 @@ class PowerLogSeries:
         flat = self.flattened()
         return flat[0][0] if flat else None
 
-    def with_term(self, k: Scalar, beta: TPoly) -> "PowerLogSeries":
-        return PowerLogSeries(
-            self.q, list(self._terms) + [(k, beta)], self.base_shift
-        )
-
     def truncated(self, k_max: Scalar) -> "PowerLogSeries":
-        k_max = _as_exp(k_max)
+        k_max = _as_rat(k_max)
         return PowerLogSeries(
             self.q,
             [(k, b) for k, b in self._terms if k <= k_max],
@@ -448,7 +445,7 @@ def substitute_shift(
     """
     q = check_q(q)
     c = ParamPoly.coerce(c)
-    r = _as_exp(r)
+    r = _as_rat(r)
     if c.is_zero():
         return f.renamed(new_var_name)
     shifted_level: dict[int, QPolynomial] = {}
@@ -503,8 +500,8 @@ def evaluate_on_series(
     cannot reach k_max after the remaining factors (each contributes at
     least its minimal exponent), so negative exponents are handled exactly.
     """
-    q = check_q(s.q)
-    k_max = _as_exp(k_max)
+    q = s.q
+    k_max = _as_rat(k_max)
     base_flat = s.flattened()
     sigma_cache: dict[int, FlatSeries] = {}
 

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .algebra import (
     ParamPoly,
-    Rat,
     TPoly,
     check_q,
     q_log,

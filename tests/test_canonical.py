@@ -1,0 +1,182 @@
+"""Boundary checks and the canonical form of algebra values.
+
+Outside data is validated where it enters: the public constructors, the
+parser and the number-theory entry points.  Arithmetic builds its results
+directly in canonical form without re-validating; the property tests
+below check that every such result equals its rebuild through the
+validating constructor, stores no zero coefficient, and keeps every
+monomial and shift tuple sorted.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from qdulac.algebra import ParamPoly, TPoly, check_q, q_pow
+from qdulac.errors import ReservedSymbolError
+from qdulac.parser import parse_equation
+from qdulac.qexpr import QPolynomial, QTerm
+
+F = Fraction
+
+# -- floats are refused at every entry point
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ParamPoly.const(0.5),
+        lambda: ParamPoly({(("a", 1),): 0.5}),
+        lambda: TPoly([1, 0.5]),
+        lambda: ParamPoly.symbol("a").evaluate({"a": 0.5}),
+        lambda: QPolynomial.x_power(0.5),
+        lambda: check_q(0.5),
+        lambda: q_pow(0.5, 1),
+        lambda: q_pow(F(1, 4), 0.5),
+    ],
+    ids=[
+        "const",
+        "mapping",
+        "tpoly",
+        "evaluate",
+        "x_power",
+        "check_q",
+        "q_pow_base",
+        "q_pow_exponent",
+    ],
+)
+def test_floats_refused(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+# -- reserved names and malformed terms
+
+
+@pytest.mark.parametrize("name", ["x", "y", "t", "S"])
+def test_reserved_names_refused_by_parser(name):
+    with pytest.raises(ReservedSymbolError):
+        parse_equation("y - x = 0", params=[name])
+
+
+@pytest.mark.parametrize("name", ["x", "y", "t", ""])
+def test_reserved_names_refused_by_symbol(name):
+    with pytest.raises(ReservedSymbolError):
+        ParamPoly.symbol(name)
+
+
+def test_negative_shift_level_refused():
+    term = QTerm(ParamPoly.const(1), F(0), ((-1, 1),))
+    with pytest.raises(ValueError):
+        QPolynomial([term])
+
+
+def test_nonpositive_shift_power_refused():
+    term = QTerm(ParamPoly.const(1), F(0), ((1, 0),))
+    with pytest.raises(ValueError):
+        QPolynomial([term])
+
+
+# -- arithmetic results are canonical
+
+SYMBOLS = ("C1", "a3", "a4")
+
+
+def rand_rat(rng):
+    return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def rand_param_poly(rng, max_terms=4):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        names = rng.sample(SYMBOLS, rng.randint(0, 2))
+        mono = tuple(sorted((name, rng.randint(1, 2)) for name in names))
+        terms[mono] = rand_rat(rng)
+    return ParamPoly(terms)
+
+
+def rand_qpoly(rng, max_terms=3):
+    terms = []
+    for _ in range(rng.randint(0, max_terms)):
+        levels = rng.sample(range(3), rng.randint(0, 2))
+        sigma = tuple((level, rng.randint(1, 2)) for level in levels)
+        x_exp = F(rng.randint(-2, 4), rng.choice((1, 2)))
+        terms.append(QTerm(rand_param_poly(rng, 2), x_exp, sigma))
+    return QPolynomial(terms)
+
+
+def assert_canonical_param(p: ParamPoly):
+    items = list(p.items())
+    assert ParamPoly(dict(items)) == p
+    for mono, coef in items:
+        assert isinstance(coef, Fraction) and coef != 0
+        assert mono == tuple(sorted(mono))
+        assert len({name for name, _ in mono}) == len(mono)
+        assert all(exp >= 1 for _, exp in mono)
+
+
+def assert_canonical_q(f: QPolynomial):
+    assert QPolynomial(f.terms, f.var) == f
+    for term in f.terms:
+        assert isinstance(term.x_exp, Fraction)
+        assert not term.coeff.is_zero()
+        assert_canonical_param(term.coeff)
+        levels = [level for level, _ in term.sigma_powers]
+        assert levels == sorted(set(levels))
+        assert all(power >= 1 for _, power in term.sigma_powers)
+
+
+def point(rng):
+    return {name: rand_rat(rng) for name in SYMBOLS}
+
+
+def test_param_poly_arithmetic_is_canonical():
+    rng = random.Random(20260117)
+    for _ in range(300):
+        a, b = rand_param_poly(rng), rand_param_poly(rng)
+        at = point(rng)
+        va, vb = a.evaluate(at), b.evaluate(at)
+        results = {
+            "add": (a + b, va + vb),
+            "sub": (a - b, va - vb),
+            "neg": (-a, -va),
+            "mul": (a * b, va * vb),
+            "pow": (a**3, va**3),
+            "scalar": (a * F(2, 3) + 1, va * F(2, 3) + 1),
+        }
+        if vb != 0 and b.is_constant():
+            results["div"] = (a / vb, va / vb)
+        for name, (result, value) in results.items():
+            assert_canonical_param(result)
+            assert result.evaluate(at) == value, name
+        assert (a - a).is_zero()
+
+
+def test_qpolynomial_arithmetic_is_canonical():
+    rng = random.Random(20260118)
+    half = F(1, 2)
+    for _ in range(150):
+        f, g = rand_qpoly(rng), rand_qpoly(rng)
+        # oracles built term by term through the validating constructor
+        naive_product = QPolynomial(
+            QTerm(s.coeff * t.coeff, s.x_exp + t.x_exp, s.sigma_powers + t.sigma_powers)
+            for s in f.terms
+            for t in g.terms
+        )
+        negated_g = [QTerm(-t.coeff, t.x_exp, t.sigma_powers) for t in g.terms]
+        shifted_f = [QTerm(t.coeff, t.x_exp - half, t.sigma_powers) for t in f.terms]
+        results = {
+            "add": (f + g, QPolynomial([*f.terms, *g.terms])),
+            "sub": (f - g, QPolynomial([*f.terms, *negated_g])),
+            "neg": (-g, QPolynomial(negated_g)),
+            "mul": (f * g, naive_product),
+            "pow": (f**2, f * f),
+            "shift_x": (f.shift_x(-half), QPolynomial(shifted_f)),
+            "renamed": (f.renamed("z"), f),
+        }
+        for name, (result, expected) in results.items():
+            assert_canonical_q(result)
+            assert result == expected, name
+        assert (f - f).is_zero()
+        assert f.renamed("z").var == "z"

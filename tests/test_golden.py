@@ -1,0 +1,129 @@
+"""Byte-identity of full CLI output on fixed golden cases.
+
+Each case runs `qdulac.cli.main(argv)` in process and compares stdout,
+stderr and the exit code with the files under tests/golden/; the `plot`
+case also compares the SVG it writes.  The other CLI tests only check
+substrings, so these cases are what pins every byte a user sees.
+
+To regenerate the expected files after a deliberate output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MAIN = str(GOLDEN / "main.qde")
+VERTEX = str(GOLDEN / "vertex.qde")
+EXPECTED = GOLDEN / "expected.json"
+SVG_NAME = "polygon.svg"
+
+_MAIN = ["--eq", MAIN, "--params", "a3,a4"]
+_EDGE = ["--face", "(0,3)-(0,2)", "--c", "-1", "--kmax", "5"]
+_ASSIGN = ["--assign", "a3=1,a4=2,C1=3"]
+_FORMATS = ("text", "json", "latex")
+
+
+def _cases() -> dict:
+    cases = {}
+    for fmt in _FORMATS:
+        fmt_args = ["--format", fmt]
+        cases[f"polygon_main_{fmt}"] = ["polygon", *_MAIN, *fmt_args]
+        cases[f"truncate_main_q1_2_{fmt}"] = [
+            "truncate", *_MAIN, "--q", "1/2", *fmt_args
+        ]
+        for name, q in (("q1_2", "1/2"), ("q1_4", "1/4")):
+            cases[f"expand_main_{name}_{fmt}"] = [
+                "expand", *_MAIN, "--q", q, *_EDGE, *fmt_args
+            ]
+            cases[f"verify_main_{name}_{fmt}"] = [
+                "verify", *_MAIN, "--q", q, *_EDGE, *_ASSIGN, *fmt_args
+            ]
+        cases[f"expand_main_q1_2_logbase1_4_{fmt}"] = [
+            "expand", *_MAIN, "--q", "1/2", *_EDGE, "--log-base", "1/4", *fmt_args
+        ]
+        for name, q in (("q1_2", "1/2"), ("q3", "3")):
+            cases[f"truncate_vertex_{name}_{fmt}"] = [
+                "truncate", "--eq", VERTEX, "--q", q, *fmt_args
+            ]
+            cases[f"expand_vertex_{name}_{fmt}"] = [
+                "expand", "--eq", VERTEX, "--q", q, *fmt_args
+            ]
+        cases[f"expand_vertex_q1_2_face_{fmt}"] = [
+            "expand", "--eq", VERTEX, "--q", "1/2", "--face", "(0,1)", *fmt_args
+        ]
+        cases[f"verify_vertex_q3_{fmt}"] = [
+            "verify", "--eq", VERTEX, "--q", "3", "--assign", "c=1", *fmt_args
+        ]
+    cases["plot_main"] = ["plot", *_MAIN, "--svg", SVG_NAME]
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(argv: list, workdir: Path) -> dict:
+    """Exit code, stdout, stderr (and SVG, if written) of one CLI call."""
+    from qdulac.cli import main
+
+    out, err = StringIO(), StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    result = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    svg = workdir / SVG_NAME
+    if svg.exists():
+        result["svg"] = svg.read_text(encoding="utf-8")
+        svg.unlink()
+    return result
+
+
+def _load_expected() -> dict:
+    return json.loads(EXPECTED.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    expected = _load_expected()[name]
+    actual = run_case(CASES[name], tmp_path)
+    assert actual["exit"] == expected["exit"]
+    assert actual["stderr"] == expected["stderr"]
+    assert actual["stdout"] == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    if "svg" in expected or "svg" in actual:
+        assert actual.get("svg") == (GOLDEN / expected["svg"]).read_text(
+            encoding="utf-8"
+        )
+
+
+def test_golden_cases_cover_every_expected_file():
+    assert set(_load_expected()) == set(CASES)
+
+
+def regenerate(workdir: Path) -> None:
+    expected = {}
+    for name, argv in sorted(CASES.items()):
+        result = run_case(argv, workdir)
+        (GOLDEN / f"{name}.out").write_text(result["stdout"], encoding="utf-8")
+        entry = {"exit": result["exit"], "stderr": result["stderr"]}
+        if "svg" in result:
+            entry["svg"] = f"{name}.svg"
+            (GOLDEN / entry["svg"]).write_text(result["svg"], encoding="utf-8")
+        expected[name] = entry
+    EXPECTED.write_text(json.dumps(expected, indent=2) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        regenerate(Path(tmp))
