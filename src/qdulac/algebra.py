@@ -14,8 +14,17 @@ sit two polynomial layers:
                polynomial over the parameter ring is needed.
 
 The module also provides the number-theoretic helpers of the expansion
-engine: exact rational roots of a rational polynomial, q^k for rational k
-(erroring when the value leaves Q), and the discrete logarithm k = log_q w.
+engine, none of which factors an integer, so each runs in time polynomial
+in the bit size of its input:
+
+  rational_roots -- exact rational roots with multiplicities, isolated by
+                    Sturm-sequence bisection over the candidates z/b, b the
+                    leading coefficient of the primitive integer polynomial;
+  q_pow          -- q^(p/m) from exact integer m-th roots (Newton iteration)
+                    of the numerator and denominator of q, erroring when the
+                    value leaves Q;
+  q_log          -- the rational k = log_q w, from the primitive-power
+                    decompositions q = q0^e and w = w0^f.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -28,6 +37,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     IndeterminateEquationError,
+    InternalInvariantError,
     InvalidQError,
     IrrationalQPowerError,
     ReservedSymbolError,
@@ -426,49 +436,104 @@ class TPoly:
 
 
 # ---------------------------------------------------------------------------
-# rational roots
+# rational roots; integer polynomials are coefficient lists, lowest degree first
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _deflate(coeffs: list[int], root: Fraction) -> list[int]:
+    """Exact division of an integer polynomial by m*s - p, for root = p/m.
 
-
-def _eval_rat_poly(coeffs: Sequence[Fraction], point: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * point + c
-    return total
-
-
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    """Exact synthetic division by (s - root); remainder must be zero."""
-    out: list[Fraction] = [Fraction(0)] * (len(coeffs) - 1)
-    carry = Fraction(0)
+    The quotient is integral when root is a root (Gauss's lemma); an
+    inexact step or a nonzero remainder means it is not.
+    """
+    p, m = root.numerator, root.denominator
+    out = [0] * (len(coeffs) - 1)
+    carry = 0
     for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + carry * root
+        carry, rest = divmod(coeffs[i] + carry * p, m)
+        if rest:
+            break
         out[i - 1] = carry
-    assert coeffs[0] + carry * root == 0, "deflation by a non-root"
-    return out
+    else:
+        if coeffs[0] + carry * p == 0:
+            return out
+    raise InternalInvariantError(f"deflation by a non-root {root}")
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    """The primitive multiple with a positive leading coefficient of an
+    integer polynomial whose leading coefficient is nonzero."""
+    g = math.gcd(*coeffs)
+    if coeffs[-1] < 0:
+        g = -g
+    return [c // g for c in coeffs]
+
+
+def _neg_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of -(a mod b), content removed; [] when b | a.
+
+    Pseudo-division scaled by |lead(b)| only, so that the sign, which the
+    Sturm chain depends on, is kept.
+    """
+    a = list(a)
+    mag = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    for shift in range(len(a) - len(b), -1, -1):
+        c = a[-1] * sign
+        if c:
+            a = [v * mag for v in a]
+            for i, v in enumerate(b):
+                a[shift + i] -= c * v
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    if not a:
+        return []
+    g = math.gcd(*a)
+    return [-v // g for v in a]
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p', then negated remainders down to a multiple of gcd(p, p')."""
+    chain = [p]
+    nxt = _primitive([i * c for i, c in enumerate(p)][1:])
+    while nxt:
+        chain.append(nxt)
+        nxt = _neg_remainder(chain[-2], chain[-1])
+    return chain
+
+
+def _homogeneous(p: list[int], num: int, den_powers: list[int]) -> int:
+    """den**deg(p) * p(num/den), given den_powers[i] = den**i (homogeneous
+    Horner: integers only, and with den > 0 the sign of p(num/den))."""
+    d = len(p) - 1
+    acc = p[d]
+    for i in range(d - 1, -1, -1):
+        acc = acc * num + p[i] * den_powers[d - i]
+    return acc
+
+
+def _sign_changes(chain: list[list[int]], num: int, den_powers: list[int]) -> int:
+    values = (_homogeneous(p, num, den_powers) for p in chain)
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def rational_roots(coeffs: Sequence[Scalar]) -> list[tuple[Fraction, int]]:
     """All rational roots of a rational polynomial, with multiplicities.
 
     `coeffs` lists the coefficients lowest degree first.  The polynomial is
-    normalized to integer coefficients, candidates p/m are enumerated from
-    the divisors of the trailing and leading coefficients, and every
-    candidate is verified by exact evaluation and removed by deflation.
-    Raises IndeterminateEquationError on the zero polynomial, whose roots
-    are unconstrained.
+    made a primitive integer polynomial p with leading coefficient b > 0.
+    Every rational root is z/b for an integer z with |z| <= b + max|p_i|
+    (the Cauchy bound), and one Sturm chain of p counts the distinct roots
+    between two points (z + 1/2)/b, which are never roots, so bisection
+    over z isolates them; an interval holding one root is narrowed by the
+    sign of the squarefree part p/gcd(p, p') alone.  Each interval of one
+    candidate is tested exactly, and every root found is divided out of p
+    until it no longer vanishes, which gives its multiplicity.  The work is
+    polynomial in the bit size of the coefficients: the bisection depth is
+    the bit length of the bound, and no integer is factored.  Raises
+    IndeterminateEquationError on the zero polynomial, whose roots are
+    unconstrained.
     """
     cs = [_as_rat(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -484,27 +549,65 @@ def rational_roots(coeffs: Sequence[Scalar]) -> list[tuple[Fraction, int]]:
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
     if len(cs) == 1:
-        return sorted(roots)
+        return roots
 
-    # integer normalization: clear denominators, then the content
     den_lcm = math.lcm(*(c.denominator for c in cs))
-    ints = [int(c * den_lcm) for c in cs]
-    content = math.gcd(*ints)
-    ints = [v // content for v in ints]
-    work = [Fraction(v) for v in ints]
+    poly = _primitive([int(c * den_lcm) for c in cs])
+    chain = _sturm_chain(poly)
+    gcd = chain[-1]  # poly/gcd is squarefree and has the same roots
+    lead = poly[-1]
+    den_powers = [1]
+    for _ in range(len(poly) - 1):
+        den_powers.append(den_powers[-1] * 2 * lead)
 
-    candidates: set[Fraction] = set()
-    for p in _divisors(ints[0]):
-        for m in _divisors(ints[-1]):
-            candidates.add(Fraction(p, m))
-            candidates.add(Fraction(-p, m))
-    for cand in sorted(candidates):
+    def squarefree_positive(z: int) -> bool:
+        point = 2 * z + 1
+        return (_homogeneous(poly, point, den_powers) > 0) == (
+            _homogeneous(gcd, point, den_powers) > 0
+        )
+
+    # an entry (lo, hi, ...) holds the candidates z/lead with lo < z <= hi and
+    # the chain's sign changes at the never-roots (2*lo + 1)/(2*lead) and
+    # (2*hi + 1)/(2*lead); their difference counts the distinct roots between
+    bound = lead + max(abs(c) for c in poly[:-1])
+    found: list[Fraction] = []
+    stack = [(
+        -bound - 1,
+        bound,
+        _sign_changes(chain, -2 * bound - 1, den_powers),
+        _sign_changes(chain, 2 * bound + 1, den_powers),
+    )]
+    while stack:
+        lo, hi, changes_lo, changes_hi = stack.pop()
+        count = changes_lo - changes_hi
+        if count == 0:
+            continue
+        if count == 1:
+            # one root, simple in poly/gcd, which changes sign there only
+            lo_positive = squarefree_positive(lo)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if squarefree_positive(mid) == lo_positive:
+                    lo = mid
+                else:
+                    hi = mid
+        elif hi - lo > 1:
+            mid = (lo + hi) // 2
+            changes_mid = _sign_changes(chain, 2 * mid + 1, den_powers)
+            stack.append((lo, mid, changes_lo, changes_mid))
+            stack.append((mid, hi, changes_mid, changes_hi))
+            continue
+        if _homogeneous(poly, 2 * hi, den_powers) == 0:
+            found.append(Fraction(hi, lead))
+
+    work = poly
+    for root in found:
+        den_powers = [root.denominator**i for i in range(len(poly))]
         mult = 0
-        while len(work) > 1 and _eval_rat_poly(work, cand) == 0:
-            work = _deflate(work, cand)
+        while _homogeneous(work, root.numerator, den_powers) == 0:
+            work = _deflate(work, root)
             mult += 1
-        if mult:
-            roots.append((cand, mult))
+        roots.append((root, mult))
     return sorted(roots)
 
 
@@ -512,32 +615,50 @@ def rational_roots(coeffs: Sequence[Scalar]) -> list[tuple[Fraction, int]]:
 # exact q-powers and q-logarithms
 
 
-def _factor_int(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs are desk-scale)."""
-    assert n >= 1
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        d += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _exact_root(n: int, m: int) -> int | None:
+    """The integer m-th root of n >= 0, or None when n is not an m-th power.
+
+    Integer Newton iteration from above, as in `math.isqrt`: it starts at
+    2**ceil(bits/m) > n**(1/m) and stops at floor(n**(1/m)), where the
+    iterate stops falling.  An n >= 2 of at most m bits lies strictly
+    between 1**m and 2**m, which keeps x**(m - 1) small.
+    """
+    if m == 1 or n < 2:
+        return n
+    bits = n.bit_length()
+    if m >= bits:
+        return None
+    if m == 2:
+        root = math.isqrt(n)
+    else:
+        root = 1 << -(-bits // m)
+        while True:
+            nxt = ((m - 1) * root + n // root ** (m - 1)) // m
+            if nxt >= root:
+                break
+            root = nxt
+    return root if root**m == n else None
 
 
-def _factor_fraction(value: Fraction) -> dict[int, int]:
-    assert value > 0
-    exps = _factor_int(value.numerator)
-    for p, e in _factor_int(value.denominator).items():
-        exps[p] = exps.get(p, 0) - e
-    return {p: e for p, e in exps.items() if e}
+def _primitive_power(x: Fraction) -> tuple[Fraction, int]:
+    """(x0, e) with x = x0**e and e maximal, for a positive rational x != 1.
+
+    An m-th power above 1 has more than m bits, so only exponents below the
+    bit length of the numerator or denominator (whichever exceeds 1) can
+    occur; each is tried until its exact root stops existing.  Composite
+    exponents always fail, as their prime factors were taken out first.
+    """
+    num, den = x.numerator, x.denominator
+    e = 1
+    m = 2
+    while m < min(v.bit_length() for v in (num, den) if v > 1):
+        num_root = _exact_root(num, m)
+        den_root = None if num_root is None else _exact_root(den, m)
+        if den_root is None:
+            m += 1
+        else:
+            num, den, e = num_root, den_root, e * m
+    return Fraction(num, den), e
 
 
 def check_q(q: Scalar) -> Fraction:
@@ -549,7 +670,12 @@ def check_q(q: Scalar) -> Fraction:
 
 
 def q_pow(q: Scalar, k: Scalar) -> Fraction:
-    """Exact q^k for rational k; errors when the value is irrational."""
+    """Exact q^k for rational k; errors when the value is irrational.
+
+    For k = p/m in lowest terms, q^k is rational iff the numerator and the
+    denominator of q are both perfect m-th powers; their exact integer
+    m-th roots are raised to the p-th power.
+    """
     q = _as_rat(q)
     if q <= 0:
         raise InvalidQError(f"q must be positive, got {q}")
@@ -557,20 +683,19 @@ def q_pow(q: Scalar, k: Scalar) -> Fraction:
     if k == 0 or q == 1:
         return Fraction(1)
     m = k.denominator
-    result = Fraction(1)
-    for p, e in _factor_fraction(q).items():
-        if (e * k.numerator) % m != 0:
-            raise IrrationalQPowerError(f"irrational q-power: ({q})^({k})")
-        result *= Fraction(p) ** ((e * k.numerator) // m)
-    return result
+    num = _exact_root(q.numerator, m)
+    den = None if num is None else _exact_root(q.denominator, m)
+    if den is None:
+        raise IrrationalQPowerError(f"irrational q-power: ({q})^({k})")
+    return Fraction(num, den) ** k.numerator
 
 
 def q_log(q: Scalar, w: Scalar) -> Fraction | None:
     """The unique rational k with q^k = w, or None when no such k exists.
 
-    Compares prime exponent vectors: q = prod p^e, w = prod p^f, and k
-    exists iff f/e is one and the same ratio for every prime occurring in
-    either factorization.
+    Uses the primitive-power decomposition q = q0^e, w = w0^f with e and f
+    maximal: q0 and w0 are then no perfect powers, so q^k = w for some
+    rational k iff w0 = q0 (k = f/e) or w0 = 1/q0 (k = -f/e).
     """
     q = check_q(q)
     w = _as_rat(w)
@@ -580,22 +705,13 @@ def q_log(q: Scalar, w: Scalar) -> Fraction | None:
         return None
     if w == 1:
         return Fraction(0)
-    fq = _factor_fraction(q)
-    fw = _factor_fraction(w)
-    ratio: Fraction | None = None
-    for p in set(fq) | set(fw):
-        e = fq.get(p, 0)
-        f = fw.get(p, 0)
-        if e == 0:
-            if f != 0:
-                return None
-            continue
-        r = Fraction(f, e)
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    return ratio
+    q0, e = _primitive_power(q)
+    w0, f = _primitive_power(w)
+    if w0 == q0:
+        return Fraction(f, e)
+    if w0 * q0 == 1:
+        return Fraction(-f, e)
+    return None
 
 
 def parse_rat(text: str) -> Fraction:

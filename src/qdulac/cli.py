@@ -28,6 +28,7 @@ from .errors import (
     DegreeBoundError,
     EmptySupportError,
     IndeterminateEquationError,
+    InternalInvariantError,
     InvalidQError,
     IrrationalQPowerError,
     LinearPartError,
@@ -70,6 +71,7 @@ _HYPOTHESIS_ERRORS = (
     LinearPartError,  # includes vertex, coefficient, and exponent-order cases
     IrrationalQPowerError,
     DegreeBoundError,
+    InternalInvariantError,
 )
 
 # -- JSON schemas (draft-07); rationals are reduced "p" or "p/m" strings

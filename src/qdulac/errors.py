@@ -1,7 +1,8 @@
 """Exception hierarchy shared by the whole package.
 
 The CLI maps these onto exit codes: input/parse problems exit 2,
-structural conditions that abort an expansion exit 3.
+structural conditions that abort an expansion, and internal invariant
+violations, exit 3.
 """
 
 
@@ -74,3 +75,11 @@ class ExponentOrderError(LinearPartError):
 
 class DegreeBoundError(QDulacError):
     """A computed log-polynomial exceeded the proven degree bound (internal bug)."""
+
+
+class InternalInvariantError(QDulacError):
+    """A proven identity failed at run time (internal bug).
+
+    Raised explicitly rather than asserted, so the check also runs under
+    `python -O`.
+    """

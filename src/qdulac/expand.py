@@ -46,6 +46,7 @@ from .errors import (
     DegreeBoundError,
     EmptySupportError,
     ExponentOrderError,
+    InternalInvariantError,
     LinearCoefficientError,
     LinearVertexError,
 )
@@ -299,8 +300,8 @@ def solve_poly_difference(
             )
             for i in range(size)
         ]
-        assert all(moments[i] == 0 for i in range(mu)), "moment criterion broken"
-        assert moments[mu] != 0, "moment criterion broken"
+        if any(moments[i] != 0 for i in range(mu)) or moments[mu] == 0:
+            raise InternalInvariantError(f"moment criterion broken at k = {k}")
         b = [ParamPoly.zero()] * size
         for i in range(deg, -1, -1):
             acc = target[i]
@@ -316,7 +317,8 @@ def solve_poly_difference(
         b[i] = b[i] + ParamPoly.symbol(name)
     beta = TPoly(b)
     check = apply_difference_operator(L, q, k, beta) + theta
-    assert check.is_zero(), "difference solve failed to verify"
+    if not check.is_zero():
+        raise InternalInvariantError(f"difference solve failed to verify at k = {k}")
     return beta, names
 
 
