@@ -26,12 +26,19 @@ in the bit size of its input:
   q_log          -- the rational k = log_q w, from the primitive-power
                     decompositions q = q0^e and w = w0^f.
 
+It also owns the notation every printed expression is written in: one
+`Notation` holds the shared printers (monomial, signed sum, ParamPoly,
+TPoly and power-logarithmic series) and two styles, TEXT (the equation
+DSL) and LATEX.
+
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -222,19 +229,6 @@ class ParamPoly:
             total += term
         return total
 
-    def substitute(self, assignment: Mapping[str, "ParamPoly | Scalar"]) -> "ParamPoly":
-        """Replace some symbols by polynomials; unlisted symbols stay."""
-        total = ParamPoly.zero()
-        for mono, coef in self._terms.items():
-            term = ParamPoly.const(coef)
-            for name, exp in mono:
-                if name in assignment:
-                    term = term * ParamPoly.coerce(assignment[name]) ** exp
-                else:
-                    term = term * ParamPoly.symbol(name) ** exp
-            total = total + term
-        return total
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in the canonical display order (graded lexicographic)."""
         return sorted(
@@ -243,7 +237,7 @@ class ParamPoly:
         )
 
     def __str__(self) -> str:
-        return format_param_poly(self)
+        return TEXT.param_poly(self)
 
     def __repr__(self) -> str:
         return f"ParamPoly({self})"
@@ -254,37 +248,6 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     for name, exp in m2:
         merged[name] = merged.get(name, 0) + exp
     return tuple(sorted(merged.items()))
-
-
-def rat_str(value: Fraction) -> str:
-    """Reduced rational as 'p' or 'p/m'; reparses to the identical value."""
-    value = _as_rat(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def monomial_factor_strings(mono: Monomial, coef_abs: Fraction) -> list[str]:
-    """DSL factor strings for |coef| * monomial, omitting a bare 1."""
-    factors = []
-    if coef_abs != 1 or not mono:
-        factors.append(rat_str(coef_abs))
-    for name, exp in mono:
-        factors.append(name if exp == 1 else f"{name}^{exp}")
-    return factors
-
-
-def format_param_poly(p: ParamPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts: list[str] = []
-    for mono, coef in p.sorted_terms():
-        body = "*".join(monomial_factor_strings(mono, abs(coef)))
-        if not parts:
-            parts.append(body if coef > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coef > 0 else f"- {body}")
-    return " ".join(parts)
 
 
 class TPoly:
@@ -394,45 +357,142 @@ class TPoly:
         return hash(self._coeffs)
 
     def to_string(self, var: str = "t") -> str:
-        if self.is_zero():
-            return "0"
-        parts: list[str] = []
-        for d in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[d]
-            if c.is_zero():
-                continue
-            var_part = "" if d == 0 else (var if d == 1 else f"{var}^{d}")
-            terms = c.sorted_terms()
-            if len(terms) > 1 and var_part:
-                body = f"({format_param_poly(c)})*{var_part}"
-                parts.append(body if not parts else f"+ {body}")
-                continue
-            if not var_part:
-                body = format_param_poly(c)
-                if not parts:
-                    parts.append(body)
-                elif body.startswith("-"):
-                    parts.append(f"- {body[1:]}")
-                else:
-                    parts.append(f"+ {body}")
-                continue
-            mono, coef = terms[0]
-            factors = monomial_factor_strings(mono, abs(coef))
-            if factors == ["1"]:
-                body = var_part
-            else:
-                body = "*".join(factors) + f"*{var_part}"
-            if not parts:
-                parts.append(body if coef > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coef > 0 else f"- {body}")
-        return " ".join(parts)
+        return TEXT.tpoly(self, var)
 
     def __str__(self) -> str:
         return self.to_string()
 
     def __repr__(self) -> str:
         return f"TPoly({self})"
+
+
+# ---------------------------------------------------------------------------
+# notation: how every printed expression is written, in text or in LaTeX
+
+# A symbol such as a3 or C12: letters, then the digits that become an index.
+_INDEXED_SYMBOL = re.compile(r"^([A-Za-z]+)([0-9]+)$")
+
+
+@dataclass(frozen=True)
+class Notation:
+    """One style of writing expressions; the printers are shared.
+
+    A style is only data: the formats below.  Every printed expression is
+    a signed sum "-a + b - c" whose parts are products of a coefficient
+    and a tail of factors (powers of t, x or the unknown's shifts); a
+    one-term coefficient carries its sign into the sum, a longer one is
+    grouped.  TEXT writes the DSL, which the parser reads back wherever
+    every x exponent is a nonnegative integer; LATEX writes math-mode
+    LaTeX.
+    """
+
+    fraction: str  # a reduced p/m, from p and m
+    indexed: str  # an indexed symbol, from its letters and digits
+    exponent: str  # an integer exponent after "^"
+    fraction_exponent: str  # a non-integer exponent after "^"
+    factor_sep: str  # between the factors of a product
+    coef_sep: str  # between a one-term coefficient and its tail
+    parens: str  # a grouped sum
+
+    def rational(self, value: Fraction) -> str:
+        if value.denominator == 1:
+            return str(value.numerator)
+        sign = "-" if value < 0 else ""
+        return sign + self.fraction.format(abs(value.numerator), value.denominator)
+
+    def symbol(self, name: str) -> str:
+        m = _INDEXED_SYMBOL.match(name)
+        return self.indexed.format(*m.groups()) if m else name
+
+    def power(self, base: str, exp: Scalar) -> str:
+        """base^exp; the exponent is always written as in the DSL."""
+        if exp == 1:
+            return base
+        fmt = self.exponent if exp.denominator == 1 else self.fraction_exponent
+        return f"{base}^" + fmt.format(rat_str(exp))
+
+    def monomial(self, mono: Monomial, coef_abs: Fraction, scales: bool = False) -> str:
+        """|coef|*mono, leaving out a unit coefficient where another
+        factor shows: a symbol, or the tail the monomial `scales`."""
+        factors = [self.power(self.symbol(name), exp) for name, exp in mono]
+        if coef_abs != 1 or not (factors or scales):
+            factors.insert(0, self.rational(coef_abs))
+        return self.factor_sep.join(factors)
+
+    def grouped(self, body: str, tail: str) -> tuple[bool, str]:
+        """The part (body)*tail; a group carries no sign of its own."""
+        group = self.parens.format(body)
+        return False, group + self.factor_sep + tail if tail else group
+
+    def term(self, coef: ParamPoly, tail: str) -> tuple[bool, str]:
+        """The part coef*tail as (negative, body); `tail` may be empty."""
+        terms = coef.sorted_terms()
+        if len(terms) > 1:
+            return self.grouped(self.param_poly(coef), tail)
+        ((mono, c),) = terms
+        lead = self.monomial(mono, abs(c), bool(tail))
+        return c < 0, lead + self.coef_sep + tail if lead and tail else lead or tail
+
+    @staticmethod
+    def signed_sum(parts: Sequence[tuple[bool, str]]) -> str:
+        """Join (negative, body) parts as "-a + b - c"; no parts give "0"."""
+        if not parts:
+            return "0"
+        (negative, first), rest = parts[0], parts[1:]
+        out = ["-" + first if negative else first]
+        out += [("- " if neg else "+ ") + body for neg, body in rest]
+        return " ".join(out)
+
+    def _poly_parts(self, p: ParamPoly) -> list[tuple[bool, str]]:
+        return [(c < 0, self.monomial(mono, abs(c))) for mono, c in p.sorted_terms()]
+
+    def param_poly(self, p: ParamPoly) -> str:
+        return self.signed_sum(self._poly_parts(p))
+
+    def tpoly(self, beta: TPoly, var: str) -> str:
+        """beta(var), highest power first; the constant term is not grouped."""
+        parts = [
+            self.term(beta.coeff(d), self.power(var, d))
+            for d in range(beta.degree(), 0, -1)
+            if not beta.coeff(d).is_zero()
+        ]
+        return self.signed_sum(parts + self._poly_parts(beta.coeff(0)))
+
+    def series(self, s, var: str) -> str:
+        """A PowerLogSeries as sum beta_k(var)*x^k, base pair folded in."""
+        parts = []
+        for k, beta in s.flattened():
+            tail = self.power("x", k) if k else ""
+            if beta.is_constant():
+                parts.append(self.term(beta.coeff(0), tail))
+            else:
+                parts.append(self.grouped(self.tpoly(beta, var), tail))
+        return self.signed_sum(parts)
+
+
+TEXT = Notation(
+    fraction="{}/{}",
+    indexed="{}{}",
+    exponent="{}",
+    fraction_exponent="({})",
+    factor_sep="*",
+    coef_sep="*",
+    parens="({})",
+)
+LATEX = Notation(
+    fraction="\\frac{{{}}}{{{}}}",
+    indexed="{}_{{{}}}",
+    exponent="{{{}}}",
+    fraction_exponent="{{{}}}",
+    factor_sep=" ",
+    coef_sep=" \\, ",
+    parens="\\left({}\\right)",
+)
+
+
+def rat_str(value: Fraction) -> str:
+    """Reduced rational as 'p' or 'p/m'; reparses to the identical value."""
+    return TEXT.rational(_as_rat(value))
 
 
 # ---------------------------------------------------------------------------

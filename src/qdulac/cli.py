@@ -2,7 +2,9 @@
 
 Commands: polygon, truncate, expand, verify, plot.  Equations are read
 from UTF-8 files in the DSL (one equation, # comments).  Output formats:
-text (default), json (schemas below), latex.  Exit codes: 0 success,
+text (default), json (schemas below), latex; expressions in text and
+LaTeX are written by the two styles of `algebra.Notation`, TEXT and
+LATEX, so both formats share one notation.  Exit codes: 0 success,
 1 verification failure, 2 input error, 3 structural-hypothesis or
 irrationality violation.
 """
@@ -11,12 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .algebra import (
+    LATEX,
     ParamPoly,
     TPoly,
     check_q,
@@ -349,100 +351,6 @@ def series_from_json(doc: dict) -> PowerLogSeries:
     )
 
 
-# -- latex rendering
-
-
-_SYMBOL_RE = re.compile(r"^([A-Za-z]+)([0-9]+)$")
-
-
-def _latex_symbol(name: str) -> str:
-    m = _SYMBOL_RE.match(name)
-    if m:
-        return f"{m.group(1)}_{{{m.group(2)}}}"
-    return name
-
-
-def _latex_rat(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    sign = "-" if value < 0 else ""
-    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
-
-
-def _latex_param_poly(p: ParamPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts: list[str] = []
-    for mono, coef in p.sorted_terms():
-        factors = [
-            _latex_symbol(name) if exp == 1 else f"{_latex_symbol(name)}^{{{exp}}}"
-            for name, exp in mono
-        ]
-        mag = abs(coef)
-        if mag != 1 or not factors:
-            factors.insert(0, _latex_rat(mag))
-        body = " ".join(factors)
-        if not parts:
-            parts.append(body if coef > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coef > 0 else f"- {body}")
-    return " ".join(parts)
-
-
-def _join_signed(parts: list[str]) -> str:
-    out = parts[0]
-    for s in parts[1:]:
-        if s.startswith("-") and not s.startswith("-\\left"):
-            out += " - " + s[1:]
-        else:
-            out += " + " + s
-    return out
-
-
-def _latex_tpoly(beta: TPoly, var: str) -> str:
-    if beta.is_zero():
-        return "0"
-    parts: list[str] = []
-    for d in range(beta.degree(), -1, -1):
-        coef = beta.coeff(d)
-        if coef.is_zero():
-            continue
-        body = _latex_param_poly(coef)
-        if d > 0:
-            power = var if d == 1 else f"{var}^{{{d}}}"
-            if len(coef.sorted_terms()) > 1:
-                body = f"\\left({body}\\right) {power}"
-            elif body == "1":
-                body = power
-            elif body == "-1":
-                body = f"-{power}"
-            else:
-                body = f"{body} \\, {power}"
-        parts.append(body)
-    return _join_signed(parts)
-
-
-def _latex_series(series: PowerLogSeries, var: str) -> str:
-    parts: list[str] = []
-    for k, beta in series.flattened():
-        body = _latex_tpoly(beta, var)
-        multi = beta.degree() > 0 or len(beta.coeff(0).sorted_terms()) > 1
-        if k == 0:
-            parts.append(f"\\left({body}\\right)" if multi else body)
-            continue
-        x_part = "x" if k == 1 else f"x^{{{rat_str(k)}}}"
-        if multi:
-            body = f"\\left({body}\\right) {x_part}"
-        elif body == "1":
-            body = x_part
-        elif body == "-1":
-            body = f"-{x_part}"
-        else:
-            body = f"{body} \\, {x_part}"
-        parts.append(body)
-    return _join_signed(parts) if parts else "0"
-
-
 # -- shared input handling
 
 
@@ -660,10 +568,10 @@ def cmd_truncate(args) -> int:
                 kind = (
                     "\\chi(w)" if an.variable == "w" else "\\Delta(c)"
                 )
-                print(f"{kind} = {_latex_tpoly(an.poly, an.variable)}")
+                print(f"{kind} = {LATEX.tpoly(an.poly, an.variable)}")
             for ts in an.candidates:
                 print(
-                    f"y \\sim \\left({_latex_param_poly(ts.c)}\\right) "
+                    f"y \\sim \\left({LATEX.param_poly(ts.c)}\\right) "
                     f"x^{{{rat_str(ts.r)}}}"
                 )
             continue
@@ -711,7 +619,7 @@ def cmd_expand(args) -> int:
     display = _rebase_series(result.series, j)
     if args.format == "latex":
         latex_var = "\\" + var
-        print(f"y = {_latex_series(display, latex_var)} + \\cdots")
+        print(f"y = {LATEX.series(display, latex_var)} + \\cdots")
         return EXIT_OK
     c, r = result.series.base_shift
     print(f"q = {rat_str(q)}, base: c = {c}, r = {rat_str(r)}")

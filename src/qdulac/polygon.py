@@ -215,16 +215,12 @@ def cone_contains(face: Face, support, r) -> bool:
 
 
 def _face_sort_key(face: Face):
-    neg_inf = float("-inf")
-    pos_inf = float("inf")
+    # An r-bound orders as (0,) for -inf, (1, v) for a finite v and (2,)
+    # for +inf, so the key stays exact.
     if face.dim == 1:
-        return (face.r, face.r, 1)
+        return ((1, face.r), (1, face.r), 1)
     lo, hi = face.r_range
-    return (
-        neg_inf if lo is None else lo,
-        pos_inf if hi is None else hi,
-        0,
-    )
+    return ((0,) if lo is None else (1, lo), (2,) if hi is None else (1, hi), 0)
 
 
 def faces_for_x_to_zero(polygon: NewtonPolygon) -> list:

@@ -15,6 +15,7 @@ evaluation of a sum on a finite power-logarithmic series
 y = c*x^r + sum_k beta_k(t) x^k with t = log_q x.  The operator S acts on a
 series term as S(x^k beta(t)) = q^k x^k beta(t+1), so every result stays in
 the same exact-rational world as long as the needed q-powers are rational.
+Both kinds of sum print in the text notation of `algebra.TEXT`.
 """
 
 from __future__ import annotations
@@ -24,15 +25,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .algebra import (
+    TEXT,
     ParamPoly,
     Scalar,
     TPoly,
     _as_rat,
     _merge_monomials,
     check_q,
-    monomial_factor_strings,
     q_pow,
-    rat_str,
 )
 from .errors import EmptySupportError
 
@@ -170,13 +170,6 @@ class QPolynomial:
     def renamed(self, var: str) -> "QPolynomial":
         return QPolynomial._trusted(self._terms, var)
 
-    def terms_at_point(self, point: Point) -> "QPolynomial":
-        q1, q2 = _as_rat(point[0]), _as_rat(point[1])
-        return QPolynomial(
-            [t for t in self.terms if t.x_exp == q1 and Fraction(t.y_degree) == q2],
-            self.var,
-        )
-
     # -- ring operations
 
     def _coerce(self, other) -> "QPolynomial":
@@ -246,53 +239,16 @@ def _add_into(terms: dict, key, coeff: ParamPoly) -> None:
     terms[key] = coeff if prev is None else prev + coeff
 
 
-def _exp_str(e: Fraction) -> str:
-    if e.denominator == 1:
-        return str(e.numerator)
-    return f"({rat_str(e)})"
-
-
-def _term_factors(term: QTerm, var: str) -> tuple[str, list[str]]:
-    """Sign and DSL factor strings for a term (sign handled by the caller)."""
-    coeff = term.coeff
-    monos = coeff.sorted_terms()
-    factors: list[str] = []
-    if len(monos) == 1:
-        mono, c = monos[0]
-        sign = "-" if c < 0 else "+"
-        lead = monomial_factor_strings(mono, abs(c))
-        has_tail = term.x_exp != 0 or term.sigma_powers
-        if lead == ["1"] and has_tail:
-            lead = []
-        factors.extend(lead)
-    else:
-        sign = "+"
-        factors.append(f"({coeff})")
-    if term.x_exp != 0:
-        factors.append("x" if term.x_exp == 1 else f"x^{_exp_str(term.x_exp)}")
-    for level, power in term.sigma_powers:
-        if level == 0:
-            base = var
-        elif level == 1:
-            base = f"S({var})"
-        else:
-            base = f"S^{level}({var})"
-        factors.append(base if power == 1 else f"{base}^{power}")
-    return sign, factors
-
-
 def format_qpolynomial(f: QPolynomial, var: str) -> str:
-    if f.is_zero():
-        return "0"
-    parts: list[str] = []
+    """f in the text notation (the DSL), `var` naming the unknown."""
+    parts = []
     for term in f.terms:
-        sign, factors = _term_factors(term, var)
-        body = "*".join(factors)
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f"{sign} {body}")
-    return " ".join(parts)
+        tail = [TEXT.power("x", term.x_exp)] if term.x_exp else []
+        for level, power in term.sigma_powers:
+            base = f"{TEXT.power('S', level)}({var})" if level else var
+            tail.append(TEXT.power(base, power))
+        parts.append(TEXT.term(term.coeff, TEXT.factor_sep.join(tail)))
+    return TEXT.signed_sum(parts)
 
 
 def support(f: QPolynomial) -> set[Point]:
@@ -354,14 +310,6 @@ class PowerLogSeries:
         flat = self.flattened()
         return flat[0][0] if flat else None
 
-    def truncated(self, k_max: Scalar) -> "PowerLogSeries":
-        k_max = _as_rat(k_max)
-        return PowerLogSeries(
-            self.q,
-            [(k, b) for k, b in self._terms if k <= k_max],
-            self.base_shift,
-        )
-
     def flattened(self) -> list[tuple]:
         """Terms with the base pair folded in as a constant log-polynomial."""
         if self.base_shift is None:
@@ -398,30 +346,7 @@ class PowerLogSeries:
         return hash((self.q, self._terms, self.base_shift))
 
     def to_string(self, var: str = "t") -> str:
-        parts = []
-        for k, beta in self.flattened():
-            beta_s = beta.to_string(var)
-            if not beta.is_constant() or len(beta.coeff(0).sorted_terms()) > 1:
-                beta_s = f"({beta_s})"
-            if k == 0:
-                parts.append(beta_s)
-            else:
-                x_s = "x" if k == 1 else f"x^{_exp_str(k)}"
-                if beta_s == "1":
-                    parts.append(x_s)
-                elif beta_s == "-1":
-                    parts.append(f"-{x_s}")
-                else:
-                    parts.append(f"{beta_s}*{x_s}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += f" - {part[1:]}"
-            else:
-                out += f" + {part}"
-        return out
+        return TEXT.series(self, var)
 
     def __str__(self) -> str:
         return self.to_string()

@@ -94,9 +94,6 @@ def test_param_poly_power_and_substitute():
     C = ParamPoly.symbol("C")
     assert C**0 == ParamPoly.const(1)
     assert C**3 == C * C * C
-    p = C * C + C * 2 + 1
-    q = p.substitute({"C": ParamPoly.symbol("a3") - 1})
-    assert q == ParamPoly.symbol("a3") ** 2
 
 
 def test_tpoly_shift_binomial():

@@ -21,12 +21,14 @@ import pytest
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MAIN = str(GOLDEN / "main.qde")
 VERTEX = str(GOLDEN / "vertex.qde")
+PARAM = str(GOLDEN / "param.qde")
 EXPECTED = GOLDEN / "expected.json"
 SVG_NAME = "polygon.svg"
 
 _MAIN = ["--eq", MAIN, "--params", "a3,a4"]
 _EDGE = ["--face", "(0,3)-(0,2)", "--c", "-1", "--kmax", "5"]
 _ASSIGN = ["--assign", "a3=1,a4=2,C1=3"]
+_PARAM = ["--eq", PARAM, "--params", "a"]
 _FORMATS = ("text", "json", "latex")
 
 
@@ -60,6 +62,14 @@ def _cases() -> dict:
         ]
         cases[f"verify_vertex_q3_{fmt}"] = [
             "verify", "--eq", VERTEX, "--q", "3", "--assign", "c=1", *fmt_args
+        ]
+        cases[f"polygon_param_{fmt}"] = ["polygon", *_PARAM, *fmt_args]
+        cases[f"truncate_param_q1_4_{fmt}"] = [
+            "truncate", *_PARAM, "--q", "1/4", *fmt_args
+        ]
+        cases[f"expand_param_q1_4_{fmt}"] = [
+            "expand", *_PARAM, "--q", "1/4", "--face", "(0,1)-(1,0)",
+            "--kmax", "3", *fmt_args
         ]
     cases["plot_main"] = ["plot", *_MAIN, "--svg", SVG_NAME]
     return cases

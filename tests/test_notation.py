@@ -1,0 +1,82 @@
+"""The notation of printed expressions, in text and in LaTeX.
+
+The golden CLI cases pin most printed forms; the fixed cases below add
+those no golden case reaches: a grouped part with no tail (a constant
+term of a q-difference sum, the x^0 term of a series) and a grouped
+log-polynomial inside a series term.
+
+The text notation also reads back through the parser: every `ParamPoly`
+and every `QPolynomial` with nonnegative integer x exponents, printed and
+parsed with the same parameter names, gives back the identical canonical
+value.  Those cases are seeded random sums with signed rational
+coefficients, several symbols (some with digit suffixes), powers up to 3
+and shift levels up to 2, so grouped coefficients, negative leads, bare
+unit coefficients and shifted powers such as S^2(y)^3 all occur.
+"""
+
+import random
+from fractions import Fraction
+
+from qdulac.algebra import LATEX, ParamPoly, TPoly
+from qdulac.parser import parse_equation, parse_param_expr
+from qdulac.qexpr import PowerLogSeries, QPolynomial, QTerm
+
+NAMES = ("a", "b", "a3", "C12")
+
+
+def test_grouped_parts_without_tail():
+    a = ParamPoly.symbol("a3")
+    f = parse_equation("(a3+1) - (a3 - 1)*y + x^2*S^2(y)", ["a3"])
+    assert str(f) == "(1 + a3) + (1 - a3)*y + x^2*S^2(y)"
+    s = PowerLogSeries(
+        Fraction(1, 2),
+        [(1, TPoly([-2])), (Fraction(3, 2), TPoly([0, 1 - a]))],
+        base_shift=(1 + a, 0),
+    )
+    assert str(s) == "(1 + a3) - 2*x + ((1 - a3)*t)*x^(3/2)"
+    assert LATEX.series(s, "t") == (
+        "\\left(1 + a_{3}\\right) - 2 \\, x"
+        " + \\left(\\left(1 - a_{3}\\right) t\\right) x^{3/2}"
+    )
+    b = TPoly([a - 1, -a, Fraction(1, 3), 2 * a * a])
+    assert b.to_string("w") == "2*a3^2*w^3 + 1/3*w^2 - a3*w - 1 + a3"
+    assert LATEX.tpoly(b, "w") == (
+        "2 a_{3}^{2} \\, w^{3} + \\frac{1}{3} \\, w^{2} - a_{3} \\, w - 1 + a_{3}"
+    )
+
+
+def rand_rat(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 12))
+
+
+def rand_param_poly(rng, max_terms):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        names = rng.sample(NAMES, rng.randint(0, 3))
+        mono = tuple(sorted((name, rng.randint(1, 3)) for name in names))
+        terms[mono] = rng.choice((Fraction(1), Fraction(-1), rand_rat(rng)))
+    return ParamPoly(terms)
+
+
+def rand_qpoly(rng):
+    terms = []
+    for _ in range(rng.randint(0, 4)):
+        levels = rng.sample(range(3), rng.randint(0, 3))
+        sigma = tuple((level, rng.randint(1, 3)) for level in levels)
+        coeff = rand_param_poly(rng, 3)
+        terms.append(QTerm(coeff, Fraction(rng.randint(0, 3)), sigma))
+    return QPolynomial(terms)
+
+
+def test_param_poly_text_round_trips():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        p = rand_param_poly(rng, 5)
+        assert parse_param_expr(str(p), NAMES) == p, str(p)
+
+
+def test_qpolynomial_text_round_trips():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        f = rand_qpoly(rng)
+        assert parse_equation(str(f), NAMES) == f, str(f)

@@ -324,6 +324,3 @@ def test_qpolynomial_helpers():
     g = f.shift_x(2)
     assert g.min_x_exponent() == 2
     assert g.shift_x(-2) == f
-    left = f.terms_at_point((0, 2))
-    assert support(left) == {(0, 2)}
-    assert len(left.terms) == 2
