@@ -459,9 +459,9 @@ class Notation:
         return self.signed_sum(parts + self._poly_parts(beta.coeff(0)))
 
     def series(self, s, var: str) -> str:
-        """A PowerLogSeries as sum beta_k(var)*x^k, base pair folded in."""
+        """A PowerLogSeries as sum beta_k(var)*x^k, base pair first."""
         parts = []
-        for k, beta in s.flattened():
+        for k, beta in s.all_terms:
             tail = self.power("x", k) if k else ""
             if beta.is_constant():
                 parts.append(self.term(beta.coeff(0), tail))

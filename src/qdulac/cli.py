@@ -397,8 +397,6 @@ def _parse_assignment(text: str) -> dict:
         if not sep or not name.strip():
             raise ValueError(f"bad assignment {chunk!r}; expected name=p/m")
         out[name.strip()] = parse_rat(value.strip())
-    if not out:
-        raise ValueError("empty assignment")
     return out
 
 

@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Mapping
 from .algebra import (
     ParamPoly,
     TPoly,
+    _as_rat,
     check_q,
     q_log,
     q_pow,
@@ -69,7 +70,7 @@ class LinearPart:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
+        cs = tuple(_as_rat(c) for c in self.coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         if not cs:
@@ -116,11 +117,14 @@ class ExpansionResult:
     series: PowerLogSeries
     constants_introduced: tuple  # ((name, k), ...)
     k_set: tuple  # realized exponent set K within (r, k_max]
-    log_free: bool
     critical_report: tuple  # ((k, mu, theta_k vanished), ...)
     skipped_irrational: tuple
     unresolved: int
     linear_part: LinearPart
+
+    @property
+    def log_free(self) -> bool:
+        return all(beta.degree() == 0 for _, beta in self.series.terms)
 
 
 def extract_linear_part(ft: QPolynomial):
@@ -163,7 +167,7 @@ def extract_linear_part(ft: QPolynomial):
 def nu(L: LinearPart, q, k) -> Fraction:
     """nu(k) = sum_j a_j q^{jk}, the symbol of L on x^k."""
     q = check_q(q)
-    k = Fraction(k)
+    k = _as_rat(k)
     return sum(
         (a * q_pow(q, j * k) for j, a in enumerate(L.coeffs)), Fraction(0)
     )
@@ -172,7 +176,7 @@ def nu(L: LinearPart, q, k) -> Fraction:
 def critical_numbers(L: LinearPart, q, r) -> CriticalData:
     """Rational eigenvalues k (nu(k)=0) and the critical ones (k > r)."""
     q = check_q(q)
-    r = Fraction(r)
+    r = _as_rat(r)
     eigen = []
     skipped = []
     resolved = 0
@@ -202,12 +206,12 @@ def k_lattice(h_support, criticals, r, k_max) -> list:
     (q1, 0).  Closure: k = q1 + l_1 + ... + l_{q2} for every support point
     (q1, q2) with q2 >= 1 and l_i already generated.
     """
-    r = Fraction(r)
-    k_max = Fraction(k_max)
-    seeds = {Fraction(k) for k in criticals}
+    r = _as_rat(r)
+    k_max = _as_rat(k_max)
+    seeds = {_as_rat(k) for k in criticals}
     generators = []
     for point in h_support:
-        q1, q2 = Fraction(point[0]), Fraction(point[1])
+        q1, q2 = _as_rat(point[0]), _as_rat(point[1])
         if q2 == 0:
             seeds.add(q1)
         else:
@@ -249,7 +253,7 @@ def k_lattice(h_support, criticals, r, k_max) -> list:
 
 def apply_difference_operator(L: LinearPart, q, k, beta: TPoly) -> TPoly:
     """L(q^k T) applied to beta: sum_j a_j q^{jk} beta(t + j)."""
-    w = q_pow(check_q(q), Fraction(k))
+    w = q_pow(check_q(q), _as_rat(k))
     out = TPoly.zero()
     for j, a in enumerate(L.coeffs):
         if a == 0:
@@ -286,7 +290,7 @@ def solve_poly_difference(
     named constants.  Returns (beta, new_constant_names).
     """
     q = check_q(q)
-    k = Fraction(k)
+    k = _as_rat(k)
     w = q_pow(q, k)
     mu = L.root_multiplicity(w)
     target = tuple(-c for c in theta.coeffs)
@@ -332,7 +336,7 @@ def check_exponent_order(h: QPolynomial, r) -> None:
     """
     if h.is_zero():
         return
-    r = Fraction(r)
+    r = _as_rat(r)
     for q1, q2 in sorted(support(h)):
         value = q1 + r * (q2 - 1)
         if value < 0 or (value == 0 and q2 <= 1):
@@ -348,7 +352,7 @@ def expand_solution(
 ) -> ExpansionResult:
     """Drive the expansion of f around y = c*x^r up to exponent k_max."""
     q = check_q(q)
-    k_max = Fraction(k_max)
+    k_max = _as_rat(k_max)
     r = ts.r
     if k_max <= r:
         raise ValueError("k_max must exceed the base exponent r")
@@ -382,15 +386,11 @@ def expand_solution(
             compat[k] = theta.is_zero()
         beta, names = solve_poly_difference(L, q, k, theta, namer)
         constants.extend((name, k) for name in names)
-        if not beta.is_zero():
-            collected.append((k, beta))
-    series = PowerLogSeries(q, collected, base_shift=(ts.c, r))
-    log_free = all(beta.degree() == 0 for _, beta in series.terms)
+        collected.append((k, beta))  # the series drops a zero beta
     result = ExpansionResult(
-        series=series,
+        series=PowerLogSeries(q, collected, base_shift=(ts.c, r)),
         constants_introduced=tuple(constants),
         k_set=tuple(k_set),
-        log_free=log_free,
         critical_report=tuple(
             (k, mu, compat.get(k, True)) for k, mu in criticals if k <= k_max
         ),
@@ -421,7 +421,7 @@ def verify_residual(
     the residual vanishes identically through k_max.
     """
     q = check_q(q)
-    k_max = Fraction(k_max)
+    k_max = _as_rat(k_max)
     bound_f = QPolynomial(
         [
             QTerm(
@@ -434,17 +434,16 @@ def verify_residual(
         f.var,
     )
     bound = result.series.bind_parameters(assignment)
-    residual = evaluate_on_series(bound_f, bound, k_max)
-    flat = residual.flattened()
-    return flat[0][0] if flat else None
+    residual = evaluate_on_series(bound_f, bound, k_max).all_terms
+    return residual[0][0] if residual else None
 
 
 def degree_bound(result: ExpansionResult, L: LinearPart, q, r) -> bool:
     """deg beta_k <= C*(k - r)*sum of mu(j) over critical j <= k."""
+    r = _as_rat(r)
     k_set = result.k_set
     if not k_set:
         return True
-    r = Fraction(r)
     c_factor = 1 + 1 / (min(k_set) - r)
     mus = [(k, mu) for k, mu, _ in result.critical_report]
     for k, beta in result.series.terms:

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import rat_str
+from .algebra import _as_rat, rat_str
 
 Point = tuple  # (Fraction, Fraction)
 
 
 def _pt(p) -> Point:
-    return (Fraction(p[0]), Fraction(p[1]))
+    return (_as_rat(p[0]), _as_rat(p[1]))
 
 
 def _cross(o: Point, a: Point, b: Point) -> Fraction:
@@ -73,7 +73,7 @@ class Face:
 
     def contains_r(self, r) -> bool:
         """(-1,-r) lies in this face's cone (closed for edges, open else)."""
-        r = Fraction(r)
+        r = _as_rat(r)
         if self.dim == 1:
             return self.r == r
         if self.r_range is None:
@@ -198,7 +198,7 @@ def build_polygon(support) -> NewtonPolygon:
 
 def cone_contains(face: Face, support, r) -> bool:
     """P = (-1,-r) equal on the face's points, strictly larger off them."""
-    r = Fraction(r)
+    r = _as_rat(r)
     p = (Fraction(-1), -r)
     vals = {_dot(p, _pt(s)) for s in face.points}
     if len(vals) != 1:
@@ -247,7 +247,10 @@ _MARGIN = 48
 
 
 def _fmt(v: Fraction) -> str:
-    return f"{float(v):.2f}"
+    """v rounded half-even to two decimals, exactly."""
+    cents = round(v * 100)
+    whole, part = divmod(abs(cents), 100)
+    return f"{'-' if cents < 0 else ''}{whole}.{part:02d}"
 
 
 def render_svg(polygon: NewtonPolygon) -> str:

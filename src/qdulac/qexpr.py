@@ -12,7 +12,9 @@ of the sum, the input to the Newton polygon.
 The module implements the three transformations the expansion pipeline
 needs: the support map, the shift substitution y = c*x^r + z, and exact
 evaluation of a sum on a finite power-logarithmic series
-y = c*x^r + sum_k beta_k(t) x^k with t = log_q x.  The operator S acts on a
+y = c*x^r + sum_k beta_k(t) x^k with t = log_q x.  A series checks its base
+pair once, at construction: c is nonzero and every k lies above r, so the
+pair and the beta_k form one ascending term tuple.  The operator S acts on a
 series term as S(x^k beta(t)) = q^k x^k beta(t+1), so every result stays in
 the same exact-rational world as long as the needed q-powers are rational.
 Both kinds of sum print in the text notation of `algebra.TEXT`.
@@ -261,12 +263,14 @@ def support(f: QPolynomial) -> set[Point]:
 class PowerLogSeries:
     """Finite power-logarithmic series sum_k beta_k(t) x^k, t = log_q x.
 
-    `base_shift`, when present, is a leading pair (c, r) so a full solution
-    y = c*x^r + sum beta_k x^k is one value.  Exponents are strictly
-    ascending and stored betas are nonzero.
+    `base_shift`, when present, is the leading pair (c, r) of a solution
+    y = c*x^r + sum beta_k x^k: c must be nonzero and r below every
+    exponent of `terms`, else ValueError.  `terms` holds the beta_k after
+    the pair, exponents strictly ascending and betas nonzero; `all_terms`
+    is the same tuple with the pair prepended as the constant (r, c).
     """
 
-    __slots__ = ("q", "_terms", "base_shift")
+    __slots__ = ("q", "terms", "base_shift", "all_terms")
 
     def __init__(
         self,
@@ -281,56 +285,40 @@ class PowerLogSeries:
             if not isinstance(beta, TPoly):
                 beta = TPoly.const(ParamPoly.coerce(beta))
             merged[k] = merged.get(k, TPoly.zero()) + beta
-        self._terms = tuple(
+        self.terms = tuple(
             (k, merged[k]) for k in sorted(merged) if not merged[k].is_zero()
         )
+        self.all_terms = self.terms
         if base_shift is not None:
-            c, r = base_shift
-            base_shift = (ParamPoly.coerce(c), _as_rat(r))
+            c, r = ParamPoly.coerce(base_shift[0]), _as_rat(base_shift[1])
+            if c.is_zero():
+                raise ValueError("the base coefficient c must be nonzero")
+            if self.terms and self.terms[0][0] <= r:
+                raise ValueError("the base exponent r must lie below every term")
+            base_shift = (c, r)
+            self.all_terms = ((r, TPoly.const(c)),) + self.terms
         self.base_shift = base_shift
 
-    @property
-    def terms(self) -> tuple:
-        return self._terms
-
     def is_zero(self) -> bool:
-        return not self._terms and self.base_shift is None
+        return not self.all_terms
 
     def exponents(self) -> tuple[Fraction, ...]:
-        return tuple(k for k, _ in self._terms)
+        return tuple(k for k, _ in self.terms)
 
     def coefficient(self, k: Scalar) -> TPoly:
         k = _as_rat(k)
-        for kk, beta in self._terms:
+        for kk, beta in self.terms:
             if kk == k:
                 return beta
         return TPoly.zero()
 
-    def min_exponent(self) -> Fraction | None:
-        flat = self.flattened()
-        return flat[0][0] if flat else None
-
-    def flattened(self) -> list[tuple]:
-        """Terms with the base pair folded in as a constant log-polynomial."""
-        if self.base_shift is None:
-            return list(self._terms)
-        c, r = self.base_shift
-        merged: dict[Fraction, TPoly] = {r: TPoly.const(c)}
-        for k, beta in self._terms:
-            merged[k] = merged.get(k, TPoly.zero()) + beta
-        return [
-            (k, merged[k]) for k in sorted(merged) if not merged[k].is_zero()
-        ]
-
     def bind_parameters(self, assignment: Mapping[str, Scalar]) -> "PowerLogSeries":
-        """Evaluate all parameter symbols, keeping t symbolic."""
-        base = self.base_shift
-        if base is not None:
-            base = (ParamPoly.const(base[0].evaluate(assignment)), base[1])
+        """`all_terms` with every parameter symbol evaluated, t kept symbolic.
+
+        The result is a plain series (no base pair), so c may bind to zero.
+        """
         return PowerLogSeries(
-            self.q,
-            [(k, b.evaluate_coeffs(assignment)) for k, b in self._terms],
-            base,
+            self.q, [(k, b.evaluate_coeffs(assignment)) for k, b in self.all_terms]
         )
 
     def __eq__(self, other) -> bool:
@@ -338,12 +326,12 @@ class PowerLogSeries:
             return NotImplemented
         return (
             self.q == other.q
-            and self._terms == other._terms
+            and self.terms == other.terms
             and self.base_shift == other.base_shift
         )
 
     def __hash__(self):
-        return hash((self.q, self._terms, self.base_shift))
+        return hash((self.q, self.terms, self.base_shift))
 
     def to_string(self, var: str = "t") -> str:
         return TEXT.series(self, var)
@@ -395,24 +383,15 @@ def substitute_shift(
     return out
 
 
-FlatSeries = list  # list[(Fraction, TPoly)] ascending
-
-
-def _sigma_flat(flat: FlatSeries, q: Fraction, level: int) -> FlatSeries:
-    if level == 0:
-        return flat
-    return [(k, beta.shift(level).scale(q_pow(q, level * k))) for k, beta in flat]
-
-
-def _mul_flat(a: FlatSeries, b: FlatSeries, cap: Fraction) -> FlatSeries:
+def _mul_terms(a: list, b: list, cap: Fraction) -> list:
+    """Product of two ascending term lists, exponents above cap dropped."""
     out: dict[Fraction, TPoly] = {}
     for k1, b1 in a:
         for k2, b2 in b:
             k = k1 + k2
             if k > cap:
-                continue
-            prod = b1 * b2
-            out[k] = out.get(k, TPoly.zero()) + prod
+                break
+            out[k] = out.get(k, TPoly.zero()) + b1 * b2
     return [(k, out[k]) for k in sorted(out) if not out[k].is_zero()]
 
 
@@ -421,41 +400,34 @@ def evaluate_on_series(
 ) -> PowerLogSeries:
     """f evaluated at y = s, exact for all exponents <= k_max.
 
-    Intermediate products are pruned only when the discarded exponent
-    cannot reach k_max after the remaining factors (each contributes at
-    least its minimal exponent), so negative exponents are handled exactly.
+    S^l keeps every exponent of `s.all_terms`, so each factor of a monomial
+    starts at the series' lowest exponent `low`; a partial product is
+    pruned only above k_max minus `low` for each factor still to come, so
+    negative exponents are handled exactly.
     """
     q = s.q
     k_max = _as_rat(k_max)
-    base_flat = s.flattened()
-    sigma_cache: dict[int, FlatSeries] = {}
-
-    def sigma_of(level: int) -> FlatSeries:
-        if level not in sigma_cache:
-            sigma_cache[level] = _sigma_flat(base_flat, q, level)
-        return sigma_cache[level]
+    base = s.all_terms
+    low = base[0][0] if base else Fraction(0)
+    levels = {level for term in f.terms for level, _ in term.sigma_powers}
+    shifted = {
+        level: [(k, beta.shift(level).scale(q_pow(q, level * k))) for k, beta in base]
+        for level in levels - {0}
+    }
+    shifted[0] = base
 
     total: dict[Fraction, TPoly] = {}
     for term in f.terms:
-        factors: list[FlatSeries] = []
-        for level, power in term.sigma_powers:
-            factors.extend([sigma_of(level)] * power)
-        if any(not fl for fl in factors):
+        factors = [shifted[l] for l, power in term.sigma_powers for _ in range(power)]
+        left = len(factors)
+        if term.x_exp + left * low > k_max:
             continue
-        mins = [fl[0][0] for fl in factors]
-        # suffix_min[i] = minimal exponent the factors from i on can add
-        suffix_min = [Fraction(0)] * (len(factors) + 1)
-        for i in range(len(factors) - 1, -1, -1):
-            suffix_min[i] = suffix_min[i + 1] + mins[i]
-        acc: FlatSeries = [(term.x_exp, TPoly.const(term.coeff))]
-        if term.x_exp > k_max - suffix_min[0]:
-            continue
-        for i, fl in enumerate(factors):
-            acc = _mul_flat(acc, fl, k_max - suffix_min[i + 1])
+        acc = [(term.x_exp, TPoly.const(term.coeff))]
+        for factor in factors:
+            left -= 1
+            acc = _mul_terms(acc, factor, k_max - left * low)
             if not acc:
                 break
         for k, beta in acc:
             total[k] = total.get(k, TPoly.zero()) + beta
-    return PowerLogSeries(
-        q, [(k, b) for k, b in total.items() if k <= k_max]
-    )
+    return PowerLogSeries(q, total.items())

@@ -22,6 +22,7 @@ from fractions import Fraction
 from .algebra import (
     ParamPoly,
     TPoly,
+    _as_rat,
     check_q,
     q_log,
     q_pow,
@@ -63,10 +64,10 @@ class TruncatedSolution:
         q,
         provenance: str,
     ) -> "TruncatedSolution":
-        ts = cls(ParamPoly.coerce(c), Fraction(r), face, provenance)
+        ts = cls(ParamPoly.coerce(c), _as_rat(r), face, provenance)
         if not verify_truncated(ts, f, q):
             raise TruncatedSolutionError(
-                f"y = ({c})*x^{rat_str(Fraction(r))} does not solve the "
+                f"y = ({c})*x^{rat_str(ts.r)} does not solve the "
                 f"truncated equation of face {face.label()}"
             )
         return ts
@@ -126,7 +127,7 @@ def determining_poly(g: QPolynomial, r, q) -> TPoly:
     terms = g.terms
     if not terms:
         raise EmptySupportError("empty truncation has no determining polynomial")
-    r = Fraction(r)
+    r = _as_rat(r)
     q = check_q(q)
     powers = {t.x_exp + r * t.y_degree for t in terms}
     if len(powers) != 1:
@@ -198,8 +199,6 @@ def _analyze_vertex(f, polygon, face, q, c_override, r_override):
                 "truncated sum vanishes for every c and r (zero characteristic "
                 "polynomial)"
             )
-            if r_override is not None:
-                candidate_rs.append((Fraction(r_override), "user-supplied"))
         else:
             for w, _mult in roots:
                 if w == 0:
@@ -212,17 +211,13 @@ def _analyze_vertex(f, polygon, face, q, c_override, r_override):
                     )
                     continue
                 candidate_rs.append((k, "vertex-root"))
-            if r_override is not None and not any(
-                r == Fraction(r_override) for r, _ in candidate_rs
-            ):
-                candidate_rs.append((Fraction(r_override), "user-supplied"))
     else:
         diagnostics.append(
             "characteristic polynomial has parameter coefficients; "
             "supply --r (and --c) to choose a solution"
         )
-        if r_override is not None:
-            candidate_rs.append((Fraction(r_override), "user-supplied"))
+    if r_override is not None and all(r != r_override for r, _ in candidate_rs):
+        candidate_rs.append((r_override, "user-supplied"))
 
     for r, provenance in candidate_rs:
         if not cone_contains(face, polygon.support, r):
@@ -259,9 +254,9 @@ def _analyze_edge(f, polygon, face, q, c_override, r_override):
             face, g, "c", None, (),
             (), ("edge does not face x -> 0; no admissible r",),
         )
-    if r_override is not None and Fraction(r_override) != r:
+    if r_override is not None and r_override != r:
         diagnostics.append(
-            f"--r {rat_str(Fraction(r_override))} ignored: this edge fixes "
+            f"--r {rat_str(r_override)} ignored: this edge fixes "
             f"r={rat_str(r)}"
         )
     try:
@@ -339,6 +334,8 @@ def analyze_face(
         c_override = ParamPoly.coerce(c_override)
         if c_override.is_zero():
             raise TruncatedSolutionError("leading coefficient c must be nonzero")
+    if r_override is not None:
+        r_override = _as_rat(r_override)
     if face.dim == 0:
         return _analyze_vertex(f, polygon, face, q, c_override, r_override)
     return _analyze_edge(f, polygon, face, q, c_override, r_override)

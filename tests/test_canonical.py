@@ -8,19 +8,64 @@ validating constructor, stores no zero coefficient, and keeps every
 monomial and shift tuple sorted.
 """
 
+import ast
+import functools
 import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import qdulac
 from qdulac.algebra import ParamPoly, TPoly, check_q, q_pow
 from qdulac.errors import ReservedSymbolError
+from qdulac.expand import (
+    LinearPart,
+    apply_difference_operator,
+    check_exponent_order,
+    constant_namer,
+    critical_numbers,
+    degree_bound,
+    expand_solution,
+    k_lattice,
+    nu,
+    solve_poly_difference,
+    verify_residual,
+)
 from qdulac.parser import parse_equation
-from qdulac.qexpr import QPolynomial, QTerm
+from qdulac.polygon import build_polygon, cone_contains, find_face
+from qdulac.qexpr import QPolynomial, QTerm, support
+from qdulac.truncate import (
+    TruncatedSolution,
+    analyze_face,
+    determining_poly,
+    truncated_sum,
+)
 
 F = Fraction
 
 # -- floats are refused at every entry point
+
+
+@functools.cache
+def _case():
+    """S(y) - 2*y + x^3 + x*y^2 at q=2: vertex (0,1), edge to (3,0) at r=3."""
+    f = parse_equation("S(y) - 2*y + x^3 + x*y^2 = 0")
+    polygon = build_polygon(support(f))
+    vertex = find_face(polygon, [(0, 1)])
+    (ts,) = analyze_face(f, polygon, vertex, 2).candidates
+    return SimpleNamespace(
+        f=f,
+        polygon=polygon,
+        vertex=vertex,
+        edge=find_face(polygon, [(0, 1), (3, 0)]),
+        ts=ts,
+        result=expand_solution(f, ts, 2, 5),
+    )
+
+
+_L = LinearPart((-2, 1))
 
 
 @pytest.mark.parametrize(
@@ -34,6 +79,26 @@ F = Fraction
         lambda: check_q(0.5),
         lambda: q_pow(0.5, 1),
         lambda: q_pow(F(1, 4), 0.5),
+        lambda: expand_solution(_case().f, _case().ts, 2, 5.0),
+        lambda: build_polygon([(0.5, 1), (0, 1)]),
+        lambda: k_lattice([], [0.5], 0, 2),
+        lambda: LinearPart((1.5, -1)),
+        lambda: TruncatedSolution.create(
+            _case().f, _case().edge, ParamPoly.const(F(-1, 6)), 3.0, 2, "edge-root"
+        ),
+        lambda: cone_contains(_case().edge, _case().polygon.support, 3.0),
+        lambda: verify_residual(_case().f, _case().result, 2, {"c": 1}, 5.0),
+        lambda: _case().edge.contains_r(3.0),
+        lambda: critical_numbers(_L, 2, 0.0),
+        lambda: check_exponent_order(parse_equation("x*y^2"), 1.0),
+        lambda: degree_bound(_case().result, _L, 2, 1.0),
+        lambda: nu(_L, 2, 1.0),
+        lambda: apply_difference_operator(_L, 2, 1.0, TPoly.const(1)),
+        lambda: solve_poly_difference(
+            _L, 2, 3.0, TPoly.const(1), constant_namer(())
+        ),
+        lambda: determining_poly(truncated_sum(_case().f, _case().edge), 3.0, 2),
+        lambda: analyze_face(_case().f, _case().polygon, _case().vertex, 2, None, 1.0),
     ],
     ids=[
         "const",
@@ -44,11 +109,36 @@ F = Fraction
         "check_q",
         "q_pow_base",
         "q_pow_exponent",
+        "expand_solution_k_max",
+        "build_polygon",
+        "k_lattice",
+        "linear_part",
+        "truncated_solution_r",
+        "cone_contains",
+        "verify_residual_k_max",
+        "contains_r",
+        "critical_numbers",
+        "check_exponent_order",
+        "degree_bound",
+        "nu",
+        "apply_difference_operator",
+        "solve_poly_difference",
+        "determining_poly",
+        "analyze_face_r_override",
     ],
 )
 def test_floats_refused(build):
     with pytest.raises(TypeError):
         build()
+
+
+def test_no_float_name_in_sources():
+    # The syntax tree also sees names inside f-strings, which Python 3.11
+    # tokenizes as one string token.
+    for path in sorted(Path(qdulac.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert "float" not in names, path.name
 
 
 # -- reserved names and malformed terms

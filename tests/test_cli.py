@@ -273,6 +273,28 @@ def test_expand_json_round_trip(eq_main, capsys):
     assert rebuilt == expand_solution(f, ts, F(1, 4), 2).series
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"c": []},
+        {"r": "1/2"},
+        {"r": "1"},
+    ],
+    ids=["zero_c", "r_at_first_term", "r_above_first_term"],
+)
+def test_series_from_json_refuses_bad_base(eq_main, capsys, change):
+    _, out, _ = run(
+        capsys,
+        ["expand", *main_args(eq_main), "--q", "1/4", "--kmax", "2", "--format", "json"],
+    )
+    doc = json.loads(out)
+    assert doc["terms"][0]["k"] == "1/2"
+    series_from_json(doc)
+    doc.update(change)
+    with pytest.raises(ValueError):
+        series_from_json(doc)
+
+
 def test_expand_json_ignores_log_base(eq_main, capsys):
     base_args = ["expand", *main_args(eq_main), "--q", "1/4", "--kmax", "1"]
     _, plain, _ = run(capsys, [*base_args, "--format", "json"])
@@ -488,6 +510,23 @@ def test_verify_detects_truncation_gap(eq_main, capsys, monkeypatch):
     code, out, _ = run(capsys, args)
     assert code == EXIT_VERIFY
     assert "residual: nonzero at exponent 1 (k_max = 3)" in out
+
+
+def test_verify_empty_assignment(tmp_path, capsys):
+    eq = write_eq(tmp_path, "S(y) - 2*y + x + x*y^5 + x*y^4 + x*y^3 = 0")
+    args = ["verify", "--eq", eq, "--q", "1/2", "--kmax", "5", "--assign", ""]
+    code, out, _ = run(capsys, args)
+    assert code == EXIT_OK
+    assert "residual: zero through k_max = 5" in out
+
+
+def test_verify_empty_assignment_unbound(eq_main, capsys):
+    code, _, err = run(
+        capsys,
+        ["verify", *main_args(eq_main), "--q", "1/2", "--kmax", "1", "--assign", ""],
+    )
+    assert code == EXIT_INPUT
+    assert "a3" in err or "a4" in err or "C1" in err
 
 
 # -- plot

@@ -27,7 +27,7 @@ from qdulac.expand import (
     verify_residual,
 )
 from qdulac.parser import parse_equation
-from qdulac.polygon import build_polygon, faces_for_x_to_zero
+from qdulac.polygon import build_polygon, faces_for_x_to_zero, find_face
 from qdulac.qexpr import (
     PowerLogSeries,
     QPolynomial,
@@ -36,7 +36,7 @@ from qdulac.qexpr import (
     substitute_shift,
     support,
 )
-from qdulac.truncate import TruncatedSolution
+from qdulac.truncate import TruncatedSolution, analyze_face
 
 F = Fraction
 
@@ -487,6 +487,26 @@ def test_residual_of_bare_base():
         series=PowerLogSeries(F(1, 2), [], base_shift=(ParamPoly.const(-1), F(0))),
     )
     assert verify_residual(f, bare, F(1, 2), {"a3": 1, "a4": 1}, 5) == 1
+
+
+def test_vertex_residual_with_c_bound_to_zero():
+    # The vertex (0,1) of S(y) - 2*y + x^3 + x*y^2 at q=2 leaves c free.
+    # Cut after beta_3: with c = 0, y = -x^3/6 leaves x*y^2 = x^7/36; with
+    # c = 1, y = x - x^3/3 leaves -2/3*x^5 first.
+    f = parse_equation("S(y) - 2*y + x^3 + x*y^2 = 0")
+    polygon = build_polygon(support(f))
+    face = find_face(polygon, [(0, 1)])
+    (ts,) = analyze_face(f, polygon, face, 2).candidates
+    result = expand_solution(f, ts, 2, 9)
+    cut = replace(
+        result,
+        series=PowerLogSeries(
+            2, result.series.terms[:1], base_shift=result.series.base_shift
+        ),
+    )
+    for c, cut_exponent in ((0, 7), (1, 5)):
+        assert verify_residual(f, result, 2, {"c": c}, 9) is None
+        assert verify_residual(f, cut, 2, {"c": c}, 9) == cut_exponent
 
 
 def test_residual_zero_equation():

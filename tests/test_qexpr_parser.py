@@ -223,10 +223,31 @@ def test_series_base_flattening():
         [(1, TPoly.const(ParamPoly.symbol("C1")))],
         base_shift=(-1, 0),
     )
-    flat = s.flattened()
-    assert [k for k, _ in flat] == [0, 1]
-    assert flat[0][1] == TPoly.const(-1)
-    assert s.min_exponent() == 0
+    assert [k for k, _ in s.all_terms] == [0, 1]
+    assert s.all_terms[0][1] == TPoly.const(-1)
+    assert s.all_terms[1:] == s.terms
+
+
+@pytest.mark.parametrize(
+    "terms, base",
+    [
+        ([(1, TPoly.const(1))], (0, 0)),
+        ([(1, TPoly.const(1))], (ParamPoly.zero(), 0)),
+        ([(1, TPoly.const(1))], (-1, 1)),
+        ([(1, TPoly.const(1))], (-1, 2)),
+        ([(F(-1, 2), TPoly.variable()), (1, TPoly.const(1))], (2, 0)),
+    ],
+    ids=["zero_c", "zero_c_poly", "r_at_term", "r_above_term", "r_above_first"],
+)
+def test_series_base_pair_refused(terms, base):
+    with pytest.raises(ValueError):
+        PowerLogSeries(F(1, 2), terms, base_shift=base)
+
+
+def test_series_base_pair_without_terms():
+    s = PowerLogSeries(F(1, 2), [], base_shift=(3, 5))
+    assert s.terms == ()
+    assert s.all_terms == ((F(5), TPoly.const(3)),)
 
 
 def test_series_bind_parameters():

@@ -187,6 +187,25 @@ def test_analyze_vertex_root_outside_cone():
     assert any("outside" in d for d in analysis.diagnostics)
 
 
+@pytest.mark.parametrize(
+    "eq, params, vertex, r, expected, tried",
+    [
+        # a supplied r equal to a root adds no second candidate
+        ("S(y) - 4*y + x", [], (0, 1), -2, [(-2, "vertex-root")], False),
+        ("S(y) - 4*y + x", [], (0, 1), 0, [(-2, "vertex-root")], True),
+        ("S(y) - a*y + x", ["a"], (0, 1), -2, [], True),
+        ("y*S^2(y) - S(y)^2 + x", [], (0, 2), -1, [(-1, "user-supplied")], False),
+    ],
+    ids=["root", "extra", "parameter_chi", "zero_chi"],
+)
+def test_analyze_vertex_r_override(eq, params, vertex, r, expected, tried):
+    f = parse_equation(eq, params)
+    poly = build_polygon(support(f))
+    analysis = analyze_face(f, poly, find_face(poly, [vertex]), F(1, 2), None, r)
+    assert [(ts.r, ts.provenance) for ts in analysis.candidates] == expected
+    assert tried == any("does not solve" in d for d in analysis.diagnostics)
+
+
 def test_analyze_edge_user_supplied_c():
     f, poly = setup_main()
     left = find_face(poly, [(0, 2), (0, 3)])
