@@ -398,7 +398,7 @@ def expand_solution(
         unresolved=crit.unresolved,
         linear_part=L,
     )
-    if not degree_bound(result, L, q, r):
+    if not degree_bound(result, r):
         raise DegreeBoundError(
             "computed term exceeds the logarithmic degree bound; "
             "this indicates an internal error"
@@ -438,7 +438,7 @@ def verify_residual(
     return residual[0][0] if residual else None
 
 
-def degree_bound(result: ExpansionResult, L: LinearPart, q, r) -> bool:
+def degree_bound(result: ExpansionResult, r) -> bool:
     """deg beta_k <= C*(k - r)*sum of mu(j) over critical j <= k."""
     r = _as_rat(r)
     k_set = result.k_set

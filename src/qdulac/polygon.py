@@ -186,8 +186,6 @@ def build_polygon(support) -> NewtonPolygon:
             s for s in pts if _cross(a, b, s) == 0 and _between(a, b, s)
         )
         r = _edge_r(a, b, subset, support_t)
-        if r is None and len(hull) == 2:
-            r = _edge_r(b, a, subset, support_t)
         faces.append(
             Face(dim=1, points=subset, endpoints=(a, b), r=r, r_range=None)
         )

@@ -299,12 +299,6 @@ class PowerLogSeries:
             self.all_terms = ((r, TPoly.const(c)),) + self.terms
         self.base_shift = base_shift
 
-    def is_zero(self) -> bool:
-        return not self.all_terms
-
-    def exponents(self) -> tuple[Fraction, ...]:
-        return tuple(k for k, _ in self.terms)
-
     def coefficient(self, k: Scalar) -> TPoly:
         k = _as_rat(k)
         for kk, beta in self.terms:

@@ -10,8 +10,10 @@ sub-sum factors it:
 so a vertex contributes solutions through the rational roots w of chi
 (then r = log_q w, filtered by the normal cone, with c free), and an edge
 fixes r and determines c through the roots of its determining polynomial.
-Every constructed solution is verified against the truncated sum at
-construction time.
+`analyze_face` treats both kinds of face alike: it turns the roots into
+one ordered list of proposals (c, r, provenance), appends the user's
+value last, and verifies each proposal against the truncated sum when it
+constructs the solution.
 """
 
 from __future__ import annotations
@@ -31,14 +33,13 @@ from .algebra import (
 )
 from .errors import (
     EmptySupportError,
-    IndeterminateEquationError,
     InconsistentEdgeError,
     IrrationalQPowerError,
     NotAVertexError,
     TruncatedSolutionError,
 )
 from .polygon import Face, NewtonPolygon, cone_contains
-from .qexpr import QPolynomial, QTerm
+from .qexpr import QPolynomial
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,7 @@ class TruncatedSolution:
     def __post_init__(self):
         if self.c.is_zero():
             raise TruncatedSolutionError("leading coefficient c must be nonzero")
+        object.__setattr__(self, "r", _as_rat(self.r))
 
     @classmethod
     def create(
@@ -64,7 +66,7 @@ class TruncatedSolution:
         q,
         provenance: str,
     ) -> "TruncatedSolution":
-        ts = cls(ParamPoly.coerce(c), _as_rat(r), face, provenance)
+        ts = cls(ParamPoly.coerce(c), r, face, provenance)
         if not verify_truncated(ts, f, q):
             raise TruncatedSolutionError(
                 f"y = ({c})*x^{rat_str(ts.r)} does not solve the "
@@ -168,153 +170,6 @@ def _fresh_symbol(f: QPolynomial, base: str = "c") -> str:
     return f"{base}{i}"
 
 
-def _try_candidate(f, face, c, r, q, provenance, candidates, diagnostics):
-    for existing in candidates:
-        if existing.c == c and existing.r == r:
-            return
-    try:
-        candidates.append(
-            TruncatedSolution.create(f, face, c, r, q, provenance)
-        )
-    except TruncatedSolutionError as err:
-        diagnostics.append(str(err))
-
-
-def _analyze_vertex(f, polygon, face, q, c_override, r_override):
-    g = truncated_sum(f, face)
-    diagnostics: list[str] = []
-    candidates: list[TruncatedSolution] = []
-    roots: tuple = ()
-    chi = vertex_char_poly(g)
-    free_c = c_override if c_override is not None else ParamPoly.symbol(
-        _fresh_symbol(f)
-    )
-
-    candidate_rs: list[tuple[Fraction, str]] = []
-    if all(c.is_constant() for c in chi.coeffs):
-        try:
-            roots = tuple(rational_roots(chi.rational_coeffs()))
-        except IndeterminateEquationError:
-            diagnostics.append(
-                "truncated sum vanishes for every c and r (zero characteristic "
-                "polynomial)"
-            )
-        else:
-            for w, _mult in roots:
-                if w == 0:
-                    diagnostics.append("root w=0 excluded (q^r is never 0)")
-                    continue
-                k = q_log(q, w)
-                if k is None:
-                    diagnostics.append(
-                        f"root w={rat_str(w)}: non-rational exponent, skipped"
-                    )
-                    continue
-                candidate_rs.append((k, "vertex-root"))
-    else:
-        diagnostics.append(
-            "characteristic polynomial has parameter coefficients; "
-            "supply --r (and --c) to choose a solution"
-        )
-    if r_override is not None and all(r != r_override for r, _ in candidate_rs):
-        candidate_rs.append((r_override, "user-supplied"))
-
-    for r, provenance in candidate_rs:
-        if not cone_contains(face, polygon.support, r):
-            diagnostics.append(
-                f"r={rat_str(r)} lies outside this vertex's normal cone; skipped"
-            )
-            continue
-        if c_override is not None:
-            provenance = "user-supplied"
-        _try_candidate(
-            f, face, ParamPoly.coerce(free_c), r, q, provenance,
-            candidates, diagnostics,
-        )
-    return FaceAnalysis(
-        face=face,
-        truncated=g,
-        variable="w",
-        poly=chi,
-        roots=roots,
-        candidates=tuple(candidates),
-        diagnostics=tuple(diagnostics),
-    )
-
-
-def _analyze_edge(f, polygon, face, q, c_override, r_override):
-    g = truncated_sum(f, face)
-    diagnostics: list[str] = []
-    candidates: list[TruncatedSolution] = []
-    roots: tuple = ()
-    poly = None
-    r = face.r
-    if r is None:
-        return FaceAnalysis(
-            face, g, "c", None, (),
-            (), ("edge does not face x -> 0; no admissible r",),
-        )
-    if r_override is not None and r_override != r:
-        diagnostics.append(
-            f"--r {rat_str(r_override)} ignored: this edge fixes "
-            f"r={rat_str(r)}"
-        )
-    try:
-        poly = determining_poly(g, r, q)
-    except IrrationalQPowerError as err:
-        return FaceAnalysis(
-            face, g, "c", None, (), (), (str(err),),
-        )
-    if all(c.is_constant() for c in poly.coeffs):
-        try:
-            roots = tuple(rational_roots(poly.rational_coeffs()))
-        except IndeterminateEquationError:
-            diagnostics.append(
-                "truncated sum vanishes for every c (zero determining "
-                "polynomial)"
-            )
-            free_c = c_override if c_override is not None else ParamPoly.symbol(
-                _fresh_symbol(f)
-            )
-            _try_candidate(
-                f, face, ParamPoly.coerce(free_c), r, q,
-                "user-supplied" if c_override is not None else "edge-root",
-                candidates, diagnostics,
-            )
-        else:
-            for value, _mult in roots:
-                if value == 0:
-                    diagnostics.append("root c=0 discarded (c must be nonzero)")
-                    continue
-                _try_candidate(
-                    f, face, ParamPoly.const(value), r, q, "edge-root",
-                    candidates, diagnostics,
-                )
-            if c_override is not None:
-                _try_candidate(
-                    f, face, c_override, r, q, "user-supplied",
-                    candidates, diagnostics,
-                )
-    else:
-        diagnostics.append(
-            "parameter-dependent determining equation; needs --c"
-        )
-        if c_override is not None:
-            _try_candidate(
-                f, face, c_override, r, q, "user-supplied",
-                candidates, diagnostics,
-            )
-    return FaceAnalysis(
-        face=face,
-        truncated=g,
-        variable="c",
-        poly=poly,
-        roots=roots,
-        candidates=tuple(candidates),
-        diagnostics=tuple(diagnostics),
-    )
-
-
 def analyze_face(
     f: QPolynomial,
     polygon: NewtonPolygon,
@@ -336,6 +191,93 @@ def analyze_face(
             raise TruncatedSolutionError("leading coefficient c must be nonzero")
     if r_override is not None:
         r_override = _as_rat(r_override)
-    if face.dim == 0:
-        return _analyze_vertex(f, polygon, face, q, c_override, r_override)
-    return _analyze_edge(f, polygon, face, q, c_override, r_override)
+    g = truncated_sum(f, face)
+    vertex = face.dim == 0
+    diagnostics: list[str] = []
+    if vertex:
+        poly = vertex_char_poly(g)
+    else:
+        if face.r is None:
+            return FaceAnalysis(
+                face, g, "c", None, (),
+                (), ("edge does not face x -> 0; no admissible r",),
+            )
+        if r_override is not None and r_override != face.r:
+            diagnostics.append(
+                f"--r {rat_str(r_override)} ignored: this edge fixes "
+                f"r={rat_str(face.r)}"
+            )
+        try:
+            poly = determining_poly(g, face.r, q)
+        except IrrationalQPowerError as err:
+            return FaceAnalysis(face, g, "c", None, (), (), (str(err),))
+
+    # Proposals (c, r, provenance): roots first, the user's value last.
+    user = "user-supplied"
+    free_c = c_override
+    if free_c is None and (vertex or poly.is_zero()):
+        free_c = ParamPoly.symbol(_fresh_symbol(f))
+    free_provenance = user if c_override is not None else (
+        "vertex-root" if vertex else "edge-root"
+    )
+    proposals: list[tuple[ParamPoly, Fraction, str]] = []
+    roots: tuple = ()
+    if not all(c.is_constant() for c in poly.coeffs):
+        diagnostics.append(
+            "characteristic polynomial has parameter coefficients; "
+            "supply --r (and --c) to choose a solution"
+            if vertex else "parameter-dependent determining equation; needs --c"
+        )
+    elif poly.is_zero():
+        diagnostics.append(
+            "truncated sum vanishes for every c and r (zero characteristic "
+            "polynomial)" if vertex else
+            "truncated sum vanishes for every c (zero determining polynomial)"
+        )
+        if not vertex:
+            proposals.append((free_c, face.r, free_provenance))
+    else:
+        roots = tuple(rational_roots(poly.rational_coeffs()))
+        for value, _mult in roots:
+            if value == 0:
+                diagnostics.append(
+                    "root w=0 excluded (q^r is never 0)" if vertex
+                    else "root c=0 discarded (c must be nonzero)"
+                )
+            elif not vertex:
+                proposals.append((ParamPoly.const(value), face.r, "edge-root"))
+            elif (k := q_log(q, value)) is None:
+                diagnostics.append(
+                    f"root w={rat_str(value)}: non-rational exponent, skipped"
+                )
+            else:
+                proposals.append((free_c, k, free_provenance))
+    if not vertex and c_override is not None:
+        proposals.append((c_override, face.r, user))
+    if vertex and r_override is not None and all(
+        r != r_override for _c, r, _p in proposals
+    ):
+        proposals.append((free_c, r_override, user))
+
+    candidates: list[TruncatedSolution] = []
+    for c, r, provenance in proposals:
+        if vertex and not cone_contains(face, polygon.support, r):
+            diagnostics.append(
+                f"r={rat_str(r)} lies outside this vertex's normal cone; skipped"
+            )
+        elif not any(s.c == c and s.r == r for s in candidates):
+            try:
+                candidates.append(
+                    TruncatedSolution.create(f, face, c, r, q, provenance)
+                )
+            except TruncatedSolutionError as err:
+                diagnostics.append(str(err))
+    return FaceAnalysis(
+        face=face,
+        truncated=g,
+        variable="w" if vertex else "c",
+        poly=poly,
+        roots=roots,
+        candidates=tuple(candidates),
+        diagnostics=tuple(diagnostics),
+    )

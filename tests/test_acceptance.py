@@ -176,7 +176,7 @@ def test_criterion_6_log_degree_bound():
     assert min(result.k_set) == F(1)
     for k, beta in result.series.terms:
         assert beta.degree() <= 2 * k, (k, beta.degree())
-    assert degree_bound(result, result.linear_part, q, F(0)) is True
+    assert degree_bound(result, F(0)) is True
     print("ACCEPTANCE 6 PASS: deg beta_k <= 2k for every term through k_max=5")
 
 

@@ -91,7 +91,7 @@ _L = LinearPart((-2, 1))
         lambda: _case().edge.contains_r(3.0),
         lambda: critical_numbers(_L, 2, 0.0),
         lambda: check_exponent_order(parse_equation("x*y^2"), 1.0),
-        lambda: degree_bound(_case().result, _L, 2, 1.0),
+        lambda: degree_bound(_case().result, 1.0),
         lambda: nu(_L, 2, 1.0),
         lambda: apply_difference_operator(_L, 2, 1.0, TPoly.const(1)),
         lambda: solve_poly_difference(
@@ -99,6 +99,9 @@ _L = LinearPart((-2, 1))
         ),
         lambda: determining_poly(truncated_sum(_case().f, _case().edge), 3.0, 2),
         lambda: analyze_face(_case().f, _case().polygon, _case().vertex, 2, None, 1.0),
+        lambda: TruncatedSolution(
+            ParamPoly.const(1), 0.5, _case().vertex, "user-supplied"
+        ),
     ],
     ids=[
         "const",
@@ -125,6 +128,7 @@ _L = LinearPart((-2, 1))
         "solve_poly_difference",
         "determining_poly",
         "analyze_face_r_override",
+        "truncated_solution_constructor_r",
     ],
 )
 def test_floats_refused(build):

@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 MAIN = str(GOLDEN / "main.qde")
 VERTEX = str(GOLDEN / "vertex.qde")
 PARAM = str(GOLDEN / "param.qde")
+DEGENERATE = str(GOLDEN / "degenerate.qde")
 EXPECTED = GOLDEN / "expected.json"
 SVG_NAME = "polygon.svg"
 
@@ -71,6 +72,16 @@ def _cases() -> dict:
             "expand", *_PARAM, "--q", "1/4", "--face", "(0,1)-(1,0)",
             "--kmax", "3", *fmt_args
         ]
+    for fmt in ("text", "json"):
+        fmt_args = ["--format", fmt]
+        for name, face_args in (
+            ("", []),
+            ("_edge_c3_r0", ["--face", "(1,2)-(0,1)", "--c", "3", "--r", "0"]),
+            ("_vertex_c2_r1", ["--face", "(0,1)", "--c", "2", "--r", "1"]),
+        ):
+            cases[f"truncate_degenerate_q1_2{name}_{fmt}"] = [
+                "truncate", "--eq", DEGENERATE, "--q", "1/2", *face_args, *fmt_args
+            ]
     cases["plot_main"] = ["plot", *_MAIN, "--svg", SVG_NAME]
     return cases
 

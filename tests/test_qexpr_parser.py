@@ -212,7 +212,7 @@ def test_substitute_shift_is_ring_homomorphism():
 def test_series_normalization():
     t = TPoly.variable()
     s = PowerLogSeries(F(1, 2), [(1, t), (0, TPoly.const(2)), (1, -t)])
-    assert s.exponents() == (F(0),)
+    assert [k for k, _ in s.terms] == [F(0)]
     assert s.coefficient(0) == TPoly.const(2)
     assert s.coefficient(1).is_zero()
 
@@ -262,7 +262,7 @@ def test_sigma_action_on_single_term():
     t = TPoly.variable()
     s = PowerLogSeries(F(1, 2), [(2, t)])
     out = evaluate_on_series(f, s, 5)
-    assert out.exponents() == (F(2),)
+    assert [k for k, _ in out.terms] == [F(2)]
     assert out.coefficient(2) == t.shift(1) / 4
 
 
@@ -270,7 +270,7 @@ def test_evaluate_constant_series_on_main_equation():
     f = main_eq()
     s = PowerLogSeries(F(1, 2), [], base_shift=(-1, 0))
     out = evaluate_on_series(f, s, 10)
-    assert out.exponents() == (F(1),)
+    assert [k for k, _ in out.terms] == [F(1)]
     assert out.coefficient(1) == TPoly.const(ParamPoly.symbol("a3") * 2)
 
 
@@ -279,14 +279,14 @@ def test_evaluate_first_order_partial_sum_cancels():
     beta1 = TPoly([ParamPoly.symbol("C"), ParamPoly.symbol("a3") * 2])
     s = PowerLogSeries(F(1, 2), [(1, beta1)], base_shift=(-1, 0))
     out = evaluate_on_series(f, s, 1)
-    assert out.is_zero()
+    assert not out.all_terms
 
 
 def test_evaluate_respects_negative_exponents():
     f = parse_equation("y^2")
     s = PowerLogSeries(F(1, 2), [(-1, TPoly.const(1)), (1, TPoly.const(1))])
     out = evaluate_on_series(f, s, 0)
-    assert out.exponents() == (F(-2), F(0))
+    assert [k for k, _ in out.terms] == [F(-2), F(0)]
     assert out.coefficient(0) == TPoly.const(2)
 
 
