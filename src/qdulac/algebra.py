@@ -5,8 +5,9 @@ Everything is computed over Q.  Rational numbers are `fractions.Fraction`
 sit two polynomial layers:
 
   ParamPoly -- multivariate polynomial in named symbols (equation parameters
-               such as a3, a4 and generated free constants C1, C2, ...) with
-               Fraction coefficients.  Monomials are tuples of sorted
+               such as a3, a4 and generated free constants C1, C2, ...) over
+               Q, stored fraction-free: int numerators over one positive int
+               denominator, content reduced.  Monomials are tuples of sorted
                (name, exponent) pairs; zero coefficients are never stored.
   TPoly     -- univariate polynomial over ParamPoly.  The variable is the
                logarithmic time t = log_q x, but the same class doubles for
@@ -81,14 +82,19 @@ def _check_symbol(name: str) -> str:
 class ParamPoly:
     """Multivariate polynomial over Q in named parameter symbols.
 
+    Stored fraction-free, as FLINT's fmpq_poly is: `_nums` maps each
+    monomial to a nonzero int numerator and `_den` is one positive int
+    denominator, with gcd(den, *numerators) == 1; the zero polynomial is
+    {} over 1.  That form is unique, so equality and hashing compare it,
+    and each arithmetic result pays one gcd, not one per coefficient.
     The public constructors (`ParamPoly(mapping)`, `const`, `symbol`,
     `coerce`) validate what they are given: exact rational coefficients,
     nonempty unreserved symbol names, exponents >= 1.  Arithmetic results
-    are trusted: they are built from operands already in canonical form
-    and only drop zero coefficients.
+    are trusted: they only drop zero numerators and reduce the content.
+    `items()` and `sorted_terms()` show the coefficients as Fractions.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -102,24 +108,36 @@ class ParamPoly:
                     if exp < 1:
                         raise ValueError("monomial exponents must be >= 1")
                 clean[tuple(sorted(mono))] = coef
-        self._terms = clean
+        # over the lcm of reduced denominators the content is already 1
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._nums = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+        self._den = den
 
     @classmethod
-    def _trusted(cls, terms: dict) -> "ParamPoly":
-        """Canonical terms from arithmetic: sorted valid monomials."""
+    def _canonical(cls, nums: dict, den: int) -> "ParamPoly":
         out = cls.__new__(cls)
-        out._terms = {mono: coef for mono, coef in terms.items() if coef}
+        out._nums, out._den = nums, den
         return out
+
+    @classmethod
+    def _trusted(cls, nums: dict, den: int) -> "ParamPoly":
+        """Canonical form of an arithmetic result over den > 0: zero
+        numerators dropped, the content divided out with one gcd."""
+        g = math.gcd(den, *nums.values())
+        if g == 1:
+            return cls._canonical({m: n for m, n in nums.items() if n}, den)
+        return cls._canonical({m: n // g for m, n in nums.items() if n}, den // g)
 
     # -- constructors
 
     @classmethod
     def zero(cls) -> "ParamPoly":
-        return cls()
+        return cls._canonical({}, 1)
 
     @classmethod
     def const(cls, value: Scalar) -> "ParamPoly":
-        return cls._trusted({(): _as_rat(value)})
+        value = _as_rat(value)
+        return cls._canonical({(): value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def symbol(cls, name: str) -> "ParamPoly":
@@ -134,53 +152,61 @@ class ParamPoly:
     # -- structure
 
     def items(self):
-        return self._terms.items()
+        den = self._den
+        return {mono: Fraction(n, den) for mono, n in self._nums.items()}.items()
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def is_constant(self) -> bool:
-        return all(mono == () for mono in self._terms)
+        return all(mono == () for mono in self._nums)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (zero polynomial gives 0)."""
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms.get((), Fraction(0))
+        return Fraction(self._nums.get((), 0), self._den)
 
     def symbols(self) -> set[str]:
-        return {name for mono in self._terms for name, _ in mono}
+        return {name for mono in self._nums for name, _ in mono}
 
     # -- ring operations
 
+    def _add(self, other: "ParamPoly", sign: int) -> "ParamPoly":
+        """self + sign*other, both over lcm(d1, d2)."""
+        d1, d2 = self._den, other._den
+        den = d1 // math.gcd(d1, d2) * d2
+        s1, s2 = den // d1, sign * (den // d2)
+        out = {m: n * s1 for m, n in self._nums.items()} if s1 != 1 else dict(self._nums)
+        for mono, n in other._nums.items():
+            out[mono] = out.get(mono, 0) + n * s2
+        return ParamPoly._trusted(out, den)
+
     def __add__(self, other) -> "ParamPoly":
         other = ParamPoly.coerce(other)
-        out = dict(self._terms)
-        for mono, coef in other._terms.items():
-            out[mono] = out.get(mono, 0) + coef
-        return ParamPoly._trusted(out)
+        if not other._nums:
+            return self
+        return self._add(other, 1) if self._nums else other
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly._trusted(
-            {mono: -coef for mono, coef in self._terms.items()}
-        )
+        return ParamPoly._canonical({m: -n for m, n in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "ParamPoly":
-        return self + (-ParamPoly.coerce(other))
+        return self._add(ParamPoly.coerce(other), -1)
 
     def __rsub__(self, other) -> "ParamPoly":
-        return ParamPoly.coerce(other) + (-self)
+        return ParamPoly.coerce(other)._add(self, -1)
 
     def __mul__(self, other) -> "ParamPoly":
         other = ParamPoly.coerce(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        out: dict[Monomial, int] = {}
+        for m1, n1 in self._nums.items():
+            for m2, n2 in other._nums.items():
                 mono = _merge_monomials(m1, m2)
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return ParamPoly._trusted(out)
+                out[mono] = out.get(mono, 0) + n1 * n2
+        return ParamPoly._trusted(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -188,9 +214,11 @@ class ParamPoly:
         scalar = _as_rat(scalar)
         if scalar == 0:
             raise ZeroDivisionError("division of ParamPoly by zero")
-        return ParamPoly._trusted(
-            {mono: coef / scalar for mono, coef in self._terms.items()}
-        )
+        num, den = scalar.numerator, scalar.denominator
+        if num < 0:  # the stored denominator stays positive
+            num, den = -num, -den
+        nums = {mono: n * den for mono, n in self._nums.items()}
+        return ParamPoly._trusted(nums, self._den * num)
 
     def __pow__(self, exponent: int) -> "ParamPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -210,17 +238,17 @@ class ParamPoly:
             other = ParamPoly.const(other)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._nums.items()), self._den))
 
     # -- evaluation and display
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Exact value after substituting every symbol from `assignment`."""
         total = Fraction(0)
-        for mono, coef in self._terms.items():
+        for mono, coef in self.items():
             term = coef
             for name, exp in mono:
                 if name not in assignment:
@@ -232,7 +260,7 @@ class ParamPoly:
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in the canonical display order (graded lexicographic)."""
         return sorted(
-            self._terms.items(),
+            self.items(),
             key=lambda item: (sum(e for _, e in item[0]), item[0]),
         )
 
@@ -244,6 +272,8 @@ class ParamPoly:
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m1 or not m2:
+        return m1 or m2
     merged: dict[str, int] = dict(m1)
     for name, exp in m2:
         merged[name] = merged.get(name, 0) + exp
@@ -381,9 +411,8 @@ class Notation:
     a signed sum "-a + b - c" whose parts are products of a coefficient
     and a tail of factors (powers of t, x or the unknown's shifts); a
     one-term coefficient carries its sign into the sum, a longer one is
-    grouped.  TEXT writes the DSL, which the parser reads back wherever
-    every x exponent is a nonnegative integer; LATEX writes math-mode
-    LaTeX.
+    grouped.  TEXT writes the DSL, which the parser reads back; LATEX
+    writes math-mode LaTeX.
     """
 
     fraction: str  # a reduced p/m, from p and m

@@ -45,7 +45,6 @@ from .algebra import (
 )
 from .errors import (
     DegreeBoundError,
-    EmptySupportError,
     ExponentOrderError,
     InternalInvariantError,
     LinearCoefficientError,

@@ -6,15 +6,18 @@ line, an optional trailing "= 0" is accepted):
     equation := expr ("=" "0")?
     expr     := ["-"] term (("+"|"-") term)*
     term     := factor ("*" factor)*
-    factor   := atom ("^" INT)?
+    factor   := atom ("^" INT)? | "x" "^" XPOWER
     atom     := RATIONAL | INT | IDENT | "x" | "y"
               | "S" ("^" INT)? "(" "y" ")" | "(" expr ")"
+    XPOWER   := ["-"] INT | "(" ["-"] (RATIONAL | INT) ")"
     RATIONAL := INT "/" INT
 
 IDENT must be one of the declared parameter names.  Powers are nonnegative
-integers everywhere; "y^1/2" and "x^-1" are rejected with the specific
-diagnostics the pipeline reports to users.  The result is a canonical
-QPolynomial: powers and products expanded, like terms merged.
+integers, except on x, which also takes the negative and fractional powers
+the text notation prints ("x^-1", "x^(3/2)", "x^(-1/2)"); "y^1/2", "y^-1"
+and "x^1/2" are rejected with the specific diagnostics the pipeline
+reports to users.  The result is a canonical QPolynomial: powers and
+products expanded, like terms merged.
 """
 
 from __future__ import annotations
@@ -151,36 +154,50 @@ class _Parser:
             result = result * self.parse_factor()
         return result
 
-    def parse_power(self, subject: str) -> int:
+    def parse_power(self, subject: str) -> int | Fraction:
+        """A nonnegative INT, or on x any XPOWER of the grammar."""
+        grouped = subject == "x" and self.cur.kind == "("
+        if grouped:
+            self.advance()
+        sign = 1
         if self.cur.kind == "-":
-            raise self.fail(f"negative power on {subject}")
+            if subject != "x":
+                raise self.fail(f"negative power on {subject}")
+            self.advance()
+            sign = -1
+        if grouped:
+            power = self.parse_rational()
+            self.expect(")")
+            return sign * power
         tok = self.expect("int")
         if self.cur.kind == "/":
             raise ParseError(
                 f"non-integer power on {subject}", tok.line, tok.col
             )
-        return int(tok.text)
+        return sign * int(tok.text)
 
     def parse_factor(self) -> QPolynomial:
         atom, subject = self.parse_atom()
         if self.cur.kind == "^":
             self.advance()
             power = self.parse_power(subject)
-            atom = atom**power
+            atom = QPolynomial.x_power(power) if subject == "x" else atom**power
         return atom
+
+    def parse_rational(self) -> Fraction:
+        tok = self.expect("int")
+        if self.cur.kind != "/":
+            return Fraction(int(tok.text))
+        self.advance()
+        den = self.expect("int")
+        if den.text == "0":
+            raise ParseError("zero denominator", den.line, den.col)
+        return Fraction(int(tok.text), int(den.text))
 
     def parse_atom(self) -> tuple[QPolynomial, str]:
         tok = self.cur
         if tok.kind == "int":
-            self.advance()
-            value = Fraction(int(tok.text))
-            if self.cur.kind == "/":
-                self.advance()
-                den = self.expect("int")
-                if den.text == "0":
-                    raise ParseError("zero denominator", den.line, den.col)
-                value = Fraction(int(tok.text), int(den.text))
-            return QPolynomial.constant(value), "a constant"
+            return QPolynomial.constant(self.parse_rational()), "a constant"
         if tok.kind == "(":
             self.advance()
             inner = self.parse_expr()

@@ -7,11 +7,9 @@ succeeds, so `pytest -s` gives a one-line-per-guarantee report.
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import jsonschema
-import pytest
 
 from oracles import (
     brute_force_hull,
@@ -42,7 +40,7 @@ from qdulac.expand import (
 )
 from qdulac.parser import parse_equation, parse_param_expr
 from qdulac.polygon import build_polygon, faces_for_x_to_zero, find_face
-from qdulac.qexpr import PowerLogSeries, QPolynomial, substitute_shift, support
+from qdulac.qexpr import PowerLogSeries, substitute_shift, support
 from qdulac.truncate import analyze_face, verify_truncated
 
 F = Fraction

@@ -10,6 +10,7 @@ monomial and shift tuple sorted.
 
 import ast
 import functools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -245,6 +246,31 @@ def test_param_poly_arithmetic_is_canonical():
             assert_canonical_param(result)
             assert result.evaluate(at) == value, name
         assert (a - a).is_zero()
+
+
+def test_equal_values_share_one_stored_form():
+    # A ParamPoly is stored as int numerators over one positive denominator
+    # with the content divided out, so one value has one form however it
+    # was built; each pair below is one value reached by two routes.
+    rng = random.Random(20261020)
+    for _ in range(300):
+        a, b = rand_param_poly(rng), rand_param_poly(rng)
+        names = rng.sample(SYMBOLS, rng.randint(0, 2))
+        mono = tuple(sorted((name, rng.randint(1, 2)) for name in names))
+        routes = {
+            "scale": ((a * 3) / 3, a),
+            "add_sub": (a + b - b, a),
+            "negative_div": (a / F(-2, 3) * F(-2, 3), a),
+            "cancel": (a - a, ParamPoly.zero()),
+            "halves": (ParamPoly({mono: F(1, 2)}) * 2, ParamPoly({mono: 1})),
+        }
+        for name, (built, expected) in routes.items():
+            assert built == expected, name
+            assert hash(built) == hash(expected), name
+            assert sorted(built.items()) == sorted(expected.items()), name
+            for _, coef in built.items():
+                assert type(coef) is Fraction and coef.denominator > 0, name
+                assert math.gcd(coef.numerator, coef.denominator) == 1, name
 
 
 def test_qpolynomial_arithmetic_is_canonical():

@@ -8,7 +8,6 @@ import jsonschema
 import pytest
 
 from qdulac import cli
-from qdulac.algebra import ParamPoly
 from qdulac.cli import (
     EXIT_HYPOTHESIS,
     EXIT_INPUT,

@@ -6,12 +6,13 @@ term of a q-difference sum, the x^0 term of a series) and a grouped
 log-polynomial inside a series term.
 
 The text notation also reads back through the parser: every `ParamPoly`
-and every `QPolynomial` with nonnegative integer x exponents, printed and
-parsed with the same parameter names, gives back the identical canonical
-value.  Those cases are seeded random sums with signed rational
-coefficients, several symbols (some with digit suffixes), powers up to 3
-and shift levels up to 2, so grouped coefficients, negative leads, bare
-unit coefficients and shifted powers such as S^2(y)^3 all occur.
+and every `QPolynomial`, printed and parsed with the same parameter names,
+gives back the identical canonical value.  Those cases are seeded random
+sums with signed rational coefficients, several symbols (some with digit
+suffixes), powers up to 3, shift levels up to 2 and x exponents that are
+negative, zero, positive, integer or fractional, so grouped coefficients,
+negative leads, bare unit coefficients, shifted powers such as S^2(y)^3
+and x powers such as x^-2 and x^(-3/2) all occur.
 """
 
 import random
@@ -64,7 +65,8 @@ def rand_qpoly(rng):
         levels = rng.sample(range(3), rng.randint(0, 3))
         sigma = tuple((level, rng.randint(1, 3)) for level in levels)
         coeff = rand_param_poly(rng, 3)
-        terms.append(QTerm(coeff, Fraction(rng.randint(0, 3)), sigma))
+        x_exp = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+        terms.append(QTerm(coeff, x_exp, sigma))
     return QPolynomial(terms)
 
 

@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from oracles import brute_force_hull, random_point_set
 from qdulac.parser import parse_equation
 from qdulac.polygon import (

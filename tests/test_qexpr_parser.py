@@ -66,7 +66,7 @@ def test_parse_power_errors():
     with pytest.raises(ParseError, match="non-integer power"):
         parse_equation("y^1/2")
     with pytest.raises(ParseError, match="negative power"):
-        parse_equation("x^-1")
+        parse_equation("y^-1")
     with pytest.raises(ParseError, match="negative power"):
         parse_equation("S^-1(y)")
 

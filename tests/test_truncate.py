@@ -14,7 +14,6 @@ from qdulac.parser import parse_equation
 from qdulac.polygon import Face, build_polygon, faces_for_x_to_zero, find_face
 from qdulac.qexpr import QPolynomial, support
 from qdulac.truncate import (
-    FaceAnalysis,
     TruncatedSolution,
     analyze_face,
     determining_poly,
