@@ -7,8 +7,8 @@ sit two polynomial layers:
   ParamPoly -- multivariate polynomial in named symbols (equation parameters
                such as a3, a4 and generated free constants C1, C2, ...) over
                Q, stored fraction-free: int numerators over one positive int
-               denominator, content reduced.  Monomials are tuples of sorted
-               (name, exponent) pairs; zero coefficients are never stored.
+               denominator, content reduced.  Monomials are packed int keys
+               (32-bit exponent fields); zero coefficients are never stored.
   TPoly     -- univariate polynomial over ParamPoly.  The variable is the
                logarithmic time t = log_q x, but the same class doubles for
                the auxiliary variables w = q^r, c and s when a univariate
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -49,6 +50,7 @@ from .errors import (
     InvalidQError,
     IrrationalQPowerError,
     ReservedSymbolError,
+    ResourceLimitError,
     UnboundSymbolError,
 )
 
@@ -56,8 +58,17 @@ from .errors import (
 # the unknown and the logarithmic variable.
 RESERVED_SYMBOLS = frozenset({"x", "y", "t"})
 
-# A monomial: ((name, exp), ...) sorted by name, every exp >= 1.
+# A monomial as shown: ((name, exp), ...) sorted by name, every exp >= 1.
 Monomial = tuple  # tuple[tuple[str, int], ...]
+
+# ParamPoly's append-only symbol registry (slot i of a key holds _NAMES[i]);
+# _guard has each field's top bit, which only an exponent >= 2^31 sets.
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_EXP_LIMIT = 1 << (_FIELD_BITS - 1)
+_NAMES: list[str] = []
+_guard = 0
+_REGISTER = threading.Lock()
 
 Scalar = Union[int, Fraction]
 
@@ -79,35 +90,62 @@ def _check_symbol(name: str) -> str:
     return name
 
 
+def _slot(name: str) -> int:
+    """The field of a validated symbol name, registering it on first sight."""
+    global _guard
+    with _REGISTER:
+        if name not in _NAMES:
+            _guard |= _EXP_LIMIT << (_FIELD_BITS * len(_NAMES))
+            _NAMES.append(name)
+        return _NAMES.index(name)
+
+
+def _decode(key: int) -> Monomial:
+    """The sorted ((name, exp), ...) tuple of a packed monomial key."""
+    pairs, slot = [], 0
+    while key:
+        if key & _FIELD_MASK:
+            pairs.append((_NAMES[slot], key & _FIELD_MASK))
+        key, slot = key >> _FIELD_BITS, slot + 1
+    return tuple(sorted(pairs))
+
+
 class ParamPoly:
     """Multivariate polynomial over Q in named parameter symbols.
 
-    Stored fraction-free, as FLINT's fmpq_poly is: `_nums` maps each
+    Stored fraction-free, as FLINT's fmpq_mpoly is: `_nums` maps each
     monomial to a nonzero int numerator and `_den` is one positive int
     denominator, with gcd(den, *numerators) == 1; the zero polynomial is
     {} over 1.  That form is unique, so equality and hashing compare it,
     and each arithmetic result pays one gcd, not one per coefficient.
-    The public constructors (`ParamPoly(mapping)`, `const`, `symbol`,
-    `coerce`) validate what they are given: exact rational coefficients,
-    nonempty unreserved symbol names, exponents >= 1.  Arithmetic results
-    are trusted: they only drop zero numerators and reduce the content.
-    `items()` and `sorted_terms()` show the coefficients as Fractions.
+    A monomial is a packed int key (Monagan and Pearce): registry slot i's
+    exponent in bits [32*i, 32*i + 32), so a monomial product is one
+    addition; a field reaching 2^31 raises ResourceLimitError.  The public
+    constructors (`ParamPoly(mapping)`, `const`, `symbol`, `coerce`)
+    validate exact rational coefficients, unreserved names and int
+    exponents in [1, 2^31), each name once per monomial; arithmetic results
+    are trusted.  `items()` and `sorted_terms()` decode the keys.
     """
 
     __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coef in terms.items():
-                coef = _as_rat(coef)
-                if coef == 0:
-                    continue
-                for name, exp in mono:
-                    _check_symbol(name)
-                    if exp < 1:
-                        raise ValueError("monomial exponents must be >= 1")
-                clean[tuple(sorted(mono))] = coef
+        clean: dict[int, Fraction] = {}
+        for mono, coef in (terms or {}).items():
+            coef = _as_rat(coef)
+            if coef == 0:
+                continue
+            key = 0
+            for name, exp in mono:
+                shift = _FIELD_BITS * _slot(_check_symbol(name))
+                if exp < 1:
+                    raise ValueError("monomial exponents must be >= 1")
+                if exp >= _EXP_LIMIT:
+                    raise ResourceLimitError(f"exponent of {name} reaches 2^31")
+                if key >> shift & _FIELD_MASK:
+                    raise ValueError(f"symbol {name!r} repeats in a monomial")
+                key |= exp << shift
+            clean[key] = coef
         # over the lcm of reduced denominators the content is already 1
         den = math.lcm(*(c.denominator for c in clean.values()))
         self._nums = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
@@ -137,7 +175,7 @@ class ParamPoly:
     @classmethod
     def const(cls, value: Scalar) -> "ParamPoly":
         value = _as_rat(value)
-        return cls._canonical({(): value.numerator} if value else {}, value.denominator)
+        return cls._canonical({0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def symbol(cls, name: str) -> "ParamPoly":
@@ -153,22 +191,22 @@ class ParamPoly:
 
     def items(self):
         den = self._den
-        return {mono: Fraction(n, den) for mono, n in self._nums.items()}.items()
+        return {_decode(m): Fraction(n, den) for m, n in self._nums.items()}.items()
 
     def is_zero(self) -> bool:
         return not self._nums
 
     def is_constant(self) -> bool:
-        return all(mono == () for mono in self._nums)
+        return self._nums.keys() <= {0}
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (zero polynomial gives 0)."""
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self._nums.get((), 0), self._den)
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def symbols(self) -> set[str]:
-        return {name for mono in self._nums for name, _ in mono}
+        return {name for key in self._nums for name, _ in _decode(key)}
 
     # -- ring operations
 
@@ -201,11 +239,17 @@ class ParamPoly:
 
     def __mul__(self, other) -> "ParamPoly":
         other = ParamPoly.coerce(other)
-        out: dict[Monomial, int] = {}
+        out: dict[int, int] = {}
         for m1, n1 in self._nums.items():
             for m2, n2 in other._nums.items():
-                mono = _merge_monomials(m1, m2)
+                mono = m1 + m2
                 out[mono] = out.get(mono, 0) + n1 * n2
+        seen = 0
+        for mono in out:
+            seen |= mono
+        if seen & _guard:
+            name = _NAMES[((seen & _guard).bit_length() - 1) // _FIELD_BITS]
+            raise ResourceLimitError(f"exponent of {name} reaches 2^31")
         return ParamPoly._trusted(out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -221,17 +265,7 @@ class ParamPoly:
         return ParamPoly._trusted(nums, self._den * num)
 
     def __pow__(self, exponent: int) -> "ParamPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("ParamPoly powers must be nonnegative integers")
-        result = ParamPoly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, ParamPoly.const(1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -271,13 +305,19 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
 
-def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1 or not m2:
-        return m1 or m2
-    merged: dict[str, int] = dict(m1)
-    for name, exp in m2:
-        merged[name] = merged.get(name, 0) + exp
-    return tuple(sorted(merged.items()))
+def _power(base, exponent: int, one):
+    """base**exponent by repeated squaring; squaring only while bits remain
+    builds no factor above the result (a^(2^31 - 1) never forms a^(2^31))."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError(f"{type(base).__name__} powers must be nonnegative integers")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 class TPoly:

@@ -36,6 +36,7 @@ from .errors import (
     LinearPartError,
     ParseError,
     ReservedSymbolError,
+    ResourceLimitError,
     TruncatedSolutionError,
     UnboundSymbolError,
 )
@@ -72,6 +73,7 @@ _INPUT_ERRORS = (
 _HYPOTHESIS_ERRORS = (
     LinearPartError,  # includes vertex, coefficient, and exponent-order cases
     IrrationalQPowerError,
+    ResourceLimitError,
     DegreeBoundError,
     InternalInvariantError,
 )

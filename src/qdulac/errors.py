@@ -1,8 +1,8 @@
 """Exception hierarchy shared by the whole package.
 
 The CLI maps these onto exit codes: input/parse problems exit 2,
-structural conditions that abort an expansion, and internal invariant
-violations, exit 3.
+structural conditions that abort an expansion, resource limits and
+internal invariant violations, exit 3.
 """
 
 
@@ -71,6 +71,10 @@ class ExponentOrderError(LinearPartError):
     """A shifted support point would feed coefficients backwards: the
     recursion on series exponents is only well-founded when every shifted
     support point (q1, q2-1) satisfies q1 + r*(q2-1) >= 0."""
+
+
+class ResourceLimitError(QDulacError):
+    """A legal input exceeds a fixed limit of the engine, such as exponent 2^31."""
 
 
 class DegreeBoundError(QDulacError):

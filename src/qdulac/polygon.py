@@ -71,16 +71,6 @@ class Face:
         lo, hi = self.r_range
         return lo is None or hi is None or lo < hi
 
-    def contains_r(self, r) -> bool:
-        """(-1,-r) lies in this face's cone (closed for edges, open else)."""
-        r = _as_rat(r)
-        if self.dim == 1:
-            return self.r == r
-        if self.r_range is None:
-            return False
-        lo, hi = self.r_range
-        return (lo is None or lo < r) and (hi is None or r < hi)
-
     def label(self) -> str:
         pts = "-".join(
             f"({rat_str(p[0])},{rat_str(p[1])})" for p in self.endpoints

@@ -32,7 +32,7 @@ from .algebra import (
     Scalar,
     TPoly,
     _as_rat,
-    _merge_monomials,
+    _power,
     check_q,
     q_pow,
 )
@@ -44,15 +44,23 @@ SigmaPowers = tuple
 Point = tuple  # (Fraction, Fraction)
 
 
-def _normalize_sigma(powers) -> SigmaPowers:
-    merged: dict[int, int] = {}
+def _merge_sigma(s1: SigmaPowers, s2) -> SigmaPowers:
+    """The sigma powers of a product: s1 canonical, s2 any (level, power) pairs."""
+    if not s2:
+        return s1
+    merged: dict[int, int] = dict(s1)
+    for level, power in s2:
+        merged[level] = merged.get(level, 0) + power
+    return tuple(sorted(merged.items()))
+
+
+def _normalize_sigma(powers: SigmaPowers) -> SigmaPowers:
     for level, power in powers:
         if not isinstance(level, int) or level < 0:
             raise ValueError("shift levels must be nonnegative integers")
         if not isinstance(power, int) or power < 1:
             raise ValueError("shift powers must be positive integers")
-        merged[level] = merged.get(level, 0) + power
-    return tuple(sorted(merged.items()))
+    return _merge_sigma((), powers)
 
 
 @dataclass(frozen=True)
@@ -202,19 +210,13 @@ class QPolynomial:
         out: dict = {}
         for (e1, s1), c1 in self._terms.items():
             for (e2, s2), c2 in other._terms.items():
-                # sigma tuples have the shape of monomials: sorted (level, power)
-                _add_into(out, (e1 + e2, _merge_monomials(s1, s2)), c1 * c2)
+                _add_into(out, (e1 + e2, _merge_sigma(s1, s2) if s1 else s2), c1 * c2)
         return QPolynomial._trusted(out, self.var)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "QPolynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("QPolynomial powers must be nonnegative integers")
-        result = QPolynomial.constant(1, self.var)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return _power(self, exponent, QPolynomial.constant(1, self.var))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPolynomial):

@@ -3,7 +3,8 @@
 Each function here recomputes a result by a different method than the
 library uses, so agreement is meaningful: an all-pairs halfplane hull, a
 dense Gaussian-elimination solve of the polynomial difference operator,
-and a generator of random equations with a planted edge solution.
+a reference parameter polynomial, and a generator of random equations
+with a planted edge solution.
 """
 
 import random
@@ -127,6 +128,71 @@ def dense_difference_solve(coeffs, q, k, theta_coeffs, mu):
                 ]
     solution = [F(0)] * mu + [reduced[i][-1] for i in range(m)]
     return solution
+
+
+class ReferencePoly:
+    """Multivariate polynomial over Q, the reference for ParamPoly.
+
+    A plain dict from sorted ((name, exp), ...) tuples to nonzero
+    Fractions, with schoolbook arithmetic and the DSL's text rules written
+    out again; it uses nothing from qdulac.algebra.
+    """
+
+    def __init__(self, terms=()):
+        self.terms = {mono: F(c) for mono, c in dict(terms).items() if c != 0}
+
+    @classmethod
+    def symbol(cls, name):
+        return cls({((name, 1),): 1})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            out[mono] = out.get(mono, 0) + c
+        return ReferencePoly(out)
+
+    def __neg__(self):
+        return ReferencePoly({mono: -c for mono, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                exps = dict(m1)
+                for name, e in m2:
+                    exps[name] = exps.get(name, 0) + e
+                mono = tuple(sorted(exps.items()))
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return ReferencePoly(out)
+
+    def __pow__(self, n):
+        out = ReferencePoly({(): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __truediv__(self, scalar):
+        return ReferencePoly({mono: c / scalar for mono, c in self.terms.items()})
+
+    def sorted_terms(self):
+        """Graded lexicographic: total degree, then the sorted pairs."""
+        return sorted(self.terms.items(), key=lambda t: (sum(e for _, e in t[0]), t[0]))
+
+    def __str__(self):
+        parts = []
+        for mono, c in self.sorted_terms():
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in mono]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            body = "*".join(factors)
+            if not parts:
+                parts.append("-" + body if c < 0 else body)
+            else:
+                parts.append(("- " if c < 0 else "+ ") + body)
+        return " ".join(parts) or "0"
 
 
 def random_linear_part(rng: random.Random, q, k):

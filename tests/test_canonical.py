@@ -89,7 +89,6 @@ _L = LinearPart((-2, 1))
         ),
         lambda: cone_contains(_case().edge, _case().polygon.support, 3.0),
         lambda: verify_residual(_case().f, _case().result, 2, {"c": 1}, 5.0),
-        lambda: _case().edge.contains_r(3.0),
         lambda: critical_numbers(_L, 2, 0.0),
         lambda: check_exponent_order(parse_equation("x*y^2"), 1.0),
         lambda: degree_bound(_case().result, 1.0),
@@ -120,7 +119,6 @@ _L = LinearPart((-2, 1))
         "truncated_solution_r",
         "cone_contains",
         "verify_residual_k_max",
-        "contains_r",
         "critical_numbers",
         "check_exponent_order",
         "degree_bound",

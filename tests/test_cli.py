@@ -20,6 +20,7 @@ from qdulac.cli import (
     main,
     series_from_json,
 )
+from qdulac.errors import ResourceLimitError
 from qdulac.expand import expand_solution
 from qdulac.parser import parse_equation
 from qdulac.polygon import build_polygon, find_face
@@ -571,3 +572,18 @@ def test_module_entry_point(eq_main):
     )
     assert proc.returncode == EXIT_OK
     assert "y = -1 + (2*a3*log_{1/2}(x) + C1)*x" in proc.stdout
+
+
+@pytest.mark.parametrize("exponent, code", [(4_000_000, EXIT_OK), (2**31, EXIT_HYPOTHESIS)])
+def test_polygon_huge_parameter_power(tmp_path, capsys, deadline, exponent, code):
+    # a^n is built by repeated squaring, and a field of 2^31 is refused
+    path = write_eq(tmp_path, f"a^{exponent}*x*y^2 + S(y) - 2*y + x = 0")
+    with deadline(2):
+        got, out, err = run(capsys, ["polygon", "--eq", path, "--params", "a"])
+    assert got == code
+    if code == EXIT_OK:
+        assert f"a^{exponent}*x*y^2" in out
+    else:
+        assert "exponent of a reaches 2^31" in err
+        with pytest.raises(ResourceLimitError):
+            parse_equation(f"a^{exponent}*x", ["a"])

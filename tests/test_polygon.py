@@ -24,6 +24,15 @@ def main_polygon():
     return build_polygon(support(parse_equation(EQ_MAIN, ["a3", "a4"])))
 
 
+def selects_r(face, r) -> bool:
+    """(-1,-r) lies in a selected face's cone: the edge's own r, or the
+    open interval r_range of a vertex."""
+    if face.dim == 1:
+        return face.r == r
+    lo, hi = face.r_range
+    return (lo is None or lo < r) and (hi is None or r < hi)
+
+
 def test_main_equation_hull():
     poly = main_polygon()
     assert set(poly.hull_vertices) == {(0, 2), (0, 3), (2, 3), (2, 2)}
@@ -71,7 +80,7 @@ def test_single_point_polygon():
     sel = faces_for_x_to_zero(poly)
     assert sel == [poly.faces[0]]
     assert sel[0].r_range == (None, None)
-    assert sel[0].contains_r(F(-7, 3))
+    assert selects_r(sel[0], F(-7, 3))
 
 
 def test_horizontal_segment_polygon():
@@ -157,7 +166,7 @@ def test_cone_partition_property():
         sel = faces_for_x_to_zero(poly)
         for num in range(-12, 13):
             r = F(num, 3)
-            holders = [f for f in sel if f.contains_r(r)]
+            holders = [f for f in sel if selects_r(f, r)]
             assert len(holders) == 1, (pts, r)
 
 
