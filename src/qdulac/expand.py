@@ -379,7 +379,7 @@ def expand_solution(
     compat: dict[Fraction, bool] = {}
     for k in k_set:
         partial = PowerLogSeries(q, collected)
-        residual = evaluate_on_series(ft, partial, k)
+        residual = evaluate_on_series(ft, partial, k, k)
         theta = residual.coefficient(k)
         if k in critical_ks:
             compat[k] = theta.is_zero()

@@ -17,11 +17,15 @@ pair once, at construction: c is nonzero and every k lies above r, so the
 pair and the beta_k form one ascending term tuple.  The operator S acts on a
 series term as S(x^k beta(t)) = q^k x^k beta(t+1), so every result stays in
 the same exact-rational world as long as the needed q-powers are rational.
+Evaluation computes only an exponent window [k_min, k_max]: the expansion
+reads one coefficient per step, and products of shifted series that several
+monomials begin with are formed once, each on the exponents still needed.
 Both kinds of sum print in the text notation of `algebra.TEXT`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -238,7 +242,7 @@ class QPolynomial:
         return f"QPolynomial({self})"
 
 
-def _add_into(terms: dict, key, coeff: ParamPoly) -> None:
+def _add_into(terms: dict, key, coeff) -> None:
     prev = terms.get(key)
     terms[key] = coeff if prev is None else prev + coeff
 
@@ -348,25 +352,17 @@ def substitute_shift(
 ) -> QPolynomial:
     """The substitution y = c*x^r + z, fully expanded and merged.
 
-    Each factor S^l y becomes c*q^{l r}*x^r + S^l z; the result is a
-    q-difference sum in the new unknown.  Needs q^{l r} rational for every
-    level l that occurs (always true for integer r).
+    Each factor S^l y becomes c*q^{l r}*x^r + S^l z, and its p-th power is
+    written out by the binomial theorem; the result is a q-difference sum
+    in the new unknown.  Needs q^{l r} rational for every level l that
+    occurs (always true for integer r).
     """
     q = check_q(q)
     c = ParamPoly.coerce(c)
     r = _as_rat(r)
     if c.is_zero():
         return f.renamed(new_var_name)
-    shifted_level: dict[int, QPolynomial] = {}
-
-    def level_poly(level: int) -> QPolynomial:
-        if level not in shifted_level:
-            lead = QTerm(c * q_pow(q, level * r), r, ())
-            shifted_level[level] = QPolynomial(
-                [lead, QTerm(ParamPoly.const(1), Fraction(0), ((level, 1),))],
-                new_var_name,
-            )
-        return shifted_level[level]
+    powers: dict[tuple[int, int], QPolynomial] = {}  # (l, p) -> binomial power
 
     out = QPolynomial.zero(new_var_name)
     for term in f.terms:
@@ -374,35 +370,38 @@ def substitute_shift(
             [QTerm(term.coeff, term.x_exp, ())], new_var_name
         )
         for level, power in term.sigma_powers:
-            prod = prod * level_poly(level) ** power
+            if (level, power) not in powers:
+                lead = c * q_pow(q, level * r)
+                lead_i, terms = ParamPoly.const(1), {}
+                for i in range(power + 1):
+                    sigma = ((level, power - i),) if i < power else ()
+                    terms[r * i, sigma] = lead_i * math.comb(power, i)
+                    lead_i = lead_i * lead
+                powers[level, power] = QPolynomial._trusted(terms, new_var_name)
+            prod = prod * powers[level, power]
         out = out + prod
     return out
 
 
-def _mul_terms(a: list, b: list, cap: Fraction) -> list:
-    """Product of two ascending term lists, exponents above cap dropped."""
-    out: dict[Fraction, TPoly] = {}
-    for k1, b1 in a:
-        for k2, b2 in b:
-            k = k1 + k2
-            if k > cap:
-                break
-            out[k] = out.get(k, TPoly.zero()) + b1 * b2
-    return [(k, out[k]) for k in sorted(out) if not out[k].is_zero()]
-
-
 def evaluate_on_series(
-    f: QPolynomial, s: PowerLogSeries, k_max: Scalar
+    f: QPolynomial, s: PowerLogSeries, k_max: Scalar, k_min: Scalar | None = None
 ) -> PowerLogSeries:
-    """f evaluated at y = s, exact for all exponents <= k_max.
+    """The terms of f at y = s with exponent in [k_min, k_max], exact.
 
-    S^l keeps every exponent of `s.all_terms`, so each factor of a monomial
-    starts at the series' lowest exponent `low`; a partial product is
-    pruned only above k_max minus `low` for each factor still to come, so
-    negative exponents are handled exactly.
+    k_min None means no lower limit; k_min above k_max gives the empty
+    series.  A monomial coeff*x^e*F_1*...*F_d (F_i = S^{l_i} s, levels
+    ascending) reads its factors as the path l_1, ..., l_d of a prefix
+    tree, so monomials that share leading factors (z^2 in z^3 and in
+    z^2*S(z)) share their partial products.  Every factor's exponents lie
+    at or above the series' lowest exponent `low`, so the node at depth i
+    of that path needs only exponents up to k_max - e - (d - i)*low, the
+    largest such bound over the monomials through it; negative exponents
+    are handled exactly.  coeff and x^e multiply each monomial's window of
+    its last node once, at the end.
     """
     q = s.q
     k_max = _as_rat(k_max)
+    k_min = None if k_min is None else _as_rat(k_min)
     base = s.all_terms
     low = base[0][0] if base else Fraction(0)
     levels = {level for term in f.terms for level, _ in term.sigma_powers}
@@ -412,18 +411,43 @@ def evaluate_on_series(
     }
     shifted[0] = base
 
-    total: dict[Fraction, TPoly] = {}
+    tree: dict[tuple[int, int], list] = {}  # (parent, level) -> [node, lo, hi]
+    ends = []  # (coeff, e, last node, lo, hi) per monomial
     for term in f.terms:
-        factors = [shifted[l] for l, power in term.sigma_powers for _ in range(power)]
-        left = len(factors)
-        if term.x_exp + left * low > k_max:
+        path = [l for l, power in term.sigma_powers for _ in range(power)]
+        d, e = len(path), term.x_exp
+        lo = d * low if k_min is None else max(k_min - e, d * low)
+        if lo > k_max - e:
             continue
-        acc = [(term.x_exp, TPoly.const(term.coeff))]
-        for factor in factors:
-            left -= 1
-            acc = _mul_terms(acc, factor, k_max - left * low)
-            if not acc:
-                break
-        for k, beta in acc:
-            total[k] = total.get(k, TPoly.zero()) + beta
+        node = -1
+        for i, level in enumerate(path, 1):
+            hi = k_max - e - (d - i) * low
+            node_lo = lo if i == d else i * low
+            window = tree.get((node, level))
+            if window is None:
+                window = tree[node, level] = [len(tree), node_lo, hi]
+            else:
+                window[1] = min(window[1], node_lo)
+                window[2] = max(window[2], hi)
+            node = window[0]
+        ends.append((term.coeff, e, node, lo, k_max - e))
+
+    # node -> ascending (k, TPoly) inside its window; parents come first
+    products = {-1: [(Fraction(0), TPoly.const(1))]}
+    for (parent, level), (node, lo, hi) in tree.items():
+        out: dict[Fraction, TPoly] = {}
+        for k1, b1 in products[parent]:
+            for k2, b2 in shifted[level]:
+                k = k1 + k2
+                if k > hi:
+                    break
+                if k >= lo:
+                    _add_into(out, k, b1 * b2)
+        products[node] = [(k, out[k]) for k in sorted(out) if not out[k].is_zero()]
+
+    total: dict[Fraction, TPoly] = {}
+    for coeff, e, node, lo, hi in ends:
+        for k, beta in products[node]:
+            if lo <= k <= hi:
+                _add_into(total, k + e, beta.scale(coeff))
     return PowerLogSeries(q, total.items())

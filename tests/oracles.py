@@ -3,10 +3,12 @@
 Each function here recomputes a result by a different method than the
 library uses, so agreement is meaningful: an all-pairs halfplane hull, a
 dense Gaussian-elimination solve of the polynomial difference operator,
-a reference parameter polynomial, and a generator of random equations
-with a planted edge solution.
+a reference parameter polynomial, a brute-force evaluation of a
+q-difference sum on a power-logarithmic series, and a generator of random
+equations with a planted edge solution.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -92,8 +94,6 @@ def dense_difference_solve(coeffs, q, k, theta_coeffs, mu):
     remaining square system exactly.  Returns the coefficient list of the
     particular solution, length D + mu + 1 (or [0] for theta = 0).
     """
-    import math
-
     w = q_pow(q, k)
     target = [-c for c in theta_coeffs]
     while target and target[-1] == 0:
@@ -193,6 +193,85 @@ class ReferencePoly:
             else:
                 parts.append(("- " if c < 0 else "+ ") + body)
         return " ".join(parts) or "0"
+
+
+def _int_root(n, m):
+    """The exact m-th root of the integer n >= 0, by bisection; ValueError if none."""
+    lo, hi = 0, 1
+    while hi**m <= n:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**m <= n else (lo, mid)
+    if lo**m != n:
+        raise ValueError(f"{n} has no exact root of order {m}")
+    return lo
+
+
+def exact_rational_power(q, e):
+    """q^e for rational q > 0 and e, exactly; ValueError when irrational."""
+    q, e = F(q), F(e)
+    p = q ** e.numerator
+    return F(_int_root(p.numerator, e.denominator), _int_root(p.denominator, e.denominator))
+
+
+def _log_poly_add(a, b):
+    n = max(len(a), len(b))
+    a, b = (list(p) + [ReferencePoly()] * (n - len(p)) for p in (a, b))
+    return [x + y for x, y in zip(a, b)]
+
+
+def _log_poly_mul(a, b):
+    out = [ReferencePoly()] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _log_poly_shift_scale(beta, step, factor):
+    """factor * beta(t + step), term by term from (t + step)^d."""
+    out = [ReferencePoly()] * len(beta)
+    for d, c in enumerate(beta):
+        for i in range(d + 1):
+            scalar = ReferencePoly({(): factor * math.comb(d, i) * F(step) ** (d - i)})
+            out[i] = out[i] + c * scalar
+    return out
+
+
+def brute_force_evaluate(terms, series, q, k_max, k_min=None):
+    """f(x, y, S y, ...) at y = series, kept on [k_min, k_max].
+
+    `terms` are (coeff, e, ((level, power), ...)) for the monomials
+    coeff * x^e * prod (S^level y)^power; `series` is [(k, beta)] with each
+    beta a list of ReferencePoly coefficients of t = log_q x, low first.
+    Every product is multiplied out in full, with no pruning, and only then
+    cut to the window.  Returns {k: beta} with zero coefficients trimmed
+    and zero betas dropped.
+    """
+    total = {}
+    for coeff, e, sigma in terms:
+        prod = {F(e): [coeff]}
+        for level, power in sigma:
+            factor = [
+                (F(k), _log_poly_shift_scale(beta, level, exact_rational_power(q, level * F(k))))
+                for k, beta in series
+            ]
+            for _ in range(power):
+                new = {}
+                for k1, b1 in prod.items():
+                    for k2, b2 in factor:
+                        new[k1 + k2] = _log_poly_add(new.get(k1 + k2, []), _log_poly_mul(b1, b2))
+                prod = new
+        for k, beta in prod.items():
+            total[k] = _log_poly_add(total.get(k, []), beta)
+    out = {}
+    for k, beta in total.items():
+        while beta and not beta[-1].terms:
+            beta = beta[:-1]
+        if beta and k <= k_max and (k_min is None or k >= k_min):
+            out[k] = beta
+    return out
 
 
 def random_linear_part(rng: random.Random, q, k):

@@ -1,0 +1,122 @@
+"""The windowed evaluator against a brute-force oracle.
+
+`evaluate_on_series` prunes partial products to the exponents a window
+needs and shares them between monomials; `oracles.brute_force_evaluate`
+multiplies every product out in full with `ReferencePoly` coefficients and
+cuts the window afterwards.  The two share no code.
+"""
+
+import random
+from fractions import Fraction
+
+from oracles import ReferencePoly, brute_force_evaluate
+
+from qdulac.algebra import ParamPoly, TPoly
+from qdulac.qexpr import PowerLogSeries, QPolynomial, QTerm, evaluate_on_series
+
+F = Fraction
+CASES = 1000
+NAMES = ("a", "b")
+
+
+def _half(rng, lo, hi):
+    """A random element of (1/2)Z in [lo, hi]."""
+    return F(rng.randint(2 * lo, 2 * hi), 2)
+
+
+def _coeff(rng, parametric, nonzero=False):
+    """Equal ReferencePoly and ParamPoly values, at most two monomials."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            mono = ()
+            if parametric and rng.random() < 0.5:
+                mono = ((rng.choice(NAMES), rng.randint(1, 2)),)
+            terms[mono] = F(rng.randint(-3, 3), rng.randint(1, 2))
+        ref = ReferencePoly(terms)
+        if ref.terms or not nonzero:
+            return ref, ParamPoly(ref.terms)
+
+
+def _log_poly(rng, parametric):
+    """A nonzero log-polynomial of degree 0-2, as both representations."""
+    pairs = [_coeff(rng, parametric) for _ in range(rng.randint(1, 3) - 1)]
+    pairs.append(_coeff(rng, parametric, nonzero=True))
+    return [ref for ref, _ in pairs], TPoly([pp for _, pp in pairs])
+
+
+def _sigma(rng):
+    degree = rng.randint(0, 4)
+    powers = {}
+    for _ in range(degree):
+        level = rng.randint(0, 2)
+        powers[level] = powers.get(level, 0) + 1
+    return tuple(sorted(powers.items()))
+
+
+def _case(rng):
+    parametric = rng.random() < 0.5
+    q = rng.choice([F(1, 4), F(4), F(9, 4), F(1, 9)])
+    ks = sorted({_half(rng, -2, 3) for _ in range(rng.randint(0, 3))})
+    series = [(k, _log_poly(rng, parametric)) for k in ks]
+    base = None
+    if rng.random() < 0.5:
+        r = _half(rng, -3, 1) if not ks else ks[0] - _half(rng, 1, 2)
+        c_ref, c = _coeff(rng, parametric, nonzero=True)
+        base = (c, r)
+        ref_series = [(r, [c_ref])] + [(k, ref) for k, (ref, _) in series]
+    else:
+        ref_series = [(k, ref) for k, (ref, _) in series]
+    s = PowerLogSeries(q, [(k, tp) for k, (_, tp) in series], base_shift=base)
+
+    ref_terms, terms = [], []
+    for _ in range(rng.randint(1, 3)):
+        c_ref, c = _coeff(rng, parametric, nonzero=True)
+        e, sigma = _half(rng, -2, 2), _sigma(rng)
+        ref_terms.append((c_ref, e, sigma))
+        terms.append(QTerm(c, e, sigma))
+    # merged like terms must agree with the oracle, which keeps them apart
+    f = QPolynomial(terms)
+
+    k_max = _half(rng, -4, 6)
+    lowest = ref_series[0][0] if ref_series else F(0)
+    k_min = rng.choice(
+        [
+            None,
+            lowest * 4 - 10,
+            _half(rng, -4, 6) if rng.random() < 0.5 else k_max - F(1, 2),
+            k_max,
+            k_max + _half(rng, 1, 2),
+        ]
+    )
+    return f, s, k_max, k_min, (ref_terms, ref_series, q)
+
+
+def _as_reference(series):
+    return {
+        k: [ReferencePoly(dict(c.items())) for c in beta.coeffs]
+        for k, beta in series.terms
+    }
+
+
+def _same(got, want):
+    return got.keys() == want.keys() and all(
+        len(got[k]) == len(want[k])
+        and all(g.terms == w.terms for g, w in zip(got[k], want[k]))
+        for k in got
+    )
+
+
+def test_windowed_evaluation_matches_brute_force():
+    rng = random.Random(1301)
+    nonempty = 0
+    for case in range(CASES):
+        f, s, k_max, k_min, (ref_terms, ref_series, q) = _case(rng)
+        got = evaluate_on_series(f, s, k_max, k_min)
+        assert got.base_shift is None
+        want = brute_force_evaluate(ref_terms, ref_series, q, k_max, k_min)
+        assert _same(_as_reference(got), want), (case, str(f), str(s), k_max, k_min)
+        nonempty += bool(want)
+    # a fifth of the windows start above k_max; most others hold terms
+    assert nonempty > CASES // 3
+

@@ -426,6 +426,9 @@ def test_expand_verbatim_difference_equations():
         )
         theta = evaluate_on_series(ft, below, k).coefficient(k)
         assert (apply_difference_operator(L, q, k, beta) + theta).is_zero()
+        window = evaluate_on_series(ft, below, k, k)
+        assert window.coefficient(k) == theta
+        assert all(kk == k for kk, _ in window.terms)
 
 
 def test_expand_remark2_log_free_implication():

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qdulac.algebra import ParamPoly, TPoly
+from qdulac.algebra import ParamPoly, TPoly, q_pow
 from qdulac.errors import EmptySupportError, ParseError
 from qdulac.parser import parse_equation, parse_param_expr
 from qdulac.qexpr import (
@@ -209,6 +210,66 @@ def test_substitute_shift_is_ring_homomorphism():
         assert sub(f + g) == sub(f) + sub(g)
 
 
+def _shift_by_repeated_products(f, c, r, q):
+    """substitute_shift as it was first written: each (c q^{l r} x^r + S^l z)
+    raised to its power by multiplying it in once per factor."""
+    out = QPolynomial.zero("z")
+    for term in f.terms:
+        prod = QPolynomial([QTerm(term.coeff, term.x_exp, ())], "z")
+        for level, power in term.sigma_powers:
+            factor = QPolynomial(
+                [
+                    QTerm(c * q_pow(q, level * r), r, ()),
+                    QTerm(ParamPoly.const(1), F(0), ((level, 1),)),
+                ],
+                "z",
+            )
+            for _ in range(power):
+                prod = prod * factor
+        out = out + prod
+    return out
+
+
+def test_substitute_shift_binomial_powers():
+    q = F(1, 4)  # q^(l r) is rational for r = 1/2
+    a = ParamPoly.symbol("a")
+    c = a * F(2, 3) - 1
+    coeff = a + F(1, 2)
+    for r in (F(-1), F(0), F(1, 2)):
+        for level in range(3):
+            for power in range(8):
+                sigma = ((level, power),) if power else ()
+                f = QPolynomial([QTerm(coeff, F(1), sigma)])
+                got = substitute_shift(f, c, r, q)
+                assert got == _shift_by_repeated_products(f, c, r, q), (r, level, power)
+        # several levels in one monomial, and two monomials sharing a power
+        f = QPolynomial(
+            [
+                QTerm(coeff, F(0), ((0, 2), (1, 3), (2, 1))),
+                QTerm(ParamPoly.const(3), F(2), ((1, 3),)),
+            ]
+        )
+        assert substitute_shift(f, c, r, q) == _shift_by_repeated_products(f, c, r, q)
+
+
+def test_substitute_shift_high_y_degree():
+    f = parse_equation("x*y^800 + S(y) - 2*y + x")
+    c, q = F(2, 3), F(1, 2)
+    got = substitute_shift(f, c, 1, q)
+    # x*(c x + z)^800 by the binomial theorem; the x terms of c*q*x - 2*c*x + x
+    # cancel, leaving S(z) - 2*z
+    want = {
+        (F(1 + i), ((0, 800 - i),) if i < 800 else ()): math.comb(800, i) * c**i
+        for i in range(801)
+    }
+    want[F(0), ((1, 1),)] = F(1)
+    want[F(0), ((0, 1),)] = F(-2)
+    assert len(got.terms) == 803
+    assert {
+        (t.x_exp, t.sigma_powers): t.coeff.constant_value() for t in got.terms
+    } == want
+
+
 def test_series_normalization():
     t = TPoly.variable()
     s = PowerLogSeries(F(1, 2), [(1, t), (0, TPoly.const(2)), (1, -t)])
@@ -264,6 +325,14 @@ def test_sigma_action_on_single_term():
     out = evaluate_on_series(f, s, 5)
     assert [k for k, _ in out.terms] == [F(2)]
     assert out.coefficient(2) == t.shift(1) / 4
+    for k_min in (-3, 2, F(3, 2)):
+        assert evaluate_on_series(f, s, 5, k_min) == out
+    assert evaluate_on_series(f, s, 2, 2) == out
+    for k_min in (F(5, 2), 5, 6):
+        assert not evaluate_on_series(f, s, 5, k_min).terms
+    for k_min in (2.0, 0.5, "2"):
+        with pytest.raises(TypeError):
+            evaluate_on_series(f, s, 5, k_min)
 
 
 def test_evaluate_constant_series_on_main_equation():
@@ -272,6 +341,10 @@ def test_evaluate_constant_series_on_main_equation():
     out = evaluate_on_series(f, s, 10)
     assert [k for k, _ in out.terms] == [F(1)]
     assert out.coefficient(1) == TPoly.const(ParamPoly.symbol("a3") * 2)
+    assert evaluate_on_series(f, s, 10, 1) == out
+    assert evaluate_on_series(f, s, 1, 1) == out
+    assert not evaluate_on_series(f, s, 10, 2).terms
+    assert not evaluate_on_series(f, s, 0).terms
 
 
 def test_evaluate_first_order_partial_sum_cancels():
@@ -288,6 +361,13 @@ def test_evaluate_respects_negative_exponents():
     out = evaluate_on_series(f, s, 0)
     assert [k for k, _ in out.terms] == [F(-2), F(0)]
     assert out.coefficient(0) == TPoly.const(2)
+    assert evaluate_on_series(f, s, 0, -2) == out
+    assert evaluate_on_series(f, s, 2, -2).coefficient(2) == TPoly.const(1)
+    assert [k for k, _ in evaluate_on_series(f, s, 0, -1).terms] == [F(0)]
+    assert [k for k, _ in evaluate_on_series(f, s, -2, -2).terms] == [F(-2)]
+    assert [k for k, _ in evaluate_on_series(f, s, 2, 0).terms] == [F(0), F(2)]
+    assert not evaluate_on_series(f, s, -1, -1).terms
+    assert not evaluate_on_series(f, s, -2, 0).terms
 
 
 def test_evaluate_is_multiplicative():
