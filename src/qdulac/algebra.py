@@ -14,6 +14,9 @@ sit two polynomial layers:
                the auxiliary variables w = q^r, c and s when a univariate
                polynomial over the parameter ring is needed.
 
+Products and sums of products in both layers run through one kernel,
+`_sum_products`: one accumulator and one gcd per result.
+
 The module also provides the number-theoretic helpers of the expansion
 engine, none of which factors an integer, so each runs in time polynomial
 in the bit size of its input:
@@ -116,8 +119,8 @@ class ParamPoly:
     Stored fraction-free, as FLINT's fmpq_mpoly is: `_nums` maps each
     monomial to a nonzero int numerator and `_den` is one positive int
     denominator, with gcd(den, *numerators) == 1; the zero polynomial is
-    {} over 1.  That form is unique, so equality and hashing compare it,
-    and each arithmetic result pays one gcd, not one per coefficient.
+    {} over 1.  That form is unique, so equality and hashing compare it;
+    `_sum_products` forms each product, paying one gcd per result.
     A monomial is a packed int key (Monagan and Pearce): registry slot i's
     exponent in bits [32*i, 32*i + 32), so a monomial product is one
     addition; a field reaching 2^31 raises ResourceLimitError.  The public
@@ -238,19 +241,7 @@ class ParamPoly:
         return ParamPoly.coerce(other)._add(self, -1)
 
     def __mul__(self, other) -> "ParamPoly":
-        other = ParamPoly.coerce(other)
-        out: dict[int, int] = {}
-        for m1, n1 in self._nums.items():
-            for m2, n2 in other._nums.items():
-                mono = m1 + m2
-                out[mono] = out.get(mono, 0) + n1 * n2
-        seen = 0
-        for mono in out:
-            seen |= mono
-        if seen & _guard:
-            name = _NAMES[((seen & _guard).bit_length() - 1) // _FIELD_BITS]
-            raise ResourceLimitError(f"exponent of {name} reaches 2^31")
-        return ParamPoly._trusted(out, self._den * other._den)
+        return _sum_products(((self, ParamPoly.coerce(other)),))
 
     __rmul__ = __mul__
 
@@ -305,6 +296,36 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
 
+def _sum_products(pairs: Iterable[tuple[ParamPoly, ParamPoly]]) -> ParamPoly:
+    """The sum of a*b over the pairs, in one accumulator: int numerators
+    over a running common denominator, rescaled only when a pair's
+    a._den*b._den does not divide it; one exponent guard and one gcd."""
+    out: dict[int, int] = {}
+    get, den = out.get, 1
+    for a, b in pairs:
+        if not (a._nums and b._nums):
+            continue
+        d = a._den * b._den
+        if den % d:
+            up = d // math.gcd(den, d)
+            den *= up
+            for mono in out:
+                out[mono] *= up
+        s = den // d
+        for m1, n1 in a._nums.items():
+            n1 *= s
+            for m2, n2 in b._nums.items():
+                mono = m1 + m2
+                out[mono] = get(mono, 0) + n1 * n2
+    seen = 0
+    for mono in out:
+        seen |= mono
+    if seen & _guard:
+        name = _NAMES[((seen & _guard).bit_length() - 1) // _FIELD_BITS]
+        raise ResourceLimitError(f"exponent of {name} reaches 2^31")
+    return ParamPoly._trusted(out, den)
+
+
 def _power(base, exponent: int, one):
     """base**exponent by repeated squaring; squaring only while bits remain
     builds no factor above the result (a^(2^31 - 1) never forms a^(2^31))."""
@@ -324,16 +345,26 @@ class TPoly:
     """Univariate polynomial over ParamPoly, low degree first.
 
     Houses the log-polynomials beta_k(t); by convention the degree of the
-    zero polynomial is 0.
+    zero polynomial is 0.  The public constructor coerces each coefficient;
+    arithmetic results are trusted and only drop trailing zeros.  Products
+    and shifts gather, per t-degree, every ParamPoly product that lands
+    there and hand them to one `_sum_products` call, so each coefficient
+    of a result has one accumulator and pays one gcd.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[ParamPoly | Scalar] = ()):
-        cs = [ParamPoly.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self._coeffs = tuple(cs)
+        self._coeffs = TPoly._trusted([ParamPoly.coerce(c) for c in coeffs])._coeffs
+
+    @classmethod
+    def _trusted(cls, coeffs: list[ParamPoly]) -> "TPoly":
+        """An arithmetic result: ParamPoly coefficients, trailing zeros dropped."""
+        while coeffs and not coeffs[-1]._nums:
+            coeffs.pop()
+        out = cls.__new__(cls)
+        out._coeffs = tuple(coeffs)
+        return out
 
     @classmethod
     def zero(cls) -> "TPoly":
@@ -346,6 +377,18 @@ class TPoly:
     @classmethod
     def variable(cls) -> "TPoly":
         return cls([ParamPoly.zero(), ParamPoly.const(1)])
+
+    @staticmethod
+    def sum_of_products(pairs: Iterable[tuple["TPoly", "TPoly"]]) -> "TPoly":
+        """The sum of a*b over the pairs: one kernel call per t-degree."""
+        by_degree: list[list] = []
+        for a, b in pairs:
+            for i, x in enumerate(a._coeffs):
+                for j, y in enumerate(b._coeffs, i):
+                    if j == len(by_degree):
+                        by_degree.append([])
+                    by_degree[j].append((x, y))
+        return TPoly._trusted([_sum_products(p) for p in by_degree])
 
     @property
     def coeffs(self) -> tuple[ParamPoly, ...]:
@@ -368,51 +411,49 @@ class TPoly:
 
     def __add__(self, other: "TPoly") -> "TPoly":
         n = max(len(self._coeffs), len(other._coeffs))
-        return TPoly(
-            [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
+        return TPoly._trusted([self.coeff(i) + other.coeff(i) for i in range(n)])
 
     def __neg__(self) -> "TPoly":
-        return TPoly([-c for c in self._coeffs])
+        return TPoly._trusted([-c for c in self._coeffs])
 
     def __sub__(self, other: "TPoly") -> "TPoly":
         return self + (-other)
 
     def __mul__(self, other: "TPoly") -> "TPoly":
-        if self.is_zero() or other.is_zero():
-            return TPoly.zero()
-        out = [ParamPoly.zero()] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            for j, b in enumerate(other._coeffs):
-                out[i + j] = out[i + j] + a * b
-        return TPoly(out)
+        return TPoly.sum_of_products(((self, other),))
 
     def scale(self, factor: ParamPoly | Scalar) -> "TPoly":
         factor = ParamPoly.coerce(factor)
-        return TPoly([c * factor for c in self._coeffs])
+        return TPoly._trusted([c * factor for c in self._coeffs])
 
     def __truediv__(self, scalar) -> "TPoly":
         scalar = _as_rat(scalar)
-        return TPoly([c / scalar for c in self._coeffs])
+        return TPoly._trusted([c / scalar for c in self._coeffs])
 
-    def shift(self, step: Scalar) -> "TPoly":
-        """Composition t -> t + step (the shift operator T applied `step` times)."""
-        step = _as_rat(step)
-        if step == 0 or self.is_zero():
-            return self
+    def shift(self, step: Scalar, factor: Scalar = 1) -> "TPoly":
+        """factor * beta(t + step): the shift operator T applied `step` times."""
+        return self.shift_sum({step: factor})
+
+    def shift_sum(self, weights: Mapping[Scalar, Scalar]) -> "TPoly":
+        """The sum of weights[j] * beta(t + j) over j, in one pass.
+
+        Expanding (t + j)^d binomially, t^i collects beta_d times
+        comb(d, i) * M_{d-i} with the moment M_m = sum_j weights[j] * j^m.
+        """
+        ws = [(_as_rat(j), _as_rat(w)) for j, w in weights.items()]
         n = len(self._coeffs)
-        out = [ParamPoly.zero()] * n
-        for d, c in enumerate(self._coeffs):
-            if c.is_zero():
-                continue
-            # (t + step)^d expanded binomially
-            for i in range(d + 1):
-                out[i] = out[i] + c * (math.comb(d, i) * step ** (d - i))
-        return TPoly(out)
+        moments = [sum((w * j**m for j, w in ws), Fraction(0)) for m in range(n)]
+        return TPoly._trusted([
+            _sum_products(
+                (c, ParamPoly.const(math.comb(d, i) * moments[d - i]))
+                for d, c in enumerate(self._coeffs[i:], i)
+            )
+            for i in range(n)
+        ])
 
     def evaluate_coeffs(self, assignment: Mapping[str, Scalar]) -> "TPoly":
         """Bind all parameter symbols, leaving a rational-coefficient TPoly."""
-        return TPoly([ParamPoly.const(c.evaluate(assignment)) for c in self._coeffs])
+        return TPoly._trusted([ParamPoly.const(c.evaluate(assignment)) for c in self._coeffs])
 
     def rational_coeffs(self) -> list[Fraction]:
         """Coefficient list as plain rationals; error if any is non-constant."""

@@ -37,6 +37,7 @@ from .algebra import (
     ParamPoly,
     TPoly,
     _as_rat,
+    _sum_products,
     check_q,
     q_log,
     q_pow,
@@ -253,12 +254,7 @@ def k_lattice(h_support, criticals, r, k_max) -> list:
 def apply_difference_operator(L: LinearPart, q, k, beta: TPoly) -> TPoly:
     """L(q^k T) applied to beta: sum_j a_j q^{jk} beta(t + j)."""
     w = q_pow(check_q(q), _as_rat(k))
-    out = TPoly.zero()
-    for j, a in enumerate(L.coeffs):
-        if a == 0:
-            continue
-        out = out + beta.shift(j).scale(a * w**j)
-    return out
+    return beta.shift_sum({j: a * w**j for j, a in enumerate(L.coeffs) if a})
 
 
 def constant_namer(taken: Iterable[str]) -> Callable[[], str]:
@@ -292,9 +288,8 @@ def solve_poly_difference(
     k = _as_rat(k)
     w = q_pow(q, k)
     mu = L.root_multiplicity(w)
-    target = tuple(-c for c in theta.coeffs)
-    if target:
-        deg = len(target) - 1
+    if not theta.is_zero():
+        deg = theta.degree()
         size = deg + mu + 1
         moments = [
             sum(
@@ -307,10 +302,10 @@ def solve_poly_difference(
             raise InternalInvariantError(f"moment criterion broken at k = {k}")
         b = [ParamPoly.zero()] * size
         for i in range(deg, -1, -1):
-            acc = target[i]
-            for d in range(i + mu + 1, size):
-                acc = acc - b[d] * (math.comb(d, i) * moments[d - i])
-            b[i + mu] = acc / (math.comb(i + mu, i) * moments[mu])
+            lead = -math.comb(i + mu, i) * moments[mu]
+            terms = [(b[d], math.comb(d, i) * moments[d - i]) for d in range(i + mu + 1, size)]
+            terms.append((theta.coeffs[i], 1))
+            b[i + mu] = _sum_products((c, ParamPoly.const(m / lead)) for c, m in terms)
     else:
         b = [ParamPoly.zero()] * mu
     names = []

@@ -397,7 +397,8 @@ def evaluate_on_series(
     of that path needs only exponents up to k_max - e - (d - i)*low, the
     largest such bound over the monomials through it; negative exponents
     are handled exactly.  coeff and x^e multiply each monomial's window of
-    its last node once, at the end.
+    its last node once, at the end.  Each (k, t-degree) coefficient sums
+    all the products landing there in one pass, normalized once.
     """
     q = s.q
     k_max = _as_rat(k_max)
@@ -406,7 +407,7 @@ def evaluate_on_series(
     low = base[0][0] if base else Fraction(0)
     levels = {level for term in f.terms for level, _ in term.sigma_powers}
     shifted = {
-        level: [(k, beta.shift(level).scale(q_pow(q, level * k))) for k, beta in base]
+        level: [(k, beta.shift(level, q_pow(q, level * k))) for k, beta in base]
         for level in levels - {0}
     }
     shifted[0] = base
@@ -435,19 +436,21 @@ def evaluate_on_series(
     # node -> ascending (k, TPoly) inside its window; parents come first
     products = {-1: [(Fraction(0), TPoly.const(1))]}
     for (parent, level), (node, lo, hi) in tree.items():
-        out: dict[Fraction, TPoly] = {}
+        pairs: dict[Fraction, list] = {}
         for k1, b1 in products[parent]:
             for k2, b2 in shifted[level]:
                 k = k1 + k2
                 if k > hi:
                     break
                 if k >= lo:
-                    _add_into(out, k, b1 * b2)
-        products[node] = [(k, out[k]) for k in sorted(out) if not out[k].is_zero()]
+                    pairs.setdefault(k, []).append((b1, b2))
+        sums = ((k, TPoly.sum_of_products(pairs[k])) for k in sorted(pairs))
+        products[node] = [(k, beta) for k, beta in sums if not beta.is_zero()]
 
-    total: dict[Fraction, TPoly] = {}
+    total: dict[Fraction, list] = {}
     for coeff, e, node, lo, hi in ends:
+        coeff = TPoly._trusted([coeff])
         for k, beta in products[node]:
             if lo <= k <= hi:
-                _add_into(total, k + e, beta.scale(coeff))
-    return PowerLogSeries(q, total.items())
+                total.setdefault(k + e, []).append((coeff, beta))
+    return PowerLogSeries(q, [(k, TPoly.sum_of_products(p)) for k, p in total.items()])
