@@ -422,14 +422,6 @@ class TPoly:
     def __mul__(self, other: "TPoly") -> "TPoly":
         return TPoly.sum_of_products(((self, other),))
 
-    def scale(self, factor: ParamPoly | Scalar) -> "TPoly":
-        factor = ParamPoly.coerce(factor)
-        return TPoly._trusted([c * factor for c in self._coeffs])
-
-    def __truediv__(self, scalar) -> "TPoly":
-        scalar = _as_rat(scalar)
-        return TPoly._trusted([c / scalar for c in self._coeffs])
-
     def shift(self, step: Scalar, factor: Scalar = 1) -> "TPoly":
         """factor * beta(t + step): the shift operator T applied `step` times."""
         return self.shift_sum({step: factor})

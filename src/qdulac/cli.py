@@ -685,7 +685,7 @@ def cmd_plot(args) -> int:
 # -- argument parsing
 
 
-def _add_common(sub, *, q: bool, face: bool, kmax: bool) -> None:
+def _add_equation(sub) -> None:
     sub.add_argument("--eq", required=True, help="equation file (DSL, UTF-8)")
     sub.add_argument(
         "--params",
@@ -693,6 +693,10 @@ def _add_common(sub, *, q: bool, face: bool, kmax: bool) -> None:
         type=_split_params,
         help="comma-separated parameter names",
     )
+
+
+def _add_common(sub, *, q: bool, face: bool, kmax: bool) -> None:
+    _add_equation(sub)
     if q:
         sub.add_argument("--q", required=True, help="the base q, as p/m")
     if face:
@@ -750,13 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_verify)
 
     sub = commands.add_parser("plot", help="render the Newton polygon as SVG")
-    sub.add_argument("--eq", required=True, help="equation file (DSL, UTF-8)")
-    sub.add_argument(
-        "--params",
-        default="",
-        type=_split_params,
-        help="comma-separated parameter names",
-    )
+    _add_equation(sub)
     sub.add_argument("--svg", required=True, help="output SVG path")
     sub.set_defaults(func=cmd_plot)
 

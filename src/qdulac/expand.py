@@ -27,6 +27,7 @@ recursion, instead of silently approximating.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -204,7 +205,9 @@ def k_lattice(h_support, criticals, r, k_max) -> list:
 
     Seeds: the critical numbers and the abscissas of z-free support points
     (q1, 0).  Closure: k = q1 + l_1 + ... + l_{q2} for every support point
-    (q1, q2) with q2 >= 1 and l_i already generated.
+    (q1, q2) with q2 >= 1 and l_i already generated.  Exponents are ints
+    scaled by the lcm of all denominators; each round forms the q2-fold
+    sums one summand at a time, pruned by min(K) times the summands left.
     """
     r = _as_rat(r)
     k_max = _as_rat(k_max)
@@ -218,37 +221,20 @@ def k_lattice(h_support, criticals, r, k_max) -> list:
             if q2.denominator != 1:
                 raise ValueError(f"non-integer y-degree in support: {point}")
             generators.append((q1, int(q2)))
-    pool = sorted(k for k in seeds if r <= k <= k_max)
-    known = set(pool)
-
-    def sums(q1: Fraction, d: int, elems: list) -> set:
-        if not elems:
-            return set()
-        low = elems[0]
-        found = set()
-
-        def rec(start: int, remaining: int, acc: Fraction):
-            if acc + remaining * low > k_max:
-                return
-            if remaining == 0:
-                found.add(acc)
-                return
-            for j in range(start, len(elems)):
-                rec(j, remaining - 1, acc + elems[j])
-
-        rec(0, d, q1)
-        return found
-
-    changed = True
-    while changed:
-        changed = False
-        elems = sorted(known)
+    scale = math.lcm(r.denominator, *(k.denominator for k in seeds),
+                     *(q1.denominator for q1, _ in generators))
+    low, cap = int(r * scale), math.floor(k_max * scale)
+    known = {s for s in (int(k * scale) for k in seeds) if low <= s <= cap}
+    size = 0
+    while len(known) > size:
+        size, elems = len(known), sorted(known)
         for q1, d in generators:
-            for k in sums(q1, d, elems):
-                if r <= k <= k_max and k not in known:
-                    known.add(k)
-                    changed = True
-    return sorted(k for k in known if k > r)
+            sums = {int(q1 * scale)}
+            for left in range(d - 1, -1, -1):
+                bound = cap - left * elems[0]
+                sums = {s + k for s in sums for k in elems[: bisect_right(elems, bound - s)]}
+            known.update(s for s in sums if s >= low)
+    return sorted(Fraction(s, scale) for s in known if s > low)
 
 
 def apply_difference_operator(L: LinearPart, q, k, beta: TPoly) -> TPoly:
@@ -361,7 +347,7 @@ def expand_solution(
     criticals = crit.criticals()
     h_support = set() if h.is_zero() else support(h)
     k_set = k_lattice(h_support, [k for k, _ in criticals], r, k_max)
-    denom = math.lcm(r.denominator, *(k.denominator for k in k_set)) if k_set else r.denominator
+    denom = math.lcm(r.denominator, *(k.denominator for k in k_set))
     q_pow(q, Fraction(1, denom))  # exactness gate; raises when irrational
 
     taken = ts.c.symbols()

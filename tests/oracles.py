@@ -4,15 +4,16 @@ Each function here recomputes a result by a different method than the
 library uses, so agreement is meaningful: an all-pairs halfplane hull, a
 dense Gaussian-elimination solve of the polynomial difference operator,
 a reference parameter polynomial, a brute-force evaluation of a
-q-difference sum on a power-logarithmic series, and a generator of random
-equations with a planted edge solution.
+q-difference sum on a power-logarithmic series, a recursive multiset
+enumerator of the exponent set K, and a generator of random equations
+with a planted edge solution.
 """
 
 import math
 import random
 from fractions import Fraction
 
-from qdulac.algebra import ParamPoly, q_pow
+from qdulac.algebra import ParamPoly, _as_rat, q_pow
 from qdulac.qexpr import QPolynomial, QTerm
 
 F = Fraction
@@ -272,6 +273,96 @@ def brute_force_evaluate(terms, series, q, k_max, k_min=None):
         if beta and k <= k_max and (k_min is None or k >= k_min):
             out[k] = beta
     return out
+
+
+def reference_k_lattice(h_support, criticals, r, k_max) -> list:
+    """The exponent set K within (r, k_max] by multiset enumeration.
+
+    Each round of the fixed-point loop re-enumerates, for every support
+    point (q1, q2) with q2 >= 1, every multiset of q2 known exponents by
+    recursion, pruning a partial sum once the summands left, each at
+    least the smallest known exponent, would overshoot k_max.
+    """
+    r = _as_rat(r)
+    k_max = _as_rat(k_max)
+    seeds = {_as_rat(k) for k in criticals}
+    generators = []
+    for point in h_support:
+        q1, q2 = _as_rat(point[0]), _as_rat(point[1])
+        if q2 == 0:
+            seeds.add(q1)
+        else:
+            if q2.denominator != 1:
+                raise ValueError(f"non-integer y-degree in support: {point}")
+            generators.append((q1, int(q2)))
+    pool = sorted(k for k in seeds if r <= k <= k_max)
+    known = set(pool)
+
+    def sums(q1: Fraction, d: int, elems: list) -> set:
+        if not elems:
+            return set()
+        low = elems[0]
+        found = set()
+
+        def rec(start: int, remaining: int, acc: Fraction):
+            if acc + remaining * low > k_max:
+                return
+            if remaining == 0:
+                found.add(acc)
+                return
+            for j in range(start, len(elems)):
+                rec(j, remaining - 1, acc + elems[j])
+
+        rec(0, d, q1)
+        return found
+
+    changed = True
+    while changed:
+        changed = False
+        elems = sorted(known)
+        for q1, d in generators:
+            for k in sums(q1, d, elems):
+                if r <= k <= k_max and k not in known:
+                    known.add(k)
+                    changed = True
+    return sorted(k for k in known if k > r)
+
+
+def random_k_lattice_input(rng: random.Random):
+    """Random (h_support, criticals, r, k_max) for k_lattice.
+
+    r lies in [-2, 2], denominators are 1-3 and y-degrees 0-3.  A support
+    point (q1, q2) with q2 >= 1 keeps q1 + r*(q2 - 1) >= 0, strictly when
+    q2 = 1, as check_exponent_order demands of every expansion.  About
+    one seed in fifty has denominator 1000003, one case in a hundred
+    carries a float (refused with TypeError) and one in a hundred a
+    non-integer y-degree (ValueError).
+    """
+
+    def den():
+        return rng.randint(1, 3)
+
+    def seed():
+        d = 1000003 if rng.random() < 0.02 else den()
+        return r + F(rng.randint(-d, 4 * d), d)
+
+    d = den()
+    r = F(rng.randint(-2 * d, 2 * d), d)
+    k_max = r + F(rng.randint(1, 12), 3)
+    support = []
+    for _ in range(rng.randint(0, 6)):
+        q2 = rng.randint(0, 3)
+        if q2 == 0:
+            support.append((seed(), F(0)))
+        else:
+            q1 = -r * (q2 - 1) + F(rng.randint(int(q2 == 1), 6), den())
+            support.append((q1, F(q2)))
+    if rng.random() < 0.01:
+        support.append((F(1), F(rng.randint(1, 5), 2)))
+    criticals = [seed() for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.01:
+        criticals.append(0.5)
+    return support, criticals, r, k_max
 
 
 def random_linear_part(rng: random.Random, q, k):

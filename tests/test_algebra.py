@@ -100,7 +100,7 @@ def test_tpoly_shift_binomial():
     # (t^2): shift by 1 gives t^2 + 2t + 1
     t = TPoly.variable()
     p = t * t
-    assert p.shift(1) == t * t + t.scale(2) + TPoly.const(1)
+    assert p.shift(1) == t * t + t * TPoly.const(2) + TPoly.const(1)
     # shift by a rational step
     assert (t * t).shift(F(1, 2)) == t * t + t + TPoly.const(F(1, 4))
     # shifts compose additively
@@ -273,8 +273,8 @@ def test_tpoly_str_forms():
     t = TPoly.variable()
     a3 = ParamPoly.symbol("a3")
     C1 = ParamPoly.symbol("C1")
-    p = t.scale(a3 * 2) + TPoly.const(C1)
+    p = t * TPoly.const(a3 * 2) + TPoly.const(C1)
     assert p.to_string() == "2*a3*t + C1"
     assert TPoly.zero().to_string() == "0"
-    q = t.scale(a3 + 1) + TPoly.const(2)
+    q = t * TPoly.const(a3 + 1) + TPoly.const(2)
     assert q.to_string() == "(1 + a3)*t + 2"

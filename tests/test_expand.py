@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_difference_solve, random_linear_part
+from oracles import (
+    dense_difference_solve,
+    random_k_lattice_input,
+    random_linear_part,
+    reference_k_lattice,
+)
 from qdulac.algebra import ParamPoly, TPoly, q_pow
 from qdulac.errors import (
     ExponentOrderError,
@@ -206,6 +211,33 @@ def test_k_lattice_half_integer_case():
 
 def test_k_lattice_no_seeds():
     assert k_lattice({(F(1), F(2))}, [], 0, 5) == []
+
+
+def test_k_lattice_matches_reference_enumerator():
+    rng = random.Random(2024)
+    raised = {}
+    for _ in range(3000):
+        args = random_k_lattice_input(rng)
+        try:
+            expected = reference_k_lattice(*args)
+        except (TypeError, ValueError) as err:
+            with pytest.raises(type(err)):
+                k_lattice(*args)
+            raised[type(err)] = raised.get(type(err), 0) + 1
+            continue
+        assert k_lattice(*args) == expected, args
+    assert set(raised) == {TypeError, ValueError}
+
+
+def test_k_lattice_quintic_matches_reference_enumerator():
+    # the quintic on its edge (0,1)-(1,0): y = 2/3 x + z, no critical numbers
+    f = parse_equation("S(y) - 2*y + x + x*y^5 + x*y^4 + x*y^3")
+    ft = substitute_shift(f, ParamPoly.const(F(2, 3)), F(1), F(1, 2), "z")
+    _, h = extract_linear_part(ft.shift_x(-ft.min_x_exponent()))
+    for k_max in (5, 20):
+        ks = k_lattice(support(h), [], 1, k_max)
+        assert ks == reference_k_lattice(support(h), [], 1, k_max)
+        assert ks == [F(k) for k in range(4, k_max + 1)]
 
 
 def test_k_lattice_closure_property():

@@ -128,7 +128,7 @@ def test_tpoly_sum_of_products(pairs):
 def test_shift_fused_with_scale(beta, step, factor):
     got = tpoly(beta).shift(step, factor)
     assert_tpoly(got, _log_poly_shift_scale(beta, step, factor))
-    assert got == tpoly(beta).shift(step).scale(factor)
+    assert got == tpoly(beta).shift(step) * TPoly.const(factor)
 
 
 @relaxed
