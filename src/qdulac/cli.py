@@ -6,7 +6,9 @@ text (default), json (schemas below), latex; expressions in text and
 LaTeX are written by the two styles of `algebra.Notation`, TEXT and
 LATEX, so both formats share one notation.  Exit codes: 0 success,
 1 verification failure, 2 input error, 3 structural-hypothesis or
-irrationality violation.
+irrationality violation.  Each `QDulacError` class carries its own code
+as `exit_code` (see `errors`); `main` returns it, and maps OSError,
+ValueError and ZeroDivisionError to 2.
 """
 
 from __future__ import annotations
@@ -26,20 +28,7 @@ from .algebra import (
     q_log,
     rat_str,
 )
-from .errors import (
-    DegreeBoundError,
-    EmptySupportError,
-    IndeterminateEquationError,
-    InternalInvariantError,
-    InvalidQError,
-    IrrationalQPowerError,
-    LinearPartError,
-    ParseError,
-    ReservedSymbolError,
-    ResourceLimitError,
-    TruncatedSolutionError,
-    UnboundSymbolError,
-)
+from .errors import QDulacError
 from .expand import ExpansionResult, expand_solution, verify_residual
 from .parser import parse_equation, parse_param_expr
 from .polygon import (
@@ -57,26 +46,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
-
-_INPUT_ERRORS = (
-    ParseError,
-    InvalidQError,
-    ReservedSymbolError,
-    UnboundSymbolError,
-    TruncatedSolutionError,
-    IndeterminateEquationError,
-    EmptySupportError,
-    OSError,
-    ValueError,
-    ZeroDivisionError,
-)
-_HYPOTHESIS_ERRORS = (
-    LinearPartError,  # includes vertex, coefficient, and exponent-order cases
-    IrrationalQPowerError,
-    ResourceLimitError,
-    DegreeBoundError,
-    InternalInvariantError,
-)
 
 # -- JSON schemas (draft-07); rationals are reduced "p" or "p/m" strings
 
@@ -300,13 +269,13 @@ def _tpoly_json(beta: TPoly, power_key: str) -> list:
     ]
 
 
-def _tpoly_from_json(entries, power_key: str) -> TPoly:
+def _tpoly_from_json(entries) -> TPoly:
     if not entries:
         return TPoly.zero()
-    top = max(int(e[power_key]) for e in entries)
+    top = max(int(e["t_power"]) for e in entries)
     coeffs = [ParamPoly.zero()] * (top + 1)
     for entry in entries:
-        coeffs[int(entry[power_key])] = _poly_from_json(entry["coeff"])
+        coeffs[int(entry["t_power"])] = _poly_from_json(entry["coeff"])
     return TPoly(coeffs)
 
 
@@ -346,7 +315,7 @@ def series_from_json(doc: dict) -> PowerLogSeries:
     return PowerLogSeries(
         parse_rat(doc["q"]),
         [
-            (parse_rat(term["k"]), _tpoly_from_json(term["beta"], "t_power"))
+            (parse_rat(term["k"]), _tpoly_from_json(term["beta"]))
             for term in doc["terms"]
         ],
         base_shift=(_poly_from_json(doc["c"]), parse_rat(doc["r"])),
@@ -514,7 +483,7 @@ def cmd_polygon(args) -> int:
         for face in polygon.faces:
             print(f"% {_face_text(face)}")
         return EXIT_OK
-    print(f"equation: {format_qpolynomial(f, f.var)}")
+    print(f"equation: {format_qpolynomial(f)}")
     print("support:")
     for p in sorted(polygon.support):
         print(f"  ({rat_str(p[0])}, {rat_str(p[1])})")
@@ -530,7 +499,7 @@ def cmd_polygon(args) -> int:
 def _truncate_face_json(analysis: FaceAnalysis) -> dict:
     return {
         "face": _face_json(analysis.face),
-        "truncated": format_qpolynomial(analysis.truncated, "y"),
+        "truncated": format_qpolynomial(analysis.truncated),
         "variable": analysis.variable,
         "poly": None
         if analysis.poly is None
@@ -576,7 +545,7 @@ def cmd_truncate(args) -> int:
                 )
             continue
         print(_face_text(an.face))
-        print(f"  truncated sum: {format_qpolynomial(an.truncated, 'y')}")
+        print(f"  truncated sum: {format_qpolynomial(an.truncated)}")
         if an.poly is not None:
             kind = (
                 "characteristic polynomial in w"
@@ -766,10 +735,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _HYPOTHESIS_ERRORS as err:
+    except QDulacError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except _INPUT_ERRORS as err:
+        return err.exit_code
+    except (OSError, ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,17 +1,26 @@
 """Exception hierarchy shared by the whole package.
 
-The CLI maps these onto exit codes: input/parse problems exit 2,
-structural conditions that abort an expansion, resource limits and
-internal invariant violations, exit 3.
+Each class owns the exit code the CLI returns for it, as `exit_code`.
+Input and parse problems exit 2: ParseError, InvalidQError,
+ReservedSymbolError, UnboundSymbolError, TruncatedSolutionError,
+IndeterminateEquationError and EmptySupportError.  Every other class
+inherits 3 from QDulacError: structural conditions that abort an
+expansion (LinearPartError and its subclasses, NotAVertexError,
+InconsistentEdgeError), irrational q-powers, resource limits and internal
+invariant violations.
 """
 
 
 class QDulacError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 3
+
 
 class ParseError(QDulacError):
     """Syntax or identifier error in the equation DSL, with location."""
+
+    exit_code = 2
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
@@ -22,13 +31,19 @@ class ParseError(QDulacError):
 class ReservedSymbolError(QDulacError):
     """A parameter symbol clashes with a reserved name (x, y, t)."""
 
+    exit_code = 2
+
 
 class UnboundSymbolError(QDulacError):
     """An evaluation was attempted with an unbound symbol."""
 
+    exit_code = 2
+
 
 class InvalidQError(QDulacError):
     """q must be a positive rational different from 1."""
+
+    exit_code = 2
 
 
 class IrrationalQPowerError(QDulacError):
@@ -38,9 +53,13 @@ class IrrationalQPowerError(QDulacError):
 class IndeterminateEquationError(QDulacError):
     """Root finding was asked for the zero polynomial (roots unconstrained)."""
 
+    exit_code = 2
+
 
 class EmptySupportError(QDulacError):
     """The zero q-difference sum has no support."""
+
+    exit_code = 2
 
 
 class NotAVertexError(QDulacError):
@@ -53,6 +72,8 @@ class InconsistentEdgeError(QDulacError):
 
 class TruncatedSolutionError(QDulacError):
     """A candidate (c, r) does not solve its face's truncated equation."""
+
+    exit_code = 2
 
 
 class LinearPartError(QDulacError):

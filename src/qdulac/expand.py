@@ -159,8 +159,7 @@ def extract_linear_part(ft: QPolynomial):
             )
         coeffs[t.order] = t.coeff.constant_value()
     h = QPolynomial(
-        [t for t in ft.terms if not (t.x_exp == 0 and t.y_degree == 1)],
-        ft.var,
+        [t for t in ft.terms if not (t.x_exp == 0 and t.y_degree == 1)]
     )
     return LinearPart(tuple(coeffs)), h
 
@@ -336,7 +335,7 @@ def expand_solution(
     r = ts.r
     if k_max <= r:
         raise ValueError("k_max must exceed the base exponent r")
-    ft = substitute_shift(f, ts.c, r, q, "z")
+    ft = substitute_shift(f, ts.c, r, q)
     if not ft.is_zero():
         delta = ft.min_x_exponent()
         if delta > 0:
@@ -410,8 +409,7 @@ def verify_residual(
                 t.sigma_powers,
             )
             for t in f.terms
-        ],
-        f.var,
+        ]
     )
     bound = result.series.bind_parameters(assignment)
     residual = evaluate_on_series(bound_f, bound, k_max).all_terms

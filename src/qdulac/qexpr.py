@@ -102,15 +102,11 @@ class QPolynomial:
     `x_power` and `unknown` go through it.  Arithmetic results are
     trusted: they are built on the dict directly and only drop zero
     coefficients.  `terms` is the sorted view for iteration and display.
-
-    `var` is a display name for the unknown; it is carried through
-    arithmetic but takes no part in equality or hashing (a sum and its
-    renamed copy are the same object mathematically).
     """
 
-    __slots__ = ("_terms", "var")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable[QTerm] = (), var: str = "y"):
+    def __init__(self, terms: Iterable[QTerm] = ()):
         merged: dict[tuple[Fraction, SigmaPowers], ParamPoly] = {}
         for term in terms:
             key = (_as_rat(term.x_exp), _normalize_sigma(term.sigma_powers))
@@ -118,33 +114,31 @@ class QPolynomial:
         self._terms = {
             key: coeff for key, coeff in merged.items() if not coeff.is_zero()
         }
-        self.var = var
 
     @classmethod
-    def _trusted(cls, terms: dict, var: str) -> "QPolynomial":
+    def _trusted(cls, terms: dict) -> "QPolynomial":
         """Canonical keys from arithmetic; only zero coefficients drop."""
         out = cls.__new__(cls)
         out._terms = {key: c for key, c in terms.items() if not c.is_zero()}
-        out.var = var
         return out
 
     # -- constructors
 
     @classmethod
-    def zero(cls, var: str = "y") -> "QPolynomial":
-        return cls((), var)
+    def zero(cls) -> "QPolynomial":
+        return cls()
 
     @classmethod
-    def constant(cls, value: ParamPoly | Scalar, var: str = "y") -> "QPolynomial":
-        return cls([QTerm(ParamPoly.coerce(value), Fraction(0), ())], var)
+    def constant(cls, value: ParamPoly | Scalar) -> "QPolynomial":
+        return cls([QTerm(ParamPoly.coerce(value), Fraction(0), ())])
 
     @classmethod
-    def x_power(cls, e: Scalar, var: str = "y") -> "QPolynomial":
-        return cls([QTerm(ParamPoly.const(1), _as_rat(e), ())], var)
+    def x_power(cls, e: Scalar) -> "QPolynomial":
+        return cls([QTerm(ParamPoly.const(1), _as_rat(e), ())])
 
     @classmethod
-    def unknown(cls, level: int = 0, var: str = "y") -> "QPolynomial":
-        return cls([QTerm(ParamPoly.const(1), Fraction(0), ((level, 1),))], var)
+    def unknown(cls, level: int = 0) -> "QPolynomial":
+        return cls([QTerm(ParamPoly.const(1), Fraction(0), ((level, 1),))])
 
     # -- structure
 
@@ -156,13 +150,6 @@ class QPolynomial:
                 self._terms,
                 key=lambda k: (k[0], sum(d for _, d in k[1]), k[1]),
             )
-        )
-
-    @property
-    def order(self) -> int:
-        return max(
-            (l for _, sig in self._terms for l, _ in sig),
-            default=0,
         )
 
     def is_zero(self) -> bool:
@@ -177,12 +164,8 @@ class QPolynomial:
         """Multiply by x^delta (delta may be negative)."""
         delta = _as_rat(delta)
         return QPolynomial._trusted(
-            {(e + delta, sig): c for (e, sig), c in self._terms.items()},
-            self.var,
+            {(e + delta, sig): c for (e, sig), c in self._terms.items()}
         )
-
-    def renamed(self, var: str) -> "QPolynomial":
-        return QPolynomial._trusted(self._terms, var)
 
     # -- ring operations
 
@@ -190,21 +173,19 @@ class QPolynomial:
         if isinstance(other, QPolynomial):
             return other
         if isinstance(other, (int, Fraction, ParamPoly)):
-            return QPolynomial.constant(other, self.var)
+            return QPolynomial.constant(other)
         raise TypeError(f"cannot combine QPolynomial with {type(other).__name__}")
 
     def __add__(self, other) -> "QPolynomial":
         out = dict(self._terms)
         for key, c in self._coerce(other)._terms.items():
             _add_into(out, key, c)
-        return QPolynomial._trusted(out, self.var)
+        return QPolynomial._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPolynomial":
-        return QPolynomial._trusted(
-            {key: -c for key, c in self._terms.items()}, self.var
-        )
+        return QPolynomial._trusted({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other) -> "QPolynomial":
         return self + (-self._coerce(other))
@@ -215,12 +196,12 @@ class QPolynomial:
         for (e1, s1), c1 in self._terms.items():
             for (e2, s2), c2 in other._terms.items():
                 _add_into(out, (e1 + e2, _merge_sigma(s1, s2) if s1 else s2), c1 * c2)
-        return QPolynomial._trusted(out, self.var)
+        return QPolynomial._trusted(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "QPolynomial":
-        return _power(self, exponent, QPolynomial.constant(1, self.var))
+        return _power(self, exponent, QPolynomial.constant(1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPolynomial):
@@ -232,11 +213,8 @@ class QPolynomial:
 
     # -- display
 
-    def to_dsl(self, var: str | None = None) -> str:
-        return format_qpolynomial(self, var or self.var)
-
     def __str__(self) -> str:
-        return self.to_dsl()
+        return format_qpolynomial(self)
 
     def __repr__(self) -> str:
         return f"QPolynomial({self})"
@@ -247,13 +225,13 @@ def _add_into(terms: dict, key, coeff) -> None:
     terms[key] = coeff if prev is None else prev + coeff
 
 
-def format_qpolynomial(f: QPolynomial, var: str) -> str:
-    """f in the text notation (the DSL), `var` naming the unknown."""
+def format_qpolynomial(f: QPolynomial) -> str:
+    """f in the text notation (the DSL), the unknown written y."""
     parts = []
     for term in f.terms:
         tail = [TEXT.power("x", term.x_exp)] if term.x_exp else []
         for level, power in term.sigma_powers:
-            base = f"{TEXT.power('S', level)}({var})" if level else var
+            base = f"{TEXT.power('S', level)}(y)" if level else "y"
             tail.append(TEXT.power(base, power))
         parts.append(TEXT.term(term.coeff, TEXT.factor_sep.join(tail)))
     return TEXT.signed_sum(parts)
@@ -348,27 +326,24 @@ def substitute_shift(
     c: ParamPoly | Scalar,
     r: Scalar,
     q: Scalar,
-    new_var_name: str = "z",
 ) -> QPolynomial:
     """The substitution y = c*x^r + z, fully expanded and merged.
 
     Each factor S^l y becomes c*q^{l r}*x^r + S^l z, and its p-th power is
     written out by the binomial theorem; the result is a q-difference sum
-    in the new unknown.  Needs q^{l r} rational for every level l that
+    in z, which prints as y.  Needs q^{l r} rational for every level l that
     occurs (always true for integer r).
     """
     q = check_q(q)
     c = ParamPoly.coerce(c)
     r = _as_rat(r)
     if c.is_zero():
-        return f.renamed(new_var_name)
+        return f
     powers: dict[tuple[int, int], QPolynomial] = {}  # (l, p) -> binomial power
 
-    out = QPolynomial.zero(new_var_name)
+    out = QPolynomial.zero()
     for term in f.terms:
-        prod = QPolynomial(
-            [QTerm(term.coeff, term.x_exp, ())], new_var_name
-        )
+        prod = QPolynomial([QTerm(term.coeff, term.x_exp, ())])
         for level, power in term.sigma_powers:
             if (level, power) not in powers:
                 lead = c * q_pow(q, level * r)
@@ -377,7 +352,7 @@ def substitute_shift(
                     sigma = ((level, power - i),) if i < power else ()
                     terms[r * i, sigma] = lead_i * math.comb(power, i)
                     lead_i = lead_i * lead
-                powers[level, power] = QPolynomial._trusted(terms, new_var_name)
+                powers[level, power] = QPolynomial._trusted(terms)
             prod = prod * powers[level, power]
         out = out + prod
     return out

@@ -78,9 +78,7 @@ class TruncatedSolution:
 def truncated_sum(f: QPolynomial, face: Face) -> QPolynomial:
     """Terms of f whose exponent point lies in the face's boundary subset."""
     wanted = set(face.points)
-    return QPolynomial(
-        [t for t in f.terms if t.q_point in wanted], f.var
-    )
+    return QPolynomial([t for t in f.terms if t.q_point in wanted])
 
 
 def _power_substitution(g: QPolynomial, c: ParamPoly, r: Fraction, q: Fraction):
@@ -158,16 +156,16 @@ class FaceAnalysis:
     diagnostics: tuple  # str, ...
 
 
-def _fresh_symbol(f: QPolynomial, base: str = "c") -> str:
+def _fresh_symbol(f: QPolynomial) -> str:
     taken = set()
     for term in f.terms:
         taken |= term.coeff.symbols()
-    if base not in taken:
-        return base
+    if "c" not in taken:
+        return "c"
     i = 1
-    while f"{base}{i}" in taken:
+    while f"c{i}" in taken:
         i += 1
-    return f"{base}{i}"
+    return f"c{i}"
 
 
 def analyze_face(

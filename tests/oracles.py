@@ -56,7 +56,8 @@ def brute_force_hull(points):
                 ok = False
                 break
             if ok:
-                assert a not in nxt, "non-unique hull successor"
+                if a in nxt:
+                    raise AssertionError("non-unique hull successor")
                 nxt[a] = b
     start = min(nxt)
     hull = [start]

@@ -20,6 +20,7 @@ from qdulac.cli import (
     main,
     series_from_json,
 )
+from qdulac import errors
 from qdulac.errors import ResourceLimitError
 from qdulac.expand import expand_solution
 from qdulac.parser import parse_equation
@@ -153,7 +154,7 @@ def test_truncate_strings_reparse(eq_main, capsys):
     f = parse_equation(EQ_MAIN, ["a3", "a4"])
     for entry in json.loads(out)["faces"]:
         g = parse_equation(entry["truncated"], ["a3", "a4"])
-        assert g.to_dsl() == entry["truncated"]
+        assert str(g) == entry["truncated"]
         assert support(g) <= support(f)
 
 
@@ -587,3 +588,52 @@ def test_polygon_huge_parameter_power(tmp_path, capsys, deadline, exponent, code
         assert "exponent of a reaches 2^31" in err
         with pytest.raises(ResourceLimitError):
             parse_equation(f"a^{exponent}*x", ["a"])
+
+
+# The exit code of every error class that the CLI mapped before each class
+# carried its own: input errors 2, structural and internal conditions 3.
+MAPPED_EXIT_CODES = {
+    "ParseError": EXIT_INPUT,
+    "InvalidQError": EXIT_INPUT,
+    "ReservedSymbolError": EXIT_INPUT,
+    "UnboundSymbolError": EXIT_INPUT,
+    "TruncatedSolutionError": EXIT_INPUT,
+    "IndeterminateEquationError": EXIT_INPUT,
+    "EmptySupportError": EXIT_INPUT,
+    "LinearPartError": EXIT_HYPOTHESIS,
+    "LinearVertexError": EXIT_HYPOTHESIS,
+    "LinearCoefficientError": EXIT_HYPOTHESIS,
+    "ExponentOrderError": EXIT_HYPOTHESIS,
+    "IrrationalQPowerError": EXIT_HYPOTHESIS,
+    "ResourceLimitError": EXIT_HYPOTHESIS,
+    "DegreeBoundError": EXIT_HYPOTHESIS,
+    "InternalInvariantError": EXIT_HYPOTHESIS,
+}
+
+
+def _error_classes(cls=errors.QDulacError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_owns_an_exit_code():
+    codes = {cls.__name__: cls.exit_code for cls in _error_classes()}
+    assert set(codes.values()) <= {EXIT_INPUT, EXIT_HYPOTHESIS}
+    assert {name: codes[name] for name in MAPPED_EXIT_CODES} == MAPPED_EXIT_CODES
+    assert codes["QDulacError"] == EXIT_HYPOTHESIS
+    assert codes["NotAVertexError"] == EXIT_HYPOTHESIS
+    assert codes["InconsistentEdgeError"] == EXIT_HYPOTHESIS
+
+
+@pytest.mark.parametrize(
+    "error", [errors.NotAVertexError, errors.InconsistentEdgeError, errors.QDulacError]
+)
+def test_unmapped_error_class_exits_3(eq_main, capsys, monkeypatch, error):
+    def refuse(*args, **kwargs):
+        raise error("refused by the face analysis")
+
+    monkeypatch.setattr(cli, "analyze_face", refuse)
+    code, out, err = run(capsys, ["truncate", *main_args(eq_main), "--q", "1/2"])
+    assert (code, out) == (EXIT_HYPOTHESIS, "")
+    assert err == "error: refused by the face analysis\n"

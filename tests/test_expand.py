@@ -232,7 +232,7 @@ def test_k_lattice_matches_reference_enumerator():
 def test_k_lattice_quintic_matches_reference_enumerator():
     # the quintic on its edge (0,1)-(1,0): y = 2/3 x + z, no critical numbers
     f = parse_equation("S(y) - 2*y + x + x*y^5 + x*y^4 + x*y^3")
-    ft = substitute_shift(f, ParamPoly.const(F(2, 3)), F(1), F(1, 2), "z")
+    ft = substitute_shift(f, ParamPoly.const(F(2, 3)), F(1), F(1, 2))
     _, h = extract_linear_part(ft.shift_x(-ft.min_x_exponent()))
     for k_max in (5, 20):
         ks = k_lattice(support(h), [], 1, k_max)

@@ -8,15 +8,22 @@ substrings, so these cases are what pins every byte a user sees.
 To regenerate the expected files after a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+To compare every case without pytest, writing nothing under tests/:
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+It prints each case that differs and exits 1 if any does.
 """
 
+import argparse
 import json
 import os
+import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
-
-import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MAIN = str(GOLDEN / "main.qde")
@@ -113,21 +120,45 @@ def _load_expected() -> dict:
     return json.loads(EXPECTED.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def expected_result(name: str, expected: dict) -> dict:
+    """The `run_case` result that the golden files record for `name`."""
+    entry = expected[name]
+    result = {
+        "exit": entry["exit"],
+        "stdout": (GOLDEN / f"{name}.out").read_text(encoding="utf-8"),
+        "stderr": entry["stderr"],
+    }
+    if "svg" in entry:
+        result["svg"] = (GOLDEN / entry["svg"]).read_text(encoding="utf-8")
+    return result
+
+
+def pytest_generate_tests(metafunc):
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", sorted(CASES))
+
+
 def test_golden_output(name, tmp_path):
-    expected = _load_expected()[name]
-    actual = run_case(CASES[name], tmp_path)
-    assert actual["exit"] == expected["exit"]
-    assert actual["stderr"] == expected["stderr"]
-    assert actual["stdout"] == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
-    if "svg" in expected or "svg" in actual:
-        assert actual.get("svg") == (GOLDEN / expected["svg"]).read_text(
-            encoding="utf-8"
-        )
+    expected = expected_result(name, _load_expected())
+    assert run_case(CASES[name], tmp_path) == expected
 
 
 def test_golden_cases_cover_every_expected_file():
     assert set(_load_expected()) == set(CASES)
+
+
+def check(workdir: Path) -> int:
+    """Run every case against its golden files; 1 if any differs, else 0."""
+    expected = _load_expected()
+    failed = sorted(set(expected) ^ set(CASES))
+    for name in failed:
+        print(f"MISSING {name}: a case without golden files or the reverse")
+    for name in sorted(set(expected) & set(CASES)):
+        if run_case(CASES[name], workdir) != expected_result(name, expected):
+            print(f"MISMATCH {name}")
+            failed.append(name)
+    print(f"{len(failed)} of {len(set(expected) | set(CASES))} golden cases differ")
+    return 1 if failed else 0
 
 
 def regenerate(workdir: Path) -> None:
@@ -144,7 +175,12 @@ def regenerate(workdir: Path) -> None:
 
 
 if __name__ == "__main__":
-    import tempfile
-
+    parser = argparse.ArgumentParser(description="Regenerate the golden files.")
+    parser.add_argument(
+        "--check", action="store_true", help="compare only; write no golden file"
+    )
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
+        if args.check:
+            sys.exit(check(Path(tmp)))
         regenerate(Path(tmp))
