@@ -37,7 +37,6 @@ from .expand import (
     expand_solution,
     extract_linear_part,
     k_lattice,
-    nu,
     solve_poly_difference,
     verify_residual,
 )
@@ -46,7 +45,6 @@ from .polygon import (
     Face,
     NewtonPolygon,
     build_polygon,
-    cone_contains,
     faces_for_x_to_zero,
     find_face,
     render_svg,
@@ -105,7 +103,6 @@ __all__ = [
     "UnboundSymbolError",
     "analyze_face",
     "build_polygon",
-    "cone_contains",
     "critical_numbers",
     "degree_bound",
     "determining_poly",
@@ -116,7 +113,6 @@ __all__ = [
     "find_face",
     "format_qpolynomial",
     "k_lattice",
-    "nu",
     "parse_equation",
     "parse_param_expr",
     "q_log",

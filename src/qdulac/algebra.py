@@ -374,10 +374,6 @@ class TPoly:
     def const(cls, value: ParamPoly | Scalar) -> "TPoly":
         return cls([ParamPoly.coerce(value)])
 
-    @classmethod
-    def variable(cls) -> "TPoly":
-        return cls([ParamPoly.zero(), ParamPoly.const(1)])
-
     @staticmethod
     def sum_of_products(pairs: Iterable[tuple["TPoly", "TPoly"]]) -> "TPoly":
         """The sum of a*b over the pairs: one kernel call per t-degree."""

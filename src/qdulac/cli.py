@@ -45,7 +45,6 @@ from .truncate import FaceAnalysis, analyze_face
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
-EXIT_HYPOTHESIS = 3
 
 # -- JSON schemas (draft-07); rationals are reduced "p" or "p/m" strings
 
@@ -251,12 +250,19 @@ def _poly_json(p: ParamPoly) -> list:
     ]
 
 
+def _json_int(value, least: int) -> int:
+    """An integer of a document, refused unless it is an int >= least."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"expected an integer >= {least}, got {value!r}")
+    return value
+
+
 def _poly_from_json(entries) -> ParamPoly:
     total = ParamPoly.zero()
     for entry in entries:
         term = ParamPoly.const(parse_rat(entry["coef"]))
         for name, exp in entry["monomial"].items():
-            term = term * ParamPoly.symbol(name) ** int(exp)
+            term = term * ParamPoly.symbol(name) ** _json_int(exp, 1)
         total = total + term
     return total
 
@@ -270,12 +276,12 @@ def _tpoly_json(beta: TPoly, power_key: str) -> list:
 
 
 def _tpoly_from_json(entries) -> TPoly:
-    if not entries:
-        return TPoly.zero()
-    top = max(int(e["t_power"]) for e in entries)
-    coeffs = [ParamPoly.zero()] * (top + 1)
-    for entry in entries:
-        coeffs[int(entry["t_power"])] = _poly_from_json(entry["coeff"])
+    powers = [_json_int(e["t_power"], 0) for e in entries]
+    if len(set(powers)) != len(powers):
+        raise ValueError(f"repeated t_power in {sorted(powers)}")
+    coeffs = [ParamPoly.zero()] * (max(powers, default=-1) + 1)
+    for d, entry in zip(powers, entries):
+        coeffs[d] = _poly_from_json(entry["coeff"])
     return TPoly(coeffs)
 
 
@@ -311,7 +317,8 @@ def expansion_json(result: ExpansionResult) -> dict:
 
 
 def series_from_json(doc: dict) -> PowerLogSeries:
-    """Rebuild the solution series of an `expand` JSON document."""
+    """Rebuild the series of an `expand` JSON document exactly; a malformed
+    power (negative, repeated or not an integer) raises ValueError."""
     return PowerLogSeries(
         parse_rat(doc["q"]),
         [
@@ -379,7 +386,7 @@ def _truncate_pipeline(args):
     c_override = parse_param_expr(args.c, args.params) if args.c else None
     r_override = parse_rat(args.r) if args.r else None
     analyses = [
-        analyze_face(f, polygon, face, q, c_override, r_override)
+        analyze_face(f, face, q, c_override, r_override)
         for face in _select_faces(polygon, args.face)
     ]
     return f, q, analyses, (c_override, r_override)
@@ -414,7 +421,7 @@ def _pick_candidate(analyses, args, c_override, r_override):
 
 def _log_var(args, q: Fraction):
     """Display variable and per-degree scale for the log base."""
-    if getattr(args, "log_base", None):
+    if args.log_base:
         base = check_q(parse_rat(args.log_base))
         j = q_log(base, q)
         if j is None or j == 0:
@@ -575,12 +582,13 @@ def _expand_pipeline(args):
     f, q, analyses, overrides = _truncate_pipeline(args)
     ts = _pick_candidate(analyses, args, *overrides)
     k_max = parse_rat(args.kmax)
-    result = expand_solution(f, ts, q, k_max)
-    return f, q, k_max, result
+    result = expand_solution(f, ts, k_max)
+    return f, k_max, result
 
 
 def cmd_expand(args) -> int:
-    _, q, k_max, result = _expand_pipeline(args)
+    _, k_max, result = _expand_pipeline(args)
+    q = result.series.q
     if args.format == "json":
         _print_json(expansion_json(result))
         return EXIT_OK
@@ -621,9 +629,9 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    f, q, k_max, result = _expand_pipeline(args)
+    f, k_max, result = _expand_pipeline(args)
     assignment = _parse_assignment(args.assign)
-    exponent = verify_residual(f, result, q, assignment, k_max)
+    exponent = verify_residual(f, result, assignment, k_max)
     passed = exponent is None
     if args.format == "json":
         _print_json(

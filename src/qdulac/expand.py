@@ -164,15 +164,6 @@ def extract_linear_part(ft: QPolynomial):
     return LinearPart(tuple(coeffs)), h
 
 
-def nu(L: LinearPart, q, k) -> Fraction:
-    """nu(k) = sum_j a_j q^{jk}, the symbol of L on x^k."""
-    q = check_q(q)
-    k = _as_rat(k)
-    return sum(
-        (a * q_pow(q, j * k) for j, a in enumerate(L.coeffs)), Fraction(0)
-    )
-
-
 def critical_numbers(L: LinearPart, q, r) -> CriticalData:
     """Rational eigenvalues k (nu(k)=0) and the critical ones (k > r)."""
     q = check_q(q)
@@ -327,12 +318,11 @@ def check_exponent_order(h: QPolynomial, r) -> None:
 
 
 def expand_solution(
-    f: QPolynomial, ts: TruncatedSolution, q, k_max
+    f: QPolynomial, ts: TruncatedSolution, k_max
 ) -> ExpansionResult:
-    """Drive the expansion of f around y = c*x^r up to exponent k_max."""
-    q = check_q(q)
+    """Drive the expansion of f around y = c*x^r at ts.q up to exponent k_max."""
     k_max = _as_rat(k_max)
-    r = ts.r
+    q, r = ts.q, ts.r
     if k_max <= r:
         raise ValueError("k_max must exceed the base exponent r")
     ft = substitute_shift(f, ts.c, r, q)
@@ -377,7 +367,7 @@ def expand_solution(
         unresolved=crit.unresolved,
         linear_part=L,
     )
-    if not degree_bound(result, r):
+    if not degree_bound(result):
         raise DegreeBoundError(
             "computed term exceeds the logarithmic degree bound; "
             "this indicates an internal error"
@@ -388,7 +378,6 @@ def expand_solution(
 def verify_residual(
     f: QPolynomial,
     result: ExpansionResult,
-    q,
     assignment: Mapping,
     k_max,
 ):
@@ -396,10 +385,9 @@ def verify_residual(
 
     Binds every parameter and introduced constant with `assignment` (both
     in the equation's coefficients and in the series), substitutes the
-    full truncated solution into f, and inspects what is left.  None means
-    the residual vanishes identically through k_max.
+    full truncated solution into f at the series' q, and inspects what is
+    left.  None means the residual vanishes identically through k_max.
     """
-    q = check_q(q)
     k_max = _as_rat(k_max)
     bound_f = QPolynomial(
         [
@@ -416,9 +404,9 @@ def verify_residual(
     return residual[0][0] if residual else None
 
 
-def degree_bound(result: ExpansionResult, r) -> bool:
+def degree_bound(result: ExpansionResult) -> bool:
     """deg beta_k <= C*(k - r)*sum of mu(j) over critical j <= k."""
-    r = _as_rat(r)
+    r = result.series.base_shift[1]
     k_set = result.k_set
     if not k_set:
         return True

@@ -71,6 +71,14 @@ class Face:
         lo, hi = self.r_range
         return lo is None or hi is None or lo < hi
 
+    def admits(self, r: Fraction) -> bool:
+        """True when (-1,-r) is in the normal cone: r is the edge's own r,
+        or r lies in the vertex's open interval `r_range`."""
+        if self.r_range is None:  # an edge, or a vertex facing away (r None)
+            return r == self.r
+        lo, hi = self.r_range
+        return (lo is None or lo < r) and (hi is None or r < hi)
+
     def label(self) -> str:
         pts = "-".join(
             f"({rat_str(p[0])},{rat_str(p[1])})" for p in self.endpoints
@@ -182,24 +190,6 @@ def build_polygon(support) -> NewtonPolygon:
     return NewtonPolygon(
         support=support_t, hull_vertices=tuple(hull), faces=tuple(faces)
     )
-
-
-def cone_contains(face: Face, support, r) -> bool:
-    """P = (-1,-r) equal on the face's points, strictly larger off them."""
-    r = _as_rat(r)
-    p = (Fraction(-1), -r)
-    vals = {_dot(p, _pt(s)) for s in face.points}
-    if len(vals) != 1:
-        return False
-    face_val = vals.pop()
-    on_face = set(face.points)
-    for s in support:
-        s = _pt(s)
-        if s in on_face:
-            continue
-        if _dot(p, s) >= face_val:
-            return False
-    return True
 
 
 def _face_sort_key(face: Face):

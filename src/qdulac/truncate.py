@@ -13,7 +13,7 @@ fixes r and determines c through the roots of its determining polynomial.
 `analyze_face` treats both kinds of face alike: it turns the roots into
 one ordered list of proposals (c, r, provenance), appends the user's
 value last, and verifies each proposal against the truncated sum when it
-constructs the solution.
+constructs the solution; each solution keeps the q it was verified at.
 """
 
 from __future__ import annotations
@@ -38,16 +38,17 @@ from .errors import (
     NotAVertexError,
     TruncatedSolutionError,
 )
-from .polygon import Face, NewtonPolygon, cone_contains
+from .polygon import Face
 from .qexpr import QPolynomial
 
 
 @dataclass(frozen=True)
 class TruncatedSolution:
-    """A verified leading-order solution y = c * x^r on a face."""
+    """A verified leading-order solution y = c * x^r on a face, at base q."""
 
     c: ParamPoly
     r: Fraction
+    q: Fraction
     face: Face
     provenance: str  # "vertex-root" | "edge-root" | "user-supplied"
 
@@ -55,6 +56,7 @@ class TruncatedSolution:
         if self.c.is_zero():
             raise TruncatedSolutionError("leading coefficient c must be nonzero")
         object.__setattr__(self, "r", _as_rat(self.r))
+        object.__setattr__(self, "q", check_q(self.q))
 
     @classmethod
     def create(
@@ -66,8 +68,8 @@ class TruncatedSolution:
         q,
         provenance: str,
     ) -> "TruncatedSolution":
-        ts = cls(ParamPoly.coerce(c), r, face, provenance)
-        if not verify_truncated(ts, f, q):
+        ts = cls(ParamPoly.coerce(c), r, q, face, provenance)
+        if not verify_truncated(ts, f):
             raise TruncatedSolutionError(
                 f"y = ({c})*x^{rat_str(ts.r)} does not solve the "
                 f"truncated equation of face {face.label()}"
@@ -91,12 +93,12 @@ def _power_substitution(g: QPolynomial, c: ParamPoly, r: Fraction, q: Fraction):
     return {e: v for e, v in out.items() if not v.is_zero()}
 
 
-def verify_truncated(ts: TruncatedSolution, f: QPolynomial, q) -> bool:
+def verify_truncated(ts: TruncatedSolution, f: QPolynomial) -> bool:
     """True iff the face's truncated sum vanishes identically at y = c*x^r."""
     g = truncated_sum(f, ts.face)
     if g.is_zero():
         return True
-    return not _power_substitution(g, ts.c, ts.r, check_q(q))
+    return not _power_substitution(g, ts.c, ts.r, ts.q)
 
 
 def vertex_char_poly(g: QPolynomial) -> TPoly:
@@ -170,7 +172,6 @@ def _fresh_symbol(f: QPolynomial) -> str:
 
 def analyze_face(
     f: QPolynomial,
-    polygon: NewtonPolygon,
     face: Face,
     q,
     c_override: ParamPoly | None = None,
@@ -259,7 +260,7 @@ def analyze_face(
 
     candidates: list[TruncatedSolution] = []
     for c, r, provenance in proposals:
-        if vertex and not cone_contains(face, polygon.support, r):
+        if not face.admits(r):
             diagnostics.append(
                 f"r={rat_str(r)} lies outside this vertex's normal cone; skipped"
             )

@@ -2,7 +2,7 @@
 
 Each function here recomputes a result by a different method than the
 library uses, so agreement is meaningful: an all-pairs halfplane hull, a
-dense Gaussian-elimination solve of the polynomial difference operator,
+support scan of a face's normal cone, a dense Gaussian-elimination solve of the polynomial difference operator,
 a reference parameter polynomial, a brute-force evaluation of a
 q-difference sum on a power-logarithmic series, a recursive multiset
 enumerator of the exponent set K, and a generator of random equations
@@ -66,6 +66,19 @@ def brute_force_hull(points):
         hull.append(cur)
         cur = nxt[cur]
     return hull
+
+
+def cone_contains(face, support, r) -> bool:
+    """Normal-cone test by a scan of the support: (-1,-r) takes one value
+    on the face's points and a strictly smaller one off them."""
+    def value(s):
+        return -s[0] - r * s[1]
+
+    values = {value(s) for s in face.points}
+    if len(values) != 1:
+        return False
+    (face_value,) = values
+    return all(value(s) < face_value for s in support if s not in face.points)
 
 
 def random_point_set(rng: random.Random, max_size: int = 12):

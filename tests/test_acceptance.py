@@ -67,14 +67,14 @@ def main_equation():
 def left_edge_solution(f, q):
     polygon = build_polygon(support(f))
     edge = find_face(polygon, ((F(0), F(2)), (F(0), F(3))))
-    (ts,) = analyze_face(f, polygon, edge, q).candidates
+    (ts,) = analyze_face(f, edge, q).candidates
     return ts
 
 
 def test_criterion_1_logarithmic_expansion_exact():
     f = main_equation()
     q = F(1, 2)
-    result = expand_solution(f, left_edge_solution(f, q), q, 1)
+    result = expand_solution(f, left_edge_solution(f, q), 1)
     expected = PowerLogSeries(
         q,
         [(F(1), TPoly([ParamPoly.symbol("C1"), 2 * ParamPoly.symbol("a3")]))],
@@ -89,13 +89,13 @@ def test_criterion_1_logarithmic_expansion_exact():
 def test_criterion_2_log_free_expansion_exact():
     f = main_equation()
     q = F(1, 4)
-    result = expand_solution(f, left_edge_solution(f, q), q, 1)
+    result = expand_solution(f, left_edge_solution(f, q), 1)
     beta_half = result.series.coefficient(F(1, 2))
     beta_one = result.series.coefficient(F(1))
     assert beta_half == TPoly([ParamPoly.symbol("C1")])
     expected_one = parse_param_expr("-16/5*a3 - 2/5*C1^2", ["a3", "C1"])
     assert beta_one == TPoly([expected_one])
-    deep = expand_solution(f, left_edge_solution(f, q), q, 3)
+    deep = expand_solution(f, left_edge_solution(f, q), 3)
     assert deep.log_free is True
     assert all(beta.degree() == 0 for _, beta in deep.series.terms)
     print(
@@ -115,11 +115,11 @@ def test_criterion_3_intermediate_objects_exact():
 
     polygon = build_polygon(support(f))
     edge = find_face(polygon, ((F(0), F(2)), (F(0), F(3))))
-    candidates = analyze_face(f, polygon, edge, F(1, 2)).candidates
+    candidates = analyze_face(f, edge, F(1, 2)).candidates
     assert [(ts.c, ts.r) for ts in candidates] == [(ParamPoly.const(-1), F(0))]
 
     for q, crits, half_steps in ((F(1, 2), [F(1)], 1), (F(1, 4), [F(1, 2)], 2)):
-        result = expand_solution(f, left_edge_solution(f, q), q, 5)
+        result = expand_solution(f, left_edge_solution(f, q), 5)
         assert [k for k, _, _ in result.critical_report] == crits
         assert result.skipped_irrational == (F(3, 2),)
         expected_k = tuple(F(n, half_steps) for n in range(1, 5 * half_steps + 1))
@@ -135,8 +135,8 @@ def test_criterion_4_residual_vanishes_to_order():
     assignment = {"a3": 1, "a4": 1, "C1": 1}
     for q in (F(1, 2), F(1, 4)):
         for n in (1, 2, 3):
-            result = expand_solution(f, left_edge_solution(f, q), q, n)
-            tail = verify_residual(f, result, q, assignment, n + 3)
+            result = expand_solution(f, left_edge_solution(f, q), n)
+            tail = verify_residual(f, result, assignment, n + 3)
             assert tail is None or tail > n, (q, n, tail)
     print(
         "ACCEPTANCE 4 PASS: order-N residual exponent > N for N in {1,2,3},"
@@ -170,11 +170,11 @@ def test_criterion_5_solver_matches_dense_oracle():
 def test_criterion_6_log_degree_bound():
     f = main_equation()
     q = F(1, 2)
-    result = expand_solution(f, left_edge_solution(f, q), q, 5)
+    result = expand_solution(f, left_edge_solution(f, q), 5)
     assert min(result.k_set) == F(1)
     for k, beta in result.series.terms:
         assert beta.degree() <= 2 * k, (k, beta.degree())
-    assert degree_bound(result, F(0)) is True
+    assert degree_bound(result) is True
     print("ACCEPTANCE 6 PASS: deg beta_k <= 2k for every term through k_max=5")
 
 
@@ -198,8 +198,8 @@ def test_criterion_8_truncated_solutions_vanish():
     emitted = 0
     for q in (F(1, 2), F(1, 4)):
         for face in faces_for_x_to_zero(polygon):
-            for ts in analyze_face(f, polygon, face, q).candidates:
-                assert verify_truncated(ts, f, q)
+            for ts in analyze_face(f, face, q).candidates:
+                assert verify_truncated(ts, f)
                 emitted += 1
     assert emitted > 0
 
@@ -208,15 +208,15 @@ def test_criterion_8_truncated_solutions_vanish():
         eq, q, c, r, endpoints = random_edge_equation(rng)
         poly = build_polygon(support(eq))
         planted_face = find_face(poly, endpoints)
-        planted = analyze_face(eq, poly, planted_face, q).candidates
+        planted = analyze_face(eq, planted_face, q).candidates
         assert (ParamPoly.const(c), r) in [(ts.c, ts.r) for ts in planted]
         for face in faces_for_x_to_zero(poly):
             try:
-                analysis = analyze_face(eq, poly, face, q)
+                analysis = analyze_face(eq, face, q)
             except IrrationalQPowerError:
                 continue
             for ts in analysis.candidates:
-                assert verify_truncated(ts, eq, q)
+                assert verify_truncated(ts, eq)
                 emitted += 1
     assert emitted >= 50
     print(

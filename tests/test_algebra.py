@@ -98,7 +98,7 @@ def test_param_poly_power_and_substitute():
 
 def test_tpoly_shift_binomial():
     # (t^2): shift by 1 gives t^2 + 2t + 1
-    t = TPoly.variable()
+    t = TPoly([0, 1])
     p = t * t
     assert p.shift(1) == t * t + t * TPoly.const(2) + TPoly.const(1)
     # shift by a rational step
@@ -117,7 +117,7 @@ def test_tpoly_degree_conventions():
     assert TPoly.zero().is_zero()
     assert TPoly.const(5).degree() == 0
     assert not TPoly.const(5).is_zero()
-    assert TPoly.variable().degree() == 1
+    assert TPoly([0, 1]).degree() == 1
     assert TPoly([1, 0, 0]).degree() == 0  # trailing zeros stripped
 
 
@@ -270,7 +270,7 @@ def test_param_poly_str_forms():
 
 
 def test_tpoly_str_forms():
-    t = TPoly.variable()
+    t = TPoly([0, 1])
     a3 = ParamPoly.symbol("a3")
     C1 = ParamPoly.symbol("C1")
     p = t * TPoly.const(a3 * 2) + TPoly.const(C1)

@@ -27,15 +27,13 @@ from qdulac.expand import (
     check_exponent_order,
     constant_namer,
     critical_numbers,
-    degree_bound,
     expand_solution,
     k_lattice,
-    nu,
     solve_poly_difference,
     verify_residual,
 )
 from qdulac.parser import parse_equation
-from qdulac.polygon import build_polygon, cone_contains, find_face
+from qdulac.polygon import build_polygon, find_face
 from qdulac.qexpr import QPolynomial, QTerm, support
 from qdulac.truncate import (
     TruncatedSolution,
@@ -55,14 +53,13 @@ def _case():
     f = parse_equation("S(y) - 2*y + x^3 + x*y^2 = 0")
     polygon = build_polygon(support(f))
     vertex = find_face(polygon, [(0, 1)])
-    (ts,) = analyze_face(f, polygon, vertex, 2).candidates
+    (ts,) = analyze_face(f, vertex, 2).candidates
     return SimpleNamespace(
         f=f,
-        polygon=polygon,
         vertex=vertex,
         edge=find_face(polygon, [(0, 1), (3, 0)]),
         ts=ts,
-        result=expand_solution(f, ts, 2, 5),
+        result=expand_solution(f, ts, 5),
     )
 
 
@@ -80,27 +77,27 @@ _L = LinearPart((-2, 1))
         lambda: check_q(0.5),
         lambda: q_pow(0.5, 1),
         lambda: q_pow(F(1, 4), 0.5),
-        lambda: expand_solution(_case().f, _case().ts, 2, 5.0),
+        lambda: expand_solution(_case().f, _case().ts, 5.0),
         lambda: build_polygon([(0.5, 1), (0, 1)]),
         lambda: k_lattice([], [0.5], 0, 2),
         lambda: LinearPart((1.5, -1)),
         lambda: TruncatedSolution.create(
             _case().f, _case().edge, ParamPoly.const(F(-1, 6)), 3.0, 2, "edge-root"
         ),
-        lambda: cone_contains(_case().edge, _case().polygon.support, 3.0),
-        lambda: verify_residual(_case().f, _case().result, 2, {"c": 1}, 5.0),
+        lambda: verify_residual(_case().f, _case().result, {"c": 1}, 5.0),
         lambda: critical_numbers(_L, 2, 0.0),
         lambda: check_exponent_order(parse_equation("x*y^2"), 1.0),
-        lambda: degree_bound(_case().result, 1.0),
-        lambda: nu(_L, 2, 1.0),
         lambda: apply_difference_operator(_L, 2, 1.0, TPoly.const(1)),
         lambda: solve_poly_difference(
             _L, 2, 3.0, TPoly.const(1), constant_namer(())
         ),
         lambda: determining_poly(truncated_sum(_case().f, _case().edge), 3.0, 2),
-        lambda: analyze_face(_case().f, _case().polygon, _case().vertex, 2, None, 1.0),
+        lambda: analyze_face(_case().f, _case().vertex, 2, None, 1.0),
         lambda: TruncatedSolution(
-            ParamPoly.const(1), 0.5, _case().vertex, "user-supplied"
+            ParamPoly.const(1), 0.5, 2, _case().vertex, "user-supplied"
+        ),
+        lambda: TruncatedSolution(
+            ParamPoly.const(1), 0, 0.5, _case().vertex, "user-supplied"
         ),
     ],
     ids=[
@@ -117,17 +114,15 @@ _L = LinearPart((-2, 1))
         "k_lattice",
         "linear_part",
         "truncated_solution_r",
-        "cone_contains",
         "verify_residual_k_max",
         "critical_numbers",
         "check_exponent_order",
-        "degree_bound",
-        "nu",
         "apply_difference_operator",
         "solve_poly_difference",
         "determining_poly",
         "analyze_face_r_override",
         "truncated_solution_constructor_r",
+        "truncated_solution_q",
     ],
 )
 def test_floats_refused(build):

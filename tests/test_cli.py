@@ -9,7 +9,6 @@ import pytest
 
 from qdulac import cli
 from qdulac.cli import (
-    EXIT_HYPOTHESIS,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY,
@@ -21,7 +20,8 @@ from qdulac.cli import (
     series_from_json,
 )
 from qdulac import errors
-from qdulac.errors import ResourceLimitError
+from qdulac.algebra import ParamPoly, TPoly
+from qdulac.errors import QDulacError, ResourceLimitError
 from qdulac.expand import expand_solution
 from qdulac.parser import parse_equation
 from qdulac.polygon import build_polygon, find_face
@@ -262,16 +262,17 @@ def test_expand_json_log_free(eq_main, capsys):
 
 
 def test_expand_json_round_trip(eq_main, capsys):
-    _, out, _ = run(
-        capsys,
-        ["expand", *main_args(eq_main), "--q", "1/4", "--kmax", "2", "--format", "json"],
-    )
-    rebuilt = series_from_json(json.loads(out))
     f = parse_equation(EQ_MAIN, ["a3", "a4"])
     polygon = build_polygon(support(f))
     edge = find_face(polygon, ((F(0), F(2)), (F(0), F(3))))
-    (ts,) = analyze_face(f, polygon, edge, F(1, 4)).candidates
-    assert rebuilt == expand_solution(f, ts, F(1, 4), 2).series
+    for q in ("1/4", "1/2"):  # log-free, and with powers of t
+        _, out, _ = run(
+            capsys,
+            ["expand", *main_args(eq_main), "--q", q, "--kmax", "2", "--format", "json"],
+        )
+        rebuilt = series_from_json(json.loads(out))
+        (ts,) = analyze_face(f, edge, Fraction(q)).candidates
+        assert rebuilt == expand_solution(f, ts, 2).series
 
 
 @pytest.mark.parametrize(
@@ -294,6 +295,43 @@ def test_series_from_json_refuses_bad_base(eq_main, capsys, change):
     doc.update(change)
     with pytest.raises(ValueError):
         series_from_json(doc)
+
+
+def _one_term_doc(beta):
+    return {
+        "q": "1/2",
+        "r": "0",
+        "c": [{"coef": "1", "monomial": {}}],
+        "terms": [{"k": "1", "beta": beta}],
+    }
+
+
+def _beta_entry(power, coef="5", monomial=None):
+    return {"t_power": power, "coeff": [{"coef": coef, "monomial": monomial or {}}]}
+
+
+@pytest.mark.parametrize(
+    "beta",
+    [
+        [_beta_entry(2), _beta_entry(-1, "7")],
+        [_beta_entry(2), _beta_entry(2, "7")],
+        [_beta_entry(1.5)],
+        [_beta_entry(2, monomial={"a": 1.5})],
+        [_beta_entry(2, monomial={"a": 0})],
+    ],
+    ids=[
+        "negative_t_power",
+        "repeated_t_power",
+        "fractional_t_power",
+        "fractional_exponent",
+        "zero_exponent",
+    ],
+)
+def test_series_from_json_refuses_bad_powers(beta):
+    good = series_from_json(_one_term_doc([_beta_entry(2, monomial={"a": 1})]))
+    assert good.coefficient(1) == TPoly([0, 0, 5 * ParamPoly.symbol("a")])
+    with pytest.raises(ValueError):
+        series_from_json(_one_term_doc(beta))
 
 
 def test_expand_json_ignores_log_base(eq_main, capsys):
@@ -389,7 +427,7 @@ def test_expand_missing_linear_part(tmp_path, capsys):
         capsys,
         ["expand", "--eq", path, "--q", "1/2", "--face", "(0,2)-(2,0)", "--c", "1"],
     )
-    assert code == EXIT_HYPOTHESIS
+    assert code == QDulacError.exit_code
     assert "no terms at support point (0,1)" in err
 
 
@@ -495,12 +533,14 @@ def test_verify_detects_truncation_gap(eq_main, capsys, monkeypatch):
     pipeline = cli._expand_pipeline
 
     def broken_pipeline(ns):
-        f, q, k_max, result = pipeline(ns)
+        f, k_max, result = pipeline(ns)
         bare = replace(
             result,
-            series=PowerLogSeries(q, [], base_shift=result.series.base_shift),
+            series=PowerLogSeries(
+                result.series.q, [], base_shift=result.series.base_shift
+            ),
         )
-        return f, q, k_max, bare
+        return f, k_max, bare
 
     monkeypatch.setattr(cli, "_expand_pipeline", broken_pipeline)
     code, out, _ = run(capsys, [*args, "--format", "json"])
@@ -575,7 +615,9 @@ def test_module_entry_point(eq_main):
     assert "y = -1 + (2*a3*log_{1/2}(x) + C1)*x" in proc.stdout
 
 
-@pytest.mark.parametrize("exponent, code", [(4_000_000, EXIT_OK), (2**31, EXIT_HYPOTHESIS)])
+@pytest.mark.parametrize(
+    "exponent, code", [(4_000_000, EXIT_OK), (2**31, QDulacError.exit_code)]
+)
 def test_polygon_huge_parameter_power(tmp_path, capsys, deadline, exponent, code):
     # a^n is built by repeated squaring, and a field of 2^31 is refused
     path = write_eq(tmp_path, f"a^{exponent}*x*y^2 + S(y) - 2*y + x = 0")
@@ -600,14 +642,14 @@ MAPPED_EXIT_CODES = {
     "TruncatedSolutionError": EXIT_INPUT,
     "IndeterminateEquationError": EXIT_INPUT,
     "EmptySupportError": EXIT_INPUT,
-    "LinearPartError": EXIT_HYPOTHESIS,
-    "LinearVertexError": EXIT_HYPOTHESIS,
-    "LinearCoefficientError": EXIT_HYPOTHESIS,
-    "ExponentOrderError": EXIT_HYPOTHESIS,
-    "IrrationalQPowerError": EXIT_HYPOTHESIS,
-    "ResourceLimitError": EXIT_HYPOTHESIS,
-    "DegreeBoundError": EXIT_HYPOTHESIS,
-    "InternalInvariantError": EXIT_HYPOTHESIS,
+    "LinearPartError": QDulacError.exit_code,
+    "LinearVertexError": QDulacError.exit_code,
+    "LinearCoefficientError": QDulacError.exit_code,
+    "ExponentOrderError": QDulacError.exit_code,
+    "IrrationalQPowerError": QDulacError.exit_code,
+    "ResourceLimitError": QDulacError.exit_code,
+    "DegreeBoundError": QDulacError.exit_code,
+    "InternalInvariantError": QDulacError.exit_code,
 }
 
 
@@ -619,11 +661,11 @@ def _error_classes(cls=errors.QDulacError):
 
 def test_every_error_class_owns_an_exit_code():
     codes = {cls.__name__: cls.exit_code for cls in _error_classes()}
-    assert set(codes.values()) <= {EXIT_INPUT, EXIT_HYPOTHESIS}
+    assert QDulacError.exit_code == 3  # the README's exit-code table
+    assert set(codes.values()) <= {EXIT_INPUT, QDulacError.exit_code}
     assert {name: codes[name] for name in MAPPED_EXIT_CODES} == MAPPED_EXIT_CODES
-    assert codes["QDulacError"] == EXIT_HYPOTHESIS
-    assert codes["NotAVertexError"] == EXIT_HYPOTHESIS
-    assert codes["InconsistentEdgeError"] == EXIT_HYPOTHESIS
+    assert codes["NotAVertexError"] == QDulacError.exit_code
+    assert codes["InconsistentEdgeError"] == QDulacError.exit_code
 
 
 @pytest.mark.parametrize(
@@ -635,5 +677,5 @@ def test_unmapped_error_class_exits_3(eq_main, capsys, monkeypatch, error):
 
     monkeypatch.setattr(cli, "analyze_face", refuse)
     code, out, err = run(capsys, ["truncate", *main_args(eq_main), "--q", "1/2"])
-    assert (code, out) == (EXIT_HYPOTHESIS, "")
+    assert (code, out) == (QDulacError.exit_code, "")
     assert err == "error: refused by the face analysis\n"

@@ -27,7 +27,6 @@ from qdulac.expand import (
     expand_solution,
     extract_linear_part,
     k_lattice,
-    nu,
     solve_poly_difference,
     verify_residual,
 )
@@ -64,7 +63,7 @@ def main_eq():
     return parse_equation(EQ_MAIN, ["a3", "a4"])
 
 
-def main_ts():
+def main_ts(q=F(1, 2)):
     f = main_eq()
     polygon = build_polygon(support(f))
     edge = next(
@@ -72,7 +71,7 @@ def main_ts():
         for face in faces_for_x_to_zero(polygon)
         if face.dim == 1 and face.r == 0
     )
-    return f, TruncatedSolution.create(f, edge, -1, 0, F(1, 2), "edge-root")
+    return f, TruncatedSolution.create(f, edge, -1, 0, q, "edge-root")
 
 
 def a3():
@@ -134,6 +133,11 @@ def test_linear_part_trims_and_rejects_zero():
 
 
 # -- nu and critical numbers
+
+
+def nu(L, q, k):
+    """nu(k) = sum_j a_j q^{jk}: L(q^k T) applied to the constant 1."""
+    return apply_difference_operator(L, q, k, TPoly.const(1)).coeff(0).constant_value()
 
 
 def test_nu_examples():
@@ -390,9 +394,9 @@ def test_exponent_order_examples():
 def test_expand_rejects_descending_exponents():
     f = parse_equation("y + y^2 - 2") + QPolynomial.x_power(-1)
     face = build_polygon(support(f)).faces[0]
-    ts = TruncatedSolution(ParamPoly.const(1), F(0), face, "user-supplied")
+    ts = TruncatedSolution(ParamPoly.const(1), F(0), F(1, 2), face, "user-supplied")
     with pytest.raises(ExponentOrderError):
-        expand_solution(f, ts, F(1, 2), 3)
+        expand_solution(f, ts, 3)
 
 
 # -- expansion driver
@@ -400,7 +404,7 @@ def test_expand_rejects_descending_exponents():
 
 def test_expand_case1_kmax1():
     f, ts = main_ts()
-    result = expand_solution(f, ts, F(1, 2), 1)
+    result = expand_solution(f, ts, 1)
     assert result.linear_part.coeffs == (F(3, 2), F(-4), F(2))
     assert result.k_set == (F(1),)
     beta1 = TPoly([ParamPoly.symbol("C1"), a3() * 2])
@@ -413,8 +417,8 @@ def test_expand_case1_kmax1():
 
 
 def test_expand_case2_kmax1():
-    f, ts = main_ts()
-    result = expand_solution(f, ts, F(1, 4), 1)
+    f, ts = main_ts(F(1, 4))
+    result = expand_solution(f, ts, 1)
     c1 = ParamPoly.symbol("C1")
     assert result.k_set == (F(1, 2), F(1))
     assert result.series.terms == (
@@ -428,19 +432,19 @@ def test_expand_case2_kmax1():
 
 def test_expand_case1_kmax3():
     f, ts = main_ts()
-    result = expand_solution(f, ts, F(1, 2), 3)
+    result = expand_solution(f, ts, 3)
     assert result.k_set == (F(1), F(2), F(3))
     ks = [k for k, _ in result.series.terms]
     assert ks == [F(1), F(2), F(3)]
     for k, beta in result.series.terms:
         assert beta.degree() <= 2 * k
-    assert degree_bound(result, 0)
+    assert degree_bound(result)
     assert result.log_free is False
 
 
 def test_expand_case2_kmax3_log_free():
-    f, ts = main_ts()
-    result = expand_solution(f, ts, F(1, 4), 3)
+    f, ts = main_ts(F(1, 4))
+    result = expand_solution(f, ts, 3)
     assert result.k_set == tuple(F(n, 2) for n in range(1, 7))
     assert result.log_free is True
     assert all(beta.degree() == 0 for _, beta in result.series.terms)
@@ -449,7 +453,7 @@ def test_expand_case2_kmax3_log_free():
 def test_expand_verbatim_difference_equations():
     f, ts = main_ts()
     q = F(1, 2)
-    result = expand_solution(f, ts, q, 3)
+    result = expand_solution(f, ts, 3)
     ft = substitute_shift(f, ts.c, ts.r, q)
     L = result.linear_part
     for k, beta in result.series.terms:
@@ -464,9 +468,10 @@ def test_expand_verbatim_difference_equations():
 
 
 def test_expand_remark2_log_free_implication():
-    f, ts = main_ts()
     for q in (F(1, 4), F(1, 2)):
-        result = expand_solution(f, ts, q, 3)
+        f, ts = main_ts(q)
+        result = expand_solution(f, ts, 3)
+        assert result.series.q == ts.q == q
         if all(mu == 1 and ok for _, mu, ok in result.critical_report):
             assert result.log_free
 
@@ -475,10 +480,10 @@ def test_expand_base_still_truncated_solution():
     from qdulac.truncate import verify_truncated
 
     f, ts = main_ts()
-    result = expand_solution(f, ts, F(1, 2), 2)
+    result = expand_solution(f, ts, 2)
     c, r = result.series.base_shift
-    rebuilt = TruncatedSolution(c, r, ts.face, "user-supplied")
-    assert verify_truncated(rebuilt, f, F(1, 2))
+    rebuilt = TruncatedSolution(c, r, result.series.q, ts.face, "user-supplied")
+    assert verify_truncated(rebuilt, f)
 
 
 def test_expand_exactness_gate():
@@ -490,16 +495,35 @@ def test_expand_exactness_gate():
     assert edge.r == 1
     ts = TruncatedSolution.create(f, edge, 1, 1, F(1, 2), "edge-root")
     with pytest.raises(IrrationalQPowerError):
-        expand_solution(f, ts, F(1, 2), 3)
-    result = expand_solution(f, ts, F(1, 4), 3)
+        expand_solution(f, ts, 3)
+    ts = TruncatedSolution.create(f, edge, 1, 1, F(1, 4), "edge-root")
+    result = expand_solution(f, ts, 3)
     assert result.series.terms == ((F(3, 2), TPoly.const(-1)),)
-    assert verify_residual(f, result, F(1, 4), {}, 10) is None
+    assert verify_residual(f, result, {}, 10) is None
+
+
+def test_expansion_runs_at_the_q_of_its_truncated_solution():
+    # S(y) - 4*y + x: the vertex (0,1) gives r = log_q 4 (none at q = 3),
+    # the edge to (1,0) gives r = 1 with c = 1/(1 - 4/q).
+    f = parse_equation("S(y) - 4*y + x = 0")
+    polygon = build_polygon(support(f))
+    leads = set()
+    for q in (F(1, 2), F(1, 4), F(3)):
+        for face in faces_for_x_to_zero(polygon):
+            for ts in analyze_face(f, face, q).candidates:
+                result = expand_solution(f, ts, ts.r + 3)
+                assert ts.q == result.series.q == q
+                names = ts.c.symbols() | {n for n, _ in result.constants_introduced}
+                bound = {name: 1 for name in names}
+                assert verify_residual(f, result, bound, ts.r + 3) is None
+                leads.add((q, ts.r))
+    assert leads == {(F(1, 2), -2), (F(1, 2), 1), (F(1, 4), -1), (F(1, 4), 1), (3, 1)}
 
 
 def test_expand_kmax_must_exceed_r():
     f, ts = main_ts()
     with pytest.raises(ValueError):
-        expand_solution(f, ts, F(1, 2), 0)
+        expand_solution(f, ts, 0)
 
 
 # -- verify_residual
@@ -507,21 +531,21 @@ def test_expand_kmax_must_exceed_r():
 
 def test_residual_case1_vanishes_to_order():
     f, ts = main_ts()
-    result = expand_solution(f, ts, F(1, 2), 1)
+    result = expand_solution(f, ts, 1)
     assignment = {"a3": 1, "a4": 1, "C1": 1}
-    assert verify_residual(f, result, F(1, 2), assignment, 1) is None
-    tail = verify_residual(f, result, F(1, 2), assignment, 5)
+    assert verify_residual(f, result, assignment, 1) is None
+    tail = verify_residual(f, result, assignment, 5)
     assert tail is None or tail > 1
 
 
 def test_residual_of_bare_base():
     f, ts = main_ts()
-    result = expand_solution(f, ts, F(1, 2), 1)
+    result = expand_solution(f, ts, 1)
     bare = replace(
         result,
         series=PowerLogSeries(F(1, 2), [], base_shift=(ParamPoly.const(-1), F(0))),
     )
-    assert verify_residual(f, bare, F(1, 2), {"a3": 1, "a4": 1}, 5) == 1
+    assert verify_residual(f, bare, {"a3": 1, "a4": 1}, 5) == 1
 
 
 def test_vertex_residual_with_c_bound_to_zero():
@@ -531,8 +555,8 @@ def test_vertex_residual_with_c_bound_to_zero():
     f = parse_equation("S(y) - 2*y + x^3 + x*y^2 = 0")
     polygon = build_polygon(support(f))
     face = find_face(polygon, [(0, 1)])
-    (ts,) = analyze_face(f, polygon, face, 2).candidates
-    result = expand_solution(f, ts, 2, 9)
+    (ts,) = analyze_face(f, face, 2).candidates
+    result = expand_solution(f, ts, 9)
     cut = replace(
         result,
         series=PowerLogSeries(
@@ -540,16 +564,16 @@ def test_vertex_residual_with_c_bound_to_zero():
         ),
     )
     for c, cut_exponent in ((0, 7), (1, 5)):
-        assert verify_residual(f, result, 2, {"c": c}, 9) is None
-        assert verify_residual(f, cut, 2, {"c": c}, 9) == cut_exponent
+        assert verify_residual(f, result, {"c": c}, 9) is None
+        assert verify_residual(f, cut, {"c": c}, 9) == cut_exponent
 
 
 def test_residual_zero_equation():
     f, ts = main_ts()
-    result = expand_solution(f, ts, F(1, 2), 1)
+    result = expand_solution(f, ts, 1)
     assert (
         verify_residual(
-            QPolynomial.zero(), result, F(1, 2), {"a3": 1, "a4": 1, "C1": 1}, 5
+            QPolynomial.zero(), result, {"a3": 1, "a4": 1, "C1": 1}, 5
         )
         is None
     )
@@ -557,16 +581,16 @@ def test_residual_zero_equation():
 
 def test_residual_property_random_assignments():
     rng = random.Random(20260815)
-    f, ts = main_ts()
     for q in (F(1, 2), F(1, 4)):
+        f, ts = main_ts(q)
         for n in (1, 2, 3):
-            result = expand_solution(f, ts, q, n)
+            result = expand_solution(f, ts, n)
             for _ in range(5):
                 assignment = {
                     name: F(rng.randint(-6, 6), rng.randint(1, 4))
                     for name in ("a3", "a4", "C1")
                 }
-                exp = verify_residual(f, result, q, assignment, 6)
+                exp = verify_residual(f, result, assignment, 6)
                 assert exp is None or exp > n
 
 
@@ -575,21 +599,21 @@ def test_residual_property_random_assignments():
 
 def test_degree_bound_case1():
     f, ts = main_ts()
-    result = expand_solution(f, ts, F(1, 2), 3)
-    assert degree_bound(result, 0)
+    result = expand_solution(f, ts, 3)
+    assert degree_bound(result)
     beta1 = result.series.coefficient(1)
     assert beta1.degree() == 1 <= 2
 
 
 def test_degree_bound_case2_trivial():
-    f, ts = main_ts()
-    result = expand_solution(f, ts, F(1, 4), 3)
-    assert degree_bound(result, 0)
+    f, ts = main_ts(F(1, 4))
+    result = expand_solution(f, ts, 3)
+    assert degree_bound(result)
 
 
 def test_degree_bound_negative_control():
     f, ts = main_ts()
-    result = expand_solution(f, ts, F(1, 2), 1)
+    result = expand_solution(f, ts, 1)
     t5 = TPoly([0, 0, 0, 0, 0, 1])
     fake = replace(
         result,
@@ -597,4 +621,4 @@ def test_degree_bound_negative_control():
             F(1, 2), [(F(1), t5)], base_shift=result.series.base_shift
         ),
     )
-    assert degree_bound(fake, 0) is False
+    assert degree_bound(fake) is False

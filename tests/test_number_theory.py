@@ -14,8 +14,8 @@ import pytest
 
 from qdulac import cli
 from qdulac.algebra import q_log, q_pow, rational_roots
-from qdulac.cli import EXIT_HYPOTHESIS, EXIT_OK, main
-from qdulac.errors import InternalInvariantError, IrrationalQPowerError
+from qdulac.cli import EXIT_OK, main
+from qdulac.errors import InternalInvariantError, IrrationalQPowerError, QDulacError
 
 F = Fraction
 
@@ -133,7 +133,7 @@ def test_injected_solver_bug_exits_3_under_optimize(tmp_path):
         "                   '--q', '1/2', '--kmax', '2']))\n",
         str(path),
     )
-    assert proc.returncode == EXIT_HYPOTHESIS, proc.stderr
+    assert proc.returncode == QDulacError.exit_code, proc.stderr
     assert "difference solve failed to verify" in proc.stderr
 
 
@@ -146,5 +146,5 @@ def test_internal_invariant_maps_to_exit_3(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "analyze_face", broken)
     code = main(["truncate", "--eq", str(path), "--q", "1/2"])
-    assert code == EXIT_HYPOTHESIS
+    assert code == QDulacError.exit_code
     assert "injected" in capsys.readouterr().err

@@ -1,11 +1,10 @@
 import random
 from fractions import Fraction
 
-from oracles import brute_force_hull, random_point_set
+from oracles import brute_force_hull, cone_contains, random_point_set
 from qdulac.parser import parse_equation
 from qdulac.polygon import (
     build_polygon,
-    cone_contains,
     faces_for_x_to_zero,
     find_face,
     render_svg,
@@ -24,15 +23,6 @@ def main_polygon():
     return build_polygon(support(parse_equation(EQ_MAIN, ["a3", "a4"])))
 
 
-def selects_r(face, r) -> bool:
-    """(-1,-r) lies in a selected face's cone: the edge's own r, or the
-    open interval r_range of a vertex."""
-    if face.dim == 1:
-        return face.r == r
-    lo, hi = face.r_range
-    return (lo is None or lo < r) and (hi is None or r < hi)
-
-
 def test_main_equation_hull():
     poly = main_polygon()
     assert set(poly.hull_vertices) == {(0, 2), (0, 3), (2, 3), (2, 2)}
@@ -48,11 +38,11 @@ def test_main_equation_hull():
 def test_main_equation_cone_examples():
     poly = main_polygon()
     left = find_face(poly, [(0, 2), (0, 3)])
-    assert cone_contains(left, poly.support, 0)
-    assert not cone_contains(left, poly.support, 1)
+    assert left.admits(0)
+    assert not left.admits(1)
     v02 = find_face(poly, [(0, 2)])
-    assert cone_contains(v02, poly.support, 1)
-    assert not cone_contains(v02, poly.support, 0)
+    assert v02.admits(1)
+    assert not v02.admits(0)
     assert v02.r_range == (F(0), None)
     v03 = find_face(poly, [(0, 3)])
     assert v03.r_range == (None, F(0))
@@ -80,7 +70,7 @@ def test_single_point_polygon():
     sel = faces_for_x_to_zero(poly)
     assert sel == [poly.faces[0]]
     assert sel[0].r_range == (None, None)
-    assert selects_r(sel[0], F(-7, 3))
+    assert sel[0].admits(F(-7, 3))
 
 
 def test_horizontal_segment_polygon():
@@ -147,7 +137,7 @@ def test_cone_separation_invariant():
                 else:
                     probes = [(lo + hi) / 2]
             for r in probes:
-                assert cone_contains(face, poly.support, r)
+                assert face.admits(r)
                 p = (F(-1), -r)
                 face_val = p[0] * face.points[0][0] + p[1] * face.points[0][1]
                 for s in poly.support:
@@ -158,6 +148,34 @@ def test_cone_separation_invariant():
                         assert val < face_val
 
 
+def _admits_probes(face):
+    """Each finite end of the face's r-range (an edge: its r), with one
+    point just inside and one just outside it."""
+    lo, hi = (face.r, face.r) if face.dim == 1 else face.r_range or (None, None)
+    step = F(1, 1000)
+    if lo is not None and hi is not None and lo < hi:
+        step = (hi - lo) / 1000
+    probes = set()
+    for end, inward in ((lo, step), (hi, -step)):
+        if end is not None:
+            probes |= {end, end + inward, end - inward}
+    return probes
+
+
+def test_face_admits_matches_support_scan():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(300):
+        poly = build_polygon(random_point_set(rng, max_size=8))
+        probes = {F(0)}.union(*map(_admits_probes, poly.faces))
+        for face in poly.faces:
+            for r in probes:
+                admitted = face.admits(r)
+                assert admitted == cone_contains(face, poly.support, r), (face, r)
+                seen.add((face.dim, admitted))
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
+
+
 def test_cone_partition_property():
     rng = random.Random(15)
     for _ in range(30):
@@ -166,7 +184,7 @@ def test_cone_partition_property():
         sel = faces_for_x_to_zero(poly)
         for num in range(-12, 13):
             r = F(num, 3)
-            holders = [f for f in sel if selects_r(f, r)]
+            holders = [f for f in sel if f.admits(r)]
             assert len(holders) == 1, (pts, r)
 
 

@@ -7,6 +7,7 @@ from oracles import random_edge_equation
 from qdulac.algebra import ParamPoly, TPoly
 from qdulac.errors import (
     InconsistentEdgeError,
+    InvalidQError,
     NotAVertexError,
     TruncatedSolutionError,
 )
@@ -112,11 +113,11 @@ def test_determining_poly_parameter_coefficients():
 def test_verify_truncated_examples():
     f, poly = setup_main()
     left = find_face(poly, [(0, 2), (0, 3)])
-    good = TruncatedSolution(ParamPoly.const(-1), F(0), left, "edge-root")
-    assert verify_truncated(good, f, F(1, 2))
-    bad = TruncatedSolution(ParamPoly.const(1), F(0), left, "user-supplied")
-    assert not verify_truncated(bad, f, F(1, 2))
-    assert verify_truncated(good, QPolynomial.zero(), F(1, 2))
+    good = TruncatedSolution(ParamPoly.const(-1), F(0), F(1, 2), left, "edge-root")
+    assert verify_truncated(good, f)
+    bad = TruncatedSolution(ParamPoly.const(1), F(0), F(1, 2), left, "user-supplied")
+    assert not verify_truncated(bad, f)
+    assert verify_truncated(good, QPolynomial.zero())
 
 
 def test_truncated_solution_factory_verifies():
@@ -127,13 +128,36 @@ def test_truncated_solution_factory_verifies():
     with pytest.raises(TruncatedSolutionError):
         TruncatedSolution.create(f, left, ParamPoly.const(1), 0, F(1, 2), "edge-root")
     with pytest.raises(TruncatedSolutionError):
-        TruncatedSolution(ParamPoly.zero(), F(0), left, "edge-root")
+        TruncatedSolution(ParamPoly.zero(), F(0), F(1, 2), left, "edge-root")
+
+
+def test_truncated_solution_checks_q():
+    f, poly = setup_main()
+    left = find_face(poly, [(0, 2), (0, 3)])
+    ts = TruncatedSolution.create(f, left, ParamPoly.const(-1), 0, 4, "edge-root")
+    assert ts.q == F(4) and type(ts.q) is Fraction
+    for q in (1, F(1), 0, F(-1, 2)):
+        with pytest.raises(InvalidQError):
+            TruncatedSolution(ParamPoly.const(-1), F(0), q, left, "edge-root")
+    with pytest.raises(TypeError):
+        TruncatedSolution(ParamPoly.const(-1), F(0), 0.5, left, "edge-root")
+
+
+def test_analyze_face_candidates_carry_q():
+    f, poly = setup_main()
+    for q in (F(1, 2), F(1, 4), F(3)):
+        candidates = [
+            ts
+            for face in faces_for_x_to_zero(poly)
+            for ts in analyze_face(f, face, q).candidates
+        ]
+        assert candidates and all(ts.q == q for ts in candidates)
 
 
 def test_analyze_left_edge():
     f, poly = setup_main()
     left = find_face(poly, [(0, 2), (0, 3)])
-    analysis = analyze_face(f, poly, left, F(1, 2))
+    analysis = analyze_face(f, left, F(1, 2))
     assert analysis.variable == "c"
     assert analysis.poly == TPoly([0, 0, F(-1, 2), F(-1, 2)])
     assert analysis.roots == ((F(-1), 1), (F(0), 2))
@@ -148,7 +172,7 @@ def test_analyze_left_edge():
 def test_analyze_vertex_no_admissible_roots():
     f, poly = setup_main()
     v = find_face(poly, [(0, 2)])
-    analysis = analyze_face(f, poly, v, F(1, 2))
+    analysis = analyze_face(f, v, F(1, 2))
     assert analysis.variable == "w"
     assert analysis.candidates == ()
     assert any("w=0 excluded" in d for d in analysis.diagnostics)
@@ -158,7 +182,7 @@ def test_analyze_vertex_with_free_coefficient():
     f = parse_equation("S(y)*y - 2*y^2 + x*y^3")
     poly = build_polygon(support(f))
     v = find_face(poly, [(0, 2)])
-    analysis = analyze_face(f, poly, v, F(1, 4))
+    analysis = analyze_face(f, v, F(1, 4))
     assert analysis.poly == TPoly([-2, 1])
     assert len(analysis.candidates) == 1
     ts = analysis.candidates[0]
@@ -171,7 +195,7 @@ def test_analyze_vertex_irrational_log_skipped():
     f = parse_equation("S(y)*y - 2*y^2 + x*y^3")
     poly = build_polygon(support(f))
     v = find_face(poly, [(0, 2)])
-    analysis = analyze_face(f, poly, v, F(1, 3))
+    analysis = analyze_face(f, v, F(1, 3))
     assert analysis.candidates == ()
     assert any("non-rational exponent" in d for d in analysis.diagnostics)
 
@@ -181,7 +205,7 @@ def test_analyze_vertex_root_outside_cone():
     poly = build_polygon(support(f))
     v = find_face(poly, [(0, 2)])
     # q = 1/2 puts r = -1 exactly on the adjacent edge, outside the cone
-    analysis = analyze_face(f, poly, v, F(1, 2))
+    analysis = analyze_face(f, v, F(1, 2))
     assert analysis.candidates == ()
     assert any("outside" in d for d in analysis.diagnostics)
 
@@ -200,7 +224,7 @@ def test_analyze_vertex_root_outside_cone():
 def test_analyze_vertex_r_override(eq, params, vertex, r, expected, tried):
     f = parse_equation(eq, params)
     poly = build_polygon(support(f))
-    analysis = analyze_face(f, poly, find_face(poly, [vertex]), F(1, 2), None, r)
+    analysis = analyze_face(f, find_face(poly, [vertex]), F(1, 2), None, r)
     assert [(ts.r, ts.provenance) for ts in analysis.candidates] == expected
     assert tried == any("does not solve" in d for d in analysis.diagnostics)
 
@@ -208,10 +232,10 @@ def test_analyze_vertex_r_override(eq, params, vertex, r, expected, tried):
 def test_analyze_edge_user_supplied_c():
     f, poly = setup_main()
     left = find_face(poly, [(0, 2), (0, 3)])
-    analysis = analyze_face(f, poly, left, F(1, 2), c_override=ParamPoly.const(-1))
+    analysis = analyze_face(f, left, F(1, 2), c_override=ParamPoly.const(-1))
     assert len(analysis.candidates) == 1
     assert analysis.candidates[0].c == ParamPoly.const(-1)
-    bad = analyze_face(f, poly, left, F(1, 2), c_override=ParamPoly.const(3))
+    bad = analyze_face(f, left, F(1, 2), c_override=ParamPoly.const(3))
     assert len(bad.candidates) == 1  # the enumerated root -1 still stands
     assert all(ts.c != ParamPoly.const(3) for ts in bad.candidates)
     assert any("does not solve" in d for d in bad.diagnostics)
@@ -221,11 +245,11 @@ def test_analyze_edge_needs_c():
     f = parse_equation("a3*y^2 + a3*y", ["a3"])
     poly = build_polygon(support(f))
     edge = find_face(poly, [(0, 1), (0, 2)])
-    analysis = analyze_face(f, poly, edge, F(1, 2))
+    analysis = analyze_face(f, edge, F(1, 2))
     assert analysis.candidates == ()
     assert any("needs --c" in d for d in analysis.diagnostics)
     with_c = analyze_face(
-        f, poly, edge, F(1, 2), c_override=ParamPoly.const(-1)
+        f, edge, F(1, 2), c_override=ParamPoly.const(-1)
     )
     assert len(with_c.candidates) == 1
     assert with_c.candidates[0].provenance == "user-supplied"
@@ -240,9 +264,10 @@ def test_planted_edge_equations():
         face = find_face(poly, endpoints)
         assert face is not None and face.dim == 1
         assert face.r == r
-        analysis = analyze_face(eq, poly, face, q)
+        analysis = analyze_face(eq, face, q)
         for ts in analysis.candidates:
-            assert verify_truncated(ts, eq, q)
+            assert ts.q == q
+            assert verify_truncated(ts, eq)
         if any(
             ts.c == ParamPoly.const(c) and ts.r == r
             for ts in analysis.candidates
