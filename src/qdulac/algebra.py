@@ -708,6 +708,8 @@ def rational_roots(coeffs: Sequence[Scalar]) -> list[tuple[Fraction, int]]:
         roots.append((Fraction(0), zero_mult))
     if len(cs) == 1:
         return roots
+    if len(cs) == 2:  # linear: its one root, found without a search
+        return sorted(roots + [(-cs[0] / cs[1], 1)])
 
     den_lcm = math.lcm(*(c.denominator for c in cs))
     poly = _primitive([int(c * den_lcm) for c in cs])
@@ -776,9 +778,10 @@ def rational_roots(coeffs: Sequence[Scalar]) -> list[tuple[Fraction, int]]:
 def _exact_root(n: int, m: int) -> int | None:
     """The integer m-th root of n >= 0, or None when n is not an m-th power.
 
-    Integer Newton iteration from above, as in `math.isqrt`: it starts at
-    2**ceil(bits/m) > n**(1/m) and stops at floor(n**(1/m)), where the
-    iterate stops falling.  An n >= 2 of at most m bits lies strictly
+    Integer Newton iteration from above, as in `math.isqrt`: from a start
+    at or above floor(n**(1/m)) (a float estimate raised past its rounding
+    error, or 2**ceil(bits/m) if the root overflows a float) it falls to
+    floor(n**(1/m)) and stops.  An n >= 2 of at most m bits lies strictly
     between 1**m and 2**m, which keeps x**(m - 1) small.
     """
     if m == 1 or n < 2:
@@ -790,6 +793,8 @@ def _exact_root(n: int, m: int) -> int | None:
         root = math.isqrt(n)
     else:
         root = 1 << -(-bits // m)
+        if bits < 1000 * m:  # the root is below 2**1000, a finite float
+            root = min(root, int(2.0 ** (math.log2(n) / m) * (1 + 1e-9)) + 1)
         while True:
             nxt = ((m - 1) * root + n // root ** (m - 1)) // m
             if nxt >= root:
@@ -803,8 +808,8 @@ def _primitive_power(x: Fraction) -> tuple[Fraction, int]:
 
     An m-th power above 1 has more than m bits, so only exponents below the
     bit length of the numerator or denominator (whichever exceeds 1) can
-    occur; each is tried until its exact root stops existing.  Composite
-    exponents always fail, as their prime factors were taken out first.
+    occur; each prime is tried until its exact root stops existing, and
+    composites, whose prime factors were taken out first, are skipped.
     """
     num, den = x.numerator, x.denominator
     e = 1
@@ -814,6 +819,8 @@ def _primitive_power(x: Fraction) -> tuple[Fraction, int]:
         den_root = None if num_root is None else _exact_root(den, m)
         if den_root is None:
             m += 1
+            while any(m % p == 0 for p in range(2, math.isqrt(m) + 1)):
+                m += 1
         else:
             num, den, e = num_root, den_root, e * m
     return Fraction(num, den), e

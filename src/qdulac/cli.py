@@ -46,194 +46,84 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 
-# -- JSON schemas (draft-07); rationals are reduced "p" or "p/m" strings
+# -- JSON schemas (draft-07); rationals are reduced "p" or "p/m" strings.
+# Every object is a closed record: `_record` requires each field it is
+# given, except those named in `optional`, and admits no other.
+
+
+def _record(optional=(), **fields) -> dict:
+    return {
+        "type": "object",
+        "properties": fields,
+        "required": [name for name in fields if name not in optional],
+        "additionalProperties": False,
+    }
+
+
+def _array(items, kind="array", **bounds) -> dict:
+    return {"type": kind, "items": items, **bounds}
+
+
+def _int(least: int) -> dict:
+    return {"type": "integer", "minimum": least}
+
 
 _RAT = {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}
-_POINT = {"type": "array", "items": _RAT, "minItems": 2, "maxItems": 2}
-_POLY = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "properties": {
-            "coef": _RAT,
-            "monomial": {
-                "type": "object",
-                "additionalProperties": {"type": "integer", "minimum": 1},
-            },
-        },
-        "required": ["coef", "monomial"],
-        "additionalProperties": False,
-    },
-}
-_FACE = {
-    "type": "object",
-    "properties": {
-        "dim": {"enum": [0, 1]},
-        "points": {"type": "array", "items": _POINT, "minItems": 1},
-        "r": _RAT,
-    },
-    "required": ["dim", "points"],
-    "additionalProperties": False,
-}
+_STR = {"type": "string"}
+_BOOL = {"type": "boolean"}
+_POINT = _array(_RAT, minItems=2, maxItems=2)
+_POLY = _array(
+    _record(coef=_RAT, monomial={"type": "object", "additionalProperties": _int(1)})
+)
+_FACE = _record(
+    dim={"enum": [0, 1]},
+    points=_array(_POINT, minItems=1),
+    r=_RAT,
+    optional=("r",),
+)
 
-POLYGON_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "support": {"type": "array", "items": _POINT},
-        "hull": {"type": "array", "items": _POINT},
-        "faces": {"type": "array", "items": _FACE},
-    },
-    "required": ["support", "hull", "faces"],
-    "additionalProperties": False,
-}
+POLYGON_SCHEMA = _record(
+    support=_array(_POINT), hull=_array(_POINT), faces=_array(_FACE)
+)
 
-TRUNCATE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "q": _RAT,
-        "faces": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "face": _FACE,
-                    "truncated": {"type": "string"},
-                    "variable": {"enum": ["w", "c"]},
-                    "poly": {
-                        "type": ["array", "null"],
-                        "items": {
-                            "type": "object",
-                            "properties": {
-                                "power": {"type": "integer", "minimum": 0},
-                                "coeff": _POLY,
-                            },
-                            "required": ["power", "coeff"],
-                            "additionalProperties": False,
-                        },
-                    },
-                    "roots": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "properties": {
-                                "value": _RAT,
-                                "multiplicity": {"type": "integer", "minimum": 1},
-                            },
-                            "required": ["value", "multiplicity"],
-                            "additionalProperties": False,
-                        },
-                    },
-                    "candidates": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "properties": {
-                                "c": _POLY,
-                                "r": _RAT,
-                                "provenance": {
-                                    "enum": [
-                                        "vertex-root",
-                                        "edge-root",
-                                        "user-supplied",
-                                    ]
-                                },
-                            },
-                            "required": ["c", "r", "provenance"],
-                            "additionalProperties": False,
-                        },
-                    },
-                    "diagnostics": {"type": "array", "items": {"type": "string"}},
-                },
-                "required": [
-                    "face",
-                    "truncated",
-                    "variable",
-                    "poly",
-                    "roots",
-                    "candidates",
-                    "diagnostics",
-                ],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["q", "faces"],
-    "additionalProperties": False,
-}
+TRUNCATE_SCHEMA = _record(
+    q=_RAT,
+    faces=_array(
+        _record(
+            face=_FACE,
+            truncated=_STR,
+            variable={"enum": ["w", "c"]},
+            poly=_array(_record(power=_int(0), coeff=_POLY), ["array", "null"]),
+            roots=_array(_record(value=_RAT, multiplicity=_int(1))),
+            candidates=_array(
+                _record(
+                    c=_POLY,
+                    r=_RAT,
+                    provenance={"enum": ["vertex-root", "edge-root", "user-supplied"]},
+                )
+            ),
+            diagnostics=_array(_STR),
+        )
+    ),
+)
 
-EXPAND_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "q": _RAT,
-        "r": _RAT,
-        "c": _POLY,
-        "terms": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "k": _RAT,
-                    "beta": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "properties": {
-                                "t_power": {"type": "integer", "minimum": 0},
-                                "coeff": _POLY,
-                            },
-                            "required": ["t_power", "coeff"],
-                            "additionalProperties": False,
-                        },
-                    },
-                },
-                "required": ["k", "beta"],
-                "additionalProperties": False,
-            },
-        },
-        "constants": {"type": "array", "items": {"type": "string"}},
-        "critical": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "k": _RAT,
-                    "mu": {"type": "integer", "minimum": 1},
-                    "compatible": {"type": "boolean"},
-                },
-                "required": ["k", "mu", "compatible"],
-                "additionalProperties": False,
-            },
-        },
-        "skipped_irrational": {"type": "array", "items": _RAT},
-        "unresolved": {"type": "integer", "minimum": 0},
-        "log_free": {"type": "boolean"},
-    },
-    "required": [
-        "q",
-        "r",
-        "c",
-        "terms",
-        "constants",
-        "critical",
-        "skipped_irrational",
-        "unresolved",
-        "log_free",
-    ],
-    "additionalProperties": False,
-}
+EXPAND_SCHEMA = _record(
+    q=_RAT,
+    r=_RAT,
+    c=_POLY,
+    terms=_array(_record(k=_RAT, beta=_array(_record(t_power=_int(0), coeff=_POLY)))),
+    constants=_array(_STR),
+    critical=_array(_record(k=_RAT, mu=_int(1), compatible=_BOOL)),
+    skipped_irrational=_array(_RAT),
+    unresolved=_int(0),
+    log_free=_BOOL,
+)
 
-VERIFY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "k_max": _RAT,
-        "residual_min_exponent": {
-            "oneOf": [_RAT, {"type": "null"}],
-        },
-        "pass": {"type": "boolean"},
-    },
-    "required": ["k_max", "residual_min_exponent", "pass"],
-    "additionalProperties": False,
-}
+VERIFY_SCHEMA = _record(
+    k_max=_RAT,
+    residual_min_exponent={"oneOf": [_RAT, {"type": "null"}]},
+    **{"pass": _BOOL},  # a Python keyword
+)
 
 
 # -- serialization helpers
@@ -258,13 +148,15 @@ def _json_int(value, least: int) -> int:
 
 
 def _poly_from_json(entries) -> ParamPoly:
-    total = ParamPoly.zero()
+    terms: dict = {}
     for entry in entries:
-        term = ParamPoly.const(parse_rat(entry["coef"]))
-        for name, exp in entry["monomial"].items():
-            term = term * ParamPoly.symbol(name) ** _json_int(exp, 1)
-        total = total + term
-    return total
+        mono = tuple(
+            sorted((name, _json_int(exp, 1)) for name, exp in entry["monomial"].items())
+        )
+        if mono in terms:
+            raise ValueError(f"repeated monomial {entry['monomial']!r}")
+        terms[mono] = parse_rat(entry["coef"])
+    return ParamPoly(terms)
 
 
 def _tpoly_json(beta: TPoly, power_key: str) -> list:
@@ -318,13 +210,14 @@ def expansion_json(result: ExpansionResult) -> dict:
 
 def series_from_json(doc: dict) -> PowerLogSeries:
     """Rebuild the series of an `expand` JSON document exactly; a malformed
-    power (negative, repeated or not an integer) raises ValueError."""
+    power (negative, repeated or not an integer), a repeated monomial and a
+    repeated k raise ValueError."""
+    ks = [parse_rat(term["k"]) for term in doc["terms"]]
+    if len(set(ks)) != len(ks):
+        raise ValueError(f"repeated k in {', '.join(map(rat_str, sorted(ks)))}")
     return PowerLogSeries(
         parse_rat(doc["q"]),
-        [
-            (parse_rat(term["k"]), _tpoly_from_json(term["beta"]))
-            for term in doc["terms"]
-        ],
+        [(k, _tpoly_from_json(term["beta"])) for k, term in zip(ks, doc["terms"])],
         base_shift=(_poly_from_json(doc["c"]), parse_rat(doc["r"])),
     )
 
@@ -741,6 +634,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Integers of any length are legal input and output, so CPython's limit
+    # on int <-> str conversion (3.10.7+) is lifted while a command runs.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except QDulacError as err:
@@ -749,6 +648,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(previous)
 
 
 if __name__ == "__main__":

@@ -333,9 +333,8 @@ def expand_solution(
     L, h = extract_linear_part(ft)
     check_exponent_order(h, r)
     crit = critical_numbers(L, q, r)
-    criticals = crit.criticals()
     h_support = set() if h.is_zero() else support(h)
-    k_set = k_lattice(h_support, [k for k, _ in criticals], r, k_max)
+    k_set = k_lattice(h_support, [k for k, _ in crit.criticals()], r, k_max)
     denom = math.lcm(r.denominator, *(k.denominator for k in k_set))
     q_pow(q, Fraction(1, denom))  # exactness gate; raises when irrational
 
@@ -343,26 +342,23 @@ def expand_solution(
     for term in f.terms:
         taken |= term.coeff.symbols()
     namer = constant_namer(taken)
-    critical_ks = {k for k, _ in criticals}
     collected: list = []
     constants: list = []
-    compat: dict[Fraction, bool] = {}
+    report: list = []
     for k in k_set:
         partial = PowerLogSeries(q, collected)
         residual = evaluate_on_series(ft, partial, k, k)
         theta = residual.coefficient(k)
-        if k in critical_ks:
-            compat[k] = theta.is_zero()
         beta, names = solve_poly_difference(L, q, k, theta, namer)
+        if names:  # k is critical, with mu = len(names)
+            report.append((k, len(names), theta.is_zero()))
         constants.extend((name, k) for name in names)
         collected.append((k, beta))  # the series drops a zero beta
     result = ExpansionResult(
         series=PowerLogSeries(q, collected, base_shift=(ts.c, r)),
         constants_introduced=tuple(constants),
         k_set=tuple(k_set),
-        critical_report=tuple(
-            (k, mu, compat.get(k, True)) for k, mu in criticals if k <= k_max
-        ),
+        critical_report=tuple(report),
         skipped_irrational=crit.skipped_irrational,
         unresolved=crit.unresolved,
         linear_part=L,

@@ -16,8 +16,10 @@ IDENT must be one of the declared parameter names.  Powers are nonnegative
 integers, except on x, which also takes the negative and fractional powers
 the text notation prints ("x^-1", "x^(3/2)", "x^(-1/2)"); "y^1/2", "y^-1"
 and "x^1/2" are rejected with the specific diagnostics the pipeline
-reports to users.  The result is a canonical QPolynomial: powers and
-products expanded, like terms merged.
+reports to users.  Parentheses nest at most 100 levels deep, well inside
+the interpreter's recursion limit; deeper input raises ResourceLimitError.
+The result is a canonical QPolynomial: powers and products expanded, like
+terms merged.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ParamPoly, RESERVED_SYMBOLS
-from .errors import ParseError, ReservedSymbolError
+from .errors import ParseError, ReservedSymbolError, ResourceLimitError
 from .qexpr import QPolynomial
 
 _TOKEN_RE = re.compile(
@@ -78,6 +80,7 @@ def tokenize(text: str) -> list[Token]:
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+_MAX_NESTING = 100
 
 
 def check_params(params) -> tuple[str, ...]:
@@ -99,6 +102,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.params = params
+        self.depth = 0  # open parentheses around the current atom
 
     @property
     def cur(self) -> Token:
@@ -199,9 +203,16 @@ class _Parser:
         if tok.kind == "int":
             return QPolynomial.constant(self.parse_rational()), "a constant"
         if tok.kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ResourceLimitError(
+                    f"parentheses nest deeper than {_MAX_NESTING} levels "
+                    f"(line {tok.line}, column {tok.col})"
+                )
+            self.depth += 1
             self.advance()
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner, "a subexpression"
         if tok.kind == "ident":
             return self.parse_ident()

@@ -275,28 +275,6 @@ def test_expand_json_round_trip(eq_main, capsys):
         assert rebuilt == expand_solution(f, ts, 2).series
 
 
-@pytest.mark.parametrize(
-    "change",
-    [
-        {"c": []},
-        {"r": "1/2"},
-        {"r": "1"},
-    ],
-    ids=["zero_c", "r_at_first_term", "r_above_first_term"],
-)
-def test_series_from_json_refuses_bad_base(eq_main, capsys, change):
-    _, out, _ = run(
-        capsys,
-        ["expand", *main_args(eq_main), "--q", "1/4", "--kmax", "2", "--format", "json"],
-    )
-    doc = json.loads(out)
-    assert doc["terms"][0]["k"] == "1/2"
-    series_from_json(doc)
-    doc.update(change)
-    with pytest.raises(ValueError):
-        series_from_json(doc)
-
-
 def _one_term_doc(beta):
     return {
         "q": "1/2",
@@ -311,6 +289,29 @@ def _beta_entry(power, coef="5", monomial=None):
 
 
 @pytest.mark.parametrize(
+    "change",
+    [
+        {"c": []},
+        {"r": "1/2"},
+        {"r": "1"},
+        {"terms": [{"k": "1", "beta": [_beta_entry(0, c)]} for c in ("5", "7")]},
+    ],
+    ids=["zero_c", "r_at_first_term", "r_above_first_term", "repeated_k"],
+)
+def test_series_from_json_refuses_bad_base(eq_main, capsys, change):
+    _, out, _ = run(
+        capsys,
+        ["expand", *main_args(eq_main), "--q", "1/4", "--kmax", "2", "--format", "json"],
+    )
+    doc = json.loads(out)
+    assert doc["terms"][0]["k"] == "1/2"
+    series_from_json(doc)
+    doc.update(change)
+    with pytest.raises(ValueError):
+        series_from_json(doc)
+
+
+@pytest.mark.parametrize(
     "beta",
     [
         [_beta_entry(2), _beta_entry(-1, "7")],
@@ -318,6 +319,15 @@ def _beta_entry(power, coef="5", monomial=None):
         [_beta_entry(1.5)],
         [_beta_entry(2, monomial={"a": 1.5})],
         [_beta_entry(2, monomial={"a": 0})],
+        [
+            {
+                "t_power": 2,
+                "coeff": [
+                    {"coef": "5", "monomial": {"a": 1}},
+                    {"coef": "7", "monomial": {"a": 1}},
+                ],
+            }
+        ],
     ],
     ids=[
         "negative_t_power",
@@ -325,6 +335,7 @@ def _beta_entry(power, coef="5", monomial=None):
         "fractional_t_power",
         "fractional_exponent",
         "zero_exponent",
+        "repeated_monomial",
     ],
 )
 def test_series_from_json_refuses_bad_powers(beta):
@@ -679,3 +690,71 @@ def test_unmapped_error_class_exits_3(eq_main, capsys, monkeypatch, error):
     code, out, err = run(capsys, ["truncate", *main_args(eq_main), "--q", "1/2"])
     assert (code, out) == (QDulacError.exit_code, "")
     assert err == "error: refused by the face analysis\n"
+
+
+# -- integers beyond CPython's int <-> str digit limit (4300 digits)
+
+BIG = "7" * 5000
+BIG_Q = "1/" + "3" * 4400
+EDGE = ["--face", "(0,1)-(1,0)", "--kmax", "2"]  # r = 1 on this edge
+
+
+@pytest.mark.parametrize(
+    "equation, argv, shown",
+    [
+        (f"S(y) - 2*y + {BIG}*x", ["polygon"], f"{BIG}*x"),
+        # c = BIG/(2 - q) = 2*BIG/3
+        (
+            f"S(y) - 2*y + {BIG}*x",
+            ["expand", "--q", "1/2", *EDGE],
+            "c = 1" + "5" * 4999 + "4/3,",
+        ),
+        # c = 1/(2 - q) = N/(2N - 1) for q = 1/N
+        (
+            "S(y) - 2*y + x",
+            ["expand", "--q", BIG_Q, *EDGE],
+            f"q = {BIG_Q}, base: c = {'3' * 4400}/{'6' * 4399}5,",
+        ),
+    ],
+    ids=["polygon_big_coefficient", "expand_big_coefficient", "expand_big_q"],
+)
+def test_cli_lifts_the_digit_limit(tmp_path, capsys, deadline, equation, argv, shown):
+    path = write_eq(tmp_path, equation)
+    with deadline(3):
+        code, out, err = run(capsys, [argv[0], "--eq", path, *argv[1:]])
+    assert (code, err) == (EXIT_OK, "")
+    assert shown in out
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before 3.10.7"
+)
+@pytest.mark.parametrize(
+    "text, code", [(f"{BIG}*x + y", EXIT_OK), ("y +", EXIT_INPUT)], ids=["ok", "error"]
+)
+def test_cli_restores_the_digit_limit(tmp_path, capsys, text, code):
+    path = write_eq(tmp_path, text)
+    before = sys.get_int_max_str_digits()
+    assert before > 0
+    assert run(capsys, ["polygon", "--eq", path])[0] == code
+    assert sys.get_int_max_str_digits() == before
+
+
+# -- nesting depth of parentheses
+
+
+@pytest.mark.parametrize(
+    "depth, code",
+    [(100, EXIT_OK), (101, ResourceLimitError.exit_code), (250, ResourceLimitError.exit_code)],
+)
+def test_parenthesis_depth_limit(tmp_path, capsys, depth, code):
+    path = write_eq(tmp_path, "(" * depth + "y" + ")" * depth + " - 2*S(y) + x")
+    got, out, err = run(capsys, ["polygon", "--eq", path])
+    assert got == code
+    if code == EXIT_OK:
+        assert (out.splitlines()[0], err) == ("equation: y - 2*S(y) + x", "")
+    else:
+        assert out == ""
+        assert err == (
+            "error: parentheses nest deeper than 100 levels (line 1, column 101)\n"
+        )

@@ -3,7 +3,9 @@
 Each case runs `qdulac.cli.main(argv)` in process and compares stdout,
 stderr and the exit code with the files under tests/golden/; the `plot`
 case also compares the SVG it writes.  The other CLI tests only check
-substrings, so these cases are what pins every byte a user sees.
+substrings, so these cases are what pins every byte a user sees.  The
+four published JSON schemas are pinned the same way, as the text of
+tests/golden/schemas.json.
 
 To regenerate the expected files after a deliberate output change:
 
@@ -31,6 +33,8 @@ VERTEX = str(GOLDEN / "vertex.qde")
 PARAM = str(GOLDEN / "param.qde")
 DEGENERATE = str(GOLDEN / "degenerate.qde")
 EXPECTED = GOLDEN / "expected.json"
+SCHEMAS = GOLDEN / "schemas.json"
+SCHEMA_NAMES = ("POLYGON_SCHEMA", "TRUNCATE_SCHEMA", "EXPAND_SCHEMA", "VERIFY_SCHEMA")
 SVG_NAME = "polygon.svg"
 
 _MAIN = ["--eq", MAIN, "--params", "a3,a4"]
@@ -116,6 +120,14 @@ def run_case(argv: list, workdir: Path) -> dict:
     return result
 
 
+def schemas_text() -> str:
+    """The four JSON schemas of `qdulac.cli`, as schemas.json records them."""
+    from qdulac import cli
+
+    schemas = {name: getattr(cli, name) for name in SCHEMA_NAMES}
+    return json.dumps(schemas, indent=2) + "\n"
+
+
 def _load_expected() -> dict:
     return json.loads(EXPECTED.read_text(encoding="utf-8"))
 
@@ -147,6 +159,10 @@ def test_golden_cases_cover_every_expected_file():
     assert set(_load_expected()) == set(CASES)
 
 
+def test_golden_schemas():
+    assert schemas_text() == SCHEMAS.read_text(encoding="utf-8")
+
+
 def check(workdir: Path) -> int:
     """Run every case against its golden files; 1 if any differs, else 0."""
     expected = _load_expected()
@@ -157,7 +173,11 @@ def check(workdir: Path) -> int:
         if run_case(CASES[name], workdir) != expected_result(name, expected):
             print(f"MISMATCH {name}")
             failed.append(name)
-    print(f"{len(failed)} of {len(set(expected) | set(CASES))} golden cases differ")
+    if schemas_text() != SCHEMAS.read_text(encoding="utf-8"):
+        print(f"MISMATCH {SCHEMAS.name}")
+        failed.append(SCHEMAS.name)
+    total = len(set(expected) | set(CASES)) + 1  # the cases and the schemas
+    print(f"{len(failed)} of {total} golden cases differ")
     return 1 if failed else 0
 
 
@@ -172,6 +192,7 @@ def regenerate(workdir: Path) -> None:
             (GOLDEN / entry["svg"]).write_text(result["svg"], encoding="utf-8")
         expected[name] = entry
     EXPECTED.write_text(json.dumps(expected, indent=2) + "\n", encoding="utf-8")
+    SCHEMAS.write_text(schemas_text(), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -87,6 +87,15 @@ def test_sixty_digit_rational_roots(deadline):
         assert rational_roots(coeffs) == sorted([(a, 1), (b, 2)])
 
 
+def test_four_thousand_digit_q(deadline):
+    # the Newton root starts at a float estimate, and only prime root
+    # indices are tried, so the ~1,700 primes below 14,600 bits are quick
+    n = (10**4400 - 1) // 3
+    with deadline(2):
+        assert q_log(F(1, n), 2) is None
+        assert rational_roots([n, 1 - 2 * n]) == [(F(n, 2 * n - 1), 1)]
+
+
 def _run_optimized(code: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-O", "-c", code, *args],
