@@ -76,13 +76,16 @@ _REGISTER = threading.Lock()
 Scalar = Union[int, Fraction]
 
 
-def _as_rat(value) -> Fraction:
-    """Coerce int/Fraction to Fraction, rejecting floats (exactness)."""
-    if isinstance(value, Fraction):
+def _exact(value) -> Scalar:
+    """An int or Fraction unchanged; floats are refused (exactness)."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _as_rat(value) -> Fraction:
+    """`_exact(value)` as a Fraction."""
+    return Fraction(value) if isinstance(_exact(value), int) else value
 
 
 def _check_symbol(name: str) -> str:
@@ -306,12 +309,13 @@ def _sum_products(pairs: Iterable[tuple[ParamPoly, ParamPoly]]) -> ParamPoly:
         if not (a._nums and b._nums):
             continue
         d = a._den * b._den
-        if den % d:
+        s, rest = divmod(den, d)
+        if rest:
             up = d // math.gcd(den, d)
             den *= up
             for mono in out:
                 out[mono] *= up
-        s = den // d
+            s = den // d
         for m1, n1 in a._nums.items():
             n1 *= s
             for m2, n2 in b._nums.items():
@@ -427,13 +431,19 @@ class TPoly:
 
         Expanding (t + j)^d binomially, t^i collects beta_d times
         comb(d, i) * M_{d-i} with the moment M_m = sum_j weights[j] * j^m.
+        With v and b the lcm of the denominators of the steps and of the
+        weights, b * v^m * M_m is an int: no moment is a Fraction.
         """
-        ws = [(_as_rat(j), _as_rat(w)) for j, w in weights.items()]
+        ws = [(_exact(j), _exact(w)) for j, w in weights.items()]
+        v = math.lcm(*(j.denominator for j, _ in ws))
+        b = math.lcm(*(w.denominator for _, w in ws))
+        ws = [(j.numerator * (v // j.denominator), w.numerator * (b // w.denominator))
+              for j, w in ws]
         n = len(self._coeffs)
-        moments = [sum((w * j**m for j, w in ws), Fraction(0)) for m in range(n)]
+        moments = [sum(w * j**m for j, w in ws) for m in range(n)]
         return TPoly._trusted([
             _sum_products(
-                (c, ParamPoly.const(math.comb(d, i) * moments[d - i]))
+                (c, ParamPoly._trusted({0: math.comb(d, i) * moments[d - i]}, b * v ** (d - i)))
                 for d, c in enumerate(self._coeffs[i:], i)
             )
             for i in range(n)

@@ -27,7 +27,7 @@ recursion, instead of silently approximating.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -139,9 +139,7 @@ def extract_linear_part(ft: QPolynomial):
         raise LinearVertexError(
             "the substituted equation is identically zero; nothing to expand"
         )
-    linear_terms = [
-        t for t in ft.terms if t.x_exp == 0 and t.y_degree == 1
-    ]
+    linear_terms = [t for t in ft.terms if t.x_exp == 0 and t.y_degree == 1]
     if not linear_terms:
         raise LinearVertexError(
             "no terms at support point (0,1): the linear part is missing"
@@ -158,9 +156,7 @@ def extract_linear_part(ft: QPolynomial):
                 f"coefficient at (0,1) is not constant: {t.coeff}"
             )
         coeffs[t.order] = t.coeff.constant_value()
-    h = QPolynomial(
-        [t for t in ft.terms if not (t.x_exp == 0 and t.y_degree == 1)]
-    )
+    h = QPolynomial([t for t in ft.terms if not (t.x_exp == 0 and t.y_degree == 1)])
     return LinearPart(tuple(coeffs)), h
 
 
@@ -168,24 +164,17 @@ def critical_numbers(L: LinearPart, q, r) -> CriticalData:
     """Rational eigenvalues k (nu(k)=0) and the critical ones (k > r)."""
     q = check_q(q)
     r = _as_rat(r)
-    eigen = []
-    skipped = []
-    resolved = 0
+    eigen, skipped = [], []
     for s, mult in L.roots.items():
-        resolved += mult
-        if s <= 0:
-            skipped.append(s)
-            continue
-        k = q_log(q, s)
+        k = q_log(q, s) if s > 0 else None
         if k is None:
             skipped.append(s)
-            continue
-        eigen.append((k, mult))
-    eigen.sort()
+        else:
+            eigen.append((k, mult))
     return CriticalData(
-        eigen_rational=tuple(eigen),
+        eigen_rational=tuple(sorted(eigen)),
         skipped_irrational=tuple(skipped),
-        unresolved=L.order - resolved,
+        unresolved=L.order - sum(L.roots.values()),
         r=r,
     )
 
@@ -196,8 +185,11 @@ def k_lattice(h_support, criticals, r, k_max) -> list:
     Seeds: the critical numbers and the abscissas of z-free support points
     (q1, 0).  Closure: k = q1 + l_1 + ... + l_{q2} for every support point
     (q1, q2) with q2 >= 1 and l_i already generated.  Exponents are ints
-    scaled by the lcm of all denominators; each round forms the q2-fold
-    sums one summand at a time, pruned by min(K) times the summands left.
+    scaled by the lcm of all denominators.  The rounds are semi-naive: a
+    sum is new only if one of its summands came in the round before, so
+    each round takes its first summand from those alone and the rest from
+    all of K, one summand at a time, pruned by min(K) times the summands
+    left; K stays sorted by inserting what each round adds.
     """
     r = _as_rat(r)
     k_max = _as_rat(k_max)
@@ -215,16 +207,21 @@ def k_lattice(h_support, criticals, r, k_max) -> list:
                      *(q1.denominator for q1, _ in generators))
     low, cap = int(r * scale), math.floor(k_max * scale)
     known = {s for s in (int(k * scale) for k in seeds) if low <= s <= cap}
-    size = 0
-    while len(known) > size:
-        size, elems = len(known), sorted(known)
+    elems = new = sorted(known)
+    while new:
+        found = set()
         for q1, d in generators:
             sums = {int(q1 * scale)}
             for left in range(d - 1, -1, -1):
+                pool = new if left == d - 1 else elems
                 bound = cap - left * elems[0]
-                sums = {s + k for s in sums for k in elems[: bisect_right(elems, bound - s)]}
-            known.update(s for s in sums if s >= low)
-    return sorted(Fraction(s, scale) for s in known if s > low)
+                sums = {s + k for s in sums for k in pool[: bisect_right(pool, bound - s)]}
+            found.update(s for s in sums if s >= low)
+        new = sorted(found - known)
+        known.update(new)
+        for s in new:
+            insort(elems, s)
+    return [Fraction(s, scale) for s in elems if s > low]
 
 
 def apply_difference_operator(L: LinearPart, q, k, beta: TPoly) -> TPoly:
@@ -236,16 +233,8 @@ def apply_difference_operator(L: LinearPart, q, k, beta: TPoly) -> TPoly:
 def constant_namer(taken: Iterable[str]) -> Callable[[], str]:
     """Yields C1, C2, ... skipping names already in use."""
     used = set(taken)
-
-    def namer() -> str:
-        for i in count(1):
-            name = f"C{i}"
-            if name not in used:
-                used.add(name)
-                return name
-        raise AssertionError("unreachable")
-
-    return namer
+    names = (f"C{i}" for i in count(1))
+    return lambda: next(name for name in names if name not in used)
 
 
 def solve_poly_difference(
@@ -267,13 +256,7 @@ def solve_poly_difference(
     if not theta.is_zero():
         deg = theta.degree()
         size = deg + mu + 1
-        moments = [
-            sum(
-                (a * Fraction(j) ** i * w**j for j, a in enumerate(L.coeffs)),
-                Fraction(0),
-            )
-            for i in range(size)
-        ]
+        moments = [sum(a * j**i * w**j for j, a in enumerate(L.coeffs)) for i in range(size)]
         if any(moments[i] != 0 for i in range(mu)) or moments[mu] == 0:
             raise InternalInvariantError(f"moment criterion broken at k = {k}")
         b = [ParamPoly.zero()] * size
@@ -338,10 +321,7 @@ def expand_solution(
     denom = math.lcm(r.denominator, *(k.denominator for k in k_set))
     q_pow(q, Fraction(1, denom))  # exactness gate; raises when irrational
 
-    taken = ts.c.symbols()
-    for term in f.terms:
-        taken |= term.coeff.symbols()
-    namer = constant_namer(taken)
+    namer = constant_namer(ts.c.symbols().union(*(t.coeff.symbols() for t in f.terms)))
     collected: list = []
     constants: list = []
     report: list = []
@@ -385,16 +365,10 @@ def verify_residual(
     left.  None means the residual vanishes identically through k_max.
     """
     k_max = _as_rat(k_max)
-    bound_f = QPolynomial(
-        [
-            QTerm(
-                ParamPoly.const(t.coeff.evaluate(assignment)),
-                t.x_exp,
-                t.sigma_powers,
-            )
-            for t in f.terms
-        ]
-    )
+    bound_f = QPolynomial([
+        QTerm(ParamPoly.const(t.coeff.evaluate(assignment)), t.x_exp, t.sigma_powers)
+        for t in f.terms
+    ])
     bound = result.series.bind_parameters(assignment)
     residual = evaluate_on_series(bound_f, bound, k_max).all_terms
     return residual[0][0] if residual else None

@@ -20,7 +20,9 @@ the same exact-rational world as long as the needed q-powers are rational.
 Evaluation computes only an exponent window [k_min, k_max]: the expansion
 reads one coefficient per step, and products of shifted series that several
 monomials begin with are formed once, each on the exponents still needed.
-Both kinds of sum print in the text notation of `algebra.TEXT`.
+Exponents are Fractions at the boundary (terms, series, results) and ints
+on one grid 1/D, i.e. powers of x^(1/D), inside the evaluator.  Both kinds
+of sum print in the text notation of `algebra.TEXT`.
 """
 
 from __future__ import annotations
@@ -265,10 +267,9 @@ class PowerLogSeries:
         self.q = check_q(q)
         merged: dict[Fraction, TPoly] = {}
         for k, beta in terms:
-            k = _as_rat(k)
             if not isinstance(beta, TPoly):
                 beta = TPoly.const(ParamPoly.coerce(beta))
-            merged[k] = merged.get(k, TPoly.zero()) + beta
+            _add_into(merged, _as_rat(k), beta)
         self.terms = tuple(
             (k, merged[k]) for k in sorted(merged) if not merged[k].is_zero()
         )
@@ -285,10 +286,7 @@ class PowerLogSeries:
 
     def coefficient(self, k: Scalar) -> TPoly:
         k = _as_rat(k)
-        for kk, beta in self.terms:
-            if kk == k:
-                return beta
-        return TPoly.zero()
+        return next((beta for kk, beta in self.terms if kk == k), TPoly.zero())
 
     def bind_parameters(self, assignment: Mapping[str, Scalar]) -> "PowerLogSeries":
         """`all_terms` with every parameter symbol evaluated, t kept symbolic.
@@ -364,40 +362,54 @@ def evaluate_on_series(
     """The terms of f at y = s with exponent in [k_min, k_max], exact.
 
     k_min None means no lower limit; k_min above k_max gives the empty
-    series.  A monomial coeff*x^e*F_1*...*F_d (F_i = S^{l_i} s, levels
-    ascending) reads its factors as the path l_1, ..., l_d of a prefix
-    tree, so monomials that share leading factors (z^2 in z^3 and in
-    z^2*S(z)) share their partial products.  Every factor's exponents lie
-    at or above the series' lowest exponent `low`, so the node at depth i
-    of that path needs only exponents up to k_max - e - (d - i)*low, the
-    largest such bound over the monomials through it; negative exponents
-    are handled exactly.  coeff and x^e multiply each monomial's window of
-    its last node once, at the end.  Each (k, t-degree) coefficient sums
-    all the products landing there in one pass, normalized once.
+    series.  Inside, exponents are ints on the grid 1/D (powers of
+    t = x^(1/D), D the lcm of the denominators of s's exponents and f's
+    x-exponents), scaled once on entry with k_max floored and k_min raised
+    to the grid; the result turns them back into Fractions.  The factors
+    q^(l*k) of S^l s are powers of q^(1/M), M the lcm of the denominators
+    of those l*k, which is rational exactly when they all are.  A monomial
+    coeff*x^e*F_1*...*F_d (F_i = S^{l_i} s, levels ascending) reads its
+    factors as the path l_1, ..., l_d of a prefix tree, so monomials that
+    share leading factors (z^2 in z^3 and in z^2*S(z)) share their partial
+    products.  Every factor's exponents lie at or above the series' lowest
+    exponent `low`, so the node at depth i of that path needs only
+    exponents up to k_max - e - (d - i)*low, the largest such bound over
+    the monomials through it.  coeff and x^e multiply each monomial's
+    window of its last node once, at the end.  Each (k, t-degree)
+    coefficient sums all the products landing there in one pass.
     """
     q = s.q
     k_max = _as_rat(k_max)
     k_min = None if k_min is None else _as_rat(k_min)
-    base = s.all_terms
-    low = base[0][0] if base else Fraction(0)
-    levels = {level for term in f.terms for level, _ in term.sigma_powers}
+    terms = f.terms
+    grid = math.lcm(*(k.denominator for k, _ in s.all_terms),
+                    *(term.x_exp.denominator for term in terms))
+    base = [(k.numerator * (grid // k.denominator), beta) for k, beta in s.all_terms]
+    top = k_max.numerator * grid // k_max.denominator
+    bottom = None if k_min is None else -(-k_min.numerator * grid // k_min.denominator)
+    low = base[0][0] if base else 0
+    levels = {level for term in terms for level, _ in term.sigma_powers}
+    steps = {level * k for level in levels for k, _ in base}  # S^l x^k has q^(step/grid)
+    m = math.lcm(*(grid // math.gcd(step, grid) for step in steps))
+    root = q_pow(q, Fraction(1, m))
+    table = {step: root ** (step * m // grid) for step in steps}
     shifted = {
-        level: [(k, beta.shift(level, q_pow(q, level * k))) for k, beta in base]
-        for level in levels - {0}
+        level: [(k, beta.shift(level, table[level * k]) if level else beta) for k, beta in base]
+        for level in levels
     }
-    shifted[0] = base
 
     tree: dict[tuple[int, int], list] = {}  # (parent, level) -> [node, lo, hi]
     ends = []  # (coeff, e, last node, lo, hi) per monomial
-    for term in f.terms:
+    for term in terms:
         path = [l for l, power in term.sigma_powers for _ in range(power)]
-        d, e = len(path), term.x_exp
-        lo = d * low if k_min is None else max(k_min - e, d * low)
-        if lo > k_max - e:
+        d = len(path)
+        e = term.x_exp.numerator * (grid // term.x_exp.denominator)
+        lo = d * low if bottom is None else max(bottom - e, d * low)
+        if lo > top - e:
             continue
         node = -1
         for i, level in enumerate(path, 1):
-            hi = k_max - e - (d - i) * low
+            hi = top - e - (d - i) * low
             node_lo = lo if i == d else i * low
             window = tree.get((node, level))
             if window is None:
@@ -406,12 +418,12 @@ def evaluate_on_series(
                 window[1] = min(window[1], node_lo)
                 window[2] = max(window[2], hi)
             node = window[0]
-        ends.append((term.coeff, e, node, lo, k_max - e))
+        ends.append((term.coeff, e, node, lo, top - e))
 
     # node -> ascending (k, TPoly) inside its window; parents come first
-    products = {-1: [(Fraction(0), TPoly.const(1))]}
+    products = {-1: [(0, TPoly.const(1))]}
     for (parent, level), (node, lo, hi) in tree.items():
-        pairs: dict[Fraction, list] = {}
+        pairs: dict[int, list] = {}
         for k1, b1 in products[parent]:
             for k2, b2 in shifted[level]:
                 k = k1 + k2
@@ -422,10 +434,12 @@ def evaluate_on_series(
         sums = ((k, TPoly.sum_of_products(pairs[k])) for k in sorted(pairs))
         products[node] = [(k, beta) for k, beta in sums if not beta.is_zero()]
 
-    total: dict[Fraction, list] = {}
+    total: dict[int, list] = {}
     for coeff, e, node, lo, hi in ends:
         coeff = TPoly._trusted([coeff])
         for k, beta in products[node]:
             if lo <= k <= hi:
                 total.setdefault(k + e, []).append((coeff, beta))
-    return PowerLogSeries(q, [(k, TPoly.sum_of_products(p)) for k, p in total.items()])
+    return PowerLogSeries(
+        q, [(Fraction(k, grid), TPoly.sum_of_products(total[k])) for k in sorted(total)]
+    )

@@ -3,15 +3,20 @@
 `evaluate_on_series` prunes partial products to the exponents a window
 needs and shares them between monomials; `oracles.brute_force_evaluate`
 multiplies every product out in full with `ReferencePoly` coefficients and
-cuts the window afterwards.  The two share no code.
+cuts the window afterwards.  The two share no code.  The evaluator works
+on ints over one exponent grid 1/D, so a second set of cases mixes the
+denominators 2, 3 and 6 and puts the window bounds off that grid.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from oracles import ReferencePoly, brute_force_evaluate
 
 from qdulac.algebra import ParamPoly, TPoly
+from qdulac.errors import IrrationalQPowerError
+from qdulac.parser import parse_equation
 from qdulac.qexpr import PowerLogSeries, QPolynomial, QTerm, evaluate_on_series
 
 F = Fraction
@@ -22,6 +27,23 @@ NAMES = ("a", "b")
 def _half(rng, lo, hi):
     """A random element of (1/2)Z in [lo, hi]."""
     return F(rng.randint(2 * lo, 2 * hi), 2)
+
+
+def _half_or_third(rng, lo, hi):
+    """A random element of (1/2)Z or of (1/3)Z in [lo, hi]."""
+    den = rng.choice((2, 3))
+    return F(rng.randint(den * lo, den * hi), den)
+
+
+def _sixth(rng, lo, hi):
+    """A random element of (1/6)Z in [lo, hi]."""
+    return F(rng.randint(6 * lo, 6 * hi), 6)
+
+
+def _off_grid(rng, lo, hi):
+    """A random bound in [lo, hi] over 5 or 7, mostly off the grid 1/6."""
+    den = rng.choice((5, 7))
+    return F(rng.randint(den * lo, den * hi), den)
 
 
 def _coeff(rng, parametric, nonzero=False):
@@ -54,14 +76,16 @@ def _sigma(rng):
     return tuple(sorted(powers.items()))
 
 
-def _case(rng):
+def _case(rng, qs=(F(1, 4), F(4), F(9, 4), F(1, 9)), exps=_half, x_exps=_half, bounds=_half):
+    """f, s and a window; q drawn from qs, the series' exponents by `exps`,
+    f's x-exponents by `x_exps` and the window bounds by `bounds`."""
     parametric = rng.random() < 0.5
-    q = rng.choice([F(1, 4), F(4), F(9, 4), F(1, 9)])
-    ks = sorted({_half(rng, -2, 3) for _ in range(rng.randint(0, 3))})
+    q = rng.choice(qs)
+    ks = sorted({exps(rng, -2, 3) for _ in range(rng.randint(0, 3))})
     series = [(k, _log_poly(rng, parametric)) for k in ks]
     base = None
     if rng.random() < 0.5:
-        r = _half(rng, -3, 1) if not ks else ks[0] - _half(rng, 1, 2)
+        r = exps(rng, -3, 1) if not ks else ks[0] - exps(rng, 1, 2)
         c_ref, c = _coeff(rng, parametric, nonzero=True)
         base = (c, r)
         ref_series = [(r, [c_ref])] + [(k, ref) for k, (ref, _) in series]
@@ -72,21 +96,21 @@ def _case(rng):
     ref_terms, terms = [], []
     for _ in range(rng.randint(1, 3)):
         c_ref, c = _coeff(rng, parametric, nonzero=True)
-        e, sigma = _half(rng, -2, 2), _sigma(rng)
+        e, sigma = x_exps(rng, -2, 2), _sigma(rng)
         ref_terms.append((c_ref, e, sigma))
         terms.append(QTerm(c, e, sigma))
     # merged like terms must agree with the oracle, which keeps them apart
     f = QPolynomial(terms)
 
-    k_max = _half(rng, -4, 6)
+    k_max = bounds(rng, -4, 6)
     lowest = ref_series[0][0] if ref_series else F(0)
     k_min = rng.choice(
         [
             None,
             lowest * 4 - 10,
-            _half(rng, -4, 6) if rng.random() < 0.5 else k_max - F(1, 2),
+            bounds(rng, -4, 6) if rng.random() < 0.5 else k_max - F(1, 2),
             k_max,
-            k_max + _half(rng, 1, 2),
+            k_max + bounds(rng, 1, 2),
         ]
     )
     return f, s, k_max, k_min, (ref_terms, ref_series, q)
@@ -107,16 +131,46 @@ def _same(got, want):
     )
 
 
-def test_windowed_evaluation_matches_brute_force():
-    rng = random.Random(1301)
+def _check_cases(rng, cases, **draws):
+    """The evaluator against the oracle on `cases` drawn cases; how many
+    of the windows hold terms."""
     nonempty = 0
-    for case in range(CASES):
-        f, s, k_max, k_min, (ref_terms, ref_series, q) = _case(rng)
+    for case in range(cases):
+        f, s, k_max, k_min, (ref_terms, ref_series, q) = _case(rng, **draws)
         got = evaluate_on_series(f, s, k_max, k_min)
         assert got.base_shift is None
         want = brute_force_evaluate(ref_terms, ref_series, q, k_max, k_min)
         assert _same(_as_reference(got), want), (case, str(f), str(s), k_max, k_min)
         nonempty += bool(want)
+    return nonempty
+
+
+def test_windowed_evaluation_matches_brute_force():
     # a fifth of the windows start above k_max; most others hold terms
-    assert nonempty > CASES // 3
+    assert _check_cases(random.Random(1301), CASES) > CASES // 3
+
+
+def test_mixed_denominators_and_off_grid_windows():
+    """Exponents over 2 and 3, x-exponents over 6 and bounds over 5 or 7,
+    at a q whose sixth root is rational, so every q^(l*k) is too."""
+    cases = 300
+    nonempty = _check_cases(
+        random.Random(1907),
+        cases,
+        qs=(F(64), F(1, 729), F(729, 64)),
+        exps=_half_or_third,
+        x_exps=_sixth,
+        bounds=_off_grid,
+    )
+    assert nonempty > cases // 3
+
+
+def test_q_powers_refused_only_when_irrational():
+    """q^(l*k) must be rational, not q^(1/D) for the grid 1/D: at q = 2,
+    S^2 reads q^(2*1/2) = 2 though q^(1/2) and q^(1/6) are irrational."""
+    s = PowerLogSeries(2, [(F(1, 2), TPoly.const(3))])
+    out = evaluate_on_series(parse_equation("x^(1/3)*S^2(y)"), s, 3)
+    assert out.terms == ((F(5, 6), TPoly.const(6)),)
+    with pytest.raises(IrrationalQPowerError):
+        evaluate_on_series(parse_equation("S(y)"), s, 3)
 
