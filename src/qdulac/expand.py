@@ -52,7 +52,7 @@ from .errors import (
     LinearCoefficientError,
     LinearVertexError,
 )
-from .polygon import build_polygon
+from .polygon import convex_hull
 from .qexpr import (
     PowerLogSeries,
     QPolynomial,
@@ -144,8 +144,7 @@ def extract_linear_part(ft: QPolynomial):
         raise LinearVertexError(
             "no terms at support point (0,1): the linear part is missing"
         )
-    polygon = build_polygon(support(ft))
-    if (Fraction(0), Fraction(1)) not in polygon.hull_vertices:
+    if (Fraction(0), Fraction(1)) not in convex_hull(support(ft)):
         raise LinearVertexError(
             "support point (0,1) is not a vertex of the Newton polygon"
         )
@@ -322,12 +321,13 @@ def expand_solution(
     q_pow(q, Fraction(1, denom))  # exactness gate; raises when irrational
 
     namer = constant_namer(ts.c.symbols().union(*(t.coeff.symbols() for t in f.terms)))
+    carry: dict = {}  # the residual's products, formed once across the loop
     collected: list = []
     constants: list = []
     report: list = []
     for k in k_set:
         partial = PowerLogSeries(q, collected)
-        residual = evaluate_on_series(ft, partial, k, k)
+        residual = evaluate_on_series(ft, partial, k, k, carry)
         theta = residual.coefficient(k)
         beta, names = solve_poly_difference(L, q, k, theta, namer)
         if names:  # k is critical, with mu = len(names)

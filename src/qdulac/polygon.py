@@ -93,9 +93,9 @@ class NewtonPolygon:
     faces: tuple
 
 
-def _monotone_chain(points: list) -> list:
-    """Counterclockwise hull with strict turns (collinear points dropped)."""
-    pts = sorted(set(points))
+def convex_hull(points) -> list:
+    """Counterclockwise hull vertices by the monotone chain, strict turns only."""
+    pts = sorted({_pt(p) for p in points})
     if len(pts) <= 2:
         return pts
     lower: list = []
@@ -161,7 +161,7 @@ def build_polygon(support) -> NewtonPolygon:
     pts = sorted({_pt(p) for p in support})
     if not pts:
         raise ValueError("empty support")
-    hull = _monotone_chain(pts)
+    hull = convex_hull(pts)
     faces: list[Face] = []
     for v in hull:
         faces.append(

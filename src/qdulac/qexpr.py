@@ -20,6 +20,10 @@ the same exact-rational world as long as the needed q-powers are rational.
 Evaluation computes only an exponent window [k_min, k_max]: the expansion
 reads one coefficient per step, and products of shifted series that several
 monomials begin with are formed once, each on the exponents still needed.
+An optional caller-owned carry keeps, for calls on a growing series, the
+shifted terms and each product coefficient that no later term can change
+(one that reads only terms up to the series' top); results are the same
+without it, and it refuses another f, another q or a non-extending series.
 Exponents are Fractions at the boundary (terms, series, results) and ints
 on one grid 1/D, i.e. powers of x^(1/D), inside the evaluator.  Both kinds
 of sum print in the text notation of `algebra.TEXT`.
@@ -28,8 +32,10 @@ of sum print in the text notation of `algebra.TEXT`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .algebra import (
@@ -48,6 +54,8 @@ from .errors import EmptySupportError
 SigmaPowers = tuple
 
 Point = tuple  # (Fraction, Fraction)
+
+_exponent = itemgetter(0)  # of a (k, beta) pair
 
 
 def _merge_sigma(s1: SigmaPowers, s2) -> SigmaPowers:
@@ -357,17 +365,21 @@ def substitute_shift(
 
 
 def evaluate_on_series(
-    f: QPolynomial, s: PowerLogSeries, k_max: Scalar, k_min: Scalar | None = None
+    f: QPolynomial,
+    s: PowerLogSeries,
+    k_max: Scalar,
+    k_min: Scalar | None = None,
+    carry: dict | None = None,
 ) -> PowerLogSeries:
     """The terms of f at y = s with exponent in [k_min, k_max], exact.
 
     k_min None means no lower limit; k_min above k_max gives the empty
     series.  Inside, exponents are ints on the grid 1/D (powers of
     t = x^(1/D), D the lcm of the denominators of s's exponents and f's
-    x-exponents), scaled once on entry with k_max floored and k_min raised
-    to the grid; the result turns them back into Fractions.  The factors
-    q^(l*k) of S^l s are powers of q^(1/M), M the lcm of the denominators
-    of those l*k, which is rational exactly when they all are.  A monomial
+    x-exponents), with k_max floored and k_min raised to the grid; the
+    result turns them back into Fractions.  The factors q^(l*k) of S^l s
+    are powers of q^(1/M), M the lcm of the denominators of those l*k,
+    which is rational exactly when they all are.  A monomial
     coeff*x^e*F_1*...*F_d (F_i = S^{l_i} s, levels ascending) reads its
     factors as the path l_1, ..., l_d of a prefix tree, so monomials that
     share leading factors (z^2 in z^3 and in z^2*S(z)) share their partial
@@ -377,69 +389,93 @@ def evaluate_on_series(
     the monomials through it.  coeff and x^e multiply each monomial's
     window of its last node once, at the end.  Each (k, t-degree)
     coefficient sums all the products landing there in one pass.
+
+    `carry`, an empty dict at first, keeps for the next call the paths,
+    each term of s shifted once per level, and the node coefficients that
+    are final: at depth i and exponent e once e - (i - 1)*low is at most
+    s's top exponent, as every term such a coefficient reads is then in s.
+    The rest is formed again per call, so results are the same as without
+    a carry.  A carried call on another f object, another q or a series
+    that does not extend the carried terms raises ValueError.
     """
     q = s.q
     k_max = _as_rat(k_max)
     k_min = None if k_min is None else _as_rat(k_min)
-    terms = f.terms
-    grid = math.lcm(*(k.denominator for k, _ in s.all_terms),
-                    *(term.x_exp.denominator for term in terms))
-    base = [(k.numerator * (grid // k.denominator), beta) for k, beta in s.all_terms]
+    c = {} if carry is None else carry
+    if not c:
+        paths = [(TPoly._trusted([term.coeff]), term.x_exp,
+                  tuple(l for l, power in term.sigma_powers for _ in range(power)))
+                 for term in f.terms]
+        c.update(f=f, q=q, given=(), m=1, root=q, paths=paths, base=[], kept={}, fin={},
+                 shifted={level: [] for _, _, path in paths for level in path},
+                 grid=math.lcm(*(term.x_exp.denominator for term in f.terms)))
+    if c.get("f") is not f or c["q"] != q or s.all_terms[: len(c["given"])] != c["given"]:
+        raise ValueError("the carry holds another equation, q or series")
+    given, base, shifted, kept, fin = c["given"], c["base"], c["shifted"], c["kept"], c["fin"]
+    new = s.all_terms[len(given):]
+    grid = math.lcm(c["grid"], *(k.denominator for k, _ in new))
+    m = math.lcm(c["m"], *((level * k).denominator for level in shifted for k, _ in new))
+    root = c["root"] if m == c["m"] else q_pow(q, Fraction(1, m))
+    if grid != c["grid"]:  # a new denominator: every carried exponent rescales
+        scale = grid // c["grid"]
+        for pairs in (base, *shifted.values(), *kept.values()):
+            pairs[:] = [(k * scale, beta) for k, beta in pairs]
+        for node in fin:
+            fin[node] *= scale
+    for k, beta in new:
+        base.append((k.numerator * (grid // k.denominator), beta))
+        for level, pairs in shifted.items():
+            pairs.append(
+                (base[-1][0], beta.shift(level, root ** int(level * k * m)) if level else beta))
+    c.update(given=s.all_terms, grid=grid, m=m, root=root)
+
     top = k_max.numerator * grid // k_max.denominator
     bottom = None if k_min is None else -(-k_min.numerator * grid // k_min.denominator)
     low = base[0][0] if base else 0
-    levels = {level for term in terms for level, _ in term.sigma_powers}
-    steps = {level * k for level in levels for k, _ in base}  # S^l x^k has q^(step/grid)
-    m = math.lcm(*(grid // math.gcd(step, grid) for step in steps))
-    root = q_pow(q, Fraction(1, m))
-    table = {step: root ** (step * m // grid) for step in steps}
-    shifted = {
-        level: [(k, beta.shift(level, table[level * k]) if level else beta) for k, beta in base]
-        for level in levels
-    }
-
-    tree: dict[tuple[int, int], list] = {}  # (parent, level) -> [node, lo, hi]
+    last = base[-1][0] if base else -math.inf  # coefficients reading only terms up to here stay
+    windows: dict[tuple, list] = {}  # path prefix -> [lo, hi]
     ends = []  # (coeff, e, last node, lo, hi) per monomial
-    for term in terms:
-        path = [l for l, power in term.sigma_powers for _ in range(power)]
+    for coeff, x_exp, path in c["paths"]:
         d = len(path)
-        e = term.x_exp.numerator * (grid // term.x_exp.denominator)
+        e = x_exp.numerator * (grid // x_exp.denominator)
         lo = d * low if bottom is None else max(bottom - e, d * low)
         if lo > top - e:
             continue
-        node = -1
-        for i, level in enumerate(path, 1):
+        for i in range(1, d + 1):
             hi = top - e - (d - i) * low
-            node_lo = lo if i == d else i * low
-            window = tree.get((node, level))
-            if window is None:
-                window = tree[node, level] = [len(tree), node_lo, hi]
-            else:
-                window[1] = min(window[1], node_lo)
-                window[2] = max(window[2], hi)
-            node = window[0]
-        ends.append((term.coeff, e, node, lo, top - e))
+            node_lo = lo if i == d else -math.inf
+            window = windows.setdefault(path[:i], [node_lo, hi])
+            window[0], window[1] = min(window[0], node_lo), max(window[1], hi)
+        ends.append((coeff, e, path, lo, top - e))
 
-    # node -> ascending (k, TPoly) inside its window; parents come first
-    products = {-1: [(0, TPoly.const(1))]}
-    for (parent, level), (node, lo, hi) in tree.items():
+    # node -> ascending (k, TPoly): kept, then formed on [max(lo, fin + 1), hi]
+    products = {(): [(0, TPoly.const(1))]}
+    for node, (lo, hi) in windows.items():
+        done, known = kept.setdefault(node, []), fin.get(node, -math.inf)
+        start, factor = max(lo, known + 1), shifted[node[-1]]
         pairs: dict[int, list] = {}
-        for k1, b1 in products[parent]:
-            for k2, b2 in shifted[level]:
-                k = k1 + k2
-                if k > hi:
+        for k1, b1 in products[node[:-1]]:
+            if k1 + low > hi:
+                break
+            for j in range(bisect_left(factor, start - k1, key=_exponent), len(factor)):
+                k2, b2 = factor[j]
+                if k1 + k2 > hi:
                     break
-                if k >= lo:
-                    pairs.setdefault(k, []).append((b1, b2))
+                pairs.setdefault(k1 + k2, []).append((b1, b2))
         sums = ((k, TPoly.sum_of_products(pairs[k])) for k in sorted(pairs))
-        products[node] = [(k, beta) for k, beta in sums if not beta.is_zero()]
+        formed = [(k, beta) for k, beta in sums if not beta.is_zero()]
+        products[node] = done + formed
+        if lo <= known + 1:  # formed from the kept prefix on: keep what is final
+            fin[node] = max(known, min(hi, last + (len(node) - 1) * low))
+            done.extend(pair for pair in formed if pair[0] <= fin[node])
 
     total: dict[int, list] = {}
     for coeff, e, node, lo, hi in ends:
-        coeff = TPoly._trusted([coeff])
-        for k, beta in products[node]:
-            if lo <= k <= hi:
-                total.setdefault(k + e, []).append((coeff, beta))
+        pairs = products[node]
+        for k, beta in pairs[bisect_left(pairs, lo, key=_exponent):]:
+            if k > hi:
+                break
+            total.setdefault(k + e, []).append((coeff, beta))
     return PowerLogSeries(
         q, [(Fraction(k, grid), TPoly.sum_of_products(total[k])) for k in sorted(total)]
     )

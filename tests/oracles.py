@@ -5,8 +5,9 @@ library uses, so agreement is meaningful: an all-pairs halfplane hull, a
 support scan of a face's normal cone, a dense Gaussian-elimination solve of the polynomial difference operator,
 a reference parameter polynomial, a brute-force evaluation of a
 q-difference sum on a power-logarithmic series, a recursive multiset
-enumerator of the exponent set K, and a generator of random equations
-with a planted edge solution.
+enumerator of the exponent set K, a generator of random equations
+with a planted edge solution, and the expansion loop that evaluates the
+residual afresh at every exponent.
 """
 
 import math
@@ -14,7 +15,23 @@ import random
 from fractions import Fraction
 
 from qdulac.algebra import ParamPoly, _as_rat, q_pow
-from qdulac.qexpr import QPolynomial, QTerm
+from qdulac.expand import (
+    ExpansionResult,
+    check_exponent_order,
+    constant_namer,
+    critical_numbers,
+    extract_linear_part,
+    k_lattice,
+    solve_poly_difference,
+)
+from qdulac.qexpr import (
+    PowerLogSeries,
+    QPolynomial,
+    QTerm,
+    evaluate_on_series,
+    substitute_shift,
+    support,
+)
 
 F = Fraction
 
@@ -468,3 +485,42 @@ def random_edge_equation(rng: random.Random):
     a_pt = (e_a, F(d_a))
     b_pt = (e_b, F(d_b))
     return eq, q, c, r, (a_pt, b_pt)
+
+
+def reference_expansion(f, ts, k_max) -> ExpansionResult:
+    """The expansion of f around ts up to k_max, with theta_k evaluated afresh.
+
+    Each step calls the public `evaluate_on_series` with no carry on the
+    partial sum below k and solves with the public
+    `solve_poly_difference`, so nothing formed for one k is reused at the
+    next.  The degree-bound check of `expand_solution` is left out.
+    """
+    k_max = _as_rat(k_max)
+    q, r = ts.q, ts.r
+    ft = substitute_shift(f, ts.c, r, q)
+    if not ft.is_zero() and ft.min_x_exponent() > 0:
+        ft = ft.shift_x(-ft.min_x_exponent())
+    L, h = extract_linear_part(ft)
+    check_exponent_order(h, r)
+    crit = critical_numbers(L, q, r)
+    h_support = set() if h.is_zero() else support(h)
+    k_set = k_lattice(h_support, [k for k, _ in crit.criticals()], r, k_max)
+    q_pow(q, F(1, math.lcm(r.denominator, *(k.denominator for k in k_set))))
+    namer = constant_namer(ts.c.symbols().union(*(t.coeff.symbols() for t in f.terms)))
+    collected, constants, report = [], [], []
+    for k in k_set:
+        theta = evaluate_on_series(ft, PowerLogSeries(q, collected), k, k).coefficient(k)
+        beta, names = solve_poly_difference(L, q, k, theta, namer)
+        if names:
+            report.append((k, len(names), theta.is_zero()))
+        constants.extend((name, k) for name in names)
+        collected.append((k, beta))
+    return ExpansionResult(
+        series=PowerLogSeries(q, collected, base_shift=(ts.c, r)),
+        constants_introduced=tuple(constants),
+        k_set=tuple(k_set),
+        critical_report=tuple(report),
+        skipped_irrational=crit.skipped_irrational,
+        unresolved=crit.unresolved,
+        linear_part=L,
+    )

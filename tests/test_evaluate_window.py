@@ -174,3 +174,90 @@ def test_q_powers_refused_only_when_irrational():
     with pytest.raises(IrrationalQPowerError):
         evaluate_on_series(parse_equation("S(y)"), s, 3)
 
+
+def _carried_case(rng):
+    """f with x-exponents over 2, and a series fed term by term: exponents
+    over 2 from -2 on, then often one over 3 above them all, so that the
+    grid of the carried calls grows after the first calls.  q's sixth
+    root is rational, so every q^(l*k) is too."""
+    parametric = rng.random() < 0.5
+    q = rng.choice((F(64), F(1, 729), F(729, 64)))
+    ks = sorted({_half(rng, -2, 2) for _ in range(rng.randint(1, 4))})
+    if rng.random() < 0.6:
+        ks.append(ks[-1] + F(rng.choice((1, 2, 4)), 3))
+    series = [(k, _log_poly(rng, parametric)) for k in ks]
+    ref_series = [(k, ref) for k, (ref, _) in series]
+    terms = [(k, tp) for k, (_, tp) in series]
+    base = None
+    if rng.random() < 0.5:
+        c_ref, c = _coeff(rng, parametric, nonzero=True)
+        base = (c, ks[0] - _half(rng, 1, 2))
+        ref_series.insert(0, (base[1], [c_ref]))
+    ref_terms, f_terms = [], []
+    for _ in range(rng.randint(1, 3)):
+        c_ref, c = _coeff(rng, parametric, nonzero=True)
+        e, sigma = _half(rng, -2, 2), _sigma(rng)
+        ref_terms.append((c_ref, e, sigma))
+        f_terms.append(QTerm(c, e, sigma))
+    return QPolynomial(f_terms), q, terms, base, (ref_terms, ref_series)
+
+
+def test_carried_calls_match_fresh_calls_and_brute_force():
+    """Ascending prefixes of one series through one carry per window kind,
+    as the expansion feeds them: with k the next exponent, each window
+    [k, k], [k, k_max] and (-inf, k] equals a fresh call and the
+    brute-force oracle."""
+    rng = random.Random(2020)
+    cases, nonempty = 100, 0
+    for case in range(cases):
+        f, q, terms, base, (ref_terms, ref_series) = _carried_case(rng)
+        k_max = terms[-1][0] + 2
+        carries = ({}, {}, {})
+        for n in range(len(terms) + 1):
+            s = PowerLogSeries(q, terms[:n], base_shift=base)
+            k = terms[n][0] if n < len(terms) else k_max
+            want = brute_force_evaluate(ref_terms, ref_series[: len(s.all_terms)], q, k_max)
+            for carry, (lo, hi) in zip(carries, ((k, k), (k, k_max), (None, k))):
+                got = evaluate_on_series(f, s, hi, lo, carry)
+                assert got == evaluate_on_series(f, s, hi, lo), (case, n, str(f), str(s), lo, hi)
+                cut = {kk: b for kk, b in want.items() if kk <= hi and (lo is None or kk >= lo)}
+                assert _same(_as_reference(got), cut), (case, n, str(f), str(s), lo, hi)
+                nonempty += bool(cut)
+    assert nonempty > cases
+
+
+def test_carry_refuses_a_call_it_does_not_match():
+    """A carry serves one f object, one q and a series that extends the
+    terms it has seen; anything else is a ValueError, and the carry still
+    serves the matching call afterwards."""
+    f = parse_equation("y^2*S(y) + x*S^2(y)")
+    one, two, three = TPoly.const(1), TPoly([2, 1]), TPoly.const(3)
+    s = PowerLogSeries(F(1, 64), [(1, one), (F(3, 2), two)])
+    carry = {}
+    evaluate_on_series(f, s, 4, 4, carry)
+    refused = [
+        (QPolynomial(f.terms), s),  # an equal f, but another object
+        (f, PowerLogSeries(F(64), [(1, one), (F(3, 2), two)])),  # another q
+        (f, PowerLogSeries(F(1, 64), [(1, one), (F(3, 2), three)])),  # a changed term
+        (f, PowerLogSeries(F(1, 64), [(1, one), (F(5, 4), three), (F(3, 2), two)])),  # a term below the top
+        (f, PowerLogSeries(F(1, 64), [(1, one)])),  # a term dropped
+        (f, PowerLogSeries(F(1, 64), [(1, one), (F(3, 2), two)], base_shift=(1, 0))),  # a base pair
+    ]
+    for other_f, other_s in refused:
+        with pytest.raises(ValueError, match="carry"):
+            evaluate_on_series(other_f, other_s, 4, 4, carry)
+    longer = PowerLogSeries(F(1, 64), [(1, one), (F(3, 2), two), (F(7, 3), three)])
+    assert evaluate_on_series(f, longer, 5, None, carry) == evaluate_on_series(f, longer, 5)
+
+
+def test_carry_survives_a_refused_q_power():
+    """A term whose q-power is irrational is refused before the carry
+    changes, so the carry still serves a series without it."""
+    f = parse_equation("y*S(y)")
+    one = TPoly.const(1)
+    carry = {}
+    evaluate_on_series(f, PowerLogSeries(2, [(1, one)]), 3, 3, carry)
+    with pytest.raises(IrrationalQPowerError):
+        evaluate_on_series(f, PowerLogSeries(2, [(1, one), (F(3, 2), one)]), 4, 4, carry)
+    s = PowerLogSeries(2, [(1, one), (2, one)])
+    assert evaluate_on_series(f, s, 4, None, carry) == evaluate_on_series(f, s, 4)

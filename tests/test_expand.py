@@ -6,8 +6,10 @@ import pytest
 
 from oracles import (
     dense_difference_solve,
+    random_edge_equation,
     random_k_lattice_input,
     random_linear_part,
+    reference_expansion,
     reference_k_lattice,
 )
 from qdulac.algebra import ParamPoly, TPoly, q_pow
@@ -16,6 +18,7 @@ from qdulac.errors import (
     IrrationalQPowerError,
     LinearCoefficientError,
     LinearVertexError,
+    QDulacError,
 )
 from qdulac.expand import (
     LinearPart,
@@ -248,7 +251,7 @@ def test_k_lattice_closure_property():
     rng = random.Random(7)
     for _ in range(40):
         r = F(rng.randint(-2, 2), rng.choice([1, 2]))
-        k_max = r + F(rng.randint(2, 8), 2)
+        k_max = r + F(rng.randint(2, 12), 2)
         points = set()
         for _ in range(rng.randint(1, 5)):
             q2 = rng.randint(0, 3)
@@ -465,6 +468,49 @@ def test_expand_verbatim_difference_equations():
         window = evaluate_on_series(ft, below, k, k)
         assert window.coefficient(k) == theta
         assert all(kk == k for kk, _ in window.terms)
+
+
+def test_expansion_matches_fresh_loop_on_golden_equations(monkeypatch, tmp_path):
+    """Each expansion of the golden CLI cases equals the loop that
+    evaluates theta_k afresh: series, constants, K and critical report."""
+    from test_golden import CASES, run_case
+
+    from qdulac import cli
+
+    seen = []
+
+    def recording(f, ts, k_max):
+        seen.append((f, ts, k_max, expand_solution(f, ts, k_max)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(cli, "expand_solution", recording)
+    for argv in CASES.values():
+        if argv[0] in ("expand", "verify"):
+            run_case(argv, tmp_path)
+    assert len(seen) >= 20
+    for f, ts, k_max, result in seen:
+        assert result == reference_expansion(f, ts, k_max)
+
+
+def test_expansion_matches_fresh_loop_on_planted_edges():
+    """Seeded planted edges (r in -2..2 and halves) that pass the structural
+    hypotheses expand as the fresh loop does; the rest are refused alike."""
+    rng = random.Random(2026)
+    compared = 0
+    for _ in range(80):
+        eq, q, c, r, endpoints = random_edge_equation(rng)
+        face = find_face(build_polygon(support(eq)), endpoints)
+        ts = TruncatedSolution.create(eq, face, ParamPoly.const(c), r, q, "edge-root")
+        k_max = r + F(rng.randint(2, 12), 2)
+        try:
+            want = reference_expansion(eq, ts, k_max)
+        except QDulacError as err:
+            with pytest.raises(type(err)):
+                expand_solution(eq, ts, k_max)
+            continue
+        assert expand_solution(eq, ts, k_max) == want, (str(eq), q, c, r, k_max)
+        compared += 1
+    assert compared >= 20
 
 
 def test_expand_remark2_log_free_implication():
