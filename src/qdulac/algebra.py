@@ -274,16 +274,35 @@ class ParamPoly:
     # -- evaluation and display
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        """Exact value after substituting every symbol from `assignment`."""
-        total = Fraction(0)
-        for mono, coef in self.items():
-            term = coef
-            for name, exp in mono:
-                if name not in assignment:
-                    raise UnboundSymbolError(f"unbound symbol {name!r}")
-                term *= _as_rat(assignment[name]) ** exp
-            total += term
-        return total
+        """Exact value after substituting every symbol from `assignment`.
+
+        Runs on the packed keys: each slot's bound value is read once per
+        call as an int pair, the terms are summed over a common int
+        denominator, and one Fraction is built at the end.
+        """
+        values: dict = {}  # slot -> (numerator, denominator) of its value
+        total, common = 0, 1
+        for key, num in self._nums.items():
+            den, slot, rest = 1, 0, key
+            while rest:
+                exp = rest & _FIELD_MASK
+                if exp:
+                    value = values.get(slot)
+                    if value is None:
+                        value = assignment.get(_NAMES[slot])
+                        if not isinstance(value, (int, Fraction)):
+                            for name, _ in _decode(key):  # the first fault by name
+                                if name not in assignment:
+                                    raise UnboundSymbolError(f"unbound symbol {name!r}")
+                                _exact(assignment[name])
+                        value = values[slot] = value.as_integer_ratio()
+                    num, den = num * value[0] ** exp, den * value[1] ** exp
+                rest, slot = rest >> _FIELD_BITS, slot + 1
+            if common % den:
+                scale = den // math.gcd(common, den)
+                total, common = total * scale, common * scale
+            total += num * (common // den)
+        return Fraction(total, common * self._den)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in the canonical display order (graded lexicographic)."""

@@ -14,7 +14,9 @@ ValueError and ZeroDivisionError to 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -246,12 +248,9 @@ def _parse_point_text(text: str):
 def _select_faces(polygon: NewtonPolygon, selector: str) -> list[Face]:
     if selector == "auto":
         return faces_for_x_to_zero(polygon)
-    text = selector.strip()
-    if ")-(" in text:
-        left, right = text.split(")-(", 1)
-        points = (_parse_point_text(left + ")"), _parse_point_text("(" + right))
-    else:
-        points = (_parse_point_text(text),)
+    # "(q1,q2)" or two such points joined by "-", with or without spaces
+    halves = re.split(r"(?<=\))\s*-\s*(?=\()", selector.strip(), maxsplit=1)
+    points = [_parse_point_text(half) for half in halves]
     face = find_face(polygon, points)
     if face is None:
         raise ValueError(f"no face with endpoints {selector!r}")
@@ -587,7 +586,10 @@ def _add_common(sub, *, q: bool, face: bool, kmax: bool) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and then reused:
+    `parse_args` returns a fresh namespace each time."""
     parser = argparse.ArgumentParser(
         prog="qdulac",
         description=(

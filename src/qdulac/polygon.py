@@ -8,8 +8,11 @@ including collinear interior points of an edge.
 For the direction x -> 0 the relevant normal directions are the rays
 lambda * (-1, -r).  An edge admits exactly one such r (when its outward
 normal points into the half-plane p1 < 0); a vertex admits an open
-interval of r values.  All predicates are exact rational arithmetic; the
-degenerate hulls (single point, segment) use the same Face vocabulary.
+interval of r values.  The predicates run on an integer grid: the points
+are scaled to (x*X, y*Y), X and Y the lcms of the x and y denominators,
+which keeps order, turn signs and collinearity, and only the stored r
+values and r-range bounds are formed as exact Fractions.  The degenerate
+hulls (single point, segment) use the same Face vocabulary.
 """
 
 from __future__ import annotations
@@ -17,30 +20,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .algebra import _as_rat, rat_str
 
-Point = tuple  # (Fraction, Fraction)
+Point = tuple  # (Fraction, Fraction); on the grid (int, int)
 
 
 def _pt(p) -> Point:
     return (_as_rat(p[0]), _as_rat(p[1]))
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
+def _cross(o: Point, a: Point, b: Point) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _dot(a: Point, b: Point) -> Fraction:
-    return a[0] * b[0] + a[1] * b[1]
 
 
 def _between(a: Point, b: Point, s: Point) -> bool:
     """s on the closed segment [a,b], assuming a, b, s collinear."""
     d = (b[0] - a[0], b[1] - a[1])
-    t = _dot((s[0] - a[0], s[1] - a[1]), d)
-    return 0 <= t <= _dot(d, d)
+    t = (s[0] - a[0]) * d[0] + (s[1] - a[1]) * d[1]
+    return 0 <= t <= d[0] * d[0] + d[1] * d[1]
 
 
 @dataclass(frozen=True)
@@ -93,102 +91,99 @@ class NewtonPolygon:
     faces: tuple
 
 
+def _grid(points) -> tuple:
+    """{grid point: point} over the sorted distinct points, each (x, y)
+    mapped to (x*X, y*Y) on the integer grid, and the scale (X, Y)."""
+    pts = sorted({_pt(p) for p in points})
+    scale = tuple(math.lcm(*(p[i].denominator for p in pts)) for i in (0, 1))
+    grid = {
+        tuple(p[i].numerator * (scale[i] // p[i].denominator) for i in (0, 1)): p
+        for p in pts
+    }
+    return grid, scale
+
+
+def _chain(grid) -> list:
+    """Counterclockwise hull of sorted distinct grid points by the monotone
+    chain, strict turns only."""
+    if len(grid) <= 2:
+        return list(grid)
+
+    def half(order) -> list:
+        out: list = []
+        for p in order:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(grid) + half(reversed(grid))
+
+
 def convex_hull(points) -> list:
     """Counterclockwise hull vertices by the monotone chain, strict turns only."""
-    pts = sorted({_pt(p) for p in points})
-    if len(pts) <= 2:
-        return pts
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    grid, _ = _grid(points)
+    return [grid[p] for p in _chain(grid)]
 
 
-def _vertex_r_range(v: Point, support: Iterable[Point]):
+def _grid_rat(ratio: tuple, scale: tuple) -> Fraction:
+    """The r that a grid ratio (dx, dy) names: -dx*Y / (dy*X)."""
+    return Fraction(-ratio[0] * scale[1], ratio[1] * scale[0])
+
+
+def _vertex_r_range(v: Point, grid, scale: tuple):
     """Open interval of r with (-1,-r) strictly maximal at v, or None.
 
     The constraint from another support point s is
-    (s1 - v1) + r (s2 - v2) > 0.
+    (s1 - v1) + r (s2 - v2) > 0; each bound is kept as the grid ratio
+    of s - v, its second entry made positive.
     """
-    lo = None
-    hi = None
-    for s in support:
-        if s == v:
-            continue
-        num = v[0] - s[0]
-        den = s[1] - v[1]
-        if den == 0:
-            if s[0] <= v[0]:
+    lo = hi = None
+    for s in grid:
+        d = (s[0] - v[0], s[1] - v[1])
+        if d[1] == 0:
+            if d[0] < 0:  # s == v gives d = (0, 0)
                 return None
-            continue
-        bound = num / den
-        if den > 0:
-            if lo is None or bound > lo:
-                lo = bound
-        else:
-            if hi is None or bound < hi:
-                hi = bound
-    if lo is not None and hi is not None and lo >= hi:
+        elif d[1] > 0:
+            if lo is None or d[0] * lo[1] < lo[0] * d[1]:
+                lo = d
+        elif hi is None or d[0] * hi[1] < hi[0] * d[1]:
+            hi = (-d[0], -d[1])
+    if lo is not None and hi is not None and lo[0] * hi[1] <= hi[0] * lo[1]:
         return None
-    return (lo, hi)
+    return tuple(None if b is None else _grid_rat(b, scale) for b in (lo, hi))
 
 
-def _edge_r(a: Point, b: Point, subset: tuple, support: tuple) -> Fraction | None:
-    """The unique r with (-1,-r) normal to edge ab and outward, if any."""
-    d2 = b[1] - a[1]
-    if d2 == 0:
+def _edge_r(a: Point, b: Point, subset: tuple, grid, scale: tuple) -> Fraction | None:
+    """The unique r with (-1,-r) normal to edge ab and outward, if any:
+    (-1,-r).s is smaller off the edge than on it, which on the grid reads
+    cross(a, b, s) * (b2 - a2) < 0."""
+    d = (b[0] - a[0], b[1] - a[1])
+    if d[1] == 0:
         return None
-    r = -(b[0] - a[0]) / d2
-    p = (Fraction(-1), -r)
-    face_val = _dot(p, a)
-    for s in support:
-        if s in subset:
-            continue
-        if _dot(p, s) >= face_val:
+    for s in grid:
+        if s not in subset and _cross(a, b, s) * d[1] >= 0:
             return None
-    return r
+    return _grid_rat(d, scale)
 
 
 def build_polygon(support) -> NewtonPolygon:
     """Exact convex hull of a nonempty support with all faces annotated."""
-    pts = sorted({_pt(p) for p in support})
-    if not pts:
+    grid, scale = _grid(support)
+    if not grid:
         raise ValueError("empty support")
-    hull = convex_hull(pts)
-    faces: list[Face] = []
-    for v in hull:
-        faces.append(
-            Face(
-                dim=0,
-                points=(v,),
-                endpoints=(v,),
-                r=None,
-                r_range=_vertex_r_range(v, pts),
-            )
-        )
-    support_t = tuple(pts)
-    edge_pairs: list = []
-    if len(hull) == 2:
-        edge_pairs = [(hull[0], hull[1])]
-    elif len(hull) >= 3:
-        edge_pairs = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-    for a, b in edge_pairs:
-        subset = tuple(
-            s for s in pts if _cross(a, b, s) == 0 and _between(a, b, s)
-        )
-        r = _edge_r(a, b, subset, support_t)
-        faces.append(
-            Face(dim=1, points=subset, endpoints=(a, b), r=r, r_range=None)
-        )
+    hull = _chain(grid)
+    faces = [
+        Face(0, (grid[v],), (grid[v],), None, _vertex_r_range(v, grid, scale))
+        for v in hull
+    ]
+    n = len(hull)
+    for a, b in [(hull[i], hull[(i + 1) % n]) for i in range(n if n >= 3 else n - 1)]:
+        subset = tuple(s for s in grid if _cross(a, b, s) == 0 and _between(a, b, s))
+        r = _edge_r(a, b, subset, grid, scale)
+        faces.append(Face(1, tuple(map(grid.get, subset)), (grid[a], grid[b]), r, None))
     return NewtonPolygon(
-        support=support_t, hull_vertices=tuple(hull), faces=tuple(faces)
+        tuple(grid.values()), tuple(grid[v] for v in hull), tuple(faces)
     )
 
 

@@ -2,12 +2,14 @@
 
 Each function here recomputes a result by a different method than the
 library uses, so agreement is meaningful: an all-pairs halfplane hull, a
-support scan of a face's normal cone, a dense Gaussian-elimination solve of the polynomial difference operator,
-a reference parameter polynomial, a brute-force evaluation of a
-q-difference sum on a power-logarithmic series, a recursive multiset
-enumerator of the exponent set K, a generator of random equations
-with a planted edge solution, and the expansion loop that evaluates the
-residual afresh at every exponent.
+Newton polygon whose geometry runs on Fractions instead of the integer
+grid, a support scan of a face's normal cone, a dense Gaussian-elimination
+solve of the polynomial difference operator, a reference parameter
+polynomial, a brute-force evaluation of a q-difference sum on a
+power-logarithmic series, a recursive multiset enumerator of the
+exponent set K, a generator of random equations with a planted edge
+solution, and the expansion loop that evaluates the residual afresh at
+every exponent.
 """
 
 import math
@@ -24,6 +26,7 @@ from qdulac.expand import (
     k_lattice,
     solve_poly_difference,
 )
+from qdulac.polygon import Face, NewtonPolygon
 from qdulac.qexpr import (
     PowerLogSeries,
     QPolynomial,
@@ -83,6 +86,68 @@ def brute_force_hull(points):
         hull.append(cur)
         cur = nxt[cur]
     return hull
+
+
+def _reference_chain(pts):
+    """Counterclockwise hull of sorted distinct points, strict turns only,
+    by the monotone chain on Fractions."""
+    if len(pts) <= 2:
+        return list(pts)
+
+    def half(order):
+        out = []
+        for p in order:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(pts[::-1])
+
+
+def _reference_r_range(v, support):
+    """Open interval of r with (-1,-r) strictly maximal at v, or None: each
+    other point s asks (s1 - v1) + r (s2 - v2) > 0."""
+    lo = hi = None
+    for s in support:
+        if s == v:
+            continue
+        num, den = v[0] - s[0], s[1] - v[1]
+        if den == 0:
+            if s[0] <= v[0]:
+                return None
+            continue
+        bound = num / den
+        if den > 0 and (lo is None or bound > lo):
+            lo = bound
+        if den < 0 and (hi is None or bound < hi):
+            hi = bound
+    if lo is not None and hi is not None and lo >= hi:
+        return None
+    return (lo, hi)
+
+
+def _reference_edge_r(a, b, subset, support):
+    """The r with (-1,-r) normal to edge ab and outward, or None."""
+    if b[1] == a[1]:
+        return None
+    r = -(b[0] - a[0]) / (b[1] - a[1])
+    face_val = -a[0] - r * a[1]
+    if any(-s[0] - r * s[1] >= face_val for s in support if s not in subset):
+        return None
+    return r
+
+
+def reference_polygon(support) -> NewtonPolygon:
+    """`polygon.build_polygon` with every predicate evaluated on Fractions."""
+    pts = sorted({(_as_rat(p[0]), _as_rat(p[1])) for p in support})
+    hull = _reference_chain(pts)
+    faces = [Face(0, (v,), (v,), None, _reference_r_range(v, pts)) for v in hull]
+    n = len(hull)
+    for a, b in [(hull[i], hull[(i + 1) % n]) for i in range(n if n >= 3 else n - 1)]:
+        subset = tuple(s for s in pts if _cross(a, b, s) == 0 and _between(a, b, s))
+        faces.append(Face(1, subset, (a, b), _reference_edge_r(a, b, subset, pts), None))
+    return NewtonPolygon(tuple(pts), tuple(hull), tuple(faces))
 
 
 def cone_contains(face, support, r) -> bool:

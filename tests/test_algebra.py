@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -82,6 +83,40 @@ def test_param_poly_unbound_symbol():
     p = ParamPoly.symbol("a3") + 1
     with pytest.raises(UnboundSymbolError):
         p.evaluate({})
+
+
+def test_param_poly_evaluate_matches_term_sum():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        p = rand_ppoly(rng)
+        assignment = {
+            name: rng.choice([rng.randint(-3, 3), rand_rat(rng)])
+            for name in ("a3", "a4", "C1")
+        }
+        expected = sum(
+            (
+                coef * math.prod(F(assignment[name]) ** exp for name, exp in mono)
+                for mono, coef in p.items()
+            ),
+            F(0),
+        )
+        value = p.evaluate(assignment)
+        assert type(value) is F and value == expected, (p, assignment)
+
+
+def test_param_poly_unbound_symbol_message():
+    # z takes the lower slot of the packed key, yet the error names the
+    # first unbound symbol of the monomial by name
+    z, b = ParamPoly.symbol("unbound_z"), ParamPoly.symbol("unbound_b")
+    p = ParamPoly.symbol("a3") + z * b
+    with pytest.raises(UnboundSymbolError) as err:
+        p.evaluate({"a3": 1})
+    assert str(err.value) == "unbound symbol 'unbound_b'"
+    with pytest.raises(UnboundSymbolError) as err:
+        p.evaluate({"a3": 1, "unbound_b": 2})
+    assert str(err.value) == "unbound symbol 'unbound_z'"
+    with pytest.raises(TypeError, match="got float"):
+        p.evaluate({"a3": 1, "unbound_b": 0.5, "unbound_z": 1})
 
 
 def test_param_poly_reserved_symbols():

@@ -168,6 +168,14 @@ def test_truncate_single_face(eq_main, capsys):
     assert "c = -1, r = 0 (edge-root)" in out
 
 
+def test_face_selector_allows_spaces_around_dash(eq_main, capsys):
+    args = ["truncate", *main_args(eq_main), "--q", "1/2", "--format", "json"]
+    tight = run(capsys, [*args, "--face", "(0,3)-(0,2)"])
+    spaced = run(capsys, [*args, "--face", "(0, 3) - (0, 2)"])
+    assert spaced == tight
+    assert tight[0] == EXIT_OK and len(json.loads(tight[1])["faces"]) == 1
+
+
 def test_truncate_irrational_power_note(tmp_path, capsys):
     path = write_eq(tmp_path, "y^3 - x*S(y) = 0")
     code, out, _ = run(capsys, ["truncate", "--eq", path, "--q", "1/2"])
@@ -624,6 +632,45 @@ def test_module_entry_point(eq_main):
     )
     assert proc.returncode == EXIT_OK
     assert "y = -1 + (2*a3*log_{1/2}(x) + C1)*x" in proc.stdout
+
+
+def test_reused_parser_matches_fresh_processes(eq_main, capsys, monkeypatch):
+    # argparse wraps usage lines to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    common = [*main_args(eq_main), "--q", "1/2", "--kmax", "2"]
+    commands = [
+        ["polygon", *main_args(eq_main)],
+        ["truncate", *main_args(eq_main), "--q", "1/2"],
+        ["expand", *common, "--log-base", "2"],
+        ["verify", *common],  # no --assign: argparse exits with 2
+        ["verify", *common, "--assign", "a3=1,a4=2,C1=3", "--format", "json"],
+        ["expand", *common],
+    ]
+    results = []
+    for argv in commands:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "qdulac.cli", *argv], capture_output=True, text=True
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+        assert results[-1] == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [code for code, _, _ in results] == [0, 0, 0, 2, 0, 0]
+    assert "the following arguments are required: --assign" in results[3][2]
+    assert cli.build_parser() is cli.build_parser()
+    fresh_parser = cli.build_parser.__wrapped__()
+    assert cli.build_parser().format_help() == fresh_parser.format_help()
+    for command in ("polygon", "truncate", "expand", "verify", "plot"):
+        with pytest.raises(SystemExit) as reused:
+            main([command, "--help"])
+        reused_help = capsys.readouterr().out
+        with pytest.raises(SystemExit) as built:
+            fresh_parser.parse_args([command, "--help"])
+        assert reused.value.code == built.value.code == 0
+        assert reused_help == capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

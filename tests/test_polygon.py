@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 
-from oracles import brute_force_hull, cone_contains, random_point_set
+from oracles import brute_force_hull, cone_contains, random_point_set, reference_polygon
 from qdulac.parser import parse_equation
 from qdulac.polygon import (
     build_polygon,
+    convex_hull,
     faces_for_x_to_zero,
     find_face,
     render_svg,
@@ -106,6 +107,46 @@ def test_hull_matches_brute_force():
         ours = list(build_polygon(pts).hull_vertices)
         expected = brute_force_hull(pts)
         assert ours == expected, (pts, ours, expected)
+
+
+def _fields(poly):
+    # repr tells an int from an equal Fraction
+    faces = [(f.dim, f.points, f.endpoints, f.r, f.r_range) for f in poly.faces]
+    return repr((poly.support, poly.hull_vertices, faces))
+
+
+def _affine_draw(rng):
+    """A random draw moved by a 20-digit affine map with positive scales,
+    which keeps duplicates, collinear runs and every face."""
+    sx, ux, vy = (rng.randint(10**19, 10**20) for _ in range(3))
+    dy = F(rng.randint(10**19, 10**20), rng.randint(10**19, 10**20))
+    return [(x * sx + ux, y / dy - F(vy, 7)) for x, y in random_point_set(rng)]
+
+
+def test_polygon_matches_fraction_reference():
+    rng = random.Random(20261019)
+    draws = [random_point_set(rng) for _ in range(2000)]
+    draws += [_affine_draw(rng) for _ in range(40)]
+    draws += [
+        [
+            (F(rng.randint(-(10**20), 10**20), rng.randint(1, 10**20)),
+             F(rng.randint(-(10**20), 10**20), rng.randint(1, 10**20)))
+            for _ in range(rng.randint(1, 9))
+        ]
+        for _ in range(40)
+    ]
+    kinds = set()
+    for pts in draws:
+        poly, expected = build_polygon(pts), reference_polygon(pts)
+        assert _fields(poly) == _fields(expected), pts
+        assert convex_hull(pts) == list(expected.hull_vertices), pts
+        kinds |= {
+            (f.dim, len(f.points), f.admissible) for f in poly.faces
+        }
+    # vertices, plain edges and edges with interior points, both facing
+    # x -> 0 and not
+    assert {(0, 1, True), (0, 1, False), (1, 2, True), (1, 2, False)} <= kinds
+    assert {(1, 3, True), (1, 3, False)} <= kinds
 
 
 def test_hull_idempotence():
