@@ -180,7 +180,7 @@ class ParamPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> "ParamPoly":
-        value = _as_rat(value)
+        value = _exact(value)
         return cls._canonical({0: value.numerator} if value else {}, value.denominator)
 
     @classmethod

@@ -20,62 +20,51 @@ reports to users.  Parentheses nest at most 100 levels deep, well inside
 the interpreter's recursion limit; deeper input raises ResourceLimitError.
 The result is a canonical QPolynomial: powers and products expanded, like
 terms merged.
+
+One pass, linear in the length of the text: one regex makes (kind, text,
+offset) tokens, and an error counts its (line, column) from the offset.
+A term's factors fold into one monomial; only a parenthesised sum of
+several terms is a QPolynomial.  Each sum adds its terms into one dict.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ParamPoly, RESERVED_SYMBOLS
+from .algebra import ParamPoly, RESERVED_SYMBOLS, _as_rat
 from .errors import ParseError, ReservedSymbolError, ResourceLimitError
-from .qexpr import QPolynomial
+from .qexpr import QPolynomial, _add_into
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
+    [ \t\r\n]+ | \#[^\n]*
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*^()/=])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int" | "ident" | one of "+-*^()/=" | "end"
-    text: str
-    line: int
-    col: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of a character offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+def tokenize(text: str) -> list[tuple]:
+    """(kind, text, offset) per token, kind "int", "ident", the operator
+    itself or "end"; whitespace, newlines and comments give none."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind == "newline":
-            line += 1
-            col = 1
-        else:
-            if kind == "int":
-                tokens.append(Token("int", value, line, col))
-            elif kind == "ident":
-                tokens.append(Token("ident", value, line, col))
-            elif kind == "op":
-                tokens.append(Token(value, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("end", "", line, col))
+        if kind:
+            value = m.group()
+            if kind == "bad":
+                raise ParseError(f"unexpected character {value!r}", *_position(text, m.start()))
+            tokens.append((value if kind == "op" else kind, value, m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -97,153 +86,179 @@ def check_params(params) -> tuple[str, ...]:
     return tuple(seen)
 
 
+def _as_poly(mono) -> QPolynomial:
+    """The QPolynomial of a (coeff, x-exponent, {level: power}) monomial,
+    coeff None meaning 1."""
+    coeff, x, sigma = mono
+    key = (_as_rat(x), tuple(sorted((l, d) for l, d in sigma.items() if d)))
+    return QPolynomial._trusted({key: ParamPoly.const(1) if coeff is None else coeff})
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], params: tuple[str, ...]):
-        self.tokens = tokens
+    """Recursive descent; a factor is a monomial (coeff, x-exponent,
+    {level: power}) or a QPolynomial of several terms."""
+
+    def __init__(self, text: str, params: tuple[str, ...]):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
         self.params = params
         self.depth = 0  # open parentheses around the current atom
 
     @property
-    def cur(self) -> Token:
+    def cur(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def expect(self, kind: str) -> tuple:
         tok = self.cur
+        if tok[0] != kind:
+            raise self.fail(f"expected {kind!r}, found {tok[1] or 'end of input'!r}")
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        if self.cur.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {self.cur.text or 'end of input'!r}",
-                self.cur.line,
-                self.cur.col,
-            )
-        return self.advance()
-
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.cur.line, self.cur.col)
+    def fail(self, message: str, tok: tuple | None = None) -> ParseError:
+        return ParseError(message, *_position(self.text, (tok or self.cur)[2]))
 
     # equation := expr ("=" "0")? end
     def parse_equation(self) -> QPolynomial:
         result = self.parse_expr()
-        if self.cur.kind == "=":
-            self.advance()
+        if self.cur[0] == "=":
+            self.pos += 1
             rhs = self.expect("int")
-            if rhs.text != "0":
-                raise ParseError("right-hand side must be 0", rhs.line, rhs.col)
-        if self.cur.kind != "end":
-            raise self.fail(f"unexpected {self.cur.text!r} after equation")
+            if rhs[1] != "0":
+                raise self.fail("right-hand side must be 0", rhs)
+        if self.cur[0] != "end":
+            raise self.fail(f"unexpected {self.cur[1]!r} after equation")
         return result
 
     def parse_expr(self) -> QPolynomial:
-        negate = False
-        if self.cur.kind == "-":
-            self.advance()
-            negate = True
-        result = self.parse_term()
-        if negate:
-            result = -result
-        while self.cur.kind in ("+", "-"):
-            op = self.advance()
-            term = self.parse_term()
-            result = result + term if op.kind == "+" else result - term
-        return result
+        total: dict = {}  # every term added in place
+        sign = 1
+        if self.cur[0] == "-":
+            self.pos += 1
+            sign = -1
+        while True:
+            for key, coeff in self.parse_term().items():
+                _add_into(total, key, coeff if sign > 0 else -coeff)
+            if self.cur[0] not in ("+", "-"):
+                return QPolynomial._trusted(total)
+            sign = 1 if self.cur[0] == "+" else -1
+            self.pos += 1
 
-    def parse_term(self) -> QPolynomial:
-        result = self.parse_factor()
-        while self.cur.kind == "*":
-            self.advance()
-            result = result * self.parse_factor()
-        return result
+    def parse_term(self) -> dict:
+        """The product of the factors as {key: coeff}.  Monomials fold into
+        one monomial until a factor of several terms; from there on the
+        product is a QPolynomial taking each factor as it comes, so an
+        exponent reaching 2^31 is refused at the factor that reaches it."""
+        coeff, x, sigma, poly = None, 0, {}, None
+        while True:
+            factor = self.parse_factor()
+            if poly is None and not isinstance(factor, QPolynomial):
+                fc, fx, fsigma = factor
+                if fc is not None:
+                    coeff = fc if coeff is None else coeff * fc
+                x += fx
+                for level, power in fsigma.items():
+                    sigma[level] = sigma.get(level, 0) + power
+            else:
+                if poly is None:
+                    poly = _as_poly((coeff, x, sigma))
+                poly = poly * (factor if isinstance(factor, QPolynomial) else _as_poly(factor))
+            if self.cur[0] != "*":
+                return (_as_poly((coeff, x, sigma)) if poly is None else poly)._terms
+            self.pos += 1
 
     def parse_power(self, subject: str) -> int | Fraction:
         """A nonnegative INT, or on x any XPOWER of the grammar."""
-        grouped = subject == "x" and self.cur.kind == "("
+        grouped = subject == "x" and self.cur[0] == "("
         if grouped:
-            self.advance()
+            self.pos += 1
         sign = 1
-        if self.cur.kind == "-":
+        if self.cur[0] == "-":
             if subject != "x":
                 raise self.fail(f"negative power on {subject}")
-            self.advance()
+            self.pos += 1
             sign = -1
         if grouped:
             power = self.parse_rational()
             self.expect(")")
             return sign * power
         tok = self.expect("int")
-        if self.cur.kind == "/":
-            raise ParseError(
-                f"non-integer power on {subject}", tok.line, tok.col
-            )
-        return sign * int(tok.text)
+        if self.cur[0] == "/":
+            raise self.fail(f"non-integer power on {subject}", tok)
+        return sign * int(tok[1])
 
-    def parse_factor(self) -> QPolynomial:
+    def parse_factor(self):
         atom, subject = self.parse_atom()
-        if self.cur.kind == "^":
-            self.advance()
-            power = self.parse_power(subject)
-            atom = QPolynomial.x_power(power) if subject == "x" else atom**power
+        if self.cur[0] == "^":
+            self.pos += 1
+            n = self.parse_power(subject)
+            if subject == "x":
+                atom = (None, n, {})
+            elif isinstance(atom, QPolynomial):
+                atom = atom**n
+            else:
+                coeff, x, sigma = atom
+                atom = (None if coeff is None else coeff**n, x * n,
+                        {level: power * n for level, power in sigma.items()})
+        if isinstance(atom, QPolynomial) and len(atom._terms) < 2:  # one term or none
+            ((x, sigma), coeff), = atom._terms.items() or [((0, ()), ParamPoly.zero())]
+            atom = (coeff, x, dict(sigma))
         return atom
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self) -> int | Fraction:
         tok = self.expect("int")
-        if self.cur.kind != "/":
-            return Fraction(int(tok.text))
-        self.advance()
+        if self.cur[0] != "/":
+            return int(tok[1])
+        self.pos += 1
         den = self.expect("int")
-        if den.text == "0":
-            raise ParseError("zero denominator", den.line, den.col)
-        return Fraction(int(tok.text), int(den.text))
+        if not int(den[1]):
+            raise self.fail("zero denominator", den)
+        return Fraction(int(tok[1]), int(den[1]))
 
-    def parse_atom(self) -> tuple[QPolynomial, str]:
+    def parse_atom(self) -> tuple:
         tok = self.cur
-        if tok.kind == "int":
-            return QPolynomial.constant(self.parse_rational()), "a constant"
-        if tok.kind == "(":
+        if tok[0] == "int":
+            return (ParamPoly.const(self.parse_rational()), 0, {}), "a constant"
+        if tok[0] == "(":
             if self.depth == _MAX_NESTING:
+                line, col = _position(self.text, tok[2])
                 raise ResourceLimitError(
                     f"parentheses nest deeper than {_MAX_NESTING} levels "
-                    f"(line {tok.line}, column {tok.col})"
+                    f"(line {line}, column {col})"
                 )
             self.depth += 1
-            self.advance()
+            self.pos += 1
             inner = self.parse_expr()
             self.expect(")")
             self.depth -= 1
             return inner, "a subexpression"
-        if tok.kind == "ident":
+        if tok[0] == "ident":
             return self.parse_ident()
-        raise self.fail(f"expected a factor, found {tok.text or 'end of input'!r}")
+        raise self.fail(f"expected a factor, found {tok[1] or 'end of input'!r}")
 
-    def parse_ident(self) -> tuple[QPolynomial, str]:
-        tok = self.advance()
-        name = tok.text
+    def parse_ident(self) -> tuple:
+        tok = self.cur
+        self.pos += 1
+        name = tok[1]
         if name == "x":
-            return QPolynomial.x_power(1), "x"
+            return (None, 1, {}), "x"
         if name == "y":
-            return QPolynomial.unknown(0), "y"
+            return (None, 0, {0: 1}), "y"
         if name == "S":
             level = 1
-            if self.cur.kind == "^":
-                self.advance()
+            if self.cur[0] == "^":
+                self.pos += 1
                 level = self.parse_power("the shift operator")
             self.expect("(")
             arg = self.expect("ident")
-            if arg.text != "y":
-                raise ParseError(
-                    "the shift operator applies to y only", arg.line, arg.col
-                )
+            if arg[1] != "y":
+                raise self.fail("the shift operator applies to y only", arg)
             self.expect(")")
-            return QPolynomial.unknown(level), "a shifted factor"
+            return (None, 0, {level: 1}), "a shifted factor"
         if name in self.params:
-            return (
-                QPolynomial.constant(ParamPoly.symbol(name)),
-                f"parameter {name}",
-            )
-        raise ParseError(f"undeclared identifier {name!r}", tok.line, tok.col)
+            return (ParamPoly.symbol(name), 0, {}), f"parameter {name}"
+        raise self.fail(f"undeclared identifier {name!r}", tok)
 
 
 def parse_equation(text: str, params=()) -> QPolynomial:
@@ -253,7 +268,7 @@ def parse_equation(text: str, params=()) -> QPolynomial:
     ParseError with a 1-based line/column on any malformed input.
     """
     declared = check_params(params)
-    return _Parser(tokenize(text), declared).parse_equation()
+    return _Parser(text, declared).parse_equation()
 
 
 def parse_param_expr(text: str, params=()) -> ParamPoly:

@@ -35,6 +35,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -85,7 +86,7 @@ class QTerm:
     x_exp: Fraction
     sigma_powers: SigmaPowers
 
-    @property
+    @cached_property
     def y_degree(self) -> int:
         return sum(d for _, d in self.sigma_powers)
 
@@ -94,7 +95,7 @@ class QTerm:
         """Sum of level*power; the w-exponent under y = c*x^r (w = q^r)."""
         return sum(l * d for l, d in self.sigma_powers)
 
-    @property
+    @cached_property
     def q_point(self) -> Point:
         return (self.x_exp, Fraction(self.y_degree))
 
@@ -111,10 +112,11 @@ class QPolynomial:
     levels, positive powers) and merges like terms; `zero`, `constant`,
     `x_power` and `unknown` go through it.  Arithmetic results are
     trusted: they are built on the dict directly and only drop zero
-    coefficients.  `terms` is the sorted view for iteration and display.
+    coefficients.  `terms` is the sorted view for iteration and display,
+    built on first use and kept: a QPolynomial is never changed in place.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_sorted")
 
     def __init__(self, terms: Iterable[QTerm] = ()):
         merged: dict[tuple[Fraction, SigmaPowers], ParamPoly] = {}
@@ -124,12 +126,14 @@ class QPolynomial:
         self._terms = {
             key: coeff for key, coeff in merged.items() if not coeff.is_zero()
         }
+        self._sorted = None
 
     @classmethod
     def _trusted(cls, terms: dict) -> "QPolynomial":
         """Canonical keys from arithmetic; only zero coefficients drop."""
         out = cls.__new__(cls)
         out._terms = {key: c for key, c in terms.items() if not c.is_zero()}
+        out._sorted = None
         return out
 
     # -- constructors
@@ -154,13 +158,10 @@ class QPolynomial:
 
     @property
     def terms(self) -> tuple[QTerm, ...]:
-        return tuple(
-            QTerm(self._terms[key], key[0], key[1])
-            for key in sorted(
-                self._terms,
-                key=lambda k: (k[0], sum(d for _, d in k[1]), k[1]),
-            )
-        )
+        if self._sorted is None:
+            keys = sorted(self._terms, key=lambda k: (k[0], sum(d for _, d in k[1]), k[1]))
+            self._sorted = tuple(QTerm(self._terms[k], k[0], k[1]) for k in keys)
+        return self._sorted
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -347,9 +348,9 @@ def substitute_shift(
         return f
     powers: dict[tuple[int, int], QPolynomial] = {}  # (l, p) -> binomial power
 
-    out = QPolynomial.zero()
+    out: dict = {}
     for term in f.terms:
-        prod = QPolynomial([QTerm(term.coeff, term.x_exp, ())])
+        prod = QPolynomial._trusted({(term.x_exp, ()): term.coeff})
         for level, power in term.sigma_powers:
             if (level, power) not in powers:
                 lead = c * q_pow(q, level * r)
@@ -360,8 +361,9 @@ def substitute_shift(
                     lead_i = lead_i * lead
                 powers[level, power] = QPolynomial._trusted(terms)
             prod = prod * powers[level, power]
-        out = out + prod
-    return out
+        for key, value in prod._terms.items():
+            _add_into(out, key, value)
+    return QPolynomial._trusted(out)
 
 
 def evaluate_on_series(

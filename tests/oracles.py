@@ -8,15 +8,19 @@ solve of the polynomial difference operator, a reference parameter
 polynomial, a brute-force evaluation of a q-difference sum on a
 power-logarithmic series, a recursive multiset enumerator of the
 exponent set K, a generator of random equations with a planted edge
-solution, and the expansion loop that evaluates the residual afresh at
-every exponent.
+solution, the expansion loop that evaluates the residual afresh at
+every exponent, and the equation parser that multiplies out every factor
+and adds up every term as a QPolynomial.
 """
 
 import math
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from qdulac.algebra import ParamPoly, _as_rat, q_pow
+from qdulac.errors import ParseError, ResourceLimitError
 from qdulac.expand import (
     ExpansionResult,
     check_exponent_order,
@@ -26,6 +30,7 @@ from qdulac.expand import (
     k_lattice,
     solve_poly_difference,
 )
+from qdulac.parser import check_params
 from qdulac.polygon import Face, NewtonPolygon
 from qdulac.qexpr import (
     PowerLogSeries,
@@ -589,3 +594,212 @@ def reference_expansion(f, ts, k_max) -> ExpansionResult:
         unresolved=crit.unresolved,
         linear_part=L,
     )
+
+
+# -- the equation parser as first written: a token list of dataclasses,
+# each factor a QPolynomial, each sum formed by repeated `+` (quadratic in
+# the number of terms)
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<int>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op>[-+*^()/=])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # "int" | "ident" | one of "+-*^()/=" | "end"
+    text: str
+    line: int
+    col: int
+
+
+def tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        value = m.group()
+        if kind == "newline":
+            line += 1
+            col = 1
+        else:
+            if kind == "int":
+                tokens.append(Token("int", value, line, col))
+            elif kind == "ident":
+                tokens.append(Token("ident", value, line, col))
+            elif kind == "op":
+                tokens.append(Token(value, value, line, col))
+            col += len(value)
+        pos = m.end()
+    tokens.append(Token("end", "", line, col))
+    return tokens
+
+
+_MAX_NESTING = 100
+
+
+class _Parser:
+    def __init__(self, tokens: list[Token], params: tuple[str, ...]):
+        self.tokens = tokens
+        self.pos = 0
+        self.params = params
+        self.depth = 0  # open parentheses around the current atom
+
+    @property
+    def cur(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.cur
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> Token:
+        if self.cur.kind != kind:
+            raise ParseError(
+                f"expected {kind!r}, found {self.cur.text or 'end of input'!r}",
+                self.cur.line,
+                self.cur.col,
+            )
+        return self.advance()
+
+    def fail(self, message: str) -> ParseError:
+        return ParseError(message, self.cur.line, self.cur.col)
+
+    # equation := expr ("=" "0")? end
+    def parse_equation(self) -> QPolynomial:
+        result = self.parse_expr()
+        if self.cur.kind == "=":
+            self.advance()
+            rhs = self.expect("int")
+            if rhs.text != "0":
+                raise ParseError("right-hand side must be 0", rhs.line, rhs.col)
+        if self.cur.kind != "end":
+            raise self.fail(f"unexpected {self.cur.text!r} after equation")
+        return result
+
+    def parse_expr(self) -> QPolynomial:
+        negate = False
+        if self.cur.kind == "-":
+            self.advance()
+            negate = True
+        result = self.parse_term()
+        if negate:
+            result = -result
+        while self.cur.kind in ("+", "-"):
+            op = self.advance()
+            term = self.parse_term()
+            result = result + term if op.kind == "+" else result - term
+        return result
+
+    def parse_term(self) -> QPolynomial:
+        result = self.parse_factor()
+        while self.cur.kind == "*":
+            self.advance()
+            result = result * self.parse_factor()
+        return result
+
+    def parse_power(self, subject: str) -> int | Fraction:
+        """A nonnegative INT, or on x any XPOWER of the grammar."""
+        grouped = subject == "x" and self.cur.kind == "("
+        if grouped:
+            self.advance()
+        sign = 1
+        if self.cur.kind == "-":
+            if subject != "x":
+                raise self.fail(f"negative power on {subject}")
+            self.advance()
+            sign = -1
+        if grouped:
+            power = self.parse_rational()
+            self.expect(")")
+            return sign * power
+        tok = self.expect("int")
+        if self.cur.kind == "/":
+            raise ParseError(
+                f"non-integer power on {subject}", tok.line, tok.col
+            )
+        return sign * int(tok.text)
+
+    def parse_factor(self) -> QPolynomial:
+        atom, subject = self.parse_atom()
+        if self.cur.kind == "^":
+            self.advance()
+            power = self.parse_power(subject)
+            atom = QPolynomial.x_power(power) if subject == "x" else atom**power
+        return atom
+
+    def parse_rational(self) -> Fraction:
+        tok = self.expect("int")
+        if self.cur.kind != "/":
+            return Fraction(int(tok.text))
+        self.advance()
+        den = self.expect("int")
+        if den.text == "0":
+            raise ParseError("zero denominator", den.line, den.col)
+        return Fraction(int(tok.text), int(den.text))
+
+    def parse_atom(self) -> tuple[QPolynomial, str]:
+        tok = self.cur
+        if tok.kind == "int":
+            return QPolynomial.constant(self.parse_rational()), "a constant"
+        if tok.kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ResourceLimitError(
+                    f"parentheses nest deeper than {_MAX_NESTING} levels "
+                    f"(line {tok.line}, column {tok.col})"
+                )
+            self.depth += 1
+            self.advance()
+            inner = self.parse_expr()
+            self.expect(")")
+            self.depth -= 1
+            return inner, "a subexpression"
+        if tok.kind == "ident":
+            return self.parse_ident()
+        raise self.fail(f"expected a factor, found {tok.text or 'end of input'!r}")
+
+    def parse_ident(self) -> tuple[QPolynomial, str]:
+        tok = self.advance()
+        name = tok.text
+        if name == "x":
+            return QPolynomial.x_power(1), "x"
+        if name == "y":
+            return QPolynomial.unknown(0), "y"
+        if name == "S":
+            level = 1
+            if self.cur.kind == "^":
+                self.advance()
+                level = self.parse_power("the shift operator")
+            self.expect("(")
+            arg = self.expect("ident")
+            if arg.text != "y":
+                raise ParseError(
+                    "the shift operator applies to y only", arg.line, arg.col
+                )
+            self.expect(")")
+            return QPolynomial.unknown(level), "a shifted factor"
+        if name in self.params:
+            return (
+                QPolynomial.constant(ParamPoly.symbol(name)),
+                f"parameter {name}",
+            )
+        raise ParseError(f"undeclared identifier {name!r}", tok.line, tok.col)
+
+
+def reference_parse_equation(text: str, params=()) -> QPolynomial:
+    """`parser.parse_equation` as first written, for comparison."""
+    declared = check_params(params)
+    return _Parser(tokenize(text), declared).parse_equation()

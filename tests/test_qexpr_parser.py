@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import reference_parse_equation
 from qdulac.algebra import ParamPoly, TPoly, q_pow
-from qdulac.errors import EmptySupportError, ParseError
+from qdulac.errors import EmptySupportError, ParseError, ResourceLimitError
 from qdulac.parser import parse_equation, parse_param_expr
 from qdulac.qexpr import (
     PowerLogSeries,
@@ -423,3 +424,102 @@ def test_qpolynomial_helpers():
     g = f.shift_x(2)
     assert g.min_x_exponent() == 2
     assert g.shift_x(-2) == f
+
+
+# -- the one-pass parser against the parser as first written
+
+_GAPS = ("", "", " ", "  ", "\t", "\n", " # a comment\n", "\r\n")
+_ATOMS = (
+    "x", "y", "a", "b", "S(y)", "S^2(y)", "S^0(y)", "x^2", "x^-1", "x^(3/2)",
+    "x^(-1/2)", "x^(0/5)", "y^0", "y^3", "0", "1", "7", "3/2", "2/4",
+    "12345678901234567890", "a^3", "a^0", "(a-1)^2", "(y+1)", "(1/2)", "(-x)",
+    "(y-y)", "(y-y)^0", "S(y)^2",
+)
+_BAD_ATOMS = ("c", "t", "S(x)", "S^-1(y)", "x^1/2", "y^-1", "y^1/2", "1/0", "1/00", "2 y")
+_SOUP = (
+    "x", "y", "S", "a", "b", "c", "t", "0", "1", "2", "00", "3/2", "(", ")", "(",
+    ")", "+", "-", "*", "^", "/", "=", "$", "#", "\n", "\t", " ", "٣", ".",
+)
+_EDGES = (
+    "(" * 100 + "y" + ")" * 100,
+    "y + (" * 101 + "y" + ")" * 101,
+    "y\n  + ((\t$",
+    "1/٣ + ٣*y",
+    "a^2147483647",
+    "a^2147483648",
+    "a^2147483647*a",
+    "0*a^2147483647*a",
+    "a^2147483647*0*a",
+    "a^2147483647*b^2147483647*a*b",
+    "(a^2147483647)*a*)",
+    "(a^2147483647 + 1)*a*)",
+    "(a^1073741824)^2",
+    "(a + b)^2*a^2147483646",
+    "b*(a + b)^2*a^2147483646",
+    "(a^2147483647 - 1)*(a + 1) - y",
+)
+
+
+def _random_expr(rng, depth=0):
+    terms = []
+    for i in range(rng.randint(1, 4)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            if depth < 3 and rng.random() < 0.15:
+                inner = f"({_random_expr(rng, depth + 1)})"
+                factors.append(inner + (f"^{rng.randint(0, 3)}" if rng.random() < 0.3 else ""))
+            else:
+                factors.append(rng.choice(_BAD_ATOMS if rng.random() < 0.03 else _ATOMS))
+        body = (rng.choice(_GAPS) + "*" + rng.choice(_GAPS)).join(factors)
+        sign = rng.choice(("+", "-")) if i else rng.choice(("", "", "-"))
+        terms.append(sign + rng.choice(_GAPS) + body)
+    return rng.choice(_GAPS).join(terms)
+
+
+def _random_equation(rng):
+    if rng.random() < 0.3:
+        return "".join(rng.choice(_SOUP) for _ in range(rng.randint(0, 14)))
+    text = _random_expr(rng) + rng.choice(("", "", " = 0", "= 0\n", " = 0", " = 1", "=", " = y"))
+    if rng.random() < 0.15:  # a stray character, a lost or an extra parenthesis
+        # (no "^": before the long literal it would ask for a giant power)
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice("$()*+/=#\n") + text[at + 1:]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return "terms", parse(text, ["a", "b"]).terms
+    except Exception as err:  # each failure compared by kind and place
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "col", None)
+
+
+def test_parser_matches_reference():
+    rng = random.Random(2200)
+    texts = list(_EDGES) + [_random_equation(rng) for _ in range(4000)]
+    kinds = set()
+    for text in texts:
+        want, got = _outcome(reference_parse_equation, text), _outcome(parse_equation, text)
+        if want[0] is ZeroDivisionError:
+            # a denominator written as several zeros: the reference divides
+            # by it, the parser names it
+            assert got[0] is ParseError and got[1].startswith("zero denominator"), text
+        else:
+            assert got == want, text
+        kinds.add(want[0])
+    assert {"terms", ParseError, ResourceLimitError, ZeroDivisionError} <= kinds
+
+
+def _long_equation(n):
+    return " + ".join(f"{i + 1}*x^{i + 1}*y^{1 + i % 3}" for i in range(n)) + " + S(y) - 2*y + x"
+
+
+def test_long_equation_parses_and_shifts_in_linear_time(deadline):
+    # summing the terms by repeated `+` copied the whole dict per term:
+    # 7 s to parse these 4,000 terms and 23 s to shift them on a 2-core VM
+    with deadline(2):
+        f = parse_equation(_long_equation(4000))
+        g = substitute_shift(f, F(2, 3), 1, F(1, 2))
+    assert len(f.terms) == 4003
+    assert len(g.terms) == 12001
+    assert all(t.sigma_powers or t.x_exp > 1 for t in g.terms)  # c*q*x - 2*c*x + x = 0
