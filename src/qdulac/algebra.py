@@ -364,6 +364,15 @@ def _power(base, exponent: int, one):
     return result
 
 
+def _check_power(coeffs: Iterable[ParamPoly], exponent: int) -> None:
+    """Refuse up front a power whose top exponents, exponent times the base's, reach 2^31."""
+    if isinstance(exponent, int) and exponent > 1:  # `_power` refuses a bad exponent
+        over = {name for c in coeffs for key in c._nums for name, e in _decode(key)
+                if e * exponent >= _EXP_LIMIT}
+        if over:  # named as the kernel would name it, after the squarings
+            raise ResourceLimitError(f"exponent of {max(over, key=_slot)} reaches 2^31")
+
+
 class TPoly:
     """Univariate polynomial over ParamPoly, low degree first.
 

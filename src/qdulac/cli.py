@@ -212,14 +212,12 @@ def expansion_json(result: ExpansionResult) -> dict:
 
 def series_from_json(doc: dict) -> PowerLogSeries:
     """Rebuild the series of an `expand` JSON document exactly; a malformed
-    power (negative, repeated or not an integer), a repeated monomial and a
-    repeated k raise ValueError."""
-    ks = [parse_rat(term["k"]) for term in doc["terms"]]
-    if len(set(ks)) != len(ks):
-        raise ValueError(f"repeated k in {', '.join(map(rat_str, sorted(ks)))}")
+    power (negative, repeated or not an integer), a repeated monomial and
+    terms not strictly ascending in k (checked by `PowerLogSeries`) raise
+    ValueError."""
     return PowerLogSeries(
         parse_rat(doc["q"]),
-        [(k, _tpoly_from_json(term["beta"])) for k, term in zip(ks, doc["terms"])],
+        [(parse_rat(term["k"]), _tpoly_from_json(term["beta"])) for term in doc["terms"]],
         base_shift=(_poly_from_json(doc["c"]), parse_rat(doc["r"])),
     )
 

@@ -61,7 +61,7 @@ from .qexpr import (
     substitute_shift,
     support,
 )
-from .truncate import TruncatedSolution
+from .truncate import TruncatedSolution, vertex_char_poly
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,8 @@ def extract_linear_part(ft: QPolynomial):
         raise LinearVertexError(
             "the substituted equation is identically zero; nothing to expand"
         )
-    linear_terms = [t for t in ft.terms if t.x_exp == 0 and t.y_degree == 1]
-    if not linear_terms:
+    linear = QPolynomial([t for t in ft.terms if t.x_exp == 0 and t.y_degree == 1])
+    if linear.is_zero():
         raise LinearVertexError(
             "no terms at support point (0,1): the linear part is missing"
         )
@@ -148,15 +148,10 @@ def extract_linear_part(ft: QPolynomial):
         raise LinearVertexError(
             "support point (0,1) is not a vertex of the Newton polygon"
         )
-    coeffs = [Fraction(0)] * (max(t.order for t in linear_terms) + 1)
-    for t in linear_terms:
-        if not t.coeff.is_constant():
-            raise LinearCoefficientError(
-                f"coefficient at (0,1) is not constant: {t.coeff}"
-            )
-        coeffs[t.order] = t.coeff.constant_value()
-    h = QPolynomial([t for t in ft.terms if not (t.x_exp == 0 and t.y_degree == 1)])
-    return LinearPart(tuple(coeffs)), h
+    chi = vertex_char_poly(linear)  # L(s): S^l y has shift weight l
+    if varying := [coeff for coeff in chi.coeffs if not coeff.is_constant()]:
+        raise LinearCoefficientError(f"coefficient at (0,1) is not constant: {varying[0]}")
+    return LinearPart(tuple(c.constant_value() for c in chi.coeffs)), ft - linear
 
 
 def critical_numbers(L: LinearPart, q, r) -> CriticalData:

@@ -92,15 +92,15 @@ class NewtonPolygon:
 
 
 def _grid(points) -> tuple:
-    """{grid point: point} over the sorted distinct points, each (x, y)
-    mapped to (x*X, y*Y) on the integer grid, and the scale (X, Y)."""
-    pts = sorted({_pt(p) for p in points})
+    """{grid point: point} over the distinct points sorted on the grid, each
+    (x, y) mapped to (x*X, y*Y) with X, Y > 0, and the scale (X, Y)."""
+    pts = {_pt(p) for p in points}
     scale = tuple(math.lcm(*(p[i].denominator for p in pts)) for i in (0, 1))
     grid = {
         tuple(p[i].numerator * (scale[i] // p[i].denominator) for i in (0, 1)): p
         for p in pts
     }
-    return grid, scale
+    return dict(sorted(grid.items())), scale
 
 
 def _chain(grid) -> list:

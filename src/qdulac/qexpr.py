@@ -12,11 +12,11 @@ of the sum, the input to the Newton polygon.
 The module implements the three transformations the expansion pipeline
 needs: the support map, the shift substitution y = c*x^r + z, and exact
 evaluation of a sum on a finite power-logarithmic series
-y = c*x^r + sum_k beta_k(t) x^k with t = log_q x.  A series checks its base
-pair once, at construction: c is nonzero and every k lies above r, so the
-pair and the beta_k form one ascending term tuple.  The operator S acts on a
-series term as S(x^k beta(t)) = q^k x^k beta(t+1), so every result stays in
-the same exact-rational world as long as the needed q-powers are rational.
+y = c*x^r + sum_k beta_k(t) x^k with t = log_q x.  A series checks, and
+never repairs, its input once: the k ascend strictly above r and c != 0,
+so the pair and the beta_k form one ascending term tuple.  S acts on a
+series term as S(x^k beta(t)) = q^k x^k beta(t+1), q^k from `q_pow`, so
+every result is exact, or refused when a needed q-power is irrational.
 Evaluation computes only an exponent window [k_min, k_max]: the expansion
 reads one coefficient per step, and products of shifted series that several
 monomials begin with are formed once, each on the exponents still needed.
@@ -45,9 +45,11 @@ from .algebra import (
     Scalar,
     TPoly,
     _as_rat,
+    _check_power,
     _power,
     check_q,
     q_pow,
+    rat_str,
 )
 from .errors import EmptySupportError
 
@@ -98,10 +100,6 @@ class QTerm:
     @cached_property
     def q_point(self) -> Point:
         return (self.x_exp, Fraction(self.y_degree))
-
-    @property
-    def order(self) -> int:
-        return max((l for l, _ in self.sigma_powers), default=0)
 
 
 class QPolynomial:
@@ -212,6 +210,7 @@ class QPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "QPolynomial":
+        _check_power(self._terms.values(), exponent)
         return _power(self, exponent, QPolynomial.constant(1))
 
     def __eq__(self, other) -> bool:
@@ -260,9 +259,9 @@ class PowerLogSeries:
 
     `base_shift`, when present, is the leading pair (c, r) of a solution
     y = c*x^r + sum beta_k x^k: c must be nonzero and r below every
-    exponent of `terms`, else ValueError.  `terms` holds the beta_k after
-    the pair, exponents strictly ascending and betas nonzero; `all_terms`
-    is the same tuple with the pair prepended as the constant (r, c).
+    exponent of `terms`, else ValueError.  `terms` is checked, never repaired:
+    strictly ascending in k (else ValueError), TPoly betas (else TypeError),
+    zeros dropped.  `all_terms` prepends the pair as the constant (r, c).
     """
 
     __slots__ = ("q", "terms", "base_shift", "all_terms")
@@ -274,15 +273,16 @@ class PowerLogSeries:
         base_shift: tuple | None = None,
     ):
         self.q = check_q(q)
-        merged: dict[Fraction, TPoly] = {}
+        checked, prev = [], -math.inf
         for k, beta in terms:
+            if (k := _as_rat(k)) <= prev:
+                raise ValueError(f"series k must ascend: {rat_str(k)} after {rat_str(prev)}")
             if not isinstance(beta, TPoly):
-                beta = TPoly.const(ParamPoly.coerce(beta))
-            _add_into(merged, _as_rat(k), beta)
-        self.terms = tuple(
-            (k, merged[k]) for k in sorted(merged) if not merged[k].is_zero()
-        )
-        self.all_terms = self.terms
+                raise TypeError(f"beta at k = {rat_str(k)} is not a TPoly: {beta!r}")
+            if not beta.is_zero():
+                checked.append((k, beta))
+            prev = k
+        self.terms = self.all_terms = tuple(checked)
         if base_shift is not None:
             c, r = ParamPoly.coerce(base_shift[0]), _as_rat(base_shift[1])
             if c.is_zero():
@@ -379,9 +379,8 @@ def evaluate_on_series(
     series.  Inside, exponents are ints on the grid 1/D (powers of
     t = x^(1/D), D the lcm of the denominators of s's exponents and f's
     x-exponents), with k_max floored and k_min raised to the grid; the
-    result turns them back into Fractions.  The factors q^(l*k) of S^l s
-    are powers of q^(1/M), M the lcm of the denominators of those l*k,
-    which is rational exactly when they all are.  A monomial
+    result turns them back into Fractions.  Each factor q^(l*k) of S^l s
+    is `q_pow(q, l*k)`, all formed before a carry changes.  A monomial
     coeff*x^e*F_1*...*F_d (F_i = S^{l_i} s, levels ascending) reads its
     factors as the path l_1, ..., l_d of a prefix tree, so monomials that
     share leading factors (z^2 in z^3 and in z^2*S(z)) share their partial
@@ -408,28 +407,26 @@ def evaluate_on_series(
         paths = [(TPoly._trusted([term.coeff]), term.x_exp,
                   tuple(l for l, power in term.sigma_powers for _ in range(power)))
                  for term in f.terms]
-        c.update(f=f, q=q, given=(), m=1, root=q, paths=paths, base=[], kept={}, fin={},
+        c.update(f=f, q=q, given=(), paths=paths, base=[], kept={}, fin={},
                  shifted={level: [] for _, _, path in paths for level in path},
                  grid=math.lcm(*(term.x_exp.denominator for term in f.terms)))
     if c.get("f") is not f or c["q"] != q or s.all_terms[: len(c["given"])] != c["given"]:
         raise ValueError("the carry holds another equation, q or series")
     given, base, shifted, kept, fin = c["given"], c["base"], c["shifted"], c["kept"], c["fin"]
     new = s.all_terms[len(given):]
+    factors = [[q_pow(q, level * k) for level in shifted] for k, _ in new]
     grid = math.lcm(c["grid"], *(k.denominator for k, _ in new))
-    m = math.lcm(c["m"], *((level * k).denominator for level in shifted for k, _ in new))
-    root = c["root"] if m == c["m"] else q_pow(q, Fraction(1, m))
     if grid != c["grid"]:  # a new denominator: every carried exponent rescales
         scale = grid // c["grid"]
         for pairs in (base, *shifted.values(), *kept.values()):
             pairs[:] = [(k * scale, beta) for k, beta in pairs]
         for node in fin:
             fin[node] *= scale
-    for k, beta in new:
+    for (k, beta), ws in zip(new, factors):
         base.append((k.numerator * (grid // k.denominator), beta))
-        for level, pairs in shifted.items():
-            pairs.append(
-                (base[-1][0], beta.shift(level, root ** int(level * k * m)) if level else beta))
-    c.update(given=s.all_terms, grid=grid, m=m, root=root)
+        for (level, pairs), w in zip(shifted.items(), ws):
+            pairs.append((base[-1][0], beta.shift(level, w) if level else beta))
+    c.update(given=s.all_terms, grid=grid)
 
     top = k_max.numerator * grid // k_max.denominator
     bottom = None if k_min is None else -(-k_min.numerator * grid // k_min.denominator)

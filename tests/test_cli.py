@@ -303,8 +303,9 @@ def _beta_entry(power, coef="5", monomial=None):
         {"r": "1/2"},
         {"r": "1"},
         {"terms": [{"k": "1", "beta": [_beta_entry(0, c)]} for c in ("5", "7")]},
+        {"terms": [{"k": k, "beta": [_beta_entry(0)]} for k in ("1", "1/2")]},
     ],
-    ids=["zero_c", "r_at_first_term", "r_above_first_term", "repeated_k"],
+    ids=["zero_c", "r_at_first_term", "r_above_first_term", "repeated_k", "descending_k"],
 )
 def test_series_from_json_refuses_bad_base(eq_main, capsys, change):
     _, out, _ = run(

@@ -123,6 +123,12 @@ def test_extract_parameter_coefficient():
         extract_linear_part(parse_equation("a3*y + x", ["a3"]))
 
 
+def test_extract_names_the_lowest_nonconstant_level():
+    f = parse_equation("a4*S^2(y) + y + a3*S(y) + x", ["a3", "a4"])
+    with pytest.raises(LinearCoefficientError, match=r"constant: a3$"):
+        extract_linear_part(f)
+
+
 def test_extract_zero_equation():
     with pytest.raises(LinearVertexError):
         extract_linear_part(QPolynomial.zero())

@@ -39,7 +39,7 @@ def main_eq():
 def test_parse_main_equation():
     f = main_eq()
     assert len(f.terms) == 8
-    assert max(t.order for t in f.terms) == 2
+    assert max(l for t in f.terms for l, _ in t.sigma_powers) == 2
 
 
 def test_parse_single_unknown():
@@ -269,12 +269,17 @@ def test_substitute_shift_high_y_degree():
     } == want
 
 
-def test_series_normalization():
+def test_series_checks_its_terms():
     t = TPoly([0, 1])
-    s = PowerLogSeries(F(1, 2), [(1, t), (0, TPoly.const(2)), (1, -t)])
-    assert [k for k, _ in s.terms] == [F(0)]
-    assert s.coefficient(0) == TPoly.const(2)
-    assert s.coefficient(1).is_zero()
+    s = PowerLogSeries(F(1, 2), [(0, TPoly.const(2)), (F(1, 2), TPoly.zero()), (1, t)])
+    assert [k for k, _ in s.terms] == [F(0), F(1)]  # the zero beta is dropped
+    assert s.coefficient(F(1, 2)).is_zero()
+    with pytest.raises(ValueError, match="0 after 1"):
+        PowerLogSeries(F(1, 2), [(1, t), (0, TPoly.const(2))])
+    with pytest.raises(ValueError, match="1 after 1"):
+        PowerLogSeries(F(1, 2), [(1, t), (1, -t)])
+    with pytest.raises(TypeError, match="not a TPoly: 3"):
+        PowerLogSeries(F(1, 2), [(1, 3)])
 
 
 def test_series_base_flattening():
@@ -395,16 +400,15 @@ def test_evaluate_is_multiplicative():
         lhs = evaluate_on_series(f * g, s, k_max)
         fa = evaluate_on_series(f, s, k_max)
         gb = evaluate_on_series(g, s, k_max)
-        prod = {}
+        prod, total = {}, {}
         for k1, b1 in fa.terms:
             for k2, b2 in gb.terms:
                 if k1 + k2 <= k_max:
                     prod[k1 + k2] = prod.get(k1 + k2, TPoly.zero()) + b1 * b2
-        rhs = PowerLogSeries(q, list(prod.items()))
-        assert lhs == rhs
-        sum_lhs = evaluate_on_series(f + g, s, k_max)
-        sum_rhs = PowerLogSeries(q, list(fa.terms) + list(gb.terms))
-        assert sum_lhs == sum_rhs
+        for k, b in fa.terms + gb.terms:
+            total[k] = total.get(k, TPoly.zero()) + b
+        assert lhs == PowerLogSeries(q, sorted(prod.items()))
+        assert evaluate_on_series(f + g, s, k_max) == PowerLogSeries(q, sorted(total.items()))
 
 
 def test_parse_param_expr():
@@ -457,6 +461,7 @@ _EDGES = (
     "(a + b)^2*a^2147483646",
     "b*(a + b)^2*a^2147483646",
     "(a^2147483647 - 1)*(a + 1) - y",
+    "(a + b^2)^2147483647*b",
 )
 
 
@@ -523,3 +528,15 @@ def test_long_equation_parses_and_shifts_in_linear_time(deadline):
     assert len(f.terms) == 4003
     assert len(g.terms) == 12001
     assert all(t.sigma_powers or t.x_exp > 1 for t in g.terms)  # c*q*x - 2*c*x + x = 0
+
+
+def test_power_of_a_sum_is_refused_before_it_is_expanded(deadline):
+    # the squarings of (a + b^2) built ever larger sums before the kernel's guard could fire
+    with deadline(2):
+        for text, name in [("(a + b^2)^2147483647*b", "b"), ("(a^3 + b)^715827883", "a"),
+                           ("(a^2 + b)^1073741824 + y", "a")]:
+            with pytest.raises(ResourceLimitError, match=f"exponent of {name} reaches 2"):
+                parse_equation(text, ["a", "b"])
+    assert parse_equation("(a^1073741823 + b)^2", ["a", "b"]) == parse_equation(
+        "a^2147483646 + 2*a^1073741823*b + b^2", ["a", "b"]
+    )
