@@ -45,7 +45,7 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     IndeterminateEquationError,
@@ -57,9 +57,9 @@ from .errors import (
     UnboundSymbolError,
 )
 
-# Symbol names the parameter ring must not use: the independent variable,
-# the unknown and the logarithmic variable.
-RESERVED_SYMBOLS = frozenset({"x", "y", "t"})
+# Symbol names the parameter ring must not use, as the DSL reads each as
+# itself: the variables x, y and t = log_q x, and the shift operator S.
+RESERVED_SYMBOLS = frozenset({"x", "y", "t", "S"})
 
 # A monomial as shown: ((name, exp), ...) sorted by name, every exp >= 1.
 Monomial = tuple  # tuple[tuple[str, int], ...]
@@ -89,11 +89,20 @@ def _as_rat(value) -> Fraction:
 
 
 def _check_symbol(name: str) -> str:
+    """name, if an ASCII identifier (else ValueError) and not reserved."""
     if not isinstance(name, str) or not name:
         raise ReservedSymbolError("symbol names must be nonempty strings")
+    if not (name.isascii() and name.isidentifier()):
+        raise ValueError(f"malformed symbol name {name!r}")
     if name in RESERVED_SYMBOLS:
         raise ReservedSymbolError(f"symbol name {name!r} is reserved")
     return name
+
+
+def fresh_names(taken: Iterable[str], names: Iterable[str]) -> Iterator[str]:
+    """The names of the sequence `names` that are not in `taken`, in order."""
+    used = set(taken)
+    return (name for name in names if name not in used)
 
 
 def _slot(name: str) -> int:
@@ -128,8 +137,8 @@ class ParamPoly:
     exponent in bits [32*i, 32*i + 32), so a monomial product is one
     addition; a field reaching 2^31 raises ResourceLimitError.  The public
     constructors (`ParamPoly(mapping)`, `const`, `symbol`, `coerce`)
-    validate exact rational coefficients, unreserved names and int
-    exponents in [1, 2^31), each name once per monomial; arithmetic results
+    validate exact rational coefficients, legal names (`_check_symbol`) and
+    int exponents in [1, 2^31), each name once per monomial; arithmetic results
     are trusted.  `items()` and `sorted_terms()` decode the keys.
     """
 

@@ -6,9 +6,10 @@ text (default), json (schemas below), latex; expressions in text and
 LaTeX are written by the two styles of `algebra.Notation`, TEXT and
 LATEX, so both formats share one notation.  Exit codes: 0 success,
 1 verification failure, 2 input error, 3 structural-hypothesis or
-irrationality violation.  Each `QDulacError` class carries its own code
-as `exit_code` (see `errors`); `main` returns it, and maps OSError,
-ValueError and ZeroDivisionError to 2.
+irrationality violation, resource limit or out of memory.  Each class of
+`QDulacError` carries its code as `exit_code` (see `errors`); `main`
+returns it, maps OSError, ValueError and ZeroDivisionError to 2 and
+MemoryError to 3.
 """
 
 from __future__ import annotations
@@ -645,6 +646,9 @@ def main(argv=None) -> int:
     except QDulacError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return QDulacError.exit_code
     except (OSError, ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -29,7 +29,7 @@ class ParseError(QDulacError):
 
 
 class ReservedSymbolError(QDulacError):
-    """A parameter symbol clashes with a reserved name (x, y, t)."""
+    """A parameter symbol clashes with a reserved name (x, y, t, S)."""
 
     exit_code = 2
 

@@ -40,6 +40,7 @@ from .algebra import (
     _as_rat,
     _sum_products,
     check_q,
+    fresh_names,
     q_log,
     q_pow,
     rat_str,
@@ -226,9 +227,7 @@ def apply_difference_operator(L: LinearPart, q, k, beta: TPoly) -> TPoly:
 
 def constant_namer(taken: Iterable[str]) -> Callable[[], str]:
     """Yields C1, C2, ... skipping names already in use."""
-    used = set(taken)
-    names = (f"C{i}" for i in count(1))
-    return lambda: next(name for name in names if name not in used)
+    return fresh_names(taken, (f"C{i}" for i in count(1))).__next__
 
 
 def solve_poly_difference(
@@ -312,8 +311,8 @@ def expand_solution(
     crit = critical_numbers(L, q, r)
     h_support = set() if h.is_zero() else support(h)
     k_set = k_lattice(h_support, [k for k, _ in crit.criticals()], r, k_max)
-    denom = math.lcm(r.denominator, *(k.denominator for k in k_set))
-    q_pow(q, Fraction(1, denom))  # exactness gate; raises when irrational
+    # exactness gate: ft already holds q^(l*r); the loop takes q^(l*k) for k in K only
+    q_pow(q, Fraction(1, math.lcm(*(k.denominator for k in k_set))))
 
     namer = constant_namer(ts.c.symbols().union(*(t.coeff.symbols() for t in f.terms)))
     carry: dict = {}  # the residual's products, formed once across the loop

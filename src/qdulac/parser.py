@@ -17,9 +17,9 @@ integers, except on x, which also takes the negative and fractional powers
 the text notation prints ("x^-1", "x^(3/2)", "x^(-1/2)"); "y^1/2", "y^-1"
 and "x^1/2" are rejected with the specific diagnostics the pipeline
 reports to users.  Parentheses nest at most 100 levels deep, well inside
-the interpreter's recursion limit; deeper input raises ResourceLimitError.
-The result is a canonical QPolynomial: powers and products expanded, like
-terms merged.
+the interpreter's recursion limit; deeper input raises ResourceLimitError,
+as does a shift level or a power of y of 2^31.  The result is a canonical
+QPolynomial: powers and products expanded, like terms merged.
 
 One pass, linear in the length of the text: one regex makes (kind, text,
 offset) tokens, and an error counts its (line, column) from the offset.
@@ -32,9 +32,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import ParamPoly, RESERVED_SYMBOLS, _as_rat
-from .errors import ParseError, ReservedSymbolError, ResourceLimitError
-from .qexpr import QPolynomial, _add_into
+from .algebra import ParamPoly, _as_rat, _check_symbol
+from .errors import ParseError, ResourceLimitError
+from .qexpr import QPolynomial, _add_into, _check_sigma
 
 _TOKEN_RE = re.compile(
     r"""
@@ -68,19 +68,14 @@ def tokenize(text: str) -> list[tuple]:
     return tokens
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 _MAX_NESTING = 100
 
 
 def check_params(params) -> tuple[str, ...]:
-    """Validate a parameter-name list: well-formed, unreserved, distinct."""
+    """Validate a parameter-name list: legal symbol names, each once."""
     seen: list[str] = []
     for name in params:
-        if not _NAME_RE.match(name or ""):
-            raise ValueError(f"malformed parameter name {name!r}")
-        if name in RESERVED_SYMBOLS or name == "S":
-            raise ReservedSymbolError(f"parameter name {name!r} is reserved")
-        if name in seen:
+        if _check_symbol(name) in seen:
             raise ValueError(f"duplicate parameter name {name!r}")
         seen.append(name)
     return tuple(seen)
@@ -268,7 +263,9 @@ def parse_equation(text: str, params=()) -> QPolynomial:
     ParseError with a 1-based line/column on any malformed input.
     """
     declared = check_params(params)
-    return _Parser(text, declared).parse_equation()
+    poly = _Parser(text, declared).parse_equation()
+    _check_sigma(poly._terms)
+    return poly
 
 
 def parse_param_expr(text: str, params=()) -> ParamPoly:

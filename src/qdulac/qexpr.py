@@ -41,6 +41,7 @@ from typing import Iterable, Mapping
 
 from .algebra import (
     TEXT,
+    _EXP_LIMIT,
     ParamPoly,
     Scalar,
     TPoly,
@@ -51,7 +52,7 @@ from .algebra import (
     q_pow,
     rat_str,
 )
-from .errors import EmptySupportError
+from .errors import EmptySupportError, ResourceLimitError
 
 # ((level, power), ...): levels ascending and distinct, powers >= 1
 SigmaPowers = tuple
@@ -78,6 +79,16 @@ def _normalize_sigma(powers: SigmaPowers) -> SigmaPowers:
         if not isinstance(power, int) or power < 1:
             raise ValueError("shift powers must be positive integers")
     return _merge_sigma((), powers)
+
+
+def _check_sigma(keys, times: int = 1) -> None:
+    """Refuse a shift level, or `times` a power, of 2^31 in (x_exp, sigma) keys."""
+    for _, sigma in keys:
+        for level, power in sigma:
+            if level >= _EXP_LIMIT:
+                raise ResourceLimitError("shift level reaches 2^31")
+            if power * times >= _EXP_LIMIT:
+                raise ResourceLimitError("power of y or S^l(y) reaches 2^31")
 
 
 @dataclass(frozen=True)
@@ -107,11 +118,11 @@ class QPolynomial:
 
     Stored as {(x_exp, sigma_powers): coeff}.  The public constructor
     `QPolynomial(terms)` validates each term (exact exponent, nonnegative
-    levels, positive powers) and merges like terms; `zero`, `constant`,
-    `x_power` and `unknown` go through it.  Arithmetic results are
-    trusted: they are built on the dict directly and only drop zero
-    coefficients.  `terms` is the sorted view for iteration and display,
-    built on first use and kept: a QPolynomial is never changed in place.
+    levels, positive powers), merges like terms and refuses a level or
+    merged power of 2^31 (ResourceLimitError); `zero`, `constant`, `x_power`
+    and `unknown` go through it.  Arithmetic results are trusted and only
+    drop zero coefficients.  `terms` is the sorted view for iteration and
+    display, built on first use and kept: a QPolynomial never changes in place.
     """
 
     __slots__ = ("_terms", "_sorted")
@@ -121,6 +132,7 @@ class QPolynomial:
         for term in terms:
             key = (_as_rat(term.x_exp), _normalize_sigma(term.sigma_powers))
             _add_into(merged, key, term.coeff)
+        _check_sigma(merged)
         self._terms = {
             key: coeff for key, coeff in merged.items() if not coeff.is_zero()
         }
@@ -211,6 +223,8 @@ class QPolynomial:
 
     def __pow__(self, exponent: int) -> "QPolynomial":
         _check_power(self._terms.values(), exponent)
+        if isinstance(exponent, int):  # `_power` refuses any other exponent
+            _check_sigma(self._terms, exponent)
         return _power(self, exponent, QPolynomial.constant(1))
 
     def __eq__(self, other) -> bool:

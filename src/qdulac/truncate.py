@@ -20,12 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .algebra import (
     ParamPoly,
     TPoly,
     _as_rat,
     check_q,
+    fresh_names,
     q_log,
     q_pow,
     rat_str,
@@ -151,23 +153,15 @@ class FaceAnalysis:
 
     face: Face
     truncated: QPolynomial
-    variable: str  # "w" for a vertex, "c" for an edge
     poly: TPoly | None
     roots: tuple  # ((value, multiplicity), ...) rational roots of poly
     candidates: tuple  # TruncatedSolution, ...
     diagnostics: tuple  # str, ...
 
-
-def _fresh_symbol(f: QPolynomial) -> str:
-    taken = set()
-    for term in f.terms:
-        taken |= term.coeff.symbols()
-    if "c" not in taken:
-        return "c"
-    i = 1
-    while f"c{i}" in taken:
-        i += 1
-    return f"c{i}"
+    @property
+    def variable(self) -> str:
+        """The variable of `poly`: w (= q^r) for a vertex, c for an edge."""
+        return "w" if self.face.dim == 0 else "c"
 
 
 def analyze_face(
@@ -198,8 +192,7 @@ def analyze_face(
     else:
         if face.r is None:
             return FaceAnalysis(
-                face, g, "c", None, (),
-                (), ("edge does not face x -> 0; no admissible r",),
+                face, g, None, (), (), ("edge does not face x -> 0; no admissible r",)
             )
         if r_override is not None and r_override != face.r:
             diagnostics.append(
@@ -209,13 +202,14 @@ def analyze_face(
         try:
             poly = determining_poly(g, face.r, q)
         except IrrationalQPowerError as err:
-            return FaceAnalysis(face, g, "c", None, (), (), (str(err),))
+            return FaceAnalysis(face, g, None, (), (), (str(err),))
 
     # Proposals (c, r, provenance): roots first, the user's value last.
     user = "user-supplied"
     free_c = c_override
     if free_c is None and (vertex or poly.is_zero()):
-        free_c = ParamPoly.symbol(_fresh_symbol(f))
+        taken = (name for t in f.terms for name in t.coeff.symbols())
+        free_c = ParamPoly.symbol(next(fresh_names(taken, (f"c{i or ''}" for i in count()))))
     free_provenance = user if c_override is not None else (
         "vertex-root" if vertex else "edge-root"
     )
@@ -274,7 +268,6 @@ def analyze_face(
     return FaceAnalysis(
         face=face,
         truncated=g,
-        variable="w" if vertex else "c",
         poly=poly,
         roots=roots,
         candidates=tuple(candidates),

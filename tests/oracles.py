@@ -575,7 +575,7 @@ def reference_expansion(f, ts, k_max) -> ExpansionResult:
     crit = critical_numbers(L, q, r)
     h_support = set() if h.is_zero() else support(h)
     k_set = k_lattice(h_support, [k for k, _ in crit.criticals()], r, k_max)
-    q_pow(q, F(1, math.lcm(r.denominator, *(k.denominator for k in k_set))))
+    q_pow(q, F(1, math.lcm(*(k.denominator for k in k_set))))
     namer = constant_namer(ts.c.symbols().union(*(t.coeff.symbols() for t in f.terms)))
     collected, constants, report = [], [], []
     for k in k_set:

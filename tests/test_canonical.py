@@ -148,9 +148,16 @@ def test_reserved_names_refused_by_parser(name):
         parse_equation("y - x = 0", params=[name])
 
 
-@pytest.mark.parametrize("name", ["x", "y", "t", ""])
+@pytest.mark.parametrize("name", ["x", "y", "t", "S", ""])
 def test_reserved_names_refused_by_symbol(name):
     with pytest.raises(ReservedSymbolError):
+        ParamPoly.symbol(name)
+
+
+@pytest.mark.parametrize("name", ["2", "a b", "1x"])
+def test_malformed_names_refused_by_symbol(name):
+    # each would print as text the DSL reads as something else, or not at all
+    with pytest.raises(ValueError, match="malformed symbol name"):
         ParamPoly.symbol(name)
 
 

@@ -25,7 +25,7 @@ from qdulac.errors import QDulacError, ResourceLimitError
 from qdulac.expand import expand_solution
 from qdulac.parser import parse_equation
 from qdulac.polygon import build_polygon, find_face
-from qdulac.qexpr import PowerLogSeries, support
+from qdulac.qexpr import PowerLogSeries, QPolynomial, QTerm, support
 from qdulac.truncate import analyze_face
 
 F = Fraction
@@ -689,6 +689,47 @@ def test_polygon_huge_parameter_power(tmp_path, capsys, deadline, exponent, code
         assert "exponent of a reaches 2^31" in err
         with pytest.raises(ResourceLimitError):
             parse_equation(f"a^{exponent}*x", ["a"])
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("truncate", "y^99999999999999999999 - x"),
+        ("truncate", "S^99999999999999999999(y) - 2*y + x"),
+        ("truncate", "y^1073741824*y^1073741824 - x"),
+        ("truncate", "(y + 1)^2147483648 + x"),
+        ("expand", "S^99999999999999999999(y) - 2*y + x"),
+        ("expand", "S(y) - 2*y + x + x*y^99999999999999999999"),
+    ],
+)
+def test_y_power_and_shift_level_limit(tmp_path, capsys, deadline, command, text):
+    # a dense list per y power or shift level raised OverflowError (exit 1)
+    # or ran for minutes; 2^31 is refused as for parameter exponents
+    argv = [command, "--eq", write_eq(tmp_path, text), "--q", "1/2"]
+    if command == "expand":
+        argv += ["--face", "(0,1)-(1,0)"]
+    with deadline(2):
+        got, out, err = run(capsys, argv)
+    assert got == QDulacError.exit_code
+    assert err.count("\n") == 1 and err.startswith("error: ") and "2^31" in err
+
+
+def test_y_power_limit_in_constructor():
+    for sigma in (((2**31, 1),), ((0, 2**31),), ((1, 2**30), (1, 2**30))):
+        with pytest.raises(ResourceLimitError):
+            QPolynomial([QTerm(ParamPoly.const(1), 0, sigma)])
+    assert parse_equation("y^2147483647 - x").terms[0].y_degree == 2**31 - 1
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "expand_solution", exhaust)
+    path = write_eq(tmp_path, "S(y) - 2*y + x")
+    argv = ["expand", "--eq", path, "--q", "1/2", "--face", "(0,1)-(1,0)"]
+    got, out, err = run(capsys, argv)
+    assert (got, out, err) == (QDulacError.exit_code, "", "error: out of memory\n")
 
 
 # The exit code of every error class that the CLI mapped before each class

@@ -554,6 +554,20 @@ def test_expand_exactness_gate():
     assert verify_residual(f, result, {}, 10) is None
 
 
+def test_exactness_gate_reads_only_k():
+    # r = 1/2 at q = 2: q^r is irrational, but the loop needs only q^k for
+    # k in K = {1}, and substitute_shift takes q^(2r) = 2 before the gate.
+    f = parse_equation("S^2(y) - 4*y + 2*x^(1/2)")
+    edge = find_face(build_polygon(support(f)), [(0, 1), (F(1, 2), 0)])
+    (ts,) = analyze_face(f, edge, 2).candidates
+    assert (ts.c, ts.r) == (ParamPoly.const(1), F(1, 2))
+    result = expand_solution(f, ts, 2)
+    assert result.k_set == (1,)
+    assert str(result.series) == "x^(1/2) + C1*x"
+    for value in (1, F(5, 7)):
+        assert verify_residual(f, result, {"C1": value}, 2) is None
+
+
 def test_expansion_runs_at_the_q_of_its_truncated_solution():
     # S(y) - 4*y + x: the vertex (0,1) gives r = log_q 4 (none at q = 3),
     # the edge to (1,0) gives r = 1 with c = 1/(1 - 4/q).

@@ -169,6 +169,15 @@ def test_analyze_left_edge():
     assert any("c=0 discarded" in d for d in analysis.diagnostics)
 
 
+@pytest.mark.parametrize("params, free", [(["c"], "c1"), (["c", "c1"], "c2")])
+def test_free_c_avoids_parameter_names(params, free):
+    # vertex (0,1) at q = 4: chi(w) = w - 2, so r = 1/2 with c free
+    f = parse_equation(f"({' + '.join(params)})*x*y^2 + S(y) - 2*y + x", params)
+    vertex = find_face(build_polygon(support(f)), [(0, 1)])
+    (ts,) = analyze_face(f, vertex, F(4)).candidates
+    assert (ts.c, ts.r, ts.provenance) == (ParamPoly.symbol(free), F(1, 2), "vertex-root")
+
+
 def test_analyze_vertex_no_admissible_roots():
     f, poly = setup_main()
     v = find_face(poly, [(0, 2)])
