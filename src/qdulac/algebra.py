@@ -12,10 +12,14 @@ sit two polynomial layers:
   TPoly     -- univariate polynomial over ParamPoly.  The variable is the
                logarithmic time t = log_q x, but the same class doubles for
                the auxiliary variables w = q^r, c and s when a univariate
-               polynomial over the parameter ring is needed.
+               polynomial over the parameter ring is needed.  Stored flat,
+               in the same fraction-free form: one denominator for all
+               coefficients, the t-degree packed into the key's field 0,
+               which every ParamPoly key leaves at 0.
 
 Products and sums of products in both layers run through one kernel,
-`_sum_products`: one accumulator and one gcd per result.
+`_sum_products`: one accumulator and one gcd per result, and one divmod
+per pair of operands, however many coefficients a TPoly has.
 
 The module also provides the number-theoretic helpers of the expansion
 engine, none of which factors an integer, so each runs in time polynomial
@@ -23,7 +27,8 @@ in the bit size of its input:
 
   rational_roots -- exact rational roots with multiplicities, isolated by
                     Sturm-sequence bisection over the candidates z/b, b the
-                    leading coefficient of the primitive integer polynomial;
+                    leading coefficient of the primitive integer polynomial,
+                    or, for a binomial a + b*s^d, from exact d-th roots;
   q_pow          -- q^(p/m) from exact integer m-th roots (Newton iteration)
                     of the numerator and denominator of q, erroring when the
                     value leaves Q;
@@ -64,13 +69,14 @@ RESERVED_SYMBOLS = frozenset({"x", "y", "t", "S"})
 # A monomial as shown: ((name, exp), ...) sorted by name, every exp >= 1.
 Monomial = tuple  # tuple[tuple[str, int], ...]
 
-# ParamPoly's append-only symbol registry (slot i of a key holds _NAMES[i]);
-# _guard has each field's top bit, which only an exponent >= 2^31 sets.
+# A packed key's field 0 holds TPoly's t-degree and field i + 1 the exponent
+# of _NAMES[i], ParamPoly's append-only symbol registry (slot i); _guard has
+# each field's top bit, which only an exponent >= 2^31 sets.
 _FIELD_BITS = 32
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 _EXP_LIMIT = 1 << (_FIELD_BITS - 1)
 _NAMES: list[str] = []
-_guard = 0
+_guard = _EXP_LIMIT
 _REGISTER = threading.Lock()
 
 Scalar = Union[int, Fraction]
@@ -110,14 +116,14 @@ def _slot(name: str) -> int:
     global _guard
     with _REGISTER:
         if name not in _NAMES:
-            _guard |= _EXP_LIMIT << (_FIELD_BITS * len(_NAMES))
             _NAMES.append(name)
+            _guard |= _EXP_LIMIT << (_FIELD_BITS * len(_NAMES))
         return _NAMES.index(name)
 
 
 def _decode(key: int) -> Monomial:
-    """The sorted ((name, exp), ...) tuple of a packed monomial key."""
-    pairs, slot = [], 0
+    """The sorted ((name, exp), ...) tuple of a packed key's symbol fields."""
+    pairs, slot, key = [], 0, key >> _FIELD_BITS
     while key:
         if key & _FIELD_MASK:
             pairs.append((_NAMES[slot], key & _FIELD_MASK))
@@ -125,24 +131,64 @@ def _decode(key: int) -> Monomial:
     return tuple(sorted(pairs))
 
 
-class ParamPoly:
+class _FractionFree:
+    """The store ParamPoly and TPoly share, as FLINT's fmpq_mpoly is: `_nums`
+    maps each packed key to a nonzero int numerator and `_den` is one
+    positive int denominator, with gcd(den, *numerators) == 1; zero is {}
+    over 1.  That form is unique, so equality and hashing compare it."""
+
+    __slots__ = ("_nums", "_den")
+
+    @classmethod
+    def _canonical(cls, nums: dict, den: int):
+        out = cls.__new__(cls)
+        out._nums, out._den = nums, den
+        return out
+
+    @classmethod
+    def _trusted(cls, nums: dict, den: int):
+        """Canonical form of an arithmetic result over den > 0: zero
+        numerators dropped, the content divided out with one gcd."""
+        g = math.gcd(den, *nums.values())
+        if g == 1:
+            return cls._canonical({m: n for m, n in nums.items() if n}, den)
+        return cls._canonical({m: n // g for m, n in nums.items() if n}, den // g)
+
+    def is_zero(self) -> bool:
+        return not self._nums
+
+    def _add(self, other, sign: int):
+        """self + sign*other, both over lcm(d1, d2)."""
+        d1, d2 = self._den, other._den
+        den = d1 // math.gcd(d1, d2) * d2
+        s1, s2 = den // d1, sign * (den // d2)
+        out = {m: n * s1 for m, n in self._nums.items()} if s1 != 1 else dict(self._nums)
+        for mono, n in other._nums.items():
+            out[mono] = out.get(mono, 0) + n * s2
+        return type(self)._trusted(out, den)
+
+    def __neg__(self):
+        return self._canonical({m: -n for m, n in self._nums.items()}, self._den)
+
+    def __hash__(self):
+        return hash((frozenset(self._nums.items()), self._den))
+
+
+class ParamPoly(_FractionFree):
     """Multivariate polynomial over Q in named parameter symbols.
 
-    Stored fraction-free, as FLINT's fmpq_mpoly is: `_nums` maps each
-    monomial to a nonzero int numerator and `_den` is one positive int
-    denominator, with gcd(den, *numerators) == 1; the zero polynomial is
-    {} over 1.  That form is unique, so equality and hashing compare it;
-    `_sum_products` forms each product, paying one gcd per result.
-    A monomial is a packed int key (Monagan and Pearce): registry slot i's
-    exponent in bits [32*i, 32*i + 32), so a monomial product is one
-    addition; a field reaching 2^31 raises ResourceLimitError.  The public
+    Stored fraction-free (`_FractionFree`); `_sum_products` forms each
+    product, paying one gcd per result.  A monomial is a packed int key
+    (Monagan and Pearce): registry slot i's exponent in bits
+    [32*(i + 1), 32*(i + 2)), so a monomial product is one addition; a
+    field reaching 2^31 raises ResourceLimitError.  The public
     constructors (`ParamPoly(mapping)`, `const`, `symbol`, `coerce`)
     validate exact rational coefficients, legal names (`_check_symbol`) and
     int exponents in [1, 2^31), each name once per monomial; arithmetic results
     are trusted.  `items()` and `sorted_terms()` decode the keys.
     """
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         clean: dict[int, Fraction] = {}
@@ -152,7 +198,7 @@ class ParamPoly:
                 continue
             key = 0
             for name, exp in mono:
-                shift = _FIELD_BITS * _slot(_check_symbol(name))
+                shift = _FIELD_BITS * (_slot(_check_symbol(name)) + 1)
                 if exp < 1:
                     raise ValueError("monomial exponents must be >= 1")
                 if exp >= _EXP_LIMIT:
@@ -165,21 +211,6 @@ class ParamPoly:
         den = math.lcm(*(c.denominator for c in clean.values()))
         self._nums = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
         self._den = den
-
-    @classmethod
-    def _canonical(cls, nums: dict, den: int) -> "ParamPoly":
-        out = cls.__new__(cls)
-        out._nums, out._den = nums, den
-        return out
-
-    @classmethod
-    def _trusted(cls, nums: dict, den: int) -> "ParamPoly":
-        """Canonical form of an arithmetic result over den > 0: zero
-        numerators dropped, the content divided out with one gcd."""
-        g = math.gcd(den, *nums.values())
-        if g == 1:
-            return cls._canonical({m: n for m, n in nums.items() if n}, den)
-        return cls._canonical({m: n // g for m, n in nums.items() if n}, den // g)
 
     # -- constructors
 
@@ -208,9 +239,6 @@ class ParamPoly:
         den = self._den
         return {_decode(m): Fraction(n, den) for m, n in self._nums.items()}.items()
 
-    def is_zero(self) -> bool:
-        return not self._nums
-
     def is_constant(self) -> bool:
         return self._nums.keys() <= {0}
 
@@ -225,16 +253,6 @@ class ParamPoly:
 
     # -- ring operations
 
-    def _add(self, other: "ParamPoly", sign: int) -> "ParamPoly":
-        """self + sign*other, both over lcm(d1, d2)."""
-        d1, d2 = self._den, other._den
-        den = d1 // math.gcd(d1, d2) * d2
-        s1, s2 = den // d1, sign * (den // d2)
-        out = {m: n * s1 for m, n in self._nums.items()} if s1 != 1 else dict(self._nums)
-        for mono, n in other._nums.items():
-            out[mono] = out.get(mono, 0) + n * s2
-        return ParamPoly._trusted(out, den)
-
     def __add__(self, other) -> "ParamPoly":
         other = ParamPoly.coerce(other)
         if not other._nums:
@@ -242,9 +260,6 @@ class ParamPoly:
         return self._add(other, 1) if self._nums else other
 
     __radd__ = __add__
-
-    def __neg__(self) -> "ParamPoly":
-        return ParamPoly._canonical({m: -n for m, n in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "ParamPoly":
         return self._add(ParamPoly.coerce(other), -1)
@@ -277,40 +292,13 @@ class ParamPoly:
             return NotImplemented
         return self._den == other._den and self._nums == other._nums
 
-    def __hash__(self):
-        return hash((frozenset(self._nums.items()), self._den))
+    __hash__ = _FractionFree.__hash__
 
     # -- evaluation and display
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        """Exact value after substituting every symbol from `assignment`.
-
-        Runs on the packed keys: each slot's bound value is read once per
-        call as an int pair, the terms are summed over a common int
-        denominator, and one Fraction is built at the end.
-        """
-        values: dict = {}  # slot -> (numerator, denominator) of its value
-        total, common = 0, 1
-        for key, num in self._nums.items():
-            den, slot, rest = 1, 0, key
-            while rest:
-                exp = rest & _FIELD_MASK
-                if exp:
-                    value = values.get(slot)
-                    if value is None:
-                        value = assignment.get(_NAMES[slot])
-                        if not isinstance(value, (int, Fraction)):
-                            for name, _ in _decode(key):  # the first fault by name
-                                if name not in assignment:
-                                    raise UnboundSymbolError(f"unbound symbol {name!r}")
-                                _exact(assignment[name])
-                        value = values[slot] = value.as_integer_ratio()
-                    num, den = num * value[0] ** exp, den * value[1] ** exp
-                rest, slot = rest >> _FIELD_BITS, slot + 1
-            if common % den:
-                scale = den // math.gcd(common, den)
-                total, common = total * scale, common * scale
-            total += num * (common // den)
+        """Exact value after substituting every symbol from `assignment`."""
+        total, common = _bind(self._nums, assignment).get(0, (0, 1))
         return Fraction(total, common * self._den)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
@@ -327,10 +315,42 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
 
-def _sum_products(pairs: Iterable[tuple[ParamPoly, ParamPoly]]) -> ParamPoly:
-    """The sum of a*b over the pairs, in one accumulator: int numerators
-    over a running common denominator, rescaled only when a pair's
-    a._den*b._den does not divide it; one exponent guard and one gcd."""
+def _bind(nums: dict, assignment: Mapping[str, Scalar]) -> dict[int, tuple[int, int]]:
+    """t-degree -> (total, common): that degree's terms with every symbol
+    bound sum to total/common over the stored denominator.  Each slot's
+    value is read once per call as an int pair; no Fraction is built."""
+    values: dict = {}  # slot -> (numerator, denominator) of its value
+    sums: dict[int, tuple[int, int]] = {}
+    for key, num in nums.items():
+        den, slot, rest = 1, 0, key >> _FIELD_BITS
+        while rest:
+            exp = rest & _FIELD_MASK
+            if exp:
+                value = values.get(slot)
+                if value is None:
+                    value = assignment.get(_NAMES[slot])
+                    if not isinstance(value, (int, Fraction)):
+                        for name, _ in _decode(key):  # the first fault by name
+                            if name not in assignment:
+                                raise UnboundSymbolError(f"unbound symbol {name!r}")
+                            _exact(assignment[name])
+                    value = values[slot] = value.as_integer_ratio()
+                num, den = num * value[0] ** exp, den * value[1] ** exp
+            rest, slot = rest >> _FIELD_BITS, slot + 1
+        degree = key & _FIELD_MASK
+        total, common = sums.get(degree, (0, 1))
+        if common % den:
+            scale = den // math.gcd(common, den)
+            total, common = total * scale, common * scale
+        sums[degree] = total + num * (common // den), common
+    return sums
+
+
+def _sum_products(pairs: Iterable[tuple], kind: type = ParamPoly):
+    """The sum of a*b over pairs of ParamPolys, or of TPolys with `kind`
+    TPoly, in one accumulator: int numerators over a running common
+    denominator, rescaled only when a pair's a._den*b._den does not divide
+    it; one exponent guard and one gcd."""
     out: dict[int, int] = {}
     get, den = out.get, 1
     for a, b in pairs:
@@ -353,9 +373,10 @@ def _sum_products(pairs: Iterable[tuple[ParamPoly, ParamPoly]]) -> ParamPoly:
     for mono in out:
         seen |= mono
     if seen & _guard:
-        name = _NAMES[((seen & _guard).bit_length() - 1) // _FIELD_BITS]
+        field = ((seen & _guard).bit_length() - 1) // _FIELD_BITS
+        name = _NAMES[field - 1] if field else "t"
         raise ResourceLimitError(f"exponent of {name} reaches 2^31")
-    return ParamPoly._trusted(out, den)
+    return kind._trusted(out, den)
 
 
 def _power(base, exponent: int, one):
@@ -382,82 +403,73 @@ def _check_power(coeffs: Iterable[ParamPoly], exponent: int) -> None:
             raise ResourceLimitError(f"exponent of {max(over, key=_slot)} reaches 2^31")
 
 
-class TPoly:
+class TPoly(_FractionFree):
     """Univariate polynomial over ParamPoly, low degree first.
 
     Houses the log-polynomials beta_k(t); by convention the degree of the
-    zero polynomial is 0.  The public constructor coerces each coefficient;
-    arithmetic results are trusted and only drop trailing zeros.  Products
-    and shifts gather, per t-degree, every ParamPoly product that lands
-    there and hand them to one `_sum_products` call, so each coefficient
-    of a result has one accumulator and pays one gcd.
+    zero polynomial is 0.  Stored flat, as one fraction-free store
+    (`_FractionFree`): a key is a ParamPoly monomial key plus the t-degree
+    in field 0, so t^d*m is m + d, and all coefficients share one
+    denominator.  The public constructor coerces each coefficient;
+    arithmetic results are trusted.  A product or sum of products is one
+    `_sum_products` pass, so a result pays one gcd, and `coeffs` and
+    `coeff(i)` build canonical ParamPolys from the store.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[ParamPoly | Scalar] = ()):
-        self._coeffs = TPoly._trusted([ParamPoly.coerce(c) for c in coeffs])._coeffs
-
-    @classmethod
-    def _trusted(cls, coeffs: list[ParamPoly]) -> "TPoly":
-        """An arithmetic result: ParamPoly coefficients, trailing zeros dropped."""
-        while coeffs and not coeffs[-1]._nums:
-            coeffs.pop()
-        out = cls.__new__(cls)
-        out._coeffs = tuple(coeffs)
-        return out
+        coeffs = [ParamPoly.coerce(c) for c in coeffs]
+        # over the lcm of content-reduced denominators the content is already 1
+        den = math.lcm(*(c._den for c in coeffs))
+        self._nums = {m + d: n * (den // c._den)
+                      for d, c in enumerate(coeffs) for m, n in c._nums.items()}
+        self._den = den
 
     @classmethod
     def zero(cls) -> "TPoly":
-        return cls()
+        return cls._canonical({}, 1)
 
     @classmethod
     def const(cls, value: ParamPoly | Scalar) -> "TPoly":
-        return cls([ParamPoly.coerce(value)])
+        value = ParamPoly.coerce(value)
+        return cls._canonical(value._nums, value._den)
 
     @staticmethod
     def sum_of_products(pairs: Iterable[tuple["TPoly", "TPoly"]]) -> "TPoly":
-        """The sum of a*b over the pairs: one kernel call per t-degree."""
-        by_degree: list[list] = []
-        for a, b in pairs:
-            for i, x in enumerate(a._coeffs):
-                for j, y in enumerate(b._coeffs, i):
-                    if j == len(by_degree):
-                        by_degree.append([])
-                    by_degree[j].append((x, y))
-        return TPoly._trusted([_sum_products(p) for p in by_degree])
+        """The sum of a*b over the pairs, in one kernel pass."""
+        return _sum_products(pairs, TPoly)
 
     @property
     def coeffs(self) -> tuple[ParamPoly, ...]:
-        return self._coeffs
+        """The coefficients up to the degree, formed in one pass."""
+        rows: dict[int, dict] = {}
+        for key, n in self._nums.items():
+            d = key & _FIELD_MASK
+            rows.setdefault(d, {})[key - d] = n
+        zero, den = ParamPoly.zero(), self._den
+        return tuple(ParamPoly._trusted(rows[d], den) if d in rows else zero
+                     for d in range(max(rows, default=-1) + 1))
 
     def coeff(self, i: int) -> ParamPoly:
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return ParamPoly.zero()
+        row = {key - i: n for key, n in self._nums.items() if key & _FIELD_MASK == i}
+        return ParamPoly._trusted(row, self._den)
 
     def degree(self) -> int:
         # degree of the zero polynomial is 0 by convention
-        return max(len(self._coeffs) - 1, 0)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        return max((key & _FIELD_MASK for key in self._nums), default=0)
 
     def is_constant(self) -> bool:
-        return len(self._coeffs) <= 1
+        return not any(key & _FIELD_MASK for key in self._nums)
 
     def __add__(self, other: "TPoly") -> "TPoly":
-        n = max(len(self._coeffs), len(other._coeffs))
-        return TPoly._trusted([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def __neg__(self) -> "TPoly":
-        return TPoly._trusted([-c for c in self._coeffs])
+        return self._add(other, 1)
 
     def __sub__(self, other: "TPoly") -> "TPoly":
-        return self + (-other)
+        return self._add(other, -1)
 
     def __mul__(self, other: "TPoly") -> "TPoly":
-        return TPoly.sum_of_products(((self, other),))
+        return _sum_products(((self, other),), TPoly)
 
     def shift(self, step: Scalar, factor: Scalar = 1) -> "TPoly":
         """factor * beta(t + step): the shift operator T applied `step` times."""
@@ -469,38 +481,44 @@ class TPoly:
         Expanding (t + j)^d binomially, t^i collects beta_d times
         comb(d, i) * M_{d-i} with the moment M_m = sum_j weights[j] * j^m.
         With v and b the lcm of the denominators of the steps and of the
-        weights, b * v^m * M_m is an int: no moment is a Fraction.
+        weights and D the degree, b * v^D * M_m is an int: no moment is a
+        Fraction, and the result is over den * b * v^D.
         """
         ws = [(_exact(j), _exact(w)) for j, w in weights.items()]
         v = math.lcm(*(j.denominator for j, _ in ws))
         b = math.lcm(*(w.denominator for _, w in ws))
         ws = [(j.numerator * (v // j.denominator), w.numerator * (b // w.denominator))
               for j, w in ws]
-        n = len(self._coeffs)
-        moments = [sum(w * j**m for j, w in ws) for m in range(n)]
-        return TPoly._trusted([
-            _sum_products(
-                (c, ParamPoly._trusted({0: math.comb(d, i) * moments[d - i]}, b * v ** (d - i)))
-                for d, c in enumerate(self._coeffs[i:], i)
-            )
-            for i in range(n)
-        ])
+        top = self.degree()
+        moments = [sum(w * j**m for j, w in ws) * v ** (top - m) for m in range(top + 1)]
+        rows = [[(i, math.comb(d, i) * moments[d - i]) for i in range(d + 1) if moments[d - i]]
+                for d in range(top + 1)]  # t^d -> its (t^i, int weight) pairs
+        out: dict[int, int] = {}
+        get = out.get
+        for key, n in self._nums.items():
+            d = key & _FIELD_MASK
+            key -= d
+            for i, c in rows[d]:
+                out[key + i] = get(key + i, 0) + n * c
+        return TPoly._trusted(out, self._den * b * v**top)
 
     def evaluate_coeffs(self, assignment: Mapping[str, Scalar]) -> "TPoly":
         """Bind all parameter symbols, leaving a rational-coefficient TPoly."""
-        return TPoly._trusted([ParamPoly.const(c.evaluate(assignment)) for c in self._coeffs])
+        sums = _bind(self._nums, assignment)
+        common = math.lcm(*(c for _, c in sums.values()))
+        nums = {d: total * (common // c) for d, (total, c) in sums.items()}
+        return TPoly._trusted(nums, common * self._den)
 
     def rational_coeffs(self) -> list[Fraction]:
         """Coefficient list as plain rationals; error if any is non-constant."""
-        return [c.constant_value() for c in self._coeffs]
+        return [c.constant_value() for c in self.coeffs]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
-    def __hash__(self):
-        return hash(self._coeffs)
+    __hash__ = _FractionFree.__hash__
 
     def to_string(self, var: str = "t") -> str:
         return TEXT.tpoly(self, var)
@@ -596,12 +614,13 @@ class Notation:
 
     def tpoly(self, beta: TPoly, var: str) -> str:
         """beta(var), highest power first; the constant term is not grouped."""
+        cs = beta.coeffs or (ParamPoly.zero(),)
         parts = [
-            self.term(beta.coeff(d), self.power(var, d))
-            for d in range(beta.degree(), 0, -1)
-            if not beta.coeff(d).is_zero()
+            self.term(cs[d], self.power(var, d))
+            for d in range(len(cs) - 1, 0, -1)
+            if not cs[d].is_zero()
         ]
-        return self.signed_sum(parts + self._poly_parts(beta.coeff(0)))
+        return self.signed_sum(parts + self._poly_parts(cs[0]))
 
     def series(self, s, var: str) -> str:
         """A PowerLogSeries as sum beta_k(var)*x^k, base pair first."""
@@ -736,27 +755,33 @@ def rational_roots(coeffs: Sequence[Scalar]) -> list[tuple[Fraction, int]]:
     candidate is tested exactly, and every root found is divided out of p
     until it no longer vanishes, which gives its multiplicity.  The work is
     polynomial in the bit size of the coefficients: the bisection depth is
-    the bit length of the bound, and no integer is factored.  Raises
-    IndeterminateEquationError on the zero polynomial, whose roots are
-    unconstrained.
+    the bit length of the bound, and no integer is factored.  A binomial
+    a + b*s^d with a != 0 needs no search: its roots are simple, the real
+    d-th roots of -a/b, rational iff its numerator and denominator are exact
+    d-th powers.  Raises IndeterminateEquationError on the zero polynomial,
+    whose roots are unconstrained.
     """
     cs = [_as_rat(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
         raise IndeterminateEquationError("indeterminate equation")
-    roots: list[tuple[Fraction, int]] = []
-
-    zero_mult = 0
-    while cs[0] == 0:
-        cs = cs[1:]
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
+    zero_mult = next(i for i, c in enumerate(cs) if c)
+    cs = cs[zero_mult:]
+    roots = [(Fraction(0), zero_mult)] if zero_mult else []
     if len(cs) == 1:
         return roots
-    if len(cs) == 2:  # linear: its one root, found without a search
-        return sorted(roots + [(-cs[0] / cs[1], 1)])
+    if not any(cs[1:-1]):  # a + b*s^d, a != 0: s = ±(-a/b)^(1/d), each simple
+        d, ratio = len(cs) - 1, -cs[0] / cs[-1]
+        num = _exact_root(abs(ratio.numerator), d)
+        den = None if num is None else _exact_root(ratio.denominator, d)
+        if den is not None:
+            root = Fraction(num, den)
+            if ratio > 0:
+                roots += [(root, 1), (-root, 1)] if d % 2 == 0 else [(root, 1)]
+            elif d % 2:
+                roots.append((-root, 1))
+        return sorted(roots)
 
     den_lcm = math.lcm(*(c.denominator for c in cs))
     poly = _primitive([int(c * den_lcm) for c in cs])

@@ -163,10 +163,11 @@ def _poly_from_json(entries) -> ParamPoly:
 
 
 def _tpoly_json(beta: TPoly, power_key: str) -> list:
+    cs = beta.coeffs
     return [
-        {power_key: d, "coeff": _poly_json(beta.coeff(d))}
-        for d in range(beta.degree(), -1, -1)
-        if not beta.coeff(d).is_zero()
+        {power_key: d, "coeff": _poly_json(cs[d])}
+        for d in range(len(cs) - 1, -1, -1)
+        if not cs[d].is_zero()
     ]
 
 

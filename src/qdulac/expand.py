@@ -150,9 +150,10 @@ def extract_linear_part(ft: QPolynomial):
             "support point (0,1) is not a vertex of the Newton polygon"
         )
     chi = vertex_char_poly(linear)  # L(s): S^l y has shift weight l
-    if varying := [coeff for coeff in chi.coeffs if not coeff.is_constant()]:
+    coeffs = chi.coeffs
+    if varying := [coeff for coeff in coeffs if not coeff.is_constant()]:
         raise LinearCoefficientError(f"coefficient at (0,1) is not constant: {varying[0]}")
-    return LinearPart(tuple(c.constant_value() for c in chi.coeffs)), ft - linear
+    return LinearPart(tuple(c.constant_value() for c in coeffs)), ft - linear
 
 
 def critical_numbers(L: LinearPart, q, r) -> CriticalData:
@@ -253,10 +254,11 @@ def solve_poly_difference(
         if any(moments[i] != 0 for i in range(mu)) or moments[mu] == 0:
             raise InternalInvariantError(f"moment criterion broken at k = {k}")
         b = [ParamPoly.zero()] * size
+        theta_coeffs = theta.coeffs
         for i in range(deg, -1, -1):
             lead = -math.comb(i + mu, i) * moments[mu]
             terms = [(b[d], math.comb(d, i) * moments[d - i]) for d in range(i + mu + 1, size)]
-            terms.append((theta.coeffs[i], 1))
+            terms.append((theta_coeffs[i], 1))
             b[i + mu] = _sum_products((c, ParamPoly.const(m / lead)) for c, m in terms)
     else:
         b = [ParamPoly.zero()] * mu

@@ -368,11 +368,12 @@ def substitute_shift(
         for level, power in term.sigma_powers:
             if (level, power) not in powers:
                 lead = c * q_pow(q, level * r)
-                lead_i, terms = ParamPoly.const(1), {}
+                lead_i, binomial, terms = ParamPoly.const(1), 1, {}
                 for i in range(power + 1):
                     sigma = ((level, power - i),) if i < power else ()
-                    terms[r * i, sigma] = lead_i * math.comb(power, i)
+                    terms[r * i, sigma] = lead_i * binomial
                     lead_i = lead_i * lead
+                    binomial = binomial * (power - i) // (i + 1)
                 powers[level, power] = QPolynomial._trusted(terms)
             prod = prod * powers[level, power]
         for key, value in prod._terms.items():
@@ -418,7 +419,7 @@ def evaluate_on_series(
     k_min = None if k_min is None else _as_rat(k_min)
     c = {} if carry is None else carry
     if not c:
-        paths = [(TPoly._trusted([term.coeff]), term.x_exp,
+        paths = [(TPoly.const(term.coeff), term.x_exp,
                   tuple(l for l, power in term.sigma_powers for _ in range(power)))
                  for term in f.terms]
         c.update(f=f, q=q, given=(), paths=paths, base=[], kept={}, fin={},

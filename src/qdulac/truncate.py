@@ -215,7 +215,8 @@ def analyze_face(
     )
     proposals: list[tuple[ParamPoly, Fraction, str]] = []
     roots: tuple = ()
-    if not all(c.is_constant() for c in poly.coeffs):
+    coeffs = poly.coeffs
+    if not all(c.is_constant() for c in coeffs):
         diagnostics.append(
             "characteristic polynomial has parameter coefficients; "
             "supply --r (and --c) to choose a solution"
@@ -230,7 +231,7 @@ def analyze_face(
         if not vertex:
             proposals.append((free_c, face.r, free_provenance))
     else:
-        roots = tuple(rational_roots(poly.rational_coeffs()))
+        roots = tuple(rational_roots([c.constant_value() for c in coeffs]))
         for value, _mult in roots:
             if value == 0:
                 diagnostics.append(

@@ -220,6 +220,39 @@ def test_rational_roots_random_products():
         assert found == sorted(expected.items())
 
 
+def test_rational_roots_binomial_against_sturm():
+    """s^z*(a + b*s^d) is answered from exact d-th roots; times 2 + s + s^2,
+    which has no rational root and keeps a middle term, it goes through the
+    Sturm search, which must agree."""
+    rng = random.Random(20261019)
+    for _ in range(300):
+        d = rng.randint(1, 9)
+        root = F(rng.randint(1, 12), rng.randint(1, 12))
+        sign = rng.choice((1, -1))
+        planted = rng.random() < 0.6
+        ratio = sign * root**d if planted else rand_rat(rng, 40)
+        if ratio == 0:
+            continue
+        b = F(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
+        zeros = [F(0)] * rng.randint(0, 2)
+        binomial = zeros + [-ratio * b] + [F(0)] * (d - 1) + [b]
+        product = [F(0)] * (len(binomial) + 2)
+        for i, c in enumerate(binomial):
+            for j, e in enumerate((2, 1, 1)):
+                product[i + j] += c * e
+        found = rational_roots(binomial)
+        assert found == rational_roots(product), (binomial, product)
+        if planted:
+            expected = [(root, 1)] if sign > 0 else []
+            if d % 2 == 0 and sign > 0:
+                expected.append((-root, 1))
+            elif d % 2:
+                expected = [(sign * root, 1)]
+            if zeros:
+                expected.append((F(0), len(zeros)))
+            assert found == sorted(expected), (binomial, found)
+
+
 def test_q_pow_and_q_log_examples():
     assert q_pow(F(1, 4), F(1, 2)) == F(1, 2)
     assert q_pow(4, F(3, 2)) == 8

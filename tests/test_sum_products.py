@@ -1,10 +1,12 @@
 """The fused sum-of-products kernel against schoolbook arithmetic.
 
-`_sum_products` accumulates a whole sum of ParamPoly products over one
-running denominator; `TPoly.sum_of_products`, the fused shift-and-scale
+`_sum_products` accumulates a whole sum of ParamPoly or TPoly products over
+one running denominator; `TPoly.sum_of_products`, the fused shift-and-scale
 and `apply_difference_operator` are built on it.  Each is compared with
 the reference polynomials of tests/oracles.py, which use nothing from
-qdulac.algebra, and every result must be in the one canonical form.
+qdulac.algebra, and every result must be in the one canonical form.  A
+TPoly is one flat store: the t-degree in its keys' field 0, one
+denominator for every coefficient.
 """
 
 import math
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ReferencePoly, _log_poly_add, _log_poly_mul, _log_poly_shift_scale
+from qdulac import algebra
 from qdulac.algebra import ParamPoly, TPoly, _sum_products
 from qdulac.errors import ResourceLimitError
 from qdulac.expand import LinearPart, apply_difference_operator
@@ -164,3 +167,55 @@ def test_exponent_reaching_limit_raises_through_kernel():
     series = PowerLogSeries(F(1, 2), [(1, TPoly.const(half))])
     with pytest.raises(ResourceLimitError):
         evaluate_on_series(QPolynomial.unknown() ** 2, series, 2)
+
+
+@relaxed
+@given(log_polys, st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 3))))
+def test_one_denominator_whatever_the_route(refs, step):
+    """Coefficients over unequal denominators give the one stored form that
+    products and shifts reach: equal, and equal hashes."""
+    t = TPoly([0, 1])
+    formed, power = TPoly.zero(), TPoly.const(1)
+    for r in refs:
+        formed = formed + power * TPoly.const(param(r))
+        power = power * t
+    formed = formed.shift(step, 3).shift(-step, F(1, 3))
+    got = tpoly(refs)
+    assert got == formed and hash(got) == hash(formed)
+    assert got._den == math.lcm(*(param(r)._den for r in refs))
+    assert math.gcd(got._den, *got._nums.values()) == 1
+
+
+def test_sparse_tpoly_stores_its_terms_only():
+    a = ParamPoly.symbol("a") / 2
+    beta = TPoly([1] + [0] * 99999 + [a])
+    assert len(beta._nums) == 2 and beta.degree() == 100000
+    assert beta.coeff(100000) == a and beta.coeff(5).is_zero()
+    assert len((beta * beta)._nums) == 3
+
+
+def test_overflow_in_a_later_slot_is_named_through_tpoly():
+    a = ParamPoly.symbol("a")
+    late = ParamPoly.symbol("z_late")
+    assert algebra._NAMES.index("z_late") > algebra._NAMES.index("a")
+    beta = TPoly([a, late ** (2**30)])
+    with pytest.raises(ResourceLimitError, match="exponent of z_late reaches 2\\^31"):
+        beta * beta
+    with pytest.raises(ResourceLimitError, match="exponent of z_late reaches 2\\^31"):
+        TPoly.sum_of_products([(TPoly.const(a), beta), (beta, beta)])
+
+
+def test_t_degree_never_carries_into_a_parameter():
+    """No list holds 2^31 coefficients, so the degrees are set in the store:
+    a product whose t-degree reaches 2^31 is refused, never carried into
+    the field of the first symbol."""
+    ParamPoly.symbol("a")
+    first = ParamPoly.symbol(algebra._NAMES[0])
+    top = TPoly._canonical({2**31 - 1: 1}, 1)
+    assert top.degree() == 2**31 - 1
+    with pytest.raises(ResourceLimitError, match="exponent of t reaches 2\\^31"):
+        top * TPoly([0, 1])
+    with pytest.raises(ResourceLimitError, match="exponent of t reaches 2\\^31"):
+        top * top
+    product = top * TPoly.const(first)
+    assert product.degree() == 2**31 - 1 and product.coeff(2**31 - 1) == first
