@@ -303,16 +303,18 @@ class ParamPoly(_FractionFree):
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in the canonical display order (graded lexicographic)."""
-        return sorted(
-            self.items(),
-            key=lambda item: (sum(e for _, e in item[0]), item[0]),
-        )
+        return sorted(self.items(), key=_display_order)
 
     def __str__(self) -> str:
         return TEXT.param_poly(self)
 
     def __repr__(self) -> str:
         return f"ParamPoly({self})"
+
+
+def _display_order(term: tuple[Monomial, Fraction]) -> tuple:
+    """Graded lexicographic order of a (monomial, coefficient) term."""
+    return sum(e for _, e in term[0]), term[0]
 
 
 def _bind(nums: dict, assignment: Mapping[str, Scalar]) -> dict[int, tuple[int, int]]:
@@ -413,7 +415,8 @@ class TPoly(_FractionFree):
     denominator.  The public constructor coerces each coefficient;
     arithmetic results are trusted.  A product or sum of products is one
     `_sum_products` pass, so a result pays one gcd, and `coeffs` and
-    `coeff(i)` build canonical ParamPolys from the store.
+    `coeff(i)` build canonical ParamPolys from the store;
+    `terms_by_degree` reads it for display with no ParamPoly built.
     """
 
     __slots__ = ()
@@ -440,16 +443,30 @@ class TPoly(_FractionFree):
         """The sum of a*b over the pairs, in one kernel pass."""
         return _sum_products(pairs, TPoly)
 
-    @property
-    def coeffs(self) -> tuple[ParamPoly, ...]:
-        """The coefficients up to the degree, formed in one pass."""
+    def _rows(self) -> dict[int, dict[int, int]]:
+        """t-degree -> {ParamPoly key: numerator} over `_den`, in one pass."""
         rows: dict[int, dict] = {}
         for key, n in self._nums.items():
             d = key & _FIELD_MASK
             rows.setdefault(d, {})[key - d] = n
+        return rows
+
+    @property
+    def coeffs(self) -> tuple[ParamPoly, ...]:
+        """The coefficients up to the degree, formed in one pass."""
+        rows = self._rows()
         zero, den = ParamPoly.zero(), self._den
         return tuple(ParamPoly._trusted(rows[d], den) if d in rows else zero
                      for d in range(max(rows, default=-1) + 1))
+
+    def terms_by_degree(self) -> list[tuple[int, list[tuple[Monomial, Fraction]]]]:
+        """(d, terms) per nonzero t-degree d, highest first: the terms of
+        t^d's coefficient in display order, read from the store in one
+        pass with no ParamPoly built."""
+        den = self._den
+        return [(d, sorted(((_decode(m), Fraction(n, den)) for m, n in row.items()),
+                           key=_display_order))
+                for d, row in sorted(self._rows().items(), reverse=True)]
 
     def coeff(self, i: int) -> ParamPoly:
         row = {key - i: n for key, n in self._nums.items() if key & _FIELD_MASK == i}
@@ -508,10 +525,6 @@ class TPoly(_FractionFree):
         common = math.lcm(*(c for _, c in sums.values()))
         nums = {d: total * (common // c) for d, (total, c) in sums.items()}
         return TPoly._trusted(nums, common * self._den)
-
-    def rational_coeffs(self) -> list[Fraction]:
-        """Coefficient list as plain rationals; error if any is non-constant."""
-        return [c.constant_value() for c in self.coeffs]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TPoly):

@@ -136,11 +136,12 @@ def _point_json(p) -> list:
     return [rat_str(Fraction(p[0])), rat_str(Fraction(p[1]))]
 
 
+def _terms_json(terms) -> list:
+    return [{"coef": rat_str(coef), "monomial": dict(mono)} for mono, coef in terms]
+
+
 def _poly_json(p: ParamPoly) -> list:
-    return [
-        {"coef": rat_str(coef), "monomial": dict(mono)}
-        for mono, coef in p.sorted_terms()
-    ]
+    return _terms_json(p.sorted_terms())
 
 
 def _json_int(value, least: int) -> int:
@@ -163,12 +164,7 @@ def _poly_from_json(entries) -> ParamPoly:
 
 
 def _tpoly_json(beta: TPoly, power_key: str) -> list:
-    cs = beta.coeffs
-    return [
-        {power_key: d, "coeff": _poly_json(cs[d])}
-        for d in range(len(cs) - 1, -1, -1)
-        if not cs[d].is_zero()
-    ]
+    return [{power_key: d, "coeff": _terms_json(terms)} for d, terms in beta.terms_by_degree()]
 
 
 def _tpoly_from_json(entries) -> TPoly:

@@ -38,7 +38,6 @@ from .algebra import (
     ParamPoly,
     TPoly,
     _as_rat,
-    _sum_products,
     check_q,
     fresh_names,
     q_log,
@@ -242,32 +241,47 @@ def solve_poly_difference(
     the moments m_i = sum_j a_j j^i q^{jk} (m_i = 0 for i < mu, m_mu != 0).
     The kernel is span(1, t, ..., t^{mu-1}); its coordinates are fresh
     named constants.  Returns (beta, new_constant_names).
+
+    The solve runs on ints.  With E the lcm of the a_j's denominators
+    times den(q^k)^order, each E*m_i is an int; theta's store splits once
+    into int rows {parameter key: numerator} per t-degree, and
+    beta_{i+mu} = -(E*theta_i + sum_d comb(d, i)*E*m_{d-i}*beta_d)
+    / (comb(i+mu, i)*E*m_mu) is an int row over a denominator that each
+    step multiplies by comb(i+mu, i)*|E*m_mu|.  beta is those rows over
+    the last denominator, reduced by one gcd.
     """
     q = check_q(q)
     k = _as_rat(k)
     w = q_pow(q, k)
     mu = L.root_multiplicity(w)
+    rows, dens, den = {}, {}, 1  # t-degree -> {parameter key: int}, over dens[t-degree]
     if not theta.is_zero():
-        deg = theta.degree()
-        size = deg + mu + 1
-        moments = [sum(a * j**i * w**j for j, a in enumerate(L.coeffs)) for i in range(size)]
-        if any(moments[i] != 0 for i in range(mu)) or moments[mu] == 0:
+        thetas, size = theta._rows(), theta.degree() + mu + 1
+        lcm, wn, wd = math.lcm(*(a.denominator for a in L.coeffs)), w.numerator, w.denominator
+        weights = [(j, a.numerator * (lcm // a.denominator) * wn**j * wd ** (L.order - j))
+                   for j, a in enumerate(L.coeffs) if a]  # E*a_j*w^j
+        moments = [sum(c * j**i for j, c in weights) for i in range(size)]
+        if any(moments[:mu]) or moments[mu] == 0:
             raise InternalInvariantError(f"moment criterion broken at k = {k}")
-        b = [ParamPoly.zero()] * size
-        theta_coeffs = theta.coeffs
-        for i in range(deg, -1, -1):
-            lead = -math.comb(i + mu, i) * moments[mu]
-            terms = [(b[d], math.comb(d, i) * moments[d - i]) for d in range(i + mu + 1, size)]
-            terms.append((theta_coeffs[i], 1))
-            b[i + mu] = _sum_products((c, ParamPoly.const(m / lead)) for c, m in terms)
-    else:
-        b = [ParamPoly.zero()] * mu
+        e, lead = lcm * wd**L.order, moments[mu]
+        sign, dens[size] = (-1 if lead > 0 else 1), theta._den
+        for i in range(size - mu - 1, -1, -1):
+            below = dens[i + mu + 1]
+            scale = sign * e * (below // theta._den)
+            row = {m: n * scale for m, n in thetas.get(i, {}).items()}
+            for d in range(i + mu + 1, size):
+                if c := sign * math.comb(d, i) * moments[d - i] * (below // dens[d]):
+                    for m, n in rows[d].items():
+                        row[m] = row.get(m, 0) + n * c
+            rows[i + mu], dens[i + mu] = row, below * math.comb(i + mu, i) * abs(lead)
+        den = dens[mu]
+    nums = {m + d: n * (den // dens[d]) for d, row in rows.items() for m, n in row.items()}
     names = []
     for i in range(mu):
-        name = const_namer()
-        names.append(name)
-        b[i] = b[i] + ParamPoly.symbol(name)
-    beta = TPoly(b)
+        names.append(const_namer())
+        (key,) = ParamPoly.symbol(names[-1])._nums
+        nums[key + i] = den
+    beta = TPoly._trusted(nums, den)
     check = apply_difference_operator(L, q, k, beta) + theta
     if not check.is_zero():
         raise InternalInvariantError(f"difference solve failed to verify at k = {k}")

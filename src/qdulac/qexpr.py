@@ -402,9 +402,13 @@ def evaluate_on_series(
     products.  Every factor's exponents lie at or above the series' lowest
     exponent `low`, so the node at depth i of that path needs only
     exponents up to k_max - e - (d - i)*low, the largest such bound over
-    the monomials through it.  coeff and x^e multiply each monomial's
-    window of its last node once, at the end.  Each (k, t-degree)
-    coefficient sums all the products landing there in one pass.
+    the monomials through it.  A node (l, l) is S^l s squared, so it pairs
+    each k1 only with the k2 >= max(start - k1, k1), start the lowest
+    exponent it forms: the diagonal k2 = k1 once, every other k2 with
+    2*beta_k1, formed once per k1, for the pair (k2, k1) as well.  coeff
+    and x^e multiply each monomial's window of its last node once, at the
+    end.  Each (k, t-degree) coefficient sums all the products landing
+    there in one pass.
 
     `carry`, an empty dict at first, keeps for the next call the paths,
     each term of s shifted once per level, and the node coefficients that
@@ -467,15 +471,23 @@ def evaluate_on_series(
     for node, (lo, hi) in windows.items():
         done, known = kept.setdefault(node, []), fin.get(node, -math.inf)
         start, factor = max(lo, known + 1), shifted[node[-1]]
+        square = len(node) == 2 and node[0] == node[1]  # shifted[l] squared
         pairs: dict[int, list] = {}
         for k1, b1 in products[node[:-1]]:
-            if k1 + low > hi:
+            if k1 + (k1 if square else low) > hi:
                 break
-            for j in range(bisect_left(factor, start - k1, key=_exponent), len(factor)):
+            first = max(start - k1, k1) if square else start - k1
+            twice = None  # 2*b1, formed at the first pair off the diagonal
+            for j in range(bisect_left(factor, first, key=_exponent), len(factor)):
                 k2, b2 = factor[j]
                 if k1 + k2 > hi:
                     break
-                pairs.setdefault(k1 + k2, []).append((b1, b2))
+                if square and k2 != k1:  # the pair (k2, k1) as well
+                    if twice is None:
+                        twice = b1 + b1
+                    pairs.setdefault(k1 + k2, []).append((twice, b2))
+                else:
+                    pairs.setdefault(k1 + k2, []).append((b1, b2))
         sums = ((k, TPoly.sum_of_products(pairs[k])) for k in sorted(pairs))
         formed = [(k, beta) for k, beta in sums if not beta.is_zero()]
         products[node] = done + formed

@@ -4,7 +4,8 @@ Each function here recomputes a result by a different method than the
 library uses, so agreement is meaningful: an all-pairs halfplane hull, a
 Newton polygon whose geometry runs on Fractions instead of the integer
 grid, a support scan of a face's normal cone, a dense Gaussian-elimination
-solve of the polynomial difference operator, a reference parameter
+solve of the polynomial difference operator, its back-substitution on
+parameter polynomials and Fraction moments, a reference parameter
 polynomial, a brute-force evaluation of a q-difference sum on a
 power-logarithmic series, a recursive multiset enumerator of the
 exponent set K, a generator of random equations with a planted edge
@@ -19,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qdulac.algebra import ParamPoly, _as_rat, q_pow
+from qdulac.algebra import ParamPoly, TPoly, _as_rat, q_pow
 from qdulac.errors import ParseError, ResourceLimitError
 from qdulac.expand import (
     ExpansionResult,
@@ -230,6 +231,31 @@ def dense_difference_solve(coeffs, q, k, theta_coeffs, mu):
                 ]
     solution = [F(0)] * mu + [reduced[i][-1] for i in range(m)]
     return solution
+
+
+def reference_solve(L, q, k, theta, const_namer):
+    """`solve_poly_difference` as first written: ParamPoly rows, Fraction
+    moments m_i = sum_j a_j j^i q^{jk}, each row divided by its Fraction
+    lead, with no moment or identity check.  Returns
+    (beta, new_constant_names)."""
+    w = q_pow(q, k)
+    mu = L.root_multiplicity(w)
+    b = [ParamPoly.zero()] * mu
+    if not theta.is_zero():
+        deg = theta.degree()
+        size = deg + mu + 1
+        moments = [sum(a * j**i * w**j for j, a in enumerate(L.coeffs)) for i in range(size)]
+        b = [ParamPoly.zero()] * size
+        for i in range(deg, -1, -1):
+            total = theta.coeff(i)
+            for d in range(i + mu + 1, size):
+                total = total + b[d] * (math.comb(d, i) * moments[d - i])
+            b[i + mu] = total / (-math.comb(i + mu, i) * moments[mu])
+    names = []
+    for i in range(mu):
+        names.append(const_namer())
+        b[i] = b[i] + ParamPoly.symbol(names[-1])
+    return TPoly(b), names
 
 
 class ReferencePoly:
@@ -466,12 +492,14 @@ def random_k_lattice_input(rng: random.Random):
     return support, criticals, r, k_max
 
 
-def random_linear_part(rng: random.Random, q, k):
-    """Coefficients of L(s) with q^k planted as a root of multiplicity mu.
+def random_linear_part(rng: random.Random, q, k, mu=None):
+    """Coefficients of L(s) with q^k planted as a root of multiplicity mu,
+    drawn from 0, 1, 2 unless given.
 
     Returns (coeffs low-first, mu).  Degree stays <= 4.
     """
-    mu = rng.choice([0, 0, 1, 1, 2])
+    if mu is None:
+        mu = rng.choice([0, 0, 1, 1, 2])
     w = q_pow(q, k)
     poly = [F(1)]
     for _ in range(mu):

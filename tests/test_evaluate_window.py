@@ -261,3 +261,66 @@ def test_carry_survives_a_refused_q_power():
         evaluate_on_series(f, PowerLogSeries(2, [(1, one), (F(3, 2), one)]), 4, 4, carry)
     s = PowerLogSeries(2, [(1, one), (2, one)])
     assert evaluate_on_series(f, s, 4, None, carry) == evaluate_on_series(f, s, 4)
+
+
+def test_square_nodes_match_brute_force():
+    """y^2, S(y)^2 and S^2(y)^2 are each one shifted series squared, formed
+    from the pairs k2 >= k1 alone: k2 from max(start - k1, k1) on, the
+    diagonal once and every other pair twice.  y^2*S(y) makes y^2 an inner
+    node, whose final coefficients the carry keeps, so a carried call
+    forms it only from above the kept ones.  Carried calls at every k, in
+    windows whose start falls between sums of the series' exponents, equal
+    fresh calls and the brute-force oracle; so do fresh calls on the whole
+    series from every start on a quarter grid."""
+    q = F(1, 4)
+
+    def coeff(terms):
+        return ReferencePoly(terms), ParamPoly(terms)
+
+    a, b = (("a", 1),), (("b", 1),)
+    c_ref, c = coeff({(): 2, a: F(-1, 3)})
+    betas = [  # (k, [coefficient of t^i, ...]) with gaps between the k
+        (F(1), [coeff({a: 1}), coeff({(): 1})]),
+        (F(3, 2), [coeff({(): F(-1, 2)})]),
+        (F(5, 2), [coeff({b: 1}), coeff({}), coeff({(): 3, a: 1})]),
+        (F(4), [coeff({(): 1, b: F(5, 7)})]),
+    ]
+    terms = [(k, TPoly([pp for _, pp in cs])) for k, cs in betas]
+    ref_series = [(F(1, 2), [c_ref])] + [(k, [ref for ref, _ in cs]) for k, cs in betas]
+    ref_terms = [
+        (coeff({(): 1})[0], F(0), ((0, 2),)),
+        (coeff({(): -2})[0], F(0), ((1, 2),)),
+        (coeff({(): F(3, 2)})[0], F(0), ((2, 2),)),
+        (coeff({a: 1})[0], F(1, 2), ((0, 2),)),
+        (coeff({b: -1})[0], F(1), ((0, 2), (1, 1))),
+    ]
+    f = QPolynomial([QTerm(ParamPoly(dict(ref.terms)), e, sigma) for ref, e, sigma in ref_terms])
+    k_max = F(9)
+
+    full = [brute_force_evaluate(ref_terms, ref_series[:n], q, k_max + 3) for n in range(6)]
+
+    def check(s, lo, hi, carry=None):
+        got = evaluate_on_series(f, s, hi, lo, carry)
+        assert got == evaluate_on_series(f, s, hi, lo), (str(s), lo, hi)
+        want = {kk: b for kk, b in full[len(s.all_terms)].items()
+                if kk <= hi and (lo is None or kk >= lo)}
+        assert _same(_as_reference(got), want), (str(s), lo, hi)
+        return bool(want)
+
+    kinds = [
+        lambda k: (k, k),
+        lambda k: (k - F(1, 2), k + 1),
+        lambda k: (k + F(1, 2), k_max),
+        lambda k: (k + F(3, 4), k + F(5, 2)),
+        lambda k: (None, k),
+    ]
+    carries, nonempty = [{} for _ in kinds], 0
+    for n in range(len(terms) + 1):
+        s = PowerLogSeries(q, terms[:n], base_shift=(c, F(1, 2)))
+        k = terms[n][0] if n < len(terms) else k_max
+        for carry, kind in zip(carries, kinds):
+            nonempty += check(s, *kind(k), carry)
+    whole = PowerLogSeries(q, terms, base_shift=(c, F(1, 2)))
+    for start in range(-4, 4 * int(k_max) + 1):
+        nonempty += check(whole, F(start, 4), k_max)
+    assert nonempty > 40

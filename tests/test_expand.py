@@ -11,6 +11,7 @@ from oracles import (
     random_linear_part,
     reference_expansion,
     reference_k_lattice,
+    reference_solve,
 )
 from qdulac.algebra import ParamPoly, TPoly, q_pow
 from qdulac.errors import (
@@ -380,6 +381,36 @@ def test_solver_matches_dense_oracle():
         zeroed = beta.evaluate_coeffs({name: 0 for name in names})
         dense = dense_difference_solve(coeffs, q, k, theta_coeffs, mu)
         assert zeroed == TPoly(dense)
+
+
+def _random_param_poly(rng, dens):
+    """A ParamPoly in a and b of up to four terms, denominators from dens."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = tuple((name, e) for name, e in (("a", rng.randint(0, 2)), ("b", rng.randint(0, 2))) if e)
+        terms[mono] = F(rng.randint(-9, 9), rng.choice(dens))
+    return ParamPoly(terms)
+
+
+def test_solver_matches_reference_solve():
+    """The int back-substitution against the ParamPoly one it replaced:
+    equal (beta, names) for parametric thetas of degree 0-6 and theta = 0,
+    with q^k a root of multiplicity 0, 1 and 2, at q = 1/2, 2/3 and 1/p
+    for a 12-digit prime p."""
+    rng = random.Random(2611)
+    p = 999999999989
+    for case in range(240):
+        q = (F(1, 2), F(2, 3), F(1, p))[case % 3]
+        mu = case // 3 % 3
+        k = F(rng.randint(-2, 3))
+        coeffs, _ = random_linear_part(rng, q, k, mu)
+        L = LinearPart(tuple(coeffs))
+        dens = (1, 2, 3, 7, p) if q.denominator == p else (1, 2, 3, 7)
+        theta = TPoly([_random_param_poly(rng, dens) for _ in range(rng.randint(0, 7))])
+        got = solve_poly_difference(L, q, k, theta, constant_namer({"a", "b"}))
+        want = reference_solve(L, q, k, theta, constant_namer({"a", "b"}))
+        assert got == want, (case, coeffs, str(theta))
+        assert len(got[1]) == mu
 
 
 def test_constant_namer_skips_taken():
