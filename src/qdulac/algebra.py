@@ -157,11 +157,11 @@ class _FractionFree:
     def is_zero(self) -> bool:
         return not self._nums
 
-    def _add(self, other, sign: int):
-        """self + sign*other, both over lcm(d1, d2)."""
+    def _add(self, other):
+        """self + other, both over lcm(d1, d2)."""
         d1, d2 = self._den, other._den
         den = d1 // math.gcd(d1, d2) * d2
-        s1, s2 = den // d1, sign * (den // d2)
+        s1, s2 = den // d1, den // d2
         out = {m: n * s1 for m, n in self._nums.items()} if s1 != 1 else dict(self._nums)
         for mono, n in other._nums.items():
             out[mono] = out.get(mono, 0) + n * s2
@@ -257,30 +257,14 @@ class ParamPoly(_FractionFree):
         other = ParamPoly.coerce(other)
         if not other._nums:
             return self
-        return self._add(other, 1) if self._nums else other
+        return self._add(other) if self._nums else other
 
     __radd__ = __add__
-
-    def __sub__(self, other) -> "ParamPoly":
-        return self._add(ParamPoly.coerce(other), -1)
-
-    def __rsub__(self, other) -> "ParamPoly":
-        return ParamPoly.coerce(other)._add(self, -1)
 
     def __mul__(self, other) -> "ParamPoly":
         return _sum_products(((self, ParamPoly.coerce(other)),))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "ParamPoly":
-        scalar = _as_rat(scalar)
-        if scalar == 0:
-            raise ZeroDivisionError("division of ParamPoly by zero")
-        num, den = scalar.numerator, scalar.denominator
-        if num < 0:  # the stored denominator stays positive
-            num, den = -num, -den
-        nums = {mono: n * den for mono, n in self._nums.items()}
-        return ParamPoly._trusted(nums, self._den * num)
 
     def __pow__(self, exponent: int) -> "ParamPoly":
         return _power(self, exponent, ParamPoly.const(1))
@@ -414,9 +398,9 @@ class TPoly(_FractionFree):
     in field 0, so t^d*m is m + d, and all coefficients share one
     denominator.  The public constructor coerces each coefficient;
     arithmetic results are trusted.  A product or sum of products is one
-    `_sum_products` pass, so a result pays one gcd, and `coeffs` and
-    `coeff(i)` build canonical ParamPolys from the store;
-    `terms_by_degree` reads it for display with no ParamPoly built.
+    `_sum_products` pass, so a result pays one gcd.  `coeffs` builds
+    canonical ParamPolys from the store; `terms_by_degree` reads it for
+    display, text, LaTeX and JSON alike, with no ParamPoly built.
     """
 
     __slots__ = ()
@@ -468,10 +452,6 @@ class TPoly(_FractionFree):
                            key=_display_order))
                 for d, row in sorted(self._rows().items(), reverse=True)]
 
-    def coeff(self, i: int) -> ParamPoly:
-        row = {key - i: n for key, n in self._nums.items() if key & _FIELD_MASK == i}
-        return ParamPoly._trusted(row, self._den)
-
     def degree(self) -> int:
         # degree of the zero polynomial is 0 by convention
         return max((key & _FIELD_MASK for key in self._nums), default=0)
@@ -480,10 +460,7 @@ class TPoly(_FractionFree):
         return not any(key & _FIELD_MASK for key in self._nums)
 
     def __add__(self, other: "TPoly") -> "TPoly":
-        return self._add(other, 1)
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        return self._add(other, -1)
+        return self._add(other)
 
     def __mul__(self, other: "TPoly") -> "TPoly":
         return _sum_products(((self, other),), TPoly)
@@ -600,11 +577,11 @@ class Notation:
         group = self.parens.format(body)
         return False, group + self.factor_sep + tail if tail else group
 
-    def term(self, coef: ParamPoly, tail: str) -> tuple[bool, str]:
-        """The part coef*tail as (negative, body); `tail` may be empty."""
-        terms = coef.sorted_terms()
+    def term(self, terms: list[tuple[Monomial, Fraction]], tail: str) -> tuple[bool, str]:
+        """The part coef*tail as (negative, body), coef given by its terms
+        in display order; `tail` may be empty."""
         if len(terms) > 1:
-            return self.grouped(self.param_poly(coef), tail)
+            return self.grouped(self.signed_sum(self._poly_parts(terms)), tail)
         ((mono, c),) = terms
         lead = self.monomial(mono, abs(c), bool(tail))
         return c < 0, lead + self.coef_sep + tail if lead and tail else lead or tail
@@ -619,21 +596,21 @@ class Notation:
         out += [("- " if neg else "+ ") + body for neg, body in rest]
         return " ".join(out)
 
-    def _poly_parts(self, p: ParamPoly) -> list[tuple[bool, str]]:
-        return [(c < 0, self.monomial(mono, abs(c))) for mono, c in p.sorted_terms()]
+    def _poly_parts(self, terms: list[tuple[Monomial, Fraction]]) -> list[tuple[bool, str]]:
+        return [(c < 0, self.monomial(mono, abs(c))) for mono, c in terms]
 
     def param_poly(self, p: ParamPoly) -> str:
-        return self.signed_sum(self._poly_parts(p))
+        return self.signed_sum(self._poly_parts(p.sorted_terms()))
 
     def tpoly(self, beta: TPoly, var: str) -> str:
         """beta(var), highest power first; the constant term is not grouped."""
-        cs = beta.coeffs or (ParamPoly.zero(),)
-        parts = [
-            self.term(cs[d], self.power(var, d))
-            for d in range(len(cs) - 1, 0, -1)
-            if not cs[d].is_zero()
-        ]
-        return self.signed_sum(parts + self._poly_parts(cs[0]))
+        parts = []
+        for d, terms in beta.terms_by_degree():
+            if d:
+                parts.append(self.term(terms, self.power(var, d)))
+            else:
+                parts += self._poly_parts(terms)
+        return self.signed_sum(parts)
 
     def series(self, s, var: str) -> str:
         """A PowerLogSeries as sum beta_k(var)*x^k, base pair first."""
@@ -641,7 +618,7 @@ class Notation:
         for k, beta in s.all_terms:
             tail = self.power("x", k) if k else ""
             if beta.is_constant():
-                parts.append(self.term(beta.coeff(0), tail))
+                parts.append(self.term(beta.terms_by_degree()[0][1], tail))
             else:
                 parts.append(self.grouped(self.tpoly(beta, var), tail))
         return self.signed_sum(parts)

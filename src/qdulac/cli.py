@@ -23,6 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebra import (
+    _EXP_LIMIT,
     LATEX,
     ParamPoly,
     TPoly,
@@ -31,7 +32,7 @@ from .algebra import (
     q_log,
     rat_str,
 )
-from .errors import QDulacError
+from .errors import QDulacError, ResourceLimitError
 from .expand import ExpansionResult, expand_solution, verify_residual
 from .parser import parse_equation, parse_param_expr
 from .polygon import (
@@ -171,6 +172,8 @@ def _tpoly_from_json(entries) -> TPoly:
     powers = [_json_int(e["t_power"], 0) for e in entries]
     if len(set(powers)) != len(powers):
         raise ValueError(f"repeated t_power in {sorted(powers)}")
+    if max(powers, default=0) >= _EXP_LIMIT:  # before a list of that many slots
+        raise ResourceLimitError("exponent of t reaches 2^31")
     coeffs = [ParamPoly.zero()] * (max(powers, default=-1) + 1)
     for d, entry in zip(powers, entries):
         coeffs[d] = _poly_from_json(entry["coeff"])
@@ -212,7 +215,8 @@ def series_from_json(doc: dict) -> PowerLogSeries:
     """Rebuild the series of an `expand` JSON document exactly; a malformed
     power (negative, repeated or not an integer), a repeated monomial and
     terms not strictly ascending in k (checked by `PowerLogSeries`) raise
-    ValueError."""
+    ValueError; a power of t or of a parameter of 2^31 or more raises
+    ResourceLimitError."""
     return PowerLogSeries(
         parse_rat(doc["q"]),
         [(parse_rat(term["k"]), _tpoly_from_json(term["beta"])) for term in doc["terms"]],
@@ -260,9 +264,12 @@ def _parse_assignment(text: str) -> dict:
         if not chunk:
             continue
         name, sep, value = chunk.partition("=")
-        if not sep or not name.strip():
+        name = name.strip()
+        if not sep or not name:
             raise ValueError(f"bad assignment {chunk!r}; expected name=p/m")
-        out[name.strip()] = parse_rat(value.strip())
+        if name in out:
+            raise ValueError(f"duplicate assigned name {name!r}")
+        out[name] = parse_rat(value.strip())
     return out
 
 

@@ -119,10 +119,10 @@ class QPolynomial:
     Stored as {(x_exp, sigma_powers): coeff}.  The public constructor
     `QPolynomial(terms)` validates each term (exact exponent, nonnegative
     levels, positive powers), merges like terms and refuses a level or
-    merged power of 2^31 (ResourceLimitError); `zero`, `constant`, `x_power`
-    and `unknown` go through it.  Arithmetic results are trusted and only
-    drop zero coefficients.  `terms` is the sorted view for iteration and
-    display, built on first use and kept: a QPolynomial never changes in place.
+    merged power of 2^31 (ResourceLimitError); `constant` goes through it.
+    Arithmetic results are trusted and only drop zero coefficients.  `terms`
+    is the sorted view for iteration and display, built on first use and
+    kept: a QPolynomial never changes in place.
     """
 
     __slots__ = ("_terms", "_sorted")
@@ -146,23 +146,9 @@ class QPolynomial:
         out._sorted = None
         return out
 
-    # -- constructors
-
-    @classmethod
-    def zero(cls) -> "QPolynomial":
-        return cls()
-
     @classmethod
     def constant(cls, value: ParamPoly | Scalar) -> "QPolynomial":
         return cls([QTerm(ParamPoly.coerce(value), Fraction(0), ())])
-
-    @classmethod
-    def x_power(cls, e: Scalar) -> "QPolynomial":
-        return cls([QTerm(ParamPoly.const(1), _as_rat(e), ())])
-
-    @classmethod
-    def unknown(cls, level: int = 0) -> "QPolynomial":
-        return cls([QTerm(ParamPoly.const(1), Fraction(0), ((level, 1),))])
 
     # -- structure
 
@@ -227,14 +213,6 @@ class QPolynomial:
             _check_sigma(self._terms, exponent)
         return _power(self, exponent, QPolynomial.constant(1))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     # -- display
 
     def __str__(self) -> str:
@@ -257,7 +235,7 @@ def format_qpolynomial(f: QPolynomial) -> str:
         for level, power in term.sigma_powers:
             base = f"{TEXT.power('S', level)}(y)" if level else "y"
             tail.append(TEXT.power(base, power))
-        parts.append(TEXT.term(term.coeff, TEXT.factor_sep.join(tail)))
+        parts.append(TEXT.term(term.coeff.sorted_terms(), TEXT.factor_sep.join(tail)))
     return TEXT.signed_sum(parts)
 
 
@@ -319,18 +297,6 @@ class PowerLogSeries:
         return PowerLogSeries(
             self.q, [(k, b.evaluate_coeffs(assignment)) for k, b in self.all_terms]
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerLogSeries):
-            return NotImplemented
-        return (
-            self.q == other.q
-            and self.terms == other.terms
-            and self.base_shift == other.base_shift
-        )
-
-    def __hash__(self):
-        return hash((self.q, self.terms, self.base_shift))
 
     def to_string(self, var: str = "t") -> str:
         return TEXT.series(self, var)

@@ -246,11 +246,12 @@ def reference_solve(L, q, k, theta, const_namer):
         size = deg + mu + 1
         moments = [sum(a * j**i * w**j for j, a in enumerate(L.coeffs)) for i in range(size)]
         b = [ParamPoly.zero()] * size
+        thetas = theta.coeffs
         for i in range(deg, -1, -1):
-            total = theta.coeff(i)
+            total = thetas[i]
             for d in range(i + mu + 1, size):
                 total = total + b[d] * (math.comb(d, i) * moments[d - i])
-            b[i + mu] = total / (-math.comb(i + mu, i) * moments[mu])
+            b[i + mu] = total * (F(-1) / (math.comb(i + mu, i) * moments[mu]))
     names = []
     for i in range(mu):
         names.append(const_namer())
@@ -766,7 +767,10 @@ class _Parser:
         if self.cur.kind == "^":
             self.advance()
             power = self.parse_power(subject)
-            atom = QPolynomial.x_power(power) if subject == "x" else atom**power
+            if subject == "x":
+                atom = QPolynomial([QTerm(ParamPoly.const(1), F(power), ())])
+            else:
+                atom = atom**power
         return atom
 
     def parse_rational(self) -> Fraction:
@@ -803,9 +807,9 @@ class _Parser:
         tok = self.advance()
         name = tok.text
         if name == "x":
-            return QPolynomial.x_power(1), "x"
+            return QPolynomial([QTerm(ParamPoly.const(1), F(1), ())]), "x"
         if name == "y":
-            return QPolynomial.unknown(0), "y"
+            return QPolynomial([QTerm(ParamPoly.const(1), F(0), ((0, 1),))]), "y"
         if name == "S":
             level = 1
             if self.cur.kind == "^":
@@ -818,7 +822,10 @@ class _Parser:
                     "the shift operator applies to y only", arg.line, arg.col
                 )
             self.expect(")")
-            return QPolynomial.unknown(level), "a shifted factor"
+            return (
+                QPolynomial([QTerm(ParamPoly.const(1), F(0), ((level, 1),))]),
+                "a shifted factor",
+            )
         if name in self.params:
             return (
                 QPolynomial.constant(ParamPoly.symbol(name)),

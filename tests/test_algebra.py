@@ -55,7 +55,7 @@ def test_param_poly_ring_axioms():
         assert p * (q + r) == p * q + p * r
         assert p + ParamPoly.zero() == p
         assert p * ParamPoly.const(1) == p
-        assert p - p == ParamPoly.zero()
+        assert p + -p == ParamPoly.zero()
 
 
 def test_param_poly_evaluate_matches_structure():
@@ -334,7 +334,7 @@ def test_param_poly_str_forms():
     assert str(ParamPoly.zero()) == "0"
     assert str(ParamPoly.const(F(-3, 2))) == "-3/2"
     assert str(a3 * 2 + 1) == "1 + 2*a3"
-    assert str(-(C**2) * F(2, 5) - a3 * F(16, 5)) == "-16/5*a3 - 2/5*C^2"
+    assert str(-(C**2) * F(2, 5) + a3 * F(-16, 5)) == "-16/5*a3 - 2/5*C^2"
 
 
 def test_tpoly_str_forms():

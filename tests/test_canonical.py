@@ -73,7 +73,7 @@ _L = LinearPart((-2, 1))
         lambda: ParamPoly({(("a", 1),): 0.5}),
         lambda: TPoly([1, 0.5]),
         lambda: ParamPoly.symbol("a").evaluate({"a": 0.5}),
-        lambda: QPolynomial.x_power(0.5),
+        lambda: QPolynomial([QTerm(ParamPoly.const(1), 0.5, ())]),
         lambda: check_q(0.5),
         lambda: q_pow(0.5, 1),
         lambda: q_pow(F(1, 4), 0.5),
@@ -212,7 +212,7 @@ def assert_canonical_param(p: ParamPoly):
 
 
 def assert_canonical_q(f: QPolynomial):
-    assert QPolynomial(f.terms) == f
+    assert QPolynomial(f.terms).terms == f.terms
     for term in f.terms:
         assert isinstance(term.x_exp, Fraction)
         assert not term.coeff.is_zero()
@@ -234,18 +234,15 @@ def test_param_poly_arithmetic_is_canonical():
         va, vb = a.evaluate(at), b.evaluate(at)
         results = {
             "add": (a + b, va + vb),
-            "sub": (a - b, va - vb),
             "neg": (-a, -va),
             "mul": (a * b, va * vb),
             "pow": (a**3, va**3),
             "scalar": (a * F(2, 3) + 1, va * F(2, 3) + 1),
         }
-        if vb != 0 and b.is_constant():
-            results["div"] = (a / vb, va / vb)
         for name, (result, value) in results.items():
             assert_canonical_param(result)
             assert result.evaluate(at) == value, name
-        assert (a - a).is_zero()
+        assert (a + -a).is_zero()
 
 
 def test_equal_values_share_one_stored_form():
@@ -258,10 +255,10 @@ def test_equal_values_share_one_stored_form():
         names = rng.sample(SYMBOLS, rng.randint(0, 2))
         mono = tuple(sorted((name, rng.randint(1, 2)) for name in names))
         routes = {
-            "scale": ((a * 3) / 3, a),
-            "add_sub": (a + b - b, a),
-            "negative_div": (a / F(-2, 3) * F(-2, 3), a),
-            "cancel": (a - a, ParamPoly.zero()),
+            "scale": ((a * 3) * F(1, 3), a),
+            "add_neg": (a + b + -b, a),
+            "negative_scale": (a * F(-3, 2) * F(-2, 3), a),
+            "cancel": (a + -a, ParamPoly.zero()),
             "halves": (ParamPoly({mono: F(1, 2)}) * 2, ParamPoly({mono: 1})),
         }
         for name, (built, expected) in routes.items():
@@ -296,5 +293,5 @@ def test_qpolynomial_arithmetic_is_canonical():
         }
         for name, (result, expected) in results.items():
             assert_canonical_q(result)
-            assert result == expected, name
+            assert result.terms == expected.terms, name
         assert (f - f).is_zero()

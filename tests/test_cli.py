@@ -280,7 +280,10 @@ def test_expand_json_round_trip(eq_main, capsys):
         )
         rebuilt = series_from_json(json.loads(out))
         (ts,) = analyze_face(f, edge, Fraction(q)).candidates
-        assert rebuilt == expand_solution(f, ts, 2).series
+        want = expand_solution(f, ts, 2).series
+        assert (rebuilt.q, rebuilt.terms, rebuilt.base_shift) == (
+            want.q, want.terms, want.base_shift
+        )
 
 
 def _one_term_doc(beta):
@@ -352,6 +355,18 @@ def test_series_from_json_refuses_bad_powers(beta):
     assert good.coefficient(1) == TPoly([0, 0, 5 * ParamPoly.symbol("a")])
     with pytest.raises(ValueError):
         series_from_json(_one_term_doc(beta))
+
+
+@pytest.mark.parametrize(
+    "beta",
+    [[_beta_entry(2**31)], [_beta_entry(2, monomial={"a": 2**31})]],
+    ids=["t_power", "parameter_exponent"],
+)
+def test_series_from_json_refuses_power_of_2_31(deadline, beta):
+    # refused before a coefficient list of 2^31 slots is built
+    with deadline(1):
+        with pytest.raises(ResourceLimitError, match=r"reaches 2\^31"):
+            series_from_json(_one_term_doc(beta))
 
 
 def test_expand_json_ignores_log_base(eq_main, capsys):
@@ -537,6 +552,17 @@ def test_verify_bad_assignment(eq_main, capsys):
     )
     assert code == EXIT_INPUT
     assert "expected name=p/m" in err
+
+
+def test_verify_repeated_assignment(eq_main, capsys):
+    # one value per name, as --params takes each name once
+    code, _, err = run(
+        capsys,
+        ["verify", *main_args(eq_main), "--q", "1/2", "--kmax", "1",
+         "--assign", "a3=1,a4=2,C1=3,C1=5"],
+    )
+    assert code == EXIT_INPUT
+    assert "duplicate assigned name 'C1'" in err
 
 
 def test_verify_detects_truncation_gap(eq_main, capsys, monkeypatch):

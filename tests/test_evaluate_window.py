@@ -219,7 +219,8 @@ def test_carried_calls_match_fresh_calls_and_brute_force():
             want = brute_force_evaluate(ref_terms, ref_series[: len(s.all_terms)], q, k_max)
             for carry, (lo, hi) in zip(carries, ((k, k), (k, k_max), (None, k))):
                 got = evaluate_on_series(f, s, hi, lo, carry)
-                assert got == evaluate_on_series(f, s, hi, lo), (case, n, str(f), str(s), lo, hi)
+                fresh = evaluate_on_series(f, s, hi, lo)
+                assert got.terms == fresh.terms, (case, n, str(f), str(s), lo, hi)
                 cut = {kk: b for kk, b in want.items() if kk <= hi and (lo is None or kk >= lo)}
                 assert _same(_as_reference(got), cut), (case, n, str(f), str(s), lo, hi)
                 nonempty += bool(cut)
@@ -247,7 +248,7 @@ def test_carry_refuses_a_call_it_does_not_match():
         with pytest.raises(ValueError, match="carry"):
             evaluate_on_series(other_f, other_s, 4, 4, carry)
     longer = PowerLogSeries(F(1, 64), [(1, one), (F(3, 2), two), (F(7, 3), three)])
-    assert evaluate_on_series(f, longer, 5, None, carry) == evaluate_on_series(f, longer, 5)
+    assert evaluate_on_series(f, longer, 5, None, carry).terms == evaluate_on_series(f, longer, 5).terms
 
 
 def test_carry_survives_a_refused_q_power():
@@ -260,7 +261,7 @@ def test_carry_survives_a_refused_q_power():
     with pytest.raises(IrrationalQPowerError):
         evaluate_on_series(f, PowerLogSeries(2, [(1, one), (F(3, 2), one)]), 4, 4, carry)
     s = PowerLogSeries(2, [(1, one), (2, one)])
-    assert evaluate_on_series(f, s, 4, None, carry) == evaluate_on_series(f, s, 4)
+    assert evaluate_on_series(f, s, 4, None, carry).terms == evaluate_on_series(f, s, 4).terms
 
 
 def test_square_nodes_match_brute_force():
@@ -301,7 +302,7 @@ def test_square_nodes_match_brute_force():
 
     def check(s, lo, hi, carry=None):
         got = evaluate_on_series(f, s, hi, lo, carry)
-        assert got == evaluate_on_series(f, s, hi, lo), (str(s), lo, hi)
+        assert got.terms == evaluate_on_series(f, s, hi, lo).terms, (str(s), lo, hi)
         want = {kk: b for kk, b in full[len(s.all_terms)].items()
                 if kk <= hi and (lo is None or kk >= lo)}
         assert _same(_as_reference(got), want), (str(s), lo, hi)

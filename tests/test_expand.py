@@ -92,7 +92,7 @@ def test_extract_linear_part_shifted_equation():
     assert L.order == 2
     assert len(h.terms) == 13
     assert (F(0), F(1)) not in support(h)
-    assert (h + QPolynomial([t for t in ft.terms if t.q_point == (0, 1)])) == ft
+    assert (h + QPolynomial([t for t in ft.terms if t.q_point == (0, 1)])).terms == ft.terms
 
 
 def test_extract_linear_part_matches_substitution():
@@ -105,7 +105,7 @@ def test_extract_linear_part_matches_substitution():
 def test_extract_trivial():
     L, h = extract_linear_part(parse_equation("y - x"))
     assert L.coeffs == (F(1),)
-    assert h == parse_equation("-x")
+    assert h.terms == parse_equation("-x").terms
 
 
 def test_extract_no_linear_point():
@@ -132,7 +132,7 @@ def test_extract_names_the_lowest_nonconstant_level():
 
 def test_extract_zero_equation():
     with pytest.raises(LinearVertexError):
-        extract_linear_part(QPolynomial.zero())
+        extract_linear_part(QPolynomial())
 
 
 def test_linear_part_trims_and_rejects_zero():
@@ -147,7 +147,8 @@ def test_linear_part_trims_and_rejects_zero():
 
 def nu(L, q, k):
     """nu(k) = sum_j a_j q^{jk}: L(q^k T) applied to the constant 1."""
-    return apply_difference_operator(L, q, k, TPoly.const(1)).coeff(0).constant_value()
+    value = apply_difference_operator(L, q, k, TPoly.const(1))
+    return (value.coeffs or (ParamPoly.zero(),))[0].constant_value()
 
 
 def test_nu_examples():
@@ -307,7 +308,7 @@ def test_solve_case2_free_constant():
 def test_solve_case2_forced_constant():
     namer = constant_namer({"a3", "C1"})
     c1 = ParamPoly.symbol("C1")
-    theta = TPoly.const(a3() * 2 + c1 * c1 / 4)
+    theta = TPoly.const(a3() * 2 + c1 * c1 * F(1, 4))
     beta, names = solve_poly_difference(L_MAIN, F(1, 4), 1, theta, namer)
     assert names == []
     assert beta == TPoly.const(a3() * F(-16, 5) + c1 * c1 * F(-2, 5))
@@ -328,8 +329,8 @@ def test_solve_double_root_kernel():
     beta, names = solve_poly_difference(L, F(1, 2), 0, TPoly.const(1), namer)
     assert names == ["C3", "C4"]
     # m_2 = 2, particular -t^2/2, fresh constants on top
-    assert beta.coeff(2) == ParamPoly.const(F(-1, 2))
-    assert beta.coeff(1) == ParamPoly.symbol("C4")
+    assert beta.coeffs[2] == ParamPoly.const(F(-1, 2))
+    assert beta.coeffs[1] == ParamPoly.symbol("C4")
     check = apply_difference_operator(L, F(1, 2), 0, beta) + TPoly.const(1)
     assert check.is_zero()
 
@@ -424,15 +425,15 @@ def test_constant_namer_skips_taken():
 def test_exponent_order_examples():
     h = QPolynomial([QTerm(ParamPoly.const(1), F(2), ((0, 3),))])
     check_exponent_order(h, -1)  # 2 + (-1)(3-1) = 0, q2 >= 2: allowed
-    check_exponent_order(QPolynomial.zero(), 5)
+    check_exponent_order(QPolynomial(), 5)
     with pytest.raises(ExponentOrderError):
         check_exponent_order(QPolynomial.constant(1), 0)  # (0,0), needs q1 > r
     with pytest.raises(ExponentOrderError):
-        check_exponent_order(QPolynomial.x_power(F(1, 2)), 1)
+        check_exponent_order(parse_equation("x^(1/2)"), 1)
 
 
 def test_expand_rejects_descending_exponents():
-    f = parse_equation("y + y^2 - 2") + QPolynomial.x_power(-1)
+    f = parse_equation("y + y^2 - 2 + x^-1")
     face = build_polygon(support(f)).faces[0]
     ts = TruncatedSolution(ParamPoly.const(1), F(0), F(1, 2), face, "user-supplied")
     with pytest.raises(ExponentOrderError):
@@ -526,7 +527,14 @@ def test_expansion_matches_fresh_loop_on_golden_equations(monkeypatch, tmp_path)
             run_case(argv, tmp_path)
     assert len(seen) >= 20
     for f, ts, k_max, result in seen:
-        assert result == reference_expansion(f, ts, k_max)
+        assert _same_expansion(result, reference_expansion(f, ts, k_max))
+
+
+def _same_expansion(a, b) -> bool:
+    """Equal ExpansionResults; the series compared by (q, terms, base_shift)."""
+    return replace(a, series=None) == replace(b, series=None) and (
+        a.series.q, a.series.terms, a.series.base_shift
+    ) == (b.series.q, b.series.terms, b.series.base_shift)
 
 
 def test_expansion_matches_fresh_loop_on_planted_edges():
@@ -545,7 +553,7 @@ def test_expansion_matches_fresh_loop_on_planted_edges():
             with pytest.raises(type(err)):
                 expand_solution(eq, ts, k_max)
             continue
-        assert expand_solution(eq, ts, k_max) == want, (str(eq), q, c, r, k_max)
+        assert _same_expansion(expand_solution(eq, ts, k_max), want), (str(eq), q, c, r, k_max)
         compared += 1
     assert compared >= 20
 
@@ -570,7 +578,7 @@ def test_expand_base_still_truncated_solution():
 
 
 def test_expand_exactness_gate():
-    f = parse_equation("y - x") + QPolynomial.x_power(F(3, 2))
+    f = parse_equation("y - x + x^(3/2)")
     polygon = build_polygon(support(f))
     edge = next(
         face for face in faces_for_x_to_zero(polygon) if face.dim == 1
@@ -670,7 +678,7 @@ def test_residual_zero_equation():
     result = expand_solution(f, ts, 1)
     assert (
         verify_residual(
-            QPolynomial.zero(), result, {"a3": 1, "a4": 1, "C1": 1}, 5
+            QPolynomial(), result, {"a3": 1, "a4": 1, "C1": 1}, 5
         )
         is None
     )

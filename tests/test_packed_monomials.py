@@ -57,14 +57,14 @@ def step(rng, acc, names):
     if op == "+":
         return op, (p + q, r + s)
     if op == "-":
-        return op, (p - q, r - s)
+        return op, (p + -q, r - s)
     if op == "*":
         return op, (p * q, r * s)
     if op == "**":
         n = rng.randint(0, 3)
         return op, (p**n, r**n)
     scalar = F(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
-    return op, (p / scalar, r / scalar)
+    return op, (p * (1 / scalar), r / scalar)
 
 
 def test_differential_against_reference():

@@ -96,8 +96,8 @@ def test_parse_merges_like_terms():
 
 def test_parse_comments_and_whitespace():
     f = parse_equation("y  # the unknown\n + x # trailing\n = 0")
-    assert f == parse_equation("y + x")
-    assert parse_equation("1 / 2") == parse_equation("1/2")
+    assert f.terms == parse_equation("y + x").terms
+    assert parse_equation("1 / 2").terms == parse_equation("1/2").terms
 
 
 def test_support_main_equation():
@@ -109,7 +109,7 @@ def test_support_misc():
     f = parse_equation("a3*x^2*y", ["a3"])
     assert support(f) == {(2, 1)}
     with pytest.raises(EmptySupportError):
-        support(QPolynomial.zero())
+        support(QPolynomial())
 
 
 def test_q_additivity():
@@ -152,7 +152,7 @@ def test_parse_print_parse_fixpoint():
         f = parse_equation(text, ["a3", "a4"])
         printed = str(f)
         again = parse_equation(printed, ["a3", "a4"])
-        assert again == f
+        assert again.terms == f.terms
         assert str(again) == printed
 
 
@@ -160,28 +160,23 @@ def test_substitute_shift_matches_hand_expansion():
     f = main_eq()
     shifted = substitute_shift(f, -1, 0, F(1, 2))
     expected = parse_equation(EQ_SHIFTED, ["a3", "a4"])
-    assert shifted == expected
+    assert shifted.terms == expected.terms
     assert len(shifted.terms) == 16
     assert str(shifted) == str(expected)
     # the same substitution with any valid q, since r = 0
-    assert substitute_shift(f, -1, 0, F(7, 3)) == expected
+    assert substitute_shift(f, -1, 0, F(7, 3)).terms == expected.terms
 
 
 def test_substitute_shift_zero_c_is_identity():
     f = main_eq()
     g = substitute_shift(f, 0, F(5, 2), F(1, 2))
-    assert g == f
+    assert g is f
 
 
 def test_substitute_shift_fractional_exponent():
     f = parse_equation("y^2")
     g = substitute_shift(f, 1, F(1, 2), F(1, 4))
-    expected = (
-        QPolynomial.unknown(0) ** 2
-        + QPolynomial.x_power(F(1, 2)) * QPolynomial.unknown(0) * 2
-        + QPolynomial.x_power(1)
-    )
-    assert g == expected
+    assert g.terms == parse_equation("y^2 + 2*x^(1/2)*y + x").terms
 
 
 def test_substitute_shift_is_ring_homomorphism():
@@ -206,14 +201,14 @@ def test_substitute_shift_is_ring_homomorphism():
     for _ in range(40):
         f, g = rand_poly(), rand_poly()
         sub = lambda p: substitute_shift(p, c, r, q)
-        assert sub(f * g) == sub(f) * sub(g)
-        assert sub(f + g) == sub(f) + sub(g)
+        assert sub(f * g).terms == (sub(f) * sub(g)).terms
+        assert sub(f + g).terms == (sub(f) + sub(g)).terms
 
 
 def _shift_by_repeated_products(f, c, r, q):
     """substitute_shift as it was first written: each (c q^{l r} x^r + S^l z)
     raised to its power by multiplying it in once per factor."""
-    out = QPolynomial.zero()
+    out = QPolynomial()
     for term in f.terms:
         prod = QPolynomial([QTerm(term.coeff, term.x_exp, ())])
         for level, power in term.sigma_powers:
@@ -232,7 +227,7 @@ def _shift_by_repeated_products(f, c, r, q):
 def test_substitute_shift_binomial_powers():
     q = F(1, 4)  # q^(l r) is rational for r = 1/2
     a = ParamPoly.symbol("a")
-    c = a * F(2, 3) - 1
+    c = a * F(2, 3) + -1
     coeff = a + F(1, 2)
     for r in (F(-1), F(0), F(1, 2)):
         for level in range(3):
@@ -240,7 +235,8 @@ def test_substitute_shift_binomial_powers():
                 sigma = ((level, power),) if power else ()
                 f = QPolynomial([QTerm(coeff, F(1), sigma)])
                 got = substitute_shift(f, c, r, q)
-                assert got == _shift_by_repeated_products(f, c, r, q), (r, level, power)
+                want = _shift_by_repeated_products(f, c, r, q)
+                assert got.terms == want.terms, (r, level, power)
         # several levels in one monomial, and two monomials sharing a power
         f = QPolynomial(
             [
@@ -248,7 +244,8 @@ def test_substitute_shift_binomial_powers():
                 QTerm(ParamPoly.const(3), F(2), ((1, 3),)),
             ]
         )
-        assert substitute_shift(f, c, r, q) == _shift_by_repeated_products(f, c, r, q)
+        want = _shift_by_repeated_products(f, c, r, q)
+        assert substitute_shift(f, c, r, q).terms == want.terms
 
 
 def test_substitute_shift_high_y_degree():
@@ -330,8 +327,8 @@ def test_sigma_action_on_single_term():
     assert [k for k, _ in out.terms] == [F(2)]
     assert out.coefficient(2) == t.shift(1) * TPoly.const(F(1, 4))
     for k_min in (-3, 2, F(3, 2)):
-        assert evaluate_on_series(f, s, 5, k_min) == out
-    assert evaluate_on_series(f, s, 2, 2) == out
+        assert evaluate_on_series(f, s, 5, k_min).terms == out.terms
+    assert evaluate_on_series(f, s, 2, 2).terms == out.terms
     for k_min in (F(5, 2), 5, 6):
         assert not evaluate_on_series(f, s, 5, k_min).terms
     for k_min in (2.0, 0.5, "2"):
@@ -345,8 +342,8 @@ def test_evaluate_constant_series_on_main_equation():
     out = evaluate_on_series(f, s, 10)
     assert [k for k, _ in out.terms] == [F(1)]
     assert out.coefficient(1) == TPoly.const(ParamPoly.symbol("a3") * 2)
-    assert evaluate_on_series(f, s, 10, 1) == out
-    assert evaluate_on_series(f, s, 1, 1) == out
+    assert evaluate_on_series(f, s, 10, 1).terms == out.terms
+    assert evaluate_on_series(f, s, 1, 1).terms == out.terms
     assert not evaluate_on_series(f, s, 10, 2).terms
     assert not evaluate_on_series(f, s, 0).terms
 
@@ -365,7 +362,7 @@ def test_evaluate_respects_negative_exponents():
     out = evaluate_on_series(f, s, 0)
     assert [k for k, _ in out.terms] == [F(-2), F(0)]
     assert out.coefficient(0) == TPoly.const(2)
-    assert evaluate_on_series(f, s, 0, -2) == out
+    assert evaluate_on_series(f, s, 0, -2).terms == out.terms
     assert evaluate_on_series(f, s, 2, -2).coefficient(2) == TPoly.const(1)
     assert [k for k, _ in evaluate_on_series(f, s, 0, -1).terms] == [F(0)]
     assert [k for k, _ in evaluate_on_series(f, s, -2, -2).terms] == [F(-2)]
@@ -407,8 +404,9 @@ def test_evaluate_is_multiplicative():
                     prod[k1 + k2] = prod.get(k1 + k2, TPoly.zero()) + b1 * b2
         for k, b in fa.terms + gb.terms:
             total[k] = total.get(k, TPoly.zero()) + b
-        assert lhs == PowerLogSeries(q, sorted(prod.items()))
-        assert evaluate_on_series(f + g, s, k_max) == PowerLogSeries(q, sorted(total.items()))
+        assert lhs.terms == PowerLogSeries(q, sorted(prod.items())).terms
+        want = PowerLogSeries(q, sorted(total.items()))
+        assert evaluate_on_series(f + g, s, k_max).terms == want.terms
 
 
 def test_parse_param_expr():
@@ -427,7 +425,7 @@ def test_qpolynomial_helpers():
     assert f.min_x_exponent() == 0
     g = f.shift_x(2)
     assert g.min_x_exponent() == 2
-    assert g.shift_x(-2) == f
+    assert g.shift_x(-2).terms == f.terms
 
 
 # -- the one-pass parser against the parser as first written
@@ -537,6 +535,6 @@ def test_power_of_a_sum_is_refused_before_it_is_expanded(deadline):
                            ("(a^2 + b)^1073741824 + y", "a")]:
             with pytest.raises(ResourceLimitError, match=f"exponent of {name} reaches 2"):
                 parse_equation(text, ["a", "b"])
-    assert parse_equation("(a^1073741823 + b)^2", ["a", "b"]) == parse_equation(
+    assert parse_equation("(a^1073741823 + b)^2", ["a", "b"]).terms == parse_equation(
         "a^2147483646 + 2*a^1073741823*b + b^2", ["a", "b"]
-    )
+    ).terms

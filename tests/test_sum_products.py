@@ -21,7 +21,7 @@ from qdulac import algebra
 from qdulac.algebra import ParamPoly, TPoly, _sum_products
 from qdulac.errors import ResourceLimitError
 from qdulac.expand import LinearPart, apply_difference_operator
-from qdulac.qexpr import PowerLogSeries, QPolynomial, evaluate_on_series
+from qdulac.qexpr import PowerLogSeries, QPolynomial, QTerm, evaluate_on_series
 
 F = Fraction
 
@@ -101,7 +101,7 @@ def test_kernel_denominators(d1, d2):
 
 
 def test_kernel_zero_operands_and_empty_list():
-    zero, a = ParamPoly.zero(), ParamPoly.symbol("a") / 3
+    zero, a = ParamPoly.zero(), ParamPoly.symbol("a") * F(1, 3)
     assert_canonical(_sum_products([]), ReferencePoly())
     assert_canonical(_sum_products([(zero, a), (a, zero), (zero, zero)]), ReferencePoly())
     assert_canonical(_sum_products([(zero, a), (a, a)]), ReferencePoly.symbol("a") ** 2 / 9)
@@ -166,7 +166,7 @@ def test_exponent_reaching_limit_raises_through_kernel():
     assert _sum_products([(top, ParamPoly.const(2))]) == 2 * top
     series = PowerLogSeries(F(1, 2), [(1, TPoly.const(half))])
     with pytest.raises(ResourceLimitError):
-        evaluate_on_series(QPolynomial.unknown() ** 2, series, 2)
+        evaluate_on_series(QPolynomial([QTerm(ParamPoly.const(1), F(0), ((0, 2),))]), series, 2)
 
 
 @relaxed
@@ -187,10 +187,10 @@ def test_one_denominator_whatever_the_route(refs, step):
 
 
 def test_sparse_tpoly_stores_its_terms_only():
-    a = ParamPoly.symbol("a") / 2
+    a = ParamPoly.symbol("a") * F(1, 2)
     beta = TPoly([1] + [0] * 99999 + [a])
     assert len(beta._nums) == 2 and beta.degree() == 100000
-    assert beta.coeff(100000) == a and beta.coeff(5).is_zero()
+    assert beta.terms_by_degree() == [(100000, a.sorted_terms()), (0, [((), 1)])]
     assert len((beta * beta)._nums) == 3
 
 
@@ -218,4 +218,4 @@ def test_t_degree_never_carries_into_a_parameter():
     with pytest.raises(ResourceLimitError, match="exponent of t reaches 2\\^31"):
         top * top
     product = top * TPoly.const(first)
-    assert product.degree() == 2**31 - 1 and product.coeff(2**31 - 1) == first
+    assert product.terms_by_degree() == [(2**31 - 1, first.sorted_terms())]

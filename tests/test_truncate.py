@@ -41,16 +41,16 @@ def test_truncated_sum_left_edge():
     f, poly = setup_main()
     left = find_face(poly, [(0, 2), (0, 3)])
     g = truncated_sum(f, left)
-    assert g == parse_equation(
+    assert g.terms == parse_equation(
         "S^2(y)*y^2 - (3/2)*S(y)^2*y - S^2(y)*y + (1/2)*S(y)^2"
-    )
+    ).terms
 
 
 def test_truncated_sum_vertex():
     f, poly = setup_main()
     v = find_face(poly, [(0, 2)])
     g = truncated_sum(f, v)
-    assert g == parse_equation("-S^2(y)*y + (1/2)*S(y)^2")
+    assert g.terms == parse_equation("-S^2(y)*y + (1/2)*S(y)^2").terms
 
 
 def test_truncated_sum_whole_support_face():
@@ -62,7 +62,7 @@ def test_truncated_sum_whole_support_face():
         r=None,
         r_range=None,
     )
-    assert truncated_sum(f, whole) == f
+    assert truncated_sum(f, whole).terms == f.terms
 
 
 def test_vertex_char_poly_main_vertex():
@@ -107,7 +107,7 @@ def test_determining_poly_wrong_r():
 def test_determining_poly_parameter_coefficients():
     g = parse_equation("a3*x*y^2 + x*y^2", ["a3"])
     det = determining_poly(g, F(-1, 3), F(1, 2))
-    assert det.coeff(2) == ParamPoly.symbol("a3") + 1
+    assert det.coeffs[2] == ParamPoly.symbol("a3") + 1
 
 
 def test_verify_truncated_examples():
@@ -117,7 +117,7 @@ def test_verify_truncated_examples():
     assert verify_truncated(good, f)
     bad = TruncatedSolution(ParamPoly.const(1), F(0), F(1, 2), left, "user-supplied")
     assert not verify_truncated(bad, f)
-    assert verify_truncated(good, QPolynomial.zero())
+    assert verify_truncated(good, QPolynomial())
 
 
 def test_truncated_solution_factory_verifies():
