@@ -296,8 +296,8 @@ class ParamPoly(_FractionFree):
         return f"ParamPoly({self})"
 
 
-def _display_order(term: tuple[Monomial, Fraction]) -> tuple:
-    """Graded lexicographic order of a (monomial, coefficient) term."""
+def _display_order(term: tuple) -> tuple:
+    """Graded lexicographic order of a term (monomial, ...) by its monomial."""
     return sum(e for _, e in term[0]), term[0]
 
 
@@ -396,8 +396,9 @@ class TPoly(_FractionFree):
     zero polynomial is 0.  Stored flat, as one fraction-free store
     (`_FractionFree`): a key is a ParamPoly monomial key plus the t-degree
     in field 0, so t^d*m is m + d, and all coefficients share one
-    denominator.  The public constructor coerces each coefficient;
-    arithmetic results are trusted.  A product or sum of products is one
+    denominator.  The public constructor takes the coefficients low degree
+    first, or a {degree: coefficient} mapping, and coerces each; arithmetic
+    results are trusted.  A product or sum of products is one
     `_sum_products` pass, so a result pays one gcd.  `coeffs` builds
     canonical ParamPolys from the store; `terms_by_degree` reads it for
     display, text, LaTeX and JSON alike, with no ParamPoly built.
@@ -405,12 +406,18 @@ class TPoly(_FractionFree):
 
     __slots__ = ()
 
-    def __init__(self, coeffs: Iterable[ParamPoly | Scalar] = ()):
-        coeffs = [ParamPoly.coerce(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable | Mapping = ()):
+        degrees = list(coeffs) if isinstance(coeffs, Mapping) else None
+        coeffs = [ParamPoly.coerce(c) for c in (coeffs if degrees is None else coeffs.values())]
+        degrees = range(len(coeffs)) if degrees is None else degrees
+        if any(type(d) is not int or d < 0 for d in degrees):
+            raise ValueError("degrees of t must be nonnegative ints")
+        if any(d >= _EXP_LIMIT for d in degrees):
+            raise ResourceLimitError("exponent of t reaches 2^31")
         # over the lcm of content-reduced denominators the content is already 1
         den = math.lcm(*(c._den for c in coeffs))
         self._nums = {m + d: n * (den // c._den)
-                      for d, c in enumerate(coeffs) for m, n in c._nums.items()}
+                      for d, c in zip(degrees, coeffs) for m, n in c._nums.items()}
         self._den = den
 
     @classmethod
@@ -443,14 +450,15 @@ class TPoly(_FractionFree):
         return tuple(ParamPoly._trusted(rows[d], den) if d in rows else zero
                      for d in range(max(rows, default=-1) + 1))
 
-    def terms_by_degree(self) -> list[tuple[int, list[tuple[Monomial, Fraction]]]]:
+    def terms_by_degree(self) -> list[tuple[int, list[tuple]]]:
         """(d, terms) per nonzero t-degree d, highest first: the terms of
-        t^d's coefficient in display order, read from the store in one
-        pass with no ParamPoly built."""
-        den = self._den
-        return [(d, sorted(((_decode(m), Fraction(n, den)) for m, n in row.items()),
-                           key=_display_order))
-                for d, row in sorted(self._rows().items(), reverse=True)]
+        t^d's coefficient in display order as (monomial, p, m), p/m reduced,
+        read from the store in one pass, each packed key decoded once."""
+        den, rows = self._den, sorted(self._rows().items(), reverse=True)
+        decoded = {key: _decode(key) for _, row in rows for key in row}
+        return [(d, sorted(((decoded[key], n // (g := math.gcd(n, den)), den // g)
+                            for key, n in row.items()), key=_display_order))
+                for d, row in rows]
 
     def degree(self) -> int:
         # degree of the zero polynomial is 0 by convention
@@ -520,6 +528,11 @@ class TPoly(_FractionFree):
         return f"TPoly({self})"
 
 
+def _param_terms(p: ParamPoly) -> list[tuple]:
+    """p's terms as `TPoly.terms_by_degree` gives those of t^0: (monomial, p, m)."""
+    return [term for _, terms in TPoly.const(p).terms_by_degree() for term in terms]
+
+
 # ---------------------------------------------------------------------------
 # notation: how every printed expression is written, in text or in LaTeX
 
@@ -547,11 +560,11 @@ class Notation:
     coef_sep: str  # between a one-term coefficient and its tail
     parens: str  # a grouped sum
 
-    def rational(self, value: Fraction) -> str:
-        if value.denominator == 1:
-            return str(value.numerator)
-        sign = "-" if value < 0 else ""
-        return sign + self.fraction.format(abs(value.numerator), value.denominator)
+    def rational(self, num: int, den: int) -> str:
+        if den == 1:
+            return str(num)
+        sign = "-" if num < 0 else ""
+        return sign + self.fraction.format(abs(num), den)
 
     def symbol(self, name: str) -> str:
         m = _INDEXED_SYMBOL.match(name)
@@ -564,12 +577,12 @@ class Notation:
         fmt = self.exponent if exp.denominator == 1 else self.fraction_exponent
         return f"{base}^" + fmt.format(rat_str(exp))
 
-    def monomial(self, mono: Monomial, coef_abs: Fraction, scales: bool = False) -> str:
-        """|coef|*mono, leaving out a unit coefficient where another
+    def monomial(self, mono: Monomial, num_abs: int, den: int, scales: bool = False) -> str:
+        """(num_abs/den)*mono, leaving out a unit coefficient where another
         factor shows: a symbol, or the tail the monomial `scales`."""
         factors = [self.power(self.symbol(name), exp) for name, exp in mono]
-        if coef_abs != 1 or not (factors or scales):
-            factors.insert(0, self.rational(coef_abs))
+        if num_abs != den or not (factors or scales):
+            factors.insert(0, self.rational(num_abs, den))
         return self.factor_sep.join(factors)
 
     def grouped(self, body: str, tail: str) -> tuple[bool, str]:
@@ -577,14 +590,14 @@ class Notation:
         group = self.parens.format(body)
         return False, group + self.factor_sep + tail if tail else group
 
-    def term(self, terms: list[tuple[Monomial, Fraction]], tail: str) -> tuple[bool, str]:
-        """The part coef*tail as (negative, body), coef given by its terms
-        in display order; `tail` may be empty."""
+    def term(self, terms: list[tuple], tail: str) -> tuple[bool, str]:
+        """The part coef*tail as (negative, body), coef given by its
+        (monomial, p, m) terms in display order; `tail` may be empty."""
         if len(terms) > 1:
             return self.grouped(self.signed_sum(self._poly_parts(terms)), tail)
-        ((mono, c),) = terms
-        lead = self.monomial(mono, abs(c), bool(tail))
-        return c < 0, lead + self.coef_sep + tail if lead and tail else lead or tail
+        ((mono, p, m),) = terms
+        lead = self.monomial(mono, abs(p), m, bool(tail))
+        return p < 0, lead + self.coef_sep + tail if lead and tail else lead or tail
 
     @staticmethod
     def signed_sum(parts: Sequence[tuple[bool, str]]) -> str:
@@ -596,11 +609,11 @@ class Notation:
         out += [("- " if neg else "+ ") + body for neg, body in rest]
         return " ".join(out)
 
-    def _poly_parts(self, terms: list[tuple[Monomial, Fraction]]) -> list[tuple[bool, str]]:
-        return [(c < 0, self.monomial(mono, abs(c))) for mono, c in terms]
+    def _poly_parts(self, terms: list[tuple]) -> list[tuple[bool, str]]:
+        return [(p < 0, self.monomial(mono, abs(p), m)) for mono, p, m in terms]
 
     def param_poly(self, p: ParamPoly) -> str:
-        return self.signed_sum(self._poly_parts(p.sorted_terms()))
+        return self.signed_sum(self._poly_parts(_param_terms(p)))
 
     def tpoly(self, beta: TPoly, var: str) -> str:
         """beta(var), highest power first; the constant term is not grouped."""
@@ -646,7 +659,7 @@ LATEX = Notation(
 
 def rat_str(value: Fraction) -> str:
     """Reduced rational as 'p' or 'p/m'; reparses to the identical value."""
-    return TEXT.rational(_as_rat(value))
+    return TEXT.rational(*_as_rat(value).as_integer_ratio())
 
 
 # ---------------------------------------------------------------------------

@@ -16,23 +16,24 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .algebra import (
-    _EXP_LIMIT,
     LATEX,
+    TEXT,
     ParamPoly,
     TPoly,
+    _param_terms,
     check_q,
     parse_rat,
     q_log,
     rat_str,
 )
-from .errors import QDulacError, ResourceLimitError
+from .errors import QDulacError
 from .expand import ExpansionResult, expand_solution, verify_residual
 from .parser import parse_equation, parse_param_expr
 from .polygon import (
@@ -138,11 +139,7 @@ def _point_json(p) -> list:
 
 
 def _terms_json(terms) -> list:
-    return [{"coef": rat_str(coef), "monomial": dict(mono)} for mono, coef in terms]
-
-
-def _poly_json(p: ParamPoly) -> list:
-    return _terms_json(p.sorted_terms())
+    return [{"coef": TEXT.rational(p, m), "monomial": dict(mono)} for mono, p, m in terms]
 
 
 def _json_int(value, least: int) -> int:
@@ -160,7 +157,9 @@ def _poly_from_json(entries) -> ParamPoly:
         )
         if mono in terms:
             raise ValueError(f"repeated monomial {entry['monomial']!r}")
-        terms[mono] = parse_rat(entry["coef"])
+        if not (coef := parse_rat(entry["coef"])):
+            raise ValueError(f"zero coefficient of {entry['monomial']!r}")
+        terms[mono] = coef
     return ParamPoly(terms)
 
 
@@ -169,15 +168,13 @@ def _tpoly_json(beta: TPoly, power_key: str) -> list:
 
 
 def _tpoly_from_json(entries) -> TPoly:
+    """A beta from its {t_power, coeff} entries, at a cost per entry."""
     powers = [_json_int(e["t_power"], 0) for e in entries]
-    if len(set(powers)) != len(powers):
-        raise ValueError(f"repeated t_power in {sorted(powers)}")
-    if max(powers, default=0) >= _EXP_LIMIT:  # before a list of that many slots
-        raise ResourceLimitError("exponent of t reaches 2^31")
-    coeffs = [ParamPoly.zero()] * (max(powers, default=-1) + 1)
-    for d, entry in zip(powers, entries):
-        coeffs[d] = _poly_from_json(entry["coeff"])
-    return TPoly(coeffs)
+    if not powers or not all(e["coeff"] for e in entries):
+        raise ValueError("empty coeff list" if powers else "empty beta")
+    if any(a <= b for a, b in zip(powers, powers[1:])):
+        raise ValueError(f"t_powers repeated or not descending: {powers}")
+    return TPoly({d: _poly_from_json(e["coeff"]) for d, e in zip(powers, entries)})
 
 
 def _face_json(face: Face) -> dict:
@@ -195,7 +192,7 @@ def expansion_json(result: ExpansionResult) -> dict:
     return {
         "q": rat_str(result.series.q),
         "r": rat_str(r),
-        "c": _poly_json(c),
+        "c": _terms_json(_param_terms(c)),
         "terms": [
             {"k": rat_str(k), "beta": _tpoly_json(beta, "t_power")}
             for k, beta in result.series.terms
@@ -212,10 +209,9 @@ def expansion_json(result: ExpansionResult) -> dict:
 
 
 def series_from_json(doc: dict) -> PowerLogSeries:
-    """Rebuild the series of an `expand` JSON document exactly; a malformed
-    power (negative, repeated or not an integer), a repeated monomial and
-    terms not strictly ascending in k (checked by `PowerLogSeries`) raise
-    ValueError; a power of t or of a parameter of 2^31 or more raises
+    """Rebuild the series of an `expand` JSON document exactly.  What
+    `expansion_json` never writes raises ValueError (README lists it) and is
+    never repaired; a power of t or of a parameter of 2^31 or more raises
     ResourceLimitError."""
     return PowerLogSeries(
         parse_rat(doc["q"]),
@@ -354,8 +350,38 @@ def _face_text(face: Face) -> str:
     return f"vertex {face.label()}: r in ({lo_s}, {hi_s})"
 
 
+def json_text(doc) -> str:
+    """json.dumps(doc, indent=2), in one pass over a document of strs, ints,
+    bools, None, str-keyed dicts and lists; anything else raises TypeError."""
+    chunks: list = []
+    put = chunks.append
+
+    def write(value, newline: str, prefix: str) -> None:
+        if isinstance(value, str):
+            put(prefix + encode_basestring_ascii(value))
+        elif type(value) is dict:
+            inner, sep = newline + "  ", prefix + "{" + newline + "  "
+            for key, item in value.items():
+                write(item, inner, sep + encode_basestring_ascii(key) + ": ")
+                sep = "," + inner
+            put(newline + "}" if value else prefix + "{}")
+        elif type(value) is list:
+            inner, sep = newline + "  ", prefix + "[" + newline + "  "
+            for item in value:
+                write(item, inner, sep)
+                sep = "," + inner
+            put(newline + "]" if value else prefix + "[]")
+        elif value is None or value is True or value is False:
+            put(prefix + ("null" if value is None else "true" if value else "false"))
+        else:  # int.__repr__, as the string encoder, refuses any other type
+            put(prefix + int.__repr__(value))
+
+    write(doc, "\n", "")
+    return "".join(chunks)
+
+
 def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2))
+    print(json_text(doc))
 
 
 # -- commands
@@ -412,7 +438,7 @@ def _truncate_face_json(analysis: FaceAnalysis) -> dict:
         ],
         "candidates": [
             {
-                "c": _poly_json(ts.c),
+                "c": _terms_json(_param_terms(ts.c)),
                 "r": rat_str(ts.r),
                 "provenance": ts.provenance,
             }

@@ -47,6 +47,7 @@ from .algebra import (
     TPoly,
     _as_rat,
     _check_power,
+    _param_terms,
     _power,
     check_q,
     q_pow,
@@ -235,7 +236,7 @@ def format_qpolynomial(f: QPolynomial) -> str:
         for level, power in term.sigma_powers:
             base = f"{TEXT.power('S', level)}(y)" if level else "y"
             tail.append(TEXT.power(base, power))
-        parts.append(TEXT.term(term.coeff.sorted_terms(), TEXT.factor_sep.join(tail)))
+        parts.append(TEXT.term(_param_terms(term.coeff), TEXT.factor_sep.join(tail)))
     return TEXT.signed_sum(parts)
 
 

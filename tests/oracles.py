@@ -10,7 +10,8 @@ polynomial, a brute-force evaluation of a q-difference sum on a
 power-logarithmic series, a recursive multiset enumerator of the
 exponent set K, a generator of random equations with a planted edge
 solution, the expansion loop that evaluates the residual afresh at
-every exponent, and the equation parser that multiplies out every factor
+every exponent, the `expand` JSON document built from Fraction
+coefficients through `rat_str`, and the equation parser that multiplies out every factor
 and adds up every term as a QPolynomial.
 """
 
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qdulac.algebra import ParamPoly, TPoly, _as_rat, q_pow
+from qdulac.algebra import ParamPoly, TPoly, _as_rat, q_pow, rat_str
 from qdulac.errors import ParseError, ResourceLimitError
 from qdulac.expand import (
     ExpansionResult,
@@ -623,6 +624,40 @@ def reference_expansion(f, ts, k_max) -> ExpansionResult:
         unresolved=crit.unresolved,
         linear_part=L,
     )
+
+
+def _reference_poly_json(p: ParamPoly) -> list:
+    return [{"coef": rat_str(c), "monomial": dict(mono)} for mono, c in p.sorted_terms()]
+
+
+def reference_expansion_json(result: ExpansionResult) -> dict:
+    """The `expand` document of result, each coefficient a Fraction of a
+    ParamPoly's `sorted_terms` written by `rat_str`, each beta read through
+    `coeffs` from the highest degree down."""
+    c, r = result.series.base_shift
+    return {
+        "q": rat_str(result.series.q),
+        "r": rat_str(r),
+        "c": _reference_poly_json(c),
+        "terms": [
+            {
+                "k": rat_str(k),
+                "beta": [
+                    {"t_power": d, "coeff": _reference_poly_json(coeff)}
+                    for d, coeff in reversed(list(enumerate(beta.coeffs)))
+                    if not coeff.is_zero()
+                ],
+            }
+            for k, beta in result.series.terms
+        ],
+        "constants": [name for name, _ in result.constants_introduced],
+        "critical": [
+            {"k": rat_str(k), "mu": mu, "compatible": ok} for k, mu, ok in result.critical_report
+        ],
+        "skipped_irrational": [rat_str(s) for s in result.skipped_irrational],
+        "unresolved": result.unresolved,
+        "log_free": result.log_free,
+    }
 
 
 # -- the equation parser as first written: a token list of dataclasses,

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -6,6 +8,9 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import random_edge_equation, reference_expansion_json
 
 from qdulac import cli
 from qdulac.cli import (
@@ -26,7 +31,7 @@ from qdulac.expand import expand_solution
 from qdulac.parser import parse_equation
 from qdulac.polygon import build_polygon, find_face
 from qdulac.qexpr import PowerLogSeries, QPolynomial, QTerm, support
-from qdulac.truncate import analyze_face
+from qdulac.truncate import TruncatedSolution, analyze_face
 
 F = Fraction
 
@@ -367,6 +372,74 @@ def test_series_from_json_refuses_power_of_2_31(deadline, beta):
     with deadline(1):
         with pytest.raises(ResourceLimitError, match=r"reaches 2\^31"):
             series_from_json(_one_term_doc(beta))
+
+
+@pytest.mark.parametrize(
+    "beta, named",
+    [
+        ([], "empty beta"),
+        ([_beta_entry(2, "0")], "zero coefficient"),
+        ([{"t_power": 2, "coeff": []}], "empty coeff list"),
+        ([_beta_entry(1), _beta_entry(2, "7")], "not descending"),
+    ],
+    ids=["empty_beta", "zero_coef", "empty_coeff", "ascending_t_power"],
+)
+def test_series_from_json_refuses_non_canonical_entries(beta, named):
+    # expansion_json never writes these; a repaired term would silently vanish
+    with pytest.raises(ValueError, match=named):
+        series_from_json(_one_term_doc(beta))
+
+
+@pytest.mark.parametrize("power", [10**6, 2**31 - 1])
+def test_series_from_json_builds_a_sparse_beta(deadline, power):
+    with deadline(0.5):
+        series = series_from_json(_one_term_doc([_beta_entry(power), _beta_entry(0, "-1/3")]))
+        assert series.coefficient(1) == TPoly({power: 5, 0: F(-1, 3)})
+
+
+def test_deep_log_document_round_trips(eq_main, capsys):
+    argv = ["expand", *main_args(eq_main), "--face", "(0,3)-(0,2)", "--q", "1/2",
+            "--kmax", "8", "--format", "json"]
+    _, out, _ = run(capsys, argv)
+    want = cli._expand_pipeline(cli.build_parser().parse_args(argv))[2].series
+    rebuilt = series_from_json(json.loads(out))
+    assert (rebuilt.q, rebuilt.terms, rebuilt.base_shift) == (
+        want.q, want.terms, want.base_shift
+    )
+
+
+def test_expand_document_matches_the_fraction_builder():
+    """expansion_json formats the store's ints; the oracle goes through
+    Fractions and rat_str.  The cubic brings negative fractions, products
+    of parameters and constants and several t-degrees, q = 1/4 t-free
+    betas, and the seeded planted equations unit and integer coefficients."""
+    f = parse_equation(EQ_MAIN, ["a3", "a4"])
+    edge = find_face(build_polygon(support(f)), ((F(0), F(2)), (F(0), F(3))))
+    results = [
+        expand_solution(f, analyze_face(f, edge, q).candidates[0], 6)
+        for q in (F(1, 2), F(1, 4))
+    ]
+    rng = random.Random(20261020)
+    while len(results) < 30:
+        eq, q, c, r, endpoints = random_edge_equation(rng)
+        face = find_face(build_polygon(support(eq)), endpoints)
+        ts = TruncatedSolution.create(eq, face, ParamPoly.const(c), r, q, "edge-root")
+        with contextlib.suppress(QDulacError):
+            results.append(expand_solution(eq, ts, r + F(rng.randint(2, 8), 2)))
+    coefs, sizes, degrees = set(), set(), set()
+    for result in results:
+        doc = cli.expansion_json(result)
+        assert doc == reference_expansion_json(result)
+        for term in doc["terms"]:
+            degrees.add(tuple(entry["t_power"] for entry in term["beta"]))
+            for entry in term["beta"]:
+                coefs.update(t["coef"] for t in entry["coeff"])
+                sizes.update(len(t["monomial"]) for t in entry["coeff"])
+    assert {"1", "-1"} <= coefs
+    assert any("/" not in c and abs(int(c)) > 1 for c in coefs)
+    assert any(c.startswith("-") and "/" in c for c in coefs)
+    assert max(sizes) >= 2
+    assert (0,) in degrees and max(map(len, degrees)) >= 3
 
 
 def test_expand_json_ignores_log_base(eq_main, capsys):
@@ -873,3 +946,45 @@ def test_parenthesis_depth_limit(tmp_path, capsys, depth, code):
         assert err == (
             "error: parentheses nest deeper than 100 levels (line 1, column 101)\n"
         )
+
+
+# -- the JSON writer: the bytes of json.dumps(doc, indent=2)
+
+json_strings = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600a')
+json_ints = st.integers() | st.integers(10**4300, 10**4400).flatmap(lambda n: st.sampled_from([n, -n]))
+json_values = st.recursive(
+    st.none() | st.booleans() | json_ints | json_strings,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """CPython's int <-> str digit limit lifted, as `cli.main` lifts it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@settings(deadline=None)
+@given(json_values)
+@example({"": [[], {}, [[]], {"a": {}}], "n": -7 * 10**4400, "s": "\"\\\x00\u00e9\U0001f600"})
+def test_json_text_matches_json_dumps(value):
+    with no_digit_limit():
+        assert cli.json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, {"a": [0.0]}, {1: "x"}, {"a": {True: 1}}, ("a",)],
+    ids=["float", "nested_float", "int_key", "bool_key", "tuple"],
+)
+def test_json_text_refuses_what_no_document_holds(value):
+    with pytest.raises(TypeError):
+        cli.json_text(value)

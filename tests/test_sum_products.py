@@ -190,7 +190,7 @@ def test_sparse_tpoly_stores_its_terms_only():
     a = ParamPoly.symbol("a") * F(1, 2)
     beta = TPoly([1] + [0] * 99999 + [a])
     assert len(beta._nums) == 2 and beta.degree() == 100000
-    assert beta.terms_by_degree() == [(100000, a.sorted_terms()), (0, [((), 1)])]
+    assert beta.terms_by_degree() == [(100000, [((("a", 1),), 1, 2)]), (0, [((), 1, 1)])]
     assert len((beta * beta)._nums) == 3
 
 
@@ -218,4 +218,4 @@ def test_t_degree_never_carries_into_a_parameter():
     with pytest.raises(ResourceLimitError, match="exponent of t reaches 2\\^31"):
         top * top
     product = top * TPoly.const(first)
-    assert product.terms_by_degree() == [(2**31 - 1, first.sorted_terms())]
+    assert product.terms_by_degree() == [(2**31 - 1, [(((algebra._NAMES[0], 1),), 1, 1)])]
