@@ -493,8 +493,8 @@ class TPoly(_FractionFree):
               for j, w in ws]
         top = self.degree()
         moments = [sum(w * j**m for j, w in ws) * v ** (top - m) for m in range(top + 1)]
-        rows = [[(i, math.comb(d, i) * moments[d - i]) for i in range(d + 1) if moments[d - i]]
-                for d in range(top + 1)]  # t^d -> its (t^i, int weight) pairs
+        rows = {d: [(i, math.comb(d, i) * moments[d - i]) for i in range(d + 1) if moments[d - i]]
+                for d in {key & _FIELD_MASK for key in self._nums}}  # t^d -> (t^i, weight) pairs
         out: dict[int, int] = {}
         get = out.get
         for key, n in self._nums.items():

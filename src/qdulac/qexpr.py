@@ -17,13 +17,14 @@ never repairs, its input once: the k ascend strictly above r and c != 0,
 so the pair and the beta_k form one ascending term tuple.  S acts on a
 series term as S(x^k beta(t)) = q^k x^k beta(t+1), q^k from `q_pow`, so
 every result is exact, or refused when a needed q-power is irrational.
-Evaluation computes only an exponent window [k_min, k_max]: the expansion
-reads one coefficient per step, and products of shifted series that several
-monomials begin with are formed once, each on the exponents still needed.
-An optional caller-owned carry keeps, for calls on a growing series, the
-shifted terms and each product coefficient that no later term can change
-(one that reads only terms up to the series' top); results are the same
-without it, and it refuses another f, another q or a non-extending series.
+Evaluation computes only an exponent window [k_min, k_max], with the sum
+nested the Horner way over the prefix tree of its monomials' factors: each
+node costs one product of series, and a chain of equal levels goes two
+levels a step through the square of the shifted series.  An optional
+caller-owned carry keeps, for calls on a growing series, the shifted terms
+and each coefficient that is final (every series term it reads is known);
+results are the same without it, and it refuses another f, another q or
+a non-extending series.
 Exponents are Fractions at the boundary (terms, series, results) and ints
 on one grid 1/D, i.e. powers of x^(1/D), inside the evaluator.  Both kinds
 of sum print in the text notation of `algebra.TEXT`.
@@ -32,7 +33,7 @@ of sum print in the text notation of `algebra.TEXT`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -362,52 +363,65 @@ def evaluate_on_series(
     t = x^(1/D), D the lcm of the denominators of s's exponents and f's
     x-exponents), with k_max floored and k_min raised to the grid; the
     result turns them back into Fractions.  Each factor q^(l*k) of S^l s
-    is `q_pow(q, l*k)`, all formed before a carry changes.  A monomial
-    coeff*x^e*F_1*...*F_d (F_i = S^{l_i} s, levels ascending) reads its
-    factors as the path l_1, ..., l_d of a prefix tree, so monomials that
-    share leading factors (z^2 in z^3 and in z^2*S(z)) share their partial
-    products.  Every factor's exponents lie at or above the series' lowest
-    exponent `low`, so the node at depth i of that path needs only
-    exponents up to k_max - e - (d - i)*low, the largest such bound over
-    the monomials through it.  A node (l, l) is S^l s squared, so it pairs
-    each k1 only with the k2 >= max(start - k1, k1), start the lowest
-    exponent it forms: the diagonal k2 = k1 once, every other k2 with
-    2*beta_k1, formed once per k1, for the pair (k2, k1) as well.  coeff
-    and x^e multiply each monomial's window of its last node once, at the
-    end.  Each (k, t-degree) coefficient sums all the products landing
-    there in one pass.
+    is `q_pow(q, l*k)`, all formed before a carry changes.  f is nested
+    the Horner way over a prefix tree: a monomial coeff*x^e*F_1*...*F_d
+    (F_i = S^{l_i} s, levels ascending) ends at the node l_1, ..., l_d,
+    C_n sums its coeff*x^e there, and H_n = C_n + sum of F_l*H_{n+(l)}
+    over the children, so f(s) = H_root.  A grandchild n+(l, l) below a
+    child hung by F_l hangs from n by F_l^2 (Estrin's scheme), formed from
+    the pairs k1 <= k2 with 2*b1 off the diagonal, so d equal levels cost
+    about d/2 series products.  Nodes are formed deepest first, without
+    recursion.  With `low` and `last` the lowest and top exponent of s,
+    H_n at depth i is needed up to k_max - i*low; a node is skipped when
+    e + d*low > k_max for its every monomial.  Each (node, exponent)
+    coefficient sums C_n's term and every product landing there in one
+    pass.
 
-    `carry`, an empty dict at first, keeps for the next call the paths,
-    each term of s shifted once per level, and the node coefficients that
-    are final: at depth i and exponent e once e - (i - 1)*low is at most
-    s's top exponent, as every term such a coefficient reads is then in s.
-    The rest is formed again per call, so results are the same as without
-    a carry.  A carried call on another f object, another q or a series
-    that does not extend the carried terms raises ValueError.
+    `carry`, an empty dict at first, keeps for the next call the tree, each
+    term of s shifted once per level, and each coefficient that is final,
+    meaning every term of s it can read is in s: H_n at depth i and
+    exponent E once E <= last + e + (d - i - 1)*low for every monomial
+    x^e*F_1*...*F_d below n (C_n reads no term), and F_l^2 at E once
+    E <= last + low.  The rest is formed again per call, so results are
+    the same as without a carry.  A carried call on another f object,
+    another q or a series that does not extend the carried terms raises
+    ValueError.
     """
     q = s.q
     k_max = _as_rat(k_max)
     k_min = None if k_min is None else _as_rat(k_min)
     c = {} if carry is None else carry
     if not c:
-        paths = [(TPoly.const(term.coeff), term.x_exp,
-                  tuple(l for l, power in term.sigma_powers for _ in range(power)))
-                 for term in f.terms]
-        c.update(f=f, q=q, given=(), paths=paths, base=[], kept={}, fin={},
-                 shifted={level: [] for _, _, path in paths for level in path},
-                 grid=math.lcm(*(term.x_exp.denominator for term in f.terms)))
+        grid = math.lcm(*(term.x_exp.denominator for term in f.terms))
+        nodes, consts = {(): (0, None, 0, 1)}, {}  # node -> (depth, parent, level, power)
+        for term in f.terms:
+            node, depth = term.sigma_powers, term.y_degree
+            e = term.x_exp.numerator * (grid // term.x_exp.denominator)
+            consts.setdefault(node, []).append((e, TPoly.const(term.coeff)))
+            while node not in nodes:  # up to the first node already in the tree
+                level, power = node[-1]
+                parent = node[:-1] + (((level, power - 1),) if power > 1 else ())
+                nodes[node] = (depth, parent, level, 1)
+                node, depth = parent, depth - 1
+        order = sorted(nodes, key=lambda node: -nodes[node][0])  # deepest first
+        for node in reversed(order):  # below a node hung by F_l, F_l*(F_l*H) is F_l^2*H
+            depth, parent, level, _ = nodes[node]
+            if parent and nodes[parent][2:] == (level, 1):
+                nodes[node] = (depth, nodes[parent][1], level, 2)
+        c.update(f=f, q=q, given=(), nodes=nodes, consts=consts, order=order, base=[], kept={},
+                 fin={}, grid=grid, shifted={nodes[node][2]: [] for node in nodes if node})
     if c.get("f") is not f or c["q"] != q or s.all_terms[: len(c["given"])] != c["given"]:
         raise ValueError("the carry holds another equation, q or series")
     given, base, shifted, kept, fin = c["given"], c["base"], c["shifted"], c["kept"], c["fin"]
+    nodes, consts, order = c["nodes"], c["consts"], c["order"]
     new = s.all_terms[len(given):]
     factors = [[q_pow(q, level * k) for level in shifted] for k, _ in new]
     grid = math.lcm(c["grid"], *(k.denominator for k, _ in new))
     if grid != c["grid"]:  # a new denominator: every carried exponent rescales
         scale = grid // c["grid"]
-        for pairs in (base, *shifted.values(), *kept.values()):
+        for pairs in (base, *shifted.values(), *kept.values(), *consts.values()):
             pairs[:] = [(k * scale, beta) for k, beta in pairs]
-        for node in fin:
-            fin[node] *= scale
+        c["fin"] = fin = {key: bound * scale for key, bound in fin.items()}
     for (k, beta), ws in zip(new, factors):
         base.append((k.numerator * (grid // k.denominator), beta))
         for (level, pairs), w in zip(shifted.items(), ws):
@@ -415,60 +429,71 @@ def evaluate_on_series(
     c.update(given=s.all_terms, grid=grid)
 
     top = k_max.numerator * grid // k_max.denominator
-    bottom = None if k_min is None else -(-k_min.numerator * grid // k_min.denominator)
-    low = base[0][0] if base else 0
-    last = base[-1][0] if base else -math.inf  # coefficients reading only terms up to here stay
-    windows: dict[tuple, list] = {}  # path prefix -> [lo, hi]
-    ends = []  # (coeff, e, last node, lo, hi) per monomial
-    for coeff, x_exp, path in c["paths"]:
-        d = len(path)
-        e = x_exp.numerator * (grid // x_exp.denominator)
-        lo = d * low if bottom is None else max(bottom - e, d * low)
-        if lo > top - e:
-            continue
-        for i in range(1, d + 1):
-            hi = top - e - (d - i) * low
-            node_lo = lo if i == d else -math.inf
-            window = windows.setdefault(path[:i], [node_lo, hi])
-            window[0], window[1] = min(window[0], node_lo), max(window[1], hi)
-        ends.append((coeff, e, path, lo, top - e))
+    bottom = -math.inf if k_min is None else -(-k_min.numerator * grid // k_min.denominator)
+    low, last = (base[0][0], base[-1][0]) if base else (0, -math.inf)
+    least, below = {}, {}  # node -> least e + d*low of a monomial through it, below it
+    for node in order:
+        depth, parent = nodes[node][:2]
+        here = consts[node][0][0] + depth * low if node in consts else math.inf  # e ascends
+        least[node] = min(here, below.get(node, math.inf))
+        below[parent] = min(below.get(parent, math.inf), least[node])
+    windows, need = {}, {}  # node -> (start, hi), formed on [start, hi]; level -> F_l^2's hi
+    for node in reversed(order):  # the root first
+        depth, parent, level, power = nodes[node]
+        if least[node] > top or node and not (
+                base and parent in windows and windows[parent][0] <= windows[parent][1]):
+            continue  # no monomial reaches k_max, S^l(s) is zero or the parent forms nothing
+        start = max(-math.inf if node else bottom, fin.get(node, -math.inf) + 1)
+        windows[node] = (start, top - depth * low)
+        if power == 2:  # F_l^2 up to the parent's hi less H_node's lowest exponent
+            hi = windows[parent][1] - least[node] + depth * low
+            need[level] = max(need.get(level, hi), hi)
 
-    # node -> ascending (k, TPoly): kept, then formed on [max(lo, fin + 1), hi]
-    products = {(): [(0, TPoly.const(1))]}
-    for node, (lo, hi) in windows.items():
-        done, known = kept.setdefault(node, []), fin.get(node, -math.inf)
-        start, factor = max(lo, known + 1), shifted[node[-1]]
-        square = len(node) == 2 and node[0] == node[1]  # shifted[l] squared
-        pairs: dict[int, list] = {}
-        for k1, b1 in products[node[:-1]]:
-            if k1 + (k1 if square else low) > hi:
+    def form(key, pairs, bound):  # the kept terms, then one sum per exponent; keep up to bound
+        done = kept.setdefault(key, [])
+        formed = [(k, beta) for k in sorted(pairs)
+                  if not (beta := TPoly.sum_of_products(pairs[k])).is_zero()]
+        out, fin[key] = done + formed, max(fin.get(key, -math.inf), bound)
+        done += formed[: bisect_right(formed, fin[key], key=_exponent)]
+        return out
+    squares = {}  # level -> F_l^2 from the pairs k1 <= k2, (k2, k1) through 2*b1
+    for level, hi in need.items():
+        factor, start, pairs = shifted[level], fin.get(level, -math.inf) + 1, {}
+        for i, (k1, b1) in enumerate(factor):
+            if 2 * k1 > hi:
                 break
-            first = max(start - k1, k1) if square else start - k1
-            twice = None  # 2*b1, formed at the first pair off the diagonal
-            for j in range(bisect_left(factor, first, key=_exponent), len(factor)):
+            twice = None
+            for j in range(max(i, bisect_left(factor, start - k1, key=_exponent)), len(factor)):
                 k2, b2 = factor[j]
                 if k1 + k2 > hi:
                     break
-                if square and k2 != k1:  # the pair (k2, k1) as well
-                    if twice is None:
-                        twice = b1 + b1
-                    pairs.setdefault(k1 + k2, []).append((twice, b2))
-                else:
-                    pairs.setdefault(k1 + k2, []).append((b1, b2))
-        sums = ((k, TPoly.sum_of_products(pairs[k])) for k in sorted(pairs))
-        formed = [(k, beta) for k, beta in sums if not beta.is_zero()]
-        products[node] = done + formed
-        if lo <= known + 1:  # formed from the kept prefix on: keep what is final
-            fin[node] = max(known, min(hi, last + (len(node) - 1) * low))
-            done.extend(pair for pair in formed if pair[0] <= fin[node])
-
-    total: dict[int, list] = {}
-    for coeff, e, node, lo, hi in ends:
-        pairs = products[node]
-        for k, beta in pairs[bisect_left(pairs, lo, key=_exponent):]:
-            if k > hi:
-                break
-            total.setdefault(k + e, []).append((coeff, beta))
-    return PowerLogSeries(
-        q, [(Fraction(k, grid), TPoly.sum_of_products(total[k])) for k in sorted(total)]
-    )
+                if k2 != k1 and twice is None:
+                    twice = b1 + b1
+                pairs.setdefault(k1 + k2, []).append((b1 if k2 == k1 else twice, b2))
+        squares[level] = form(level, pairs, min(hi, last + low))
+    one, h = TPoly.const(1), []
+    sums: dict = {}  # node -> exponent -> the pairs whose products sum to it
+    for node in order:
+        if node not in windows:
+            continue
+        depth, parent, level, power = nodes[node]
+        start, hi = windows[node]
+        pairs = sums.pop(node, {})
+        for e, coeff in consts.get(node, ()):
+            if start <= e <= hi:
+                pairs.setdefault(e, []).append((coeff, one))
+        reach = below.get(node, math.inf) - (depth + 1) * low
+        bound = hi if reach == math.inf else min(hi, last + reach)
+        h = form(node, pairs, bound if start <= fin.get(node, -math.inf) + 1 else -math.inf)
+        if node and h:  # F_l*H or F_l^2*H into the parent's window
+            (start, hi), into = windows[parent], sums.setdefault(parent, {})
+            for k1, b1 in shifted[level] if power == 1 else squares[level]:
+                if k1 + h[0][0] > hi:
+                    break
+                for j in range(bisect_left(h, start - k1, key=_exponent), len(h)):
+                    k2, b2 = h[j]
+                    if k1 + k2 > hi:
+                        break
+                    into.setdefault(k1 + k2, []).append((b1, b2))
+    h = h[bisect_left(h, bottom, key=_exponent):]  # the root's, formed last
+    return PowerLogSeries(q, [(Fraction(k, grid), beta) for k, beta in h if k <= top])

@@ -17,7 +17,13 @@ from oracles import ReferencePoly, brute_force_evaluate
 from qdulac.algebra import ParamPoly, TPoly
 from qdulac.errors import IrrationalQPowerError
 from qdulac.parser import parse_equation
-from qdulac.qexpr import PowerLogSeries, QPolynomial, QTerm, evaluate_on_series
+from qdulac.qexpr import (
+    PowerLogSeries,
+    QPolynomial,
+    QTerm,
+    evaluate_on_series,
+    substitute_shift,
+)
 
 F = Fraction
 CASES = 1000
@@ -265,14 +271,15 @@ def test_carry_survives_a_refused_q_power():
 
 
 def test_square_nodes_match_brute_force():
-    """y^2, S(y)^2 and S^2(y)^2 are each one shifted series squared, formed
-    from the pairs k2 >= k1 alone: k2 from max(start - k1, k1) on, the
-    diagonal once and every other pair twice.  y^2*S(y) makes y^2 an inner
-    node, whose final coefficients the carry keeps, so a carried call
-    forms it only from above the kept ones.  Carried calls at every k, in
-    windows whose start falls between sums of the series' exponents, equal
-    fresh calls and the brute-force oracle; so do fresh calls on the whole
-    series from every start on a quarter grid."""
+    """y^2, S(y)^2 and S^2(y)^2 each hang from the root by one shifted
+    series squared, formed from the pairs k2 >= k1 alone: k2 from
+    max(start - k1, k1) on, the diagonal once and every other pair through
+    2*b1.  y^2*S(y) hangs below the node y^2, and the squares and that
+    inner node keep their final coefficients in the carry, so a carried
+    call forms them only from above the kept ones.  Carried calls at every
+    k, in windows whose start falls between sums of the series' exponents,
+    equal fresh calls and the brute-force oracle; so do fresh calls on the
+    whole series from every start on a quarter grid."""
     q = F(1, 4)
 
     def coeff(terms):
@@ -325,3 +332,45 @@ def test_square_nodes_match_brute_force():
     for start in range(-4, 4 * int(k_max) + 1):
         nonempty += check(whole, F(start, 4), k_max)
     assert nonempty > 40
+
+
+def test_horner_nodes_with_inner_coefficients():
+    """The Horner nesting on deep-log's equation shape
+    a*x*y^3 + b*x^2*y^3 + y^2*S^2(y) + y*S(y)^2, and on its shift
+    y = (2 + a) + y, which puts a coefficient C_n at every inner node of the
+    tree (y, y^2, y*S(y), ...), on a series with terms below 0, so that
+    the windows of deeper nodes reach higher.  Carried calls at every k,
+    in the windows [k, k], [k, k_max] and (-inf, k], equal fresh calls and
+    the brute-force oracle."""
+    q = F(1, 16)  # q^(l*k) rational on the quarter grid
+    a, b = (("a", 1),), (("b", 1),)
+
+    def coeff(terms):
+        return ReferencePoly(terms), ParamPoly(terms)
+
+    betas = [  # (k, [coefficient of t^i, ...]), the first two below 0
+        (F(-1, 2), [coeff({a: 1}), coeff({(): F(1, 3)})]),
+        (F(-1, 4), [coeff({(): 2, b: -1})]),
+        (F(1, 2), [coeff({(): F(-1, 2)}), coeff({}), coeff({a: 1, b: 1})]),
+        (F(3, 2), [coeff({b: F(5, 7)})]),
+        (F(9, 4), [coeff({(): 1}), coeff({a: -2})]),
+    ]
+    terms = [(k, TPoly([pp for _, pp in cs])) for k, cs in betas]
+    ref_series = [(k, [ref for ref, _ in cs]) for k, cs in betas]
+    shape = parse_equation("a*x*y^3 + b*x^2*y^3 + y^2*S^2(y) + y*S(y)^2", ["a", "b"])
+    k_max, nonempty = F(3), 0
+    for f in (shape, substitute_shift(shape, ParamPoly({(): 2, a: 1}), 0, q)):
+        ref_terms = [(ReferencePoly(dict(t.coeff.items())), t.x_exp, t.sigma_powers)
+                     for t in f.terms]
+        carries = ({}, {}, {})
+        for n in range(len(terms) + 1):
+            s = PowerLogSeries(q, terms[:n])
+            k = terms[n][0] if n < len(terms) else k_max
+            want = brute_force_evaluate(ref_terms, ref_series[:n], q, k_max)
+            for carry, (lo, hi) in zip(carries, ((k, k), (k, k_max), (None, k))):
+                got = evaluate_on_series(f, s, hi, lo, carry)
+                assert got.terms == evaluate_on_series(f, s, hi, lo).terms, (str(f), n, lo, hi)
+                cut = {kk: b for kk, b in want.items() if kk <= hi and (lo is None or kk >= lo)}
+                assert _same(_as_reference(got), cut), (str(f), n, lo, hi)
+                nonempty += bool(cut)
+    assert nonempty > 20

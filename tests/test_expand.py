@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -727,3 +728,22 @@ def test_degree_bound_negative_control():
         ),
     )
     assert degree_bound(fake) is False
+
+
+def test_a_path_deeper_than_the_recursion_limit(deadline):
+    """x*y^3000 puts a chain of 3,000 factors y into the evaluator's tree,
+    deeper than the recursion limit; its nodes are formed deepest first,
+    with no recursion.  The expansion (K is empty through k_max 3) equals
+    the fresh loop's and verifies, and on y = 1 + x, whose lowest exponent
+    0 keeps every node of the chain in its window, x*y^3000 is
+    x*(1 + x)^3000 through x^4."""
+    f = parse_equation("S(y) - 2*y + x + x*y^3000")
+    face = find_face(build_polygon(support(f)), [(0, 1), (1, 0)])
+    (ts,) = analyze_face(f, face, F(1, 2)).candidates
+    with deadline(3):
+        result = expand_solution(f, ts, 3)
+        assert verify_residual(f, result, {}, 3) is None
+        one_plus_x = PowerLogSeries(F(1, 2), [(0, TPoly.const(1)), (1, TPoly.const(1))])
+        got = evaluate_on_series(parse_equation("x*y^3000"), one_plus_x, 4)
+    assert _same_expansion(result, reference_expansion(f, ts, 3))
+    assert got.terms == tuple((F(i + 1), TPoly.const(math.comb(3000, i))) for i in range(4))
