@@ -25,10 +25,11 @@ The module also provides the number-theoretic helpers of the expansion
 engine, none of which factors an integer, so each runs in time polynomial
 in the bit size of its input:
 
-  rational_roots -- exact rational roots with multiplicities, isolated by
-                    Sturm-sequence bisection over the candidates z/b, b the
-                    leading coefficient of the primitive integer polynomial,
-                    or, for a binomial a + b*s^d, from exact d-th roots;
+  rational_roots -- exact rational roots with multiplicities: the simple
+                    roots of the squarefree part modulo the first prime l
+                    not dividing lead*disc are lifted l-adically by
+                    Newton's step to the candidates z/b, each tested
+                    exactly; for a binomial a + b*s^d, exact d-th roots;
   q_pow          -- q^(p/m) from exact integer m-th roots (Newton iteration)
                     of the numerator and denominator of q, erroring when the
                     value leaves Q;
@@ -45,6 +46,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import threading
@@ -666,24 +668,28 @@ def rat_str(value: Fraction) -> str:
 # rational roots; integer polynomials are coefficient lists, lowest degree first
 
 
-def _deflate(coeffs: list[int], root: Fraction) -> list[int]:
-    """Exact division of an integer polynomial by m*s - p, for root = p/m.
-
-    The quotient is integral when root is a root (Gauss's lemma); an
-    inexact step or a nonzero remainder means it is not.
-    """
-    p, m = root.numerator, root.denominator
-    out = [0] * (len(coeffs) - 1)
-    carry = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry, rest = divmod(coeffs[i] + carry * p, m)
+def _quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a/b for integer polynomials, or None unless b divides a in Z[s]."""
+    a = list(a)
+    out = []
+    for shift in range(len(a) - len(b), -1, -1):
+        c, rest = divmod(a[-1], b[-1])
         if rest:
-            break
-        out[i - 1] = carry
-    else:
-        if coeffs[0] + carry * p == 0:
-            return out
-    raise InternalInvariantError(f"deflation by a non-root {root}")
+            return None
+        for i, v in enumerate(b):
+            a[shift + i] -= c * v
+        a.pop()
+        out.append(c)
+    return None if any(a) else out[::-1]
+
+
+def _deflate(coeffs: list[int], root: Fraction) -> list[int]:
+    """Exact division of an integer polynomial by m*s - p, for root = p/m;
+    integral when root is a root (Gauss's lemma), an error otherwise."""
+    out = _quotient(coeffs, [-root.numerator, root.denominator])
+    if out is None:
+        raise InternalInvariantError(f"deflation by a non-root {root}")
+    return out
 
 
 def _primitive(coeffs: list[int]) -> list[int]:
@@ -695,43 +701,45 @@ def _primitive(coeffs: list[int]) -> list[int]:
     return [c // g for c in coeffs]
 
 
-def _neg_remainder(a: list[int], b: list[int]) -> list[int]:
-    """A positive multiple of -(a mod b), content removed; [] when b | a.
+def _gcd(a: list[int], b: list[int], ell: int = 0) -> list[int]:
+    """A gcd of integer polynomials a and b != 0: over Q with its content
+    removed when ell is 0, else over the integers mod the prime ell.
 
-    Pseudo-division scaled by |lead(b)| only, so that the sign, which the
-    Sturm chain depends on, is kept.
+    Euclid's algorithm on pseudo-remainders, each reduced (content divided
+    out, or coefficients taken mod ell); with deg a < deg b the first step
+    only reduces a.  b's leading coefficient is nonzero (mod ell).
     """
-    a = list(a)
-    mag = abs(b[-1])
-    sign = 1 if b[-1] > 0 else -1
-    for shift in range(len(a) - len(b), -1, -1):
-        c = a[-1] * sign
-        if c:
-            a = [v * mag for v in a]
-            for i, v in enumerate(b):
-                a[shift + i] -= c * v
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    if not a:
-        return []
-    g = math.gcd(*a)
-    return [-v // g for v in a]
+    while b:
+        a = list(a)
+        for shift in range(len(a) - len(b), -1, -1):
+            c = a[-1]
+            if c:
+                a = [v * b[-1] for v in a]
+                for i, v in enumerate(b):
+                    a[shift + i] -= c * v
+            a.pop()
+        if ell:
+            a = [v % ell for v in a]
+        while a and a[-1] == 0:
+            a.pop()
+        if a and not ell:
+            g = math.gcd(*a)
+            a = [v // g for v in a]
+        a, b = b, a
+    return a
 
 
-def _sturm_chain(p: list[int]) -> list[list[int]]:
-    """p, p', then negated remainders down to a multiple of gcd(p, p')."""
-    chain = [p]
-    nxt = _primitive([i * c for i, c in enumerate(p)][1:])
-    while nxt:
-        chain.append(nxt)
-        nxt = _neg_remainder(chain[-2], chain[-1])
-    return chain
+def _value(p: list[int], x: int, m: int) -> int:
+    """p(x) mod m, by Horner's rule."""
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * x + c) % m
+    return acc
 
 
 def _homogeneous(p: list[int], num: int, den_powers: list[int]) -> int:
     """den**deg(p) * p(num/den), given den_powers[i] = den**i (homogeneous
-    Horner: integers only, and with den > 0 the sign of p(num/den))."""
+    Horner: integers only, and zero exactly when num/den is a root)."""
     d = len(p) - 1
     acc = p[d]
     for i in range(d - 1, -1, -1):
@@ -739,30 +747,36 @@ def _homogeneous(p: list[int], num: int, den_powers: list[int]) -> int:
     return acc
 
 
-def _sign_changes(chain: list[list[int]], num: int, den_powers: list[int]) -> int:
-    values = (_homogeneous(p, num, den_powers) for p in chain)
-    signs = [v > 0 for v in values if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+def _primes() -> Iterator[int]:
+    """2, 3, 5, 7, 11, ... by trial division."""
+    return (
+        n for n in itertools.count(2) if all(n % d for d in range(2, math.isqrt(n) + 1))
+    )
 
 
 def rational_roots(coeffs: Sequence[Scalar]) -> list[tuple[Fraction, int]]:
     """All rational roots of a rational polynomial, with multiplicities.
 
     `coeffs` lists the coefficients lowest degree first.  The polynomial is
-    made a primitive integer polynomial p with leading coefficient b > 0.
-    Every rational root is z/b for an integer z with |z| <= b + max|p_i|
-    (the Cauchy bound), and one Sturm chain of p counts the distinct roots
-    between two points (z + 1/2)/b, which are never roots, so bisection
-    over z isolates them; an interval holding one root is narrowed by the
-    sign of the squarefree part p/gcd(p, p') alone.  Each interval of one
-    candidate is tested exactly, and every root found is divided out of p
-    until it no longer vanishes, which gives its multiplicity.  The work is
-    polynomial in the bit size of the coefficients: the bisection depth is
-    the bit length of the bound, and no integer is factored.  A binomial
-    a + b*s^d with a != 0 needs no search: its roots are simple, the real
-    d-th roots of -a/b, rational iff its numerator and denominator are exact
-    d-th powers.  Raises IndeterminateEquationError on the zero polynomial,
-    whose roots are unconstrained.
+    made a primitive integer polynomial p, whose distinct roots are those
+    of its squarefree part s = p/gcd(p, p'), of leading coefficient b.  A
+    rational root of s is z/b for an integer z with |z| <= B = b + max|s_i|
+    (the Cauchy bound), and is found by p-adic lifting (R. Loos, SIAM J.
+    Comput. 12, 1983).  At the first prime l dividing neither b nor disc(s),
+    which exists as b*disc(s) != 0, s stays squarefree, so each root of s
+    mod l is simple, and Newton's step x - s(x)/s'(x) lifts it to the
+    l-adic root a above it, doubling the known digits each time, until
+    the modulus m exceeds 2B.  Then z = b*a mod m, so z is b*a read in
+    (-m/2, m/2].  Each candidate is tested exactly: it is divided out of p
+    while p vanishes there, which gives its multiplicity.  The work is
+    polynomial in the bit size of the coefficients: l is about the bit
+    length of b*disc(s) at most, the roots mod l are found by trying each
+    residue, the lift takes about log2 of the bit length of B steps, and
+    no integer is factored.  A binomial a + b*s^d with a != 0 needs no
+    search: its roots are simple, the real d-th roots of -a/b, rational iff
+    its numerator and denominator are exact d-th powers.  Raises
+    IndeterminateEquationError on the zero polynomial, whose roots are
+    unconstrained.
     """
     cs = [_as_rat(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -788,61 +802,32 @@ def rational_roots(coeffs: Sequence[Scalar]) -> list[tuple[Fraction, int]]:
 
     den_lcm = math.lcm(*(c.denominator for c in cs))
     poly = _primitive([int(c * den_lcm) for c in cs])
-    chain = _sturm_chain(poly)
-    gcd = chain[-1]  # poly/gcd is squarefree and has the same roots
-    lead = poly[-1]
-    den_powers = [1]
-    for _ in range(len(poly) - 1):
-        den_powers.append(den_powers[-1] * 2 * lead)
-
-    def squarefree_positive(z: int) -> bool:
-        point = 2 * z + 1
-        return (_homogeneous(poly, point, den_powers) > 0) == (
-            _homogeneous(gcd, point, den_powers) > 0
-        )
-
-    # an entry (lo, hi, ...) holds the candidates z/lead with lo < z <= hi and
-    # the chain's sign changes at the never-roots (2*lo + 1)/(2*lead) and
-    # (2*hi + 1)/(2*lead); their difference counts the distinct roots between
-    bound = lead + max(abs(c) for c in poly[:-1])
-    found: list[Fraction] = []
-    stack = [(
-        -bound - 1,
-        bound,
-        _sign_changes(chain, -2 * bound - 1, den_powers),
-        _sign_changes(chain, 2 * bound + 1, den_powers),
-    )]
-    while stack:
-        lo, hi, changes_lo, changes_hi = stack.pop()
-        count = changes_lo - changes_hi
-        if count == 0:
-            continue
-        if count == 1:
-            # one root, simple in poly/gcd, which changes sign there only
-            lo_positive = squarefree_positive(lo)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if squarefree_positive(mid) == lo_positive:
-                    lo = mid
-                else:
-                    hi = mid
-        elif hi - lo > 1:
-            mid = (lo + hi) // 2
-            changes_mid = _sign_changes(chain, 2 * mid + 1, den_powers)
-            stack.append((lo, mid, changes_lo, changes_mid))
-            stack.append((mid, hi, changes_mid, changes_hi))
-            continue
-        if _homogeneous(poly, 2 * hi, den_powers) == 0:
-            found.append(Fraction(hi, lead))
-
+    s = _quotient(poly, _gcd([i * c for i, c in enumerate(poly)][1:], poly))
+    if s is None:
+        raise InternalInvariantError("gcd(p, p') does not divide p")
+    s = _primitive(s)
+    ds, lead = [i * c for i, c in enumerate(s)][1:], s[-1]
+    ell = next(ell for ell in _primes() if lead % ell and len(_gcd(ds, s, ell)) == 1)
+    bound = lead + max(abs(c) for c in s[:-1])
+    residues = [c % ell for c in s]
     work = poly
-    for root in found:
+    for a in range(ell):
+        if _value(residues, a, ell):
+            continue
+        m, inv = ell, pow(_value(ds, a, ell), -1, ell)  # s(a) = 0, s'(a)*inv = 1 mod m
+        while m <= 2 * bound:  # one Newton step for each, modulo m squared
+            m *= m
+            a = (a - _value(s, a, m) * inv) % m
+            inv = inv * (2 - _value(ds, a, m) * inv) % m
+        z = lead * a % m
+        root = Fraction(z - m if 2 * z > m else z, lead)
         den_powers = [root.denominator**i for i in range(len(poly))]
         mult = 0
         while _homogeneous(work, root.numerator, den_powers) == 0:
             work = _deflate(work, root)
             mult += 1
-        roots.append((root, mult))
+        if mult:
+            roots.append((root, mult))
     return sorted(roots)
 
 
@@ -888,14 +873,13 @@ def _primitive_power(x: Fraction) -> tuple[Fraction, int]:
     """
     num, den = x.numerator, x.denominator
     e = 1
-    m = 2
+    primes = _primes()
+    m = next(primes)
     while m < min(v.bit_length() for v in (num, den) if v > 1):
         num_root = _exact_root(num, m)
         den_root = None if num_root is None else _exact_root(den, m)
         if den_root is None:
-            m += 1
-            while any(m % p == 0 for p in range(2, math.isqrt(m) + 1)):
-                m += 1
+            m = next(primes)
         else:
             num, den, e = num_root, den_root, e * m
     return Fraction(num, den), e

@@ -3,16 +3,17 @@
 Each function here recomputes a result by a different method than the
 library uses, so agreement is meaningful: an all-pairs halfplane hull, a
 Newton polygon whose geometry runs on Fractions instead of the integer
-grid, a support scan of a face's normal cone, a dense Gaussian-elimination
-solve of the polynomial difference operator, its back-substitution on
-parameter polynomials and Fraction moments, a reference parameter
-polynomial, a brute-force evaluation of a q-difference sum on a
+grid, a support scan of a face's normal cone, a dense
+Gaussian-elimination solve of the polynomial difference operator, its
+back-substitution on parameter polynomials and Fraction moments, a
+reference parameter polynomial, the Sturm-bisection search for rational
+roots, a brute-force evaluation of a q-difference sum on a
 power-logarithmic series, a recursive multiset enumerator of the
 exponent set K, a generator of random equations with a planted edge
-solution, the expansion loop that evaluates the residual afresh at
-every exponent, the `expand` JSON document built from Fraction
-coefficients through `rat_str`, and the equation parser that multiplies out every factor
-and adds up every term as a QPolynomial.
+solution, the expansion loop that evaluates the residual afresh at every
+exponent, the `expand` JSON document built from Fraction coefficients
+through `rat_str`, and the equation parser that multiplies out every
+factor and adds up every term as a QPolynomial.
 """
 
 import math
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qdulac.algebra import ParamPoly, TPoly, _as_rat, q_pow, rat_str
-from qdulac.errors import ParseError, ResourceLimitError
+from qdulac.errors import IndeterminateEquationError, ParseError, ResourceLimitError
 from qdulac.expand import (
     ExpansionResult,
     check_exponent_order,
@@ -343,6 +344,144 @@ def exact_rational_power(q, e):
     q, e = F(q), F(e)
     p = q ** e.numerator
     return F(_int_root(p.numerator, e.denominator), _int_root(p.denominator, e.denominator))
+
+
+def _ref_primitive(coeffs):
+    g = math.gcd(*coeffs)
+    if coeffs[-1] < 0:
+        g = -g
+    return [c // g for c in coeffs]
+
+
+def _ref_neg_remainder(a, b):
+    """A positive multiple of -(a mod b), content removed; [] when b | a.
+    Pseudo-division scaled by |lead(b)| only, which keeps the sign."""
+    a = list(a)
+    mag = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    for shift in range(len(a) - len(b), -1, -1):
+        c = a[-1] * sign
+        if c:
+            a = [v * mag for v in a]
+            for i, v in enumerate(b):
+                a[shift + i] -= c * v
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    if not a:
+        return []
+    g = math.gcd(*a)
+    return [-v // g for v in a]
+
+
+def _ref_homogeneous(p, num, den_powers):
+    """den**deg(p) * p(num/den), given den_powers[i] = den**i."""
+    d = len(p) - 1
+    acc = p[d]
+    for i in range(d - 1, -1, -1):
+        acc = acc * num + p[i] * den_powers[d - i]
+    return acc
+
+
+def _ref_sign_changes(chain, num, den_powers):
+    values = (_ref_homogeneous(p, num, den_powers) for p in chain)
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _ref_deflate(coeffs, root):
+    """Exact division by m*s - p for root = p/m; ValueError if inexact."""
+    p, m = root.numerator, root.denominator
+    out = [0] * (len(coeffs) - 1)
+    carry = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        carry, rest = divmod(coeffs[i] + carry * p, m)
+        if rest:
+            raise ValueError(f"deflation by a non-root {root}")
+        out[i - 1] = carry
+    if coeffs[0] + carry * p:
+        raise ValueError(f"deflation by a non-root {root}")
+    return out
+
+
+def reference_rational_roots(coeffs) -> list:
+    """Rational roots with multiplicities by Sturm-sequence bisection.
+
+    The search `rational_roots` used before p-adic lifting, binomials
+    included: with p primitive and b = lead(p) > 0, every rational root is
+    z/b with |z| <= b + max|p_i|, and the Sturm chain of p counts the
+    distinct roots between the never-roots (z + 1/2)/b, so bisection over
+    z isolates them; an interval of one root is narrowed by the sign of
+    p/gcd(p, p') alone, and its last candidate is tested exactly.
+    """
+    cs = [F(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        raise IndeterminateEquationError("indeterminate equation")
+    zero_mult = next(i for i, c in enumerate(cs) if c)
+    cs = cs[zero_mult:]
+    roots = [(F(0), zero_mult)] if zero_mult else []
+    if len(cs) == 1:
+        return roots
+    den_lcm = math.lcm(*(c.denominator for c in cs))
+    poly = _ref_primitive([int(c * den_lcm) for c in cs])
+    chain = [poly]
+    nxt = _ref_primitive([i * c for i, c in enumerate(poly)][1:])
+    while nxt:
+        chain.append(nxt)
+        nxt = _ref_neg_remainder(chain[-2], chain[-1])
+    gcd = chain[-1]
+    lead = poly[-1]
+    den_powers = [1]
+    for _ in range(len(poly) - 1):
+        den_powers.append(den_powers[-1] * 2 * lead)
+
+    def squarefree_positive(z):
+        point = 2 * z + 1
+        return (_ref_homogeneous(poly, point, den_powers) > 0) == (
+            _ref_homogeneous(gcd, point, den_powers) > 0
+        )
+
+    bound = lead + max(abs(c) for c in poly[:-1])
+    found = []
+    stack = [(
+        -bound - 1,
+        bound,
+        _ref_sign_changes(chain, -2 * bound - 1, den_powers),
+        _ref_sign_changes(chain, 2 * bound + 1, den_powers),
+    )]
+    while stack:
+        lo, hi, changes_lo, changes_hi = stack.pop()
+        count = changes_lo - changes_hi
+        if count == 0:
+            continue
+        if count == 1:
+            lo_positive = squarefree_positive(lo)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if squarefree_positive(mid) == lo_positive:
+                    lo = mid
+                else:
+                    hi = mid
+        elif hi - lo > 1:
+            mid = (lo + hi) // 2
+            changes_mid = _ref_sign_changes(chain, 2 * mid + 1, den_powers)
+            stack.append((lo, mid, changes_lo, changes_mid))
+            stack.append((mid, hi, changes_mid, changes_hi))
+            continue
+        if _ref_homogeneous(poly, 2 * hi, den_powers) == 0:
+            found.append(F(hi, lead))
+
+    work = poly
+    for root in found:
+        den_powers = [root.denominator**i for i in range(len(poly))]
+        mult = 0
+        while _ref_homogeneous(work, root.numerator, den_powers) == 0:
+            work = _ref_deflate(work, root)
+            mult += 1
+        roots.append((root, mult))
+    return sorted(roots)
 
 
 def _log_poly_add(a, b):

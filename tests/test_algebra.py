@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import reference_rational_roots
 
 from qdulac.algebra import (
     ParamPoly,
@@ -17,6 +18,7 @@ from qdulac.errors import (
     IndeterminateEquationError,
     InvalidQError,
     IrrationalQPowerError,
+    QDulacError,
     ReservedSymbolError,
     UnboundSymbolError,
 )
@@ -223,7 +225,7 @@ def test_rational_roots_random_products():
 def test_rational_roots_binomial_against_sturm():
     """s^z*(a + b*s^d) is answered from exact d-th roots; times 2 + s + s^2,
     which has no rational root and keeps a middle term, it goes through the
-    Sturm search, which must agree."""
+    p-adic search, which must agree."""
     rng = random.Random(20261019)
     for _ in range(300):
         d = rng.randint(1, 9)
@@ -251,6 +253,61 @@ def test_rational_roots_binomial_against_sturm():
             if zeros:
                 expected.append((F(0), len(zeros)))
             assert found == sorted(expected), (binomial, found)
+
+
+def multiply(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def random_root_poly(rng):
+    """A binomial, or a product of linear factors (repeated at times) and
+    up to two quadratics without rational roots, times s or s^2 at times;
+    numerators and denominators have 1 to 30 digits."""
+    digits = rng.randint(1, 30)
+
+    def part():
+        return rng.randint(1, 10 ** rng.randint(1, digits))
+
+    def rat():
+        return F(rng.choice((1, -1)) * part(), part())
+
+    coeffs = [rat()]
+    if rng.random() < 0.15:  # s^d - a, a an exact d-th power half the time
+        d = rng.randint(1, 6)
+        a = rat() ** d if rng.random() < 0.5 else rat()
+        coeffs = multiply(coeffs, [-a] + [F(0)] * (d - 1) + [F(1)])
+    else:
+        roots = []
+        for _ in range(rng.randint(1, 4)):
+            roots.append(rng.choice(roots) if roots and rng.random() < 0.3 else rat())
+        for root in roots:
+            coeffs = multiply(coeffs, [-root, F(1)])
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            a, b = part(), rng.randint(-part(), part())
+            if rng.random() < 0.5:  # (s + b)^2 + a^2 > 0
+                coeffs = multiply(coeffs, [F(a * a + b * b), F(2 * b), F(1)])
+            else:  # roots +-sqrt(a + 1/a), irrational
+                coeffs = multiply(coeffs, [F(-(a * a + 1)), F(0), F(a)])
+    return [F(0)] * rng.choice((0, 0, 0, 1, 2)) + coeffs
+
+
+def roots_or_error(coeffs, search):
+    try:
+        return search(coeffs)
+    except QDulacError as exc:
+        return type(exc)
+
+
+def test_rational_roots_against_sturm_reference():
+    rng = random.Random(20261020)
+    cases = [[], [F(0), F(0)], [F(7)]] + [random_root_poly(rng) for _ in range(250)]
+    for coeffs in cases:
+        expected = roots_or_error(coeffs, reference_rational_roots)
+        assert roots_or_error(coeffs, rational_roots) == expected, coeffs
 
 
 def test_q_pow_and_q_log_examples():

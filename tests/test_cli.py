@@ -207,6 +207,30 @@ def test_truncate_invalid_q(eq_main, capsys):
         assert "q must be" in err
 
 
+def test_truncate_edge_away_from_zero(tmp_path, capsys):
+    # this edge does not face x -> 0, so it admits no r
+    path = write_eq(tmp_path, "y + x*y^3 + x^3")
+    code, out, _ = run(
+        capsys, ["truncate", "--eq", path, "--q", "1/2", "--face", "(3,0)-(1,3)"]
+    )
+    assert code == EXIT_OK
+    assert "note: edge does not face x -> 0; no admissible r" in out
+
+
+def test_bad_point_in_face_selector(eq_main, capsys):
+    code, _, err = run(
+        capsys, ["truncate", *main_args(eq_main), "--q", "1/2", "--face", "(0,1"]
+    )
+    assert code == EXIT_INPUT
+    assert "bad point" in err
+
+
+def test_duplicate_parameter_name(eq_main, capsys):
+    code, _, err = run(capsys, ["polygon", "--eq", eq_main, "--params", "a,a"])
+    assert code == EXIT_INPUT
+    assert "duplicate parameter name" in err
+
+
 # -- expand
 
 
@@ -234,6 +258,17 @@ def test_expand_text_log_free_case(eq_main, capsys):
     assert "constants: C1 (k=1/2)" in out
     assert "k = 1/2: mu = 1, compatible: yes" in out
     assert "log-free: yes" in out
+
+
+def test_expand_text_unresolved_eigenvalues(tmp_path, capsys):
+    # L(s) = s^2 - s - 1: both roots are irrational
+    path = write_eq(tmp_path, "S^2(y) - S(y) - y + x")
+    code, out, _ = run(
+        capsys,
+        ["expand", "--eq", path, "--q", "1/2", "--face", "(0,1)-(1,0)", "--kmax", "2"],
+    )
+    assert code == EXIT_OK
+    assert "unresolved eigenvalues (non-rational roots): 2" in out
 
 
 def test_expand_json(eq_main, capsys):

@@ -1,11 +1,13 @@
 """Bounded time on big integers, and invariants that survive `python -O`.
 
-Trial division over these 10- to 60-digit integers does not finish;
-under a one-second deadline a regression to it fails here instead of
+Trial division over these 10- to 60-digit integers does not finish, and
+a bisection as deep as the bit length of 4,000-digit roots takes
+seconds; under a deadline a regression to either fails here instead of
 hanging the suite.
 """
 
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -94,6 +96,25 @@ def test_four_thousand_digit_q(deadline):
     with deadline(2):
         assert q_log(F(1, n), 2) is None
         assert rational_roots([n, 1 - 2 * n]) == [(F(n, 2 * n - 1), 1)]
+
+
+def test_four_thousand_digit_roots(deadline):
+    # a bisection over the Cauchy bound takes about 13,300 steps here
+    n = (10**4000 - 1) // 3
+    with deadline(1):
+        assert rational_roots([n, -(n + 1), 1]) == [(F(1), 1), (F(n), 1)]
+
+
+def test_roots_that_agree_modulo_small_primes(deadline):
+    # s*(s - M)*(s - 2M) for M the product of the primes below 10,000 (14,277
+    # bits): its roots meet modulo each of those primes, so the first prime
+    # at which they stay apart is 10,007
+    primes = [p for p in range(2, 10**4) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    m = math.prod(primes)
+    assert m.bit_length() == 14277
+    with deadline(3):
+        roots = rational_roots([0, 2 * m * m, -3 * m, 1])
+    assert roots == [(F(0), 1), (F(m), 1), (F(2 * m), 1)]
 
 
 def _run_optimized(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -1,6 +1,6 @@
 """sympy as an independent oracle for rational roots, q-powers and q-logs.
 
-The engine finds roots by Sturm bisection and q-logs by exact integer
+The engine finds roots by p-adic lifting and q-logs by exact integer
 roots; sympy factors polynomials and integers instead, so the two share
 no method.  Inputs carry 20- to 60-digit numbers.
 """
