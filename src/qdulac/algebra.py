@@ -403,7 +403,8 @@ class TPoly(_FractionFree):
     results are trusted.  A product or sum of products is one
     `_sum_products` pass, so a result pays one gcd.  `coeffs` builds
     canonical ParamPolys from the store; `terms_by_degree` reads it for
-    display, text, LaTeX and JSON alike, with no ParamPoly built.
+    display, text, LaTeX and JSON alike, and `rational_terms` for root
+    finding, with no ParamPoly built.
     """
 
     __slots__ = ()
@@ -461,6 +462,12 @@ class TPoly(_FractionFree):
         return [(d, sorted(((decoded[key], n // (g := math.gcd(n, den)), den // g)
                             for key, n in row.items()), key=_display_order))
                 for d, row in rows]
+
+    def rational_terms(self) -> dict[int, Fraction] | None:
+        """{degree: coefficient} of the nonzero terms, or None if one holds a parameter."""
+        if any(key >> _FIELD_BITS for key in self._nums):
+            return None
+        return {d: Fraction(n, self._den) for d, n in self._nums.items()}
 
     def degree(self) -> int:
         # degree of the zero polynomial is 0 by convention
@@ -754,42 +761,45 @@ def _primes() -> Iterator[int]:
     )
 
 
-def rational_roots(coeffs: Sequence[Scalar]) -> list[tuple[Fraction, int]]:
+def rational_roots(coeffs: Sequence[Scalar] | Mapping[int, Scalar]) -> list[tuple[Fraction, int]]:
     """All rational roots of a rational polynomial, with multiplicities.
 
-    `coeffs` lists the coefficients lowest degree first.  The polynomial is
-    made a primitive integer polynomial p, whose distinct roots are those
-    of its squarefree part s = p/gcd(p, p'), of leading coefficient b.  A
-    rational root of s is z/b for an integer z with |z| <= B = b + max|s_i|
-    (the Cauchy bound), and is found by p-adic lifting (R. Loos, SIAM J.
-    Comput. 12, 1983).  At the first prime l dividing neither b nor disc(s),
-    which exists as b*disc(s) != 0, s stays squarefree, so each root of s
-    mod l is simple, and Newton's step x - s(x)/s'(x) lifts it to the
-    l-adic root a above it, doubling the known digits each time, until
-    the modulus m exceeds 2B.  Then z = b*a mod m, so z is b*a read in
-    (-m/2, m/2].  Each candidate is tested exactly: it is divided out of p
-    while p vanishes there, which gives its multiplicity.  The work is
-    polynomial in the bit size of the coefficients: l is about the bit
-    length of b*disc(s) at most, the roots mod l are found by trying each
-    residue, the lift takes about log2 of the bit length of B steps, and
-    no integer is factored.  A binomial a + b*s^d with a != 0 needs no
-    search: its roots are simple, the real d-th roots of -a/b, rational iff
-    its numerator and denominator are exact d-th powers.  Raises
+    `coeffs` lists the coefficients lowest degree first, or maps degrees
+    (ints >= 0) to them, as `TPoly.rational_terms` does; only the nonzero
+    terms are read.  The root 0 has the least degree as its multiplicity.
+    With two nonzero terms, a + b*s^d, the roots are simple, the real d-th
+    roots of -a/b, rational iff its numerator and denominator are exact
+    d-th powers.  Otherwise p, the primitive integer polynomial dense from
+    the least degree to the top one, has the distinct roots of its
+    squarefree part s = p/gcd(p, p'), of leading coefficient b: each is z/b
+    for an integer z with |z| <= B = b + max|s_i| (the Cauchy bound), found
+    by p-adic lifting (R. Loos, SIAM J. Comput. 12, 1983).  At the first
+    prime l dividing neither b nor disc(s), which exists as b*disc(s) != 0,
+    each root of s mod l is simple, and Newton's step x - s(x)/s'(x) lifts
+    it to the l-adic root a above it, doubling the known digits each time,
+    until the modulus m exceeds 2B; z is b*a mod m read in (-m/2, m/2].
+    Each candidate is divided out of p while p vanishes there, which tests
+    it exactly and gives its multiplicity.  No integer is factored: l is
+    about the bit length of b*disc(s) at most, the roots mod l are found by
+    trying each residue, and the lift takes about log2 of the bit length
+    of B steps.  Raises ValueError on a degree that is not an int >= 0 and
     IndeterminateEquationError on the zero polynomial, whose roots are
     unconstrained.
     """
-    cs = [_as_rat(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
+    terms: dict[int, Fraction] = {}
+    for d, c in coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs):
+        if type(d) is not int or d < 0:
+            raise ValueError("degrees must be nonnegative ints")
+        if c := _as_rat(c):
+            terms[d] = c
+    if not terms:
         raise IndeterminateEquationError("indeterminate equation")
-    zero_mult = next(i for i, c in enumerate(cs) if c)
-    cs = cs[zero_mult:]
-    roots = [(Fraction(0), zero_mult)] if zero_mult else []
-    if len(cs) == 1:
+    low, top = min(terms), max(terms)
+    roots = [(Fraction(0), low)] if low else []
+    if len(terms) == 1:
         return roots
-    if not any(cs[1:-1]):  # a + b*s^d, a != 0: s = ±(-a/b)^(1/d), each simple
-        d, ratio = len(cs) - 1, -cs[0] / cs[-1]
+    if len(terms) == 2:  # a + b*s^d, a != 0: s = ±(-a/b)^(1/d), each simple
+        d, ratio = top - low, -terms[low] / terms[top]
         num = _exact_root(abs(ratio.numerator), d)
         den = None if num is None else _exact_root(ratio.denominator, d)
         if den is not None:
@@ -800,8 +810,8 @@ def rational_roots(coeffs: Sequence[Scalar]) -> list[tuple[Fraction, int]]:
                 roots.append((-root, 1))
         return sorted(roots)
 
-    den_lcm = math.lcm(*(c.denominator for c in cs))
-    poly = _primitive([int(c * den_lcm) for c in cs])
+    den_lcm = math.lcm(*(c.denominator for c in terms.values()))
+    poly = _primitive([int(terms.get(d, 0) * den_lcm) for d in range(low, top + 1)])
     s = _quotient(poly, _gcd([i * c for i, c in enumerate(poly)][1:], poly))
     if s is None:
         raise InternalInvariantError("gcd(p, p') does not divide p")

@@ -10,6 +10,9 @@ sub-sum factors it:
 so a vertex contributes solutions through the rational roots w of chi
 (then r = log_q w, filtered by the normal cone, with c free), and an edge
 fixes r and determines c through the roots of its determining polynomial.
+One collector sums the sub-sum's terms by shift weight, y-degree or
+x-power, so a face polynomial holds only its nonzero terms, of degree
+below 2^31 in w or c.
 `analyze_face` treats both kinds of face alike: it turns the roots into
 one ordered list of proposals (c, r, provenance), appends the user's
 value last, and verifies each proposal against the truncated sum when it
@@ -23,6 +26,7 @@ from fractions import Fraction
 from itertools import count
 
 from .algebra import (
+    _EXP_LIMIT,
     ParamPoly,
     TPoly,
     _as_rat,
@@ -38,6 +42,7 @@ from .errors import (
     InconsistentEdgeError,
     IrrationalQPowerError,
     NotAVertexError,
+    ResourceLimitError,
     TruncatedSolutionError,
 )
 from .polygon import Face
@@ -61,22 +66,10 @@ class TruncatedSolution:
         object.__setattr__(self, "q", check_q(self.q))
 
     @classmethod
-    def create(
-        cls,
-        f: QPolynomial,
-        face: Face,
-        c: ParamPoly,
-        r,
-        q,
-        provenance: str,
-    ) -> "TruncatedSolution":
+    def create(cls, f: QPolynomial, face: Face, c: ParamPoly, r, q,
+               provenance: str) -> "TruncatedSolution":
         ts = cls(ParamPoly.coerce(c), r, q, face, provenance)
-        if not verify_truncated(ts, f):
-            raise TruncatedSolutionError(
-                f"y = ({c})*x^{rat_str(ts.r)} does not solve the "
-                f"truncated equation of face {face.label()}"
-            )
-        return ts
+        return _verified(ts, truncated_sum(f, face))
 
 
 def truncated_sum(f: QPolynomial, face: Face) -> QPolynomial:
@@ -85,22 +78,42 @@ def truncated_sum(f: QPolynomial, face: Face) -> QPolynomial:
     return QPolynomial([t for t in f.terms if t.q_point in wanted])
 
 
-def _power_substitution(g: QPolynomial, c: ParamPoly, r: Fraction, q: Fraction):
-    """Exponent -> coefficient map of g(x, c*x^r); needs q^{r*weight} in Q."""
-    out: dict[Fraction, ParamPoly] = {}
-    for term in g.terms:
-        exponent = term.x_exp + r * term.y_degree
-        value = term.coeff * c**term.y_degree * q_pow(q, r * term.shift_weight)
-        out[exponent] = out.get(exponent, ParamPoly.zero()) + value
-    return {e: v for e, v in out.items() if not v.is_zero()}
+def _collect(terms, key, value) -> dict:
+    """{key(t): sum of value(t)} over the terms, zero sums dropped."""
+    out: dict = {}
+    for t in terms:
+        k = key(t)
+        out[k] = out[k] + value(t) if k in out else value(t)
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _face_poly(coeffs: dict, var: str) -> TPoly:
+    """The TPoly in `var` of collected {degree: coefficient} terms."""
+    if max(coeffs, default=0) >= _EXP_LIMIT:
+        raise ResourceLimitError(f"exponent of {var} reaches 2^31")
+    return TPoly(coeffs)
+
+
+def _substitute(g: QPolynomial, ts: TruncatedSolution) -> dict:
+    """The nonzero terms of g(x, c*x^r) by power of x; needs q^{r*weight} in Q."""
+    c, r, q = ts.c, ts.r, ts.q
+    return _collect(g.terms, lambda t: t.x_exp + r * t.y_degree,
+                    lambda t: t.coeff * c**t.y_degree * q_pow(q, r * t.shift_weight))
+
+
+def _verified(ts: TruncatedSolution, g: QPolynomial) -> TruncatedSolution:
+    """ts, if the truncated sum g of its face vanishes at y = c*x^r."""
+    if _substitute(g, ts):
+        raise TruncatedSolutionError(
+            f"y = ({ts.c})*x^{rat_str(ts.r)} does not solve the "
+            f"truncated equation of face {ts.face.label()}"
+        )
+    return ts
 
 
 def verify_truncated(ts: TruncatedSolution, f: QPolynomial) -> bool:
     """True iff the face's truncated sum vanishes identically at y = c*x^r."""
-    g = truncated_sum(f, ts.face)
-    if g.is_zero():
-        return True
-    return not _power_substitution(g, ts.c, ts.r, ts.q)
+    return not _substitute(truncated_sum(f, ts.face), ts)
 
 
 def vertex_char_poly(g: QPolynomial) -> TPoly:
@@ -119,11 +132,7 @@ def vertex_char_poly(g: QPolynomial) -> TPoly:
         raise NotAVertexError(
             f"terms span {len(points)} exponent points; a vertex has one"
         )
-    top = max(t.shift_weight for t in terms)
-    coeffs = [ParamPoly.zero()] * (top + 1)
-    for t in terms:
-        coeffs[t.shift_weight] = coeffs[t.shift_weight] + t.coeff
-    return TPoly(coeffs)
+    return _face_poly(_collect(terms, lambda t: t.shift_weight, lambda t: t.coeff), "w")
 
 
 def determining_poly(g: QPolynomial, r, q) -> TPoly:
@@ -131,20 +140,16 @@ def determining_poly(g: QPolynomial, r, q) -> TPoly:
     terms = g.terms
     if not terms:
         raise EmptySupportError("empty truncation has no determining polynomial")
-    r = _as_rat(r)
-    q = check_q(q)
+    r, q = _as_rat(r), check_q(q)
     powers = {t.x_exp + r * t.y_degree for t in terms}
     if len(powers) != 1:
         raise InconsistentEdgeError(
             f"substitution leaves {len(powers)} distinct x-powers; "
             f"r={rat_str(r)} is not this edge's slope"
         )
-    top = max(t.y_degree for t in terms)
-    coeffs = [ParamPoly.zero()] * (top + 1)
-    for t in terms:
-        value = t.coeff * q_pow(q, r * t.shift_weight)
-        coeffs[t.y_degree] = coeffs[t.y_degree] + value
-    return TPoly(coeffs)
+    by_degree = _collect(terms, lambda t: t.y_degree,
+                         lambda t: t.coeff * q_pow(q, r * t.shift_weight))
+    return _face_poly(by_degree, "c")
 
 
 @dataclass(frozen=True)
@@ -191,9 +196,8 @@ def analyze_face(
         poly = vertex_char_poly(g)
     else:
         if face.r is None:
-            return FaceAnalysis(
-                face, g, None, (), (), ("edge does not face x -> 0; no admissible r",)
-            )
+            return FaceAnalysis(face, g, None, (), (),
+                                ("edge does not face x -> 0; no admissible r",))
         if r_override is not None and r_override != face.r:
             diagnostics.append(
                 f"--r {rat_str(r_override)} ignored: this edge fixes "
@@ -215,14 +219,14 @@ def analyze_face(
     )
     proposals: list[tuple[ParamPoly, Fraction, str]] = []
     roots: tuple = ()
-    coeffs = poly.coeffs
-    if not all(c.is_constant() for c in coeffs):
+    terms = poly.rational_terms()
+    if terms is None:
         diagnostics.append(
             "characteristic polynomial has parameter coefficients; "
             "supply --r (and --c) to choose a solution"
             if vertex else "parameter-dependent determining equation; needs --c"
         )
-    elif poly.is_zero():
+    elif not terms:
         diagnostics.append(
             "truncated sum vanishes for every c and r (zero characteristic "
             "polynomial)" if vertex else
@@ -231,7 +235,7 @@ def analyze_face(
         if not vertex:
             proposals.append((free_c, face.r, free_provenance))
     else:
-        roots = tuple(rational_roots([c.constant_value() for c in coeffs]))
+        roots = tuple(rational_roots(terms))
         for value, _mult in roots:
             if value == 0:
                 diagnostics.append(
@@ -241,36 +245,21 @@ def analyze_face(
             elif not vertex:
                 proposals.append((ParamPoly.const(value), face.r, "edge-root"))
             elif (k := q_log(q, value)) is None:
-                diagnostics.append(
-                    f"root w={rat_str(value)}: non-rational exponent, skipped"
-                )
+                diagnostics.append(f"root w={rat_str(value)}: non-rational exponent, skipped")
             else:
                 proposals.append((free_c, k, free_provenance))
     if not vertex and c_override is not None:
         proposals.append((c_override, face.r, user))
-    if vertex and r_override is not None and all(
-        r != r_override for _c, r, _p in proposals
-    ):
+    if vertex and r_override is not None and all(r != r_override for _c, r, _p in proposals):
         proposals.append((free_c, r_override, user))
 
     candidates: list[TruncatedSolution] = []
     for c, r, provenance in proposals:
         if not face.admits(r):
-            diagnostics.append(
-                f"r={rat_str(r)} lies outside this vertex's normal cone; skipped"
-            )
+            diagnostics.append(f"r={rat_str(r)} lies outside this vertex's normal cone; skipped")
         elif not any(s.c == c and s.r == r for s in candidates):
             try:
-                candidates.append(
-                    TruncatedSolution.create(f, face, c, r, q, provenance)
-                )
+                candidates.append(_verified(TruncatedSolution(c, r, q, face, provenance), g))
             except TruncatedSolutionError as err:
                 diagnostics.append(str(err))
-    return FaceAnalysis(
-        face=face,
-        truncated=g,
-        poly=poly,
-        roots=roots,
-        candidates=tuple(candidates),
-        diagnostics=tuple(diagnostics),
-    )
+    return FaceAnalysis(face, g, poly, roots, tuple(candidates), tuple(diagnostics))

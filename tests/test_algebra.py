@@ -310,6 +310,20 @@ def test_rational_roots_against_sturm_reference():
         assert roots_or_error(coeffs, rational_roots) == expected, coeffs
 
 
+def test_rational_roots_of_nonzero_terms_match_the_list():
+    rng = random.Random(20261020)
+    cases = [[], [F(0), F(0)], [F(7)]] + [random_root_poly(rng) for _ in range(250)]
+    for coeffs in cases:
+        terms = {d: c for d, c in enumerate(coeffs) if c}
+        assert roots_or_error(terms, rational_roots) == roots_or_error(coeffs, rational_roots)
+
+
+@pytest.mark.parametrize("degree", [-1, F(1), 1.0, True, "1"])
+def test_rational_roots_refuses_bad_degrees(degree):
+    with pytest.raises(ValueError):
+        rational_roots({0: 1, degree: 1})
+
+
 def test_q_pow_and_q_log_examples():
     assert q_pow(F(1, 4), F(1, 2)) == F(1, 2)
     assert q_pow(4, F(3, 2)) == 8

@@ -5,10 +5,12 @@ import pytest
 
 from oracles import random_edge_equation
 from qdulac.algebra import ParamPoly, TPoly
+from qdulac.cli import main
 from qdulac.errors import (
     InconsistentEdgeError,
     InvalidQError,
     NotAVertexError,
+    ResourceLimitError,
     TruncatedSolutionError,
 )
 from qdulac.parser import parse_equation
@@ -318,3 +320,41 @@ def test_truncation_attains_minimal_exponent():
                 for e, pts in values.items():
                     if e != low:
                         assert not (pts & on_face)
+
+
+def test_face_polynomials_keep_only_their_terms(deadline):
+    # a face polynomial has no more terms than its face, whatever its degree
+    with deadline(1):
+        lacunary = parse_equation("y^1000000000 - x")
+        shifted = parse_equation("S^100000(y) - 2*y + x")
+        assert vertex_char_poly(parse_equation("S^100000(y) - 2*y")) == TPoly({100000: 1, 0: -2})
+        assert vertex_char_poly(parse_equation("S^1000000000(y) - 2*y")) == TPoly(
+            {10**9: 1, 0: -2}
+        )
+        assert vertex_char_poly(parse_equation("y^1000000000")) == TPoly([1])
+        assert determining_poly(lacunary, F(1, 10**9), F(1, 2)) == TPoly({10**9: 1, 0: -1})
+        assert determining_poly(shifted, 1, F(1, 2)) == TPoly({1: F(1, 2**100000) - 2, 0: 1})
+        edge = find_face(build_polygon(support(lacunary)), [(0, 10**9), (1, 0)])
+        analysis = analyze_face(lacunary, edge, F(1, 2))
+        assert analysis.roots == ((F(-1), 1), (F(1), 1))
+        assert [(ts.c, ts.r) for ts in analysis.candidates] == [
+            (ParamPoly.const(c), F(1, 10**9)) for c in (-1, 1)
+        ]
+
+
+@pytest.mark.parametrize(
+    "text, q, var",
+    [
+        ("S^2000000000(y)^2 - y + x", "1/2", "w"),  # chi(w) = w^(4*10^9) on (0,2)
+        ("S(y)^2000000000*y^2000000000 - x", "1/4", "c"),  # c^(4*10^9)/2 - 1
+    ],
+)
+def test_face_polynomial_degree_limit(tmp_path, capsys, deadline, text, q, var):
+    # the degree of chi(w) or of the determining polynomial in c reaches
+    # 2^31 although no power of y or shift level does
+    path = tmp_path / "eq.qde"
+    path.write_text(text + "\n", encoding="utf-8")
+    with deadline(1):
+        code = main(["truncate", "--eq", str(path), "--q", q])
+    assert code == ResourceLimitError.exit_code == 3
+    assert capsys.readouterr().err == f"error: exponent of {var} reaches 2^31\n"
