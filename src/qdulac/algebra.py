@@ -25,11 +25,13 @@ The module also provides the number-theoretic helpers of the expansion
 engine, none of which factors an integer, so each runs in time polynomial
 in the bit size of its input:
 
-  rational_roots -- exact rational roots with multiplicities: the simple
-                    roots of the squarefree part modulo the first prime l
+  rational_roots -- exact rational roots with multiplicities of
+                    s^low*P(s^g), g the gcd of the degree gaps: the simple
+                    roots of P's squarefree part modulo the first prime l
                     not dividing lead*disc are lifted l-adically by
-                    Newton's step to the candidates z/b, each tested
-                    exactly; for a binomial a + b*s^d, exact d-th roots;
+                    Newton's step to the candidates z/b, each tested by
+                    exact division in Z[s] (a linear P is read directly),
+                    and each root u of P gives the exact g-th roots of u;
   q_pow          -- q^(p/m) from exact integer m-th roots (Newton iteration)
                     of the numerator and denominator of q, erroring when the
                     value leaves Q;
@@ -690,15 +692,6 @@ def _quotient(a: list[int], b: list[int]) -> list[int] | None:
     return None if any(a) else out[::-1]
 
 
-def _deflate(coeffs: list[int], root: Fraction) -> list[int]:
-    """Exact division of an integer polynomial by m*s - p, for root = p/m;
-    integral when root is a root (Gauss's lemma), an error otherwise."""
-    out = _quotient(coeffs, [-root.numerator, root.denominator])
-    if out is None:
-        raise InternalInvariantError(f"deflation by a non-root {root}")
-    return out
-
-
 def _primitive(coeffs: list[int]) -> list[int]:
     """The primitive multiple with a positive leading coefficient of an
     integer polynomial whose leading coefficient is nonzero."""
@@ -744,16 +737,6 @@ def _value(p: list[int], x: int, m: int) -> int:
     return acc
 
 
-def _homogeneous(p: list[int], num: int, den_powers: list[int]) -> int:
-    """den**deg(p) * p(num/den), given den_powers[i] = den**i (homogeneous
-    Horner: integers only, and zero exactly when num/den is a root)."""
-    d = len(p) - 1
-    acc = p[d]
-    for i in range(d - 1, -1, -1):
-        acc = acc * num + p[i] * den_powers[d - i]
-    return acc
-
-
 def _primes() -> Iterator[int]:
     """2, 3, 5, 7, 11, ... by trial division."""
     return (
@@ -761,57 +744,24 @@ def _primes() -> Iterator[int]:
     )
 
 
-def rational_roots(coeffs: Sequence[Scalar] | Mapping[int, Scalar]) -> list[tuple[Fraction, int]]:
-    """All rational roots of a rational polynomial, with multiplicities.
+def _lifted_roots(poly: list[int]) -> Iterator[tuple[Fraction, int]]:
+    """The rational roots, with multiplicities, of an integer polynomial
+    of degree >= 1 that does not vanish at 0.
 
-    `coeffs` lists the coefficients lowest degree first, or maps degrees
-    (ints >= 0) to them, as `TPoly.rational_terms` does; only the nonzero
-    terms are read.  The root 0 has the least degree as its multiplicity.
-    With two nonzero terms, a + b*s^d, the roots are simple, the real d-th
-    roots of -a/b, rational iff its numerator and denominator are exact
-    d-th powers.  Otherwise p, the primitive integer polynomial dense from
-    the least degree to the top one, has the distinct roots of its
-    squarefree part s = p/gcd(p, p'), of leading coefficient b: each is z/b
-    for an integer z with |z| <= B = b + max|s_i| (the Cauchy bound), found
-    by p-adic lifting (R. Loos, SIAM J. Comput. 12, 1983).  At the first
-    prime l dividing neither b nor disc(s), which exists as b*disc(s) != 0,
-    each root of s mod l is simple, and Newton's step x - s(x)/s'(x) lifts
-    it to the l-adic root a above it, doubling the known digits each time,
-    until the modulus m exceeds 2B; z is b*a mod m read in (-m/2, m/2].
-    Each candidate is divided out of p while p vanishes there, which tests
-    it exactly and gives its multiplicity.  No integer is factored: l is
-    about the bit length of b*disc(s) at most, the roots mod l are found by
-    trying each residue, and the lift takes about log2 of the bit length
-    of B steps.  Raises ValueError on a degree that is not an int >= 0 and
-    IndeterminateEquationError on the zero polynomial, whose roots are
-    unconstrained.
+    Its squarefree part s = poly/gcd(poly, poly'), made primitive with
+    leading coefficient b, has each rational root as z/b for an integer z
+    with |z| <= B = b + max|s_i| (the Cauchy bound), found by p-adic
+    lifting (R. Loos, SIAM J. Comput. 12, 1983).  At the first prime l
+    dividing neither b nor disc(s), which exists as b*disc(s) != 0, each
+    root of s mod l is simple, and Newton's step x - s(x)/s'(x) lifts it to
+    the l-adic root a above it, doubling the known digits each time, until
+    the modulus m exceeds 2B; z is b*a mod m read in (-m/2, m/2].  A
+    candidate u/v has as multiplicity the number of times v*s - u divides
+    poly exactly in Z[s] (Gauss's lemma); a non-root divides it no times.
+    No integer is factored: l is about the bit length of b*disc(s) at
+    most, the roots mod l are found by trying each residue, and the lift
+    takes about log2 of the bit length of B steps.
     """
-    terms: dict[int, Fraction] = {}
-    for d, c in coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs):
-        if type(d) is not int or d < 0:
-            raise ValueError("degrees must be nonnegative ints")
-        if c := _as_rat(c):
-            terms[d] = c
-    if not terms:
-        raise IndeterminateEquationError("indeterminate equation")
-    low, top = min(terms), max(terms)
-    roots = [(Fraction(0), low)] if low else []
-    if len(terms) == 1:
-        return roots
-    if len(terms) == 2:  # a + b*s^d, a != 0: s = ±(-a/b)^(1/d), each simple
-        d, ratio = top - low, -terms[low] / terms[top]
-        num = _exact_root(abs(ratio.numerator), d)
-        den = None if num is None else _exact_root(ratio.denominator, d)
-        if den is not None:
-            root = Fraction(num, den)
-            if ratio > 0:
-                roots += [(root, 1), (-root, 1)] if d % 2 == 0 else [(root, 1)]
-            elif d % 2:
-                roots.append((-root, 1))
-        return sorted(roots)
-
-    den_lcm = math.lcm(*(c.denominator for c in terms.values()))
-    poly = _primitive([int(terms.get(d, 0) * den_lcm) for d in range(low, top + 1)])
     s = _quotient(poly, _gcd([i * c for i, c in enumerate(poly)][1:], poly))
     if s is None:
         raise InternalInvariantError("gcd(p, p') does not divide p")
@@ -831,13 +781,53 @@ def rational_roots(coeffs: Sequence[Scalar] | Mapping[int, Scalar]) -> list[tupl
             inv = inv * (2 - _value(ds, a, m) * inv) % m
         z = lead * a % m
         root = Fraction(z - m if 2 * z > m else z, lead)
-        den_powers = [root.denominator**i for i in range(len(poly))]
-        mult = 0
-        while _homogeneous(work, root.numerator, den_powers) == 0:
-            work = _deflate(work, root)
-            mult += 1
+        factor, mult = [-root.numerator, root.denominator], 0
+        while (rest := _quotient(work, factor)) is not None:
+            work, mult = rest, mult + 1
         if mult:
-            roots.append((root, mult))
+            yield root, mult
+
+
+def rational_roots(coeffs: Sequence[Scalar] | Mapping[int, Scalar]) -> list[tuple[Fraction, int]]:
+    """All rational roots of a rational polynomial, with multiplicities.
+
+    `coeffs` lists the coefficients lowest degree first, or maps degrees
+    (ints >= 0) to them, as `TPoly.rational_terms` does; only the nonzero
+    terms are read.  The root 0 has the least degree as its multiplicity.
+    With g the gcd of the gaps between the degrees, the polynomial is
+    s^low * P(s^g), P of degree (top - low)/g: a linear P0 + P1*u has the
+    root -P0/P1, and any other P goes to `_lifted_roots` as an integer list
+    dense in u.  A root u != 0 of P of multiplicity m gives the real g-th
+    roots of u, each of multiplicity m as (s^g)' != 0 at s != 0, and each
+    rational iff the numerator and denominator of u are exact g-th powers.
+    Raises ValueError on a degree that is not an int >= 0 and
+    IndeterminateEquationError on the zero polynomial, whose roots are
+    unconstrained.
+    """
+    terms: dict[int, Fraction] = {}
+    for d, c in coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs):
+        if type(d) is not int or d < 0:
+            raise ValueError("degrees must be nonnegative ints")
+        if c := _as_rat(c):
+            terms[d] = c
+    if not terms:
+        raise IndeterminateEquationError("indeterminate equation")
+    low, top = min(terms), max(terms)
+    roots = [(Fraction(0), low)] if low else []
+    if len(terms) == 1:
+        return roots
+    g = math.gcd(*(d - low for d in terms))
+    if top - low == g:  # P is linear
+        found = [(-terms[low] / terms[top], 1)]
+    else:
+        den_lcm = math.lcm(*(c.denominator for c in terms.values()))
+        found = _lifted_roots([int(terms.get(d, 0) * den_lcm) for d in range(low, top + 1, g)])
+    for u, mult in found:
+        num = _exact_root(abs(u.numerator), g)
+        den = None if num is None else _exact_root(u.denominator, g)
+        if den is not None and (u > 0 or g % 2):  # s^g = u < 0 has no real root for even g
+            root = Fraction(num if u > 0 else -num, den)
+            roots += [(root, mult)] if g % 2 else [(root, mult), (-root, mult)]
     return sorted(roots)
 
 

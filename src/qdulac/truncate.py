@@ -15,8 +15,8 @@ x-power, so a face polynomial holds only its nonzero terms, of degree
 below 2^31 in w or c.
 `analyze_face` treats both kinds of face alike: it turns the roots into
 one ordered list of proposals (c, r, provenance), appends the user's
-value last, and verifies each proposal against the truncated sum when it
-constructs the solution; each solution keeps the q it was verified at.
+value last, and keeps each proposal that solves the truncated sum as a
+solution, which keeps the q it was verified at.
 """
 
 from __future__ import annotations
@@ -65,12 +65,6 @@ class TruncatedSolution:
         object.__setattr__(self, "r", _as_rat(self.r))
         object.__setattr__(self, "q", check_q(self.q))
 
-    @classmethod
-    def create(cls, f: QPolynomial, face: Face, c: ParamPoly, r, q,
-               provenance: str) -> "TruncatedSolution":
-        ts = cls(ParamPoly.coerce(c), r, q, face, provenance)
-        return _verified(ts, truncated_sum(f, face))
-
 
 def truncated_sum(f: QPolynomial, face: Face) -> QPolynomial:
     """Terms of f whose exponent point lies in the face's boundary subset."""
@@ -99,16 +93,6 @@ def _substitute(g: QPolynomial, ts: TruncatedSolution) -> dict:
     c, r, q = ts.c, ts.r, ts.q
     return _collect(g.terms, lambda t: t.x_exp + r * t.y_degree,
                     lambda t: t.coeff * c**t.y_degree * q_pow(q, r * t.shift_weight))
-
-
-def _verified(ts: TruncatedSolution, g: QPolynomial) -> TruncatedSolution:
-    """ts, if the truncated sum g of its face vanishes at y = c*x^r."""
-    if _substitute(g, ts):
-        raise TruncatedSolutionError(
-            f"y = ({ts.c})*x^{rat_str(ts.r)} does not solve the "
-            f"truncated equation of face {ts.face.label()}"
-        )
-    return ts
 
 
 def verify_truncated(ts: TruncatedSolution, f: QPolynomial) -> bool:
@@ -258,8 +242,12 @@ def analyze_face(
         if not face.admits(r):
             diagnostics.append(f"r={rat_str(r)} lies outside this vertex's normal cone; skipped")
         elif not any(s.c == c and s.r == r for s in candidates):
-            try:
-                candidates.append(_verified(TruncatedSolution(c, r, q, face, provenance), g))
-            except TruncatedSolutionError as err:
-                diagnostics.append(str(err))
+            ts = TruncatedSolution(c, r, q, face, provenance)
+            if _substitute(g, ts):
+                diagnostics.append(
+                    f"y = ({c})*x^{rat_str(ts.r)} does not solve the "
+                    f"truncated equation of face {face.label()}"
+                )
+            else:
+                candidates.append(ts)
     return FaceAnalysis(face, g, poly, roots, tuple(candidates), tuple(diagnostics))

@@ -10,10 +10,11 @@ reference parameter polynomial, the Sturm-bisection search for rational
 roots, a brute-force evaluation of a q-difference sum on a
 power-logarithmic series, a recursive multiset enumerator of the
 exponent set K, a generator of random equations with a planted edge
-solution, the expansion loop that evaluates the residual afresh at every
-exponent, the `expand` JSON document built from Fraction coefficients
-through `rat_str`, and the equation parser that multiplies out every
-factor and adds up every term as a QPolynomial.
+solution (`verified_solution` builds such a solution and checks it with
+the library's `verify_truncated`), the expansion loop that evaluates the
+residual afresh at every exponent, the `expand` JSON document built from
+Fraction coefficients through `rat_str`, and the equation parser that
+multiplies out every factor and adds up every term as a QPolynomial.
 """
 
 import math
@@ -43,6 +44,7 @@ from qdulac.qexpr import (
     substitute_shift,
     support,
 )
+from qdulac.truncate import TruncatedSolution, verify_truncated
 
 F = Fraction
 
@@ -724,6 +726,14 @@ def random_edge_equation(rng: random.Random):
     a_pt = (e_a, F(d_a))
     b_pt = (e_b, F(d_b))
     return eq, q, c, r, (a_pt, b_pt)
+
+
+def verified_solution(f, face, c, r, q) -> TruncatedSolution:
+    """The edge-root solution y = c*x^r of f on face at base q, asserted to
+    solve the face's truncated equation."""
+    ts = TruncatedSolution(ParamPoly.coerce(c), r, q, face, "edge-root")
+    assert verify_truncated(ts, f), (str(f), face.label(), c, r, q)
+    return ts
 
 
 def reference_expansion(f, ts, k_max) -> ExpansionResult:

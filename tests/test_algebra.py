@@ -318,6 +318,52 @@ def test_rational_roots_of_nonzero_terms_match_the_list():
         assert roots_or_error(terms, rational_roots) == roots_or_error(coeffs, rational_roots)
 
 
+def lattice_poly(rng, g):
+    """s^low * P(s^g) as a dense list, and the features it has: P is a
+    product of linear factors, repeated at times, whose roots are signed
+    g-th powers more often than not, and at times u^2 + u + 2, which has
+    no real root."""
+    roots = []
+    for _ in range(rng.randint(1, 3)):
+        if roots and rng.random() < 0.3:
+            roots.append(rng.choice(roots))
+        else:
+            base = F(rng.randint(1, 5), rng.randint(1, 5))
+            roots.append(rng.choice((1, -1)) * (base**g if rng.random() < 0.6 else base))
+    p = [F(rng.randint(1, 9), rng.randint(1, 9))]
+    for root in roots:
+        p = multiply(p, [-root, F(1)])
+    features = {"negative"} if min(roots) < 0 else set()
+    if len(set(roots)) < len(roots):
+        features.add("repeated")
+    if rng.random() < 0.3:
+        p = multiply(p, [F(2), F(1), F(1)])
+        features.add("irreducible")
+    low = rng.choice((0, 0, 1, 2))
+    if low:
+        features.add("low")
+    coeffs = [F(0)] * (low + g * (len(p) - 1) + 1)
+    for i, c in enumerate(p):
+        coeffs[low + g * i] = c
+    return coeffs, features
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 6])
+def test_rational_roots_on_a_lattice_against_sturm(g):
+    """Degrees on the lattice low + g*Z: a negative root u of P gives no
+    real root for even g and one for odd g, and a root of multiplicity m
+    gives g-th roots of multiplicity m."""
+    rng = random.Random(20261021 + g)
+    seen = set()
+    for _ in range(60):
+        coeffs, features = lattice_poly(rng, g)
+        expected = reference_rational_roots(coeffs)
+        assert rational_roots(coeffs) == expected, coeffs
+        assert rational_roots({d: c for d, c in enumerate(coeffs) if c}) == expected, coeffs
+        seen |= features
+    assert seen == {"negative", "repeated", "irreducible", "low"}
+
+
 @pytest.mark.parametrize("degree", [-1, F(1), 1.0, True, "1"])
 def test_rational_roots_refuses_bad_degrees(degree):
     with pytest.raises(ValueError):

@@ -81,8 +81,8 @@ _L = LinearPart((-2, 1))
         lambda: build_polygon([(0.5, 1), (0, 1)]),
         lambda: k_lattice([], [0.5], 0, 2),
         lambda: LinearPart((1.5, -1)),
-        lambda: TruncatedSolution.create(
-            _case().f, _case().edge, ParamPoly.const(F(-1, 6)), 3.0, 2, "edge-root"
+        lambda: TruncatedSolution(
+            ParamPoly.const(F(-1, 6)), 3.0, 2, _case().edge, "edge-root"
         ),
         lambda: verify_residual(_case().f, _case().result, {"c": 1}, 5.0),
         lambda: critical_numbers(_L, 2, 0.0),

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import random_edge_equation, reference_expansion_json
+from oracles import random_edge_equation, reference_expansion_json, verified_solution
 
 from qdulac import cli
 from qdulac.cli import (
@@ -31,7 +31,7 @@ from qdulac.expand import expand_solution
 from qdulac.parser import parse_equation
 from qdulac.polygon import build_polygon, find_face
 from qdulac.qexpr import PowerLogSeries, QPolynomial, QTerm, support
-from qdulac.truncate import TruncatedSolution, analyze_face
+from qdulac.truncate import analyze_face
 
 F = Fraction
 
@@ -458,7 +458,7 @@ def test_expand_document_matches_the_fraction_builder():
     while len(results) < 30:
         eq, q, c, r, endpoints = random_edge_equation(rng)
         face = find_face(build_polygon(support(eq)), endpoints)
-        ts = TruncatedSolution.create(eq, face, ParamPoly.const(c), r, q, "edge-root")
+        ts = verified_solution(eq, face, c, r, q)
         with contextlib.suppress(QDulacError):
             results.append(expand_solution(eq, ts, r + F(rng.randint(2, 8), 2)))
     coefs, sizes, degrees = set(), set(), set()

@@ -13,6 +13,7 @@ from oracles import (
     reference_expansion,
     reference_k_lattice,
     reference_solve,
+    verified_solution,
 )
 from qdulac.algebra import ParamPoly, TPoly, q_pow
 from qdulac.errors import (
@@ -76,7 +77,7 @@ def main_ts(q=F(1, 2)):
         for face in faces_for_x_to_zero(polygon)
         if face.dim == 1 and face.r == 0
     )
-    return f, TruncatedSolution.create(f, edge, -1, 0, q, "edge-root")
+    return f, verified_solution(f, edge, -1, 0, q)
 
 
 def a3():
@@ -546,7 +547,7 @@ def test_expansion_matches_fresh_loop_on_planted_edges():
     for _ in range(80):
         eq, q, c, r, endpoints = random_edge_equation(rng)
         face = find_face(build_polygon(support(eq)), endpoints)
-        ts = TruncatedSolution.create(eq, face, ParamPoly.const(c), r, q, "edge-root")
+        ts = verified_solution(eq, face, c, r, q)
         k_max = r + F(rng.randint(2, 12), 2)
         try:
             want = reference_expansion(eq, ts, k_max)
@@ -585,10 +586,10 @@ def test_expand_exactness_gate():
         face for face in faces_for_x_to_zero(polygon) if face.dim == 1
     )
     assert edge.r == 1
-    ts = TruncatedSolution.create(f, edge, 1, 1, F(1, 2), "edge-root")
+    ts = verified_solution(f, edge, 1, 1, F(1, 2))
     with pytest.raises(IrrationalQPowerError):
         expand_solution(f, ts, 3)
-    ts = TruncatedSolution.create(f, edge, 1, 1, F(1, 4), "edge-root")
+    ts = verified_solution(f, edge, 1, 1, F(1, 4))
     result = expand_solution(f, ts, 3)
     assert result.series.terms == ((F(3, 2), TPoly.const(-1)),)
     assert verify_residual(f, result, {}, 10) is None

@@ -117,34 +117,6 @@ def test_roots_that_agree_modulo_small_primes(deadline):
     assert roots == [(F(0), 1), (F(m), 1), (F(2 * m), 1)]
 
 
-def _run_optimized(code: str, *args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-O", "-c", code, *args],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-
-
-def test_deflation_invariant_survives_optimize():
-    proc = _run_optimized(
-        "import sys\n"
-        "from fractions import Fraction\n"
-        "from qdulac.algebra import _deflate\n"
-        "from qdulac.errors import InternalInvariantError\n"
-        "if sys.flags.optimize != 1:\n"
-        "    sys.exit('not optimized')\n"
-        "try:\n"
-        "    _deflate([1, 0, 1], Fraction(1))\n"
-        "except InternalInvariantError as exc:\n"
-        "    print(exc)\n"
-        "else:\n"
-        "    sys.exit('deflation by a non-root passed')\n"
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "non-root" in proc.stdout
-
-
 def test_injected_solver_bug_exits_3_under_optimize(tmp_path):
     path = tmp_path / "main.qde"
     path.write_text(
@@ -153,15 +125,20 @@ def test_injected_solver_bug_exits_3_under_optimize(tmp_path):
         encoding="utf-8",
     )
     # a difference operator that is off by one: every solve fails its check
-    proc = _run_optimized(
+    code = (
         "import sys\n"
         "from qdulac import cli, expand\n"
         "from qdulac.algebra import TPoly\n"
         "real = expand.apply_difference_operator\n"
         "expand.apply_difference_operator = lambda *a: real(*a) + TPoly.const(1)\n"
         "sys.exit(cli.main(['expand', '--eq', sys.argv[1], '--params', 'a3,a4',\n"
-        "                   '--q', '1/2', '--kmax', '2']))\n",
-        str(path),
+        "                   '--q', '1/2', '--kmax', '2']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
     assert proc.returncode == QDulacError.exit_code, proc.stderr
     assert "difference solve failed to verify" in proc.stderr

@@ -122,13 +122,9 @@ def test_verify_truncated_examples():
     assert verify_truncated(good, QPolynomial())
 
 
-def test_truncated_solution_factory_verifies():
+def test_truncated_solution_refuses_zero_c():
     f, poly = setup_main()
     left = find_face(poly, [(0, 2), (0, 3)])
-    ts = TruncatedSolution.create(f, left, ParamPoly.const(-1), 0, F(1, 2), "edge-root")
-    assert ts.c == ParamPoly.const(-1)
-    with pytest.raises(TruncatedSolutionError):
-        TruncatedSolution.create(f, left, ParamPoly.const(1), 0, F(1, 2), "edge-root")
     with pytest.raises(TruncatedSolutionError):
         TruncatedSolution(ParamPoly.zero(), F(0), F(1, 2), left, "edge-root")
 
@@ -136,7 +132,7 @@ def test_truncated_solution_factory_verifies():
 def test_truncated_solution_checks_q():
     f, poly = setup_main()
     left = find_face(poly, [(0, 2), (0, 3)])
-    ts = TruncatedSolution.create(f, left, ParamPoly.const(-1), 0, 4, "edge-root")
+    ts = TruncatedSolution(ParamPoly.const(-1), F(0), 4, left, "edge-root")
     assert ts.q == F(4) and type(ts.q) is Fraction
     for q in (1, F(1), 0, F(-1, 2)):
         with pytest.raises(InvalidQError):
@@ -339,6 +335,19 @@ def test_face_polynomials_keep_only_their_terms(deadline):
         assert analysis.roots == ((F(-1), 1), (F(1), 1))
         assert [(ts.c, ts.r) for ts in analysis.candidates] == [
             (ParamPoly.const(c), F(1, 10**9)) for c in (-1, 1)
+        ]
+
+
+def test_lacunary_trinomial_edge_is_never_made_dense(deadline):
+    # Delta(c) = (c^500000000 - 1)^2 has its degrees on the lattice
+    # 500000000*Z: its roots are those of (u - 1)^2 at u = c^500000000
+    with deadline(1):
+        f = parse_equation("y^1000000000 - 2*x^500000000*y^500000000 + x^1000000000")
+        edge = find_face(build_polygon(support(f)), [(0, 10**9), (10**9, 0)])
+        analysis = analyze_face(f, edge, F(1, 2))
+        assert analysis.roots == ((F(-1), 2), (F(1), 2))
+        assert [(ts.c, ts.r) for ts in analysis.candidates] == [
+            (ParamPoly.const(c), F(1)) for c in (-1, 1)
         ]
 
 
