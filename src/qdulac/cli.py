@@ -247,6 +247,8 @@ def _select_faces(polygon: NewtonPolygon, selector: str) -> list[Face]:
     # "(q1,q2)" or two such points joined by "-", with or without spaces
     halves = re.split(r"(?<=\))\s*-\s*(?=\()", selector.strip(), maxsplit=1)
     points = [_parse_point_text(half) for half in halves]
+    if len(points) == 2 and points[0] == points[1]:
+        raise ValueError(f"bad edge {selector!r}; an edge needs two distinct endpoints")
     face = find_face(polygon, points)
     if face is None:
         raise ValueError(f"no face with endpoints {selector!r}")

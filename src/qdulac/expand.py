@@ -56,7 +56,6 @@ from .polygon import convex_hull
 from .qexpr import (
     PowerLogSeries,
     QPolynomial,
-    QTerm,
     evaluate_on_series,
     substitute_shift,
     support,
@@ -139,8 +138,11 @@ def extract_linear_part(ft: QPolynomial):
         raise LinearVertexError(
             "the substituted equation is identically zero; nothing to expand"
         )
-    linear = QPolynomial([t for t in ft.terms if t.x_exp == 0 and t.y_degree == 1])
-    if linear.is_zero():
+    linear, rest = {}, {}
+    for t in ft.terms:
+        side = linear if t.x_exp == 0 and t.y_degree == 1 else rest
+        side[t.x_exp, t.sigma_powers] = t.coeff
+    if not linear:
         raise LinearVertexError(
             "no terms at support point (0,1): the linear part is missing"
         )
@@ -148,11 +150,12 @@ def extract_linear_part(ft: QPolynomial):
         raise LinearVertexError(
             "support point (0,1) is not a vertex of the Newton polygon"
         )
-    chi = vertex_char_poly(linear)  # L(s): S^l y has shift weight l
+    chi = vertex_char_poly(QPolynomial._trusted(linear))  # L(s): S^l y has weight l
     coeffs = chi.coeffs
     if varying := [coeff for coeff in coeffs if not coeff.is_constant()]:
         raise LinearCoefficientError(f"coefficient at (0,1) is not constant: {varying[0]}")
-    return LinearPart(tuple(c.constant_value() for c in coeffs)), ft - linear
+    h = QPolynomial._trusted(rest)
+    return LinearPart(tuple(c.constant_value() for c in coeffs)), h
 
 
 def critical_numbers(L: LinearPart, q, r) -> CriticalData:
@@ -375,10 +378,10 @@ def verify_residual(
     left.  None means the residual vanishes identically through k_max.
     """
     k_max = _as_rat(k_max)
-    bound_f = QPolynomial([
-        QTerm(ParamPoly.const(t.coeff.evaluate(assignment)), t.x_exp, t.sigma_powers)
+    bound_f = QPolynomial._trusted({
+        (t.x_exp, t.sigma_powers): ParamPoly.const(t.coeff.evaluate(assignment))
         for t in f.terms
-    ])
+    })
     bound = result.series.bind_parameters(assignment)
     residual = evaluate_on_series(bound_f, bound, k_max).all_terms
     return residual[0][0] if residual else None

@@ -6,9 +6,10 @@ carrying its boundary subset: all support points lying on the face,
 including collinear interior points of an edge.
 
 For the direction x -> 0 the relevant normal directions are the rays
-lambda * (-1, -r).  An edge admits exactly one such r (when its outward
-normal points into the half-plane p1 < 0); a vertex admits an open
-interval of r values.  The predicates run on an integer grid: the points
+lambda * (-1, -r).  An edge admits exactly one such r, read off its
+direction (when its outward normal points into the half-plane p1 < 0); a
+vertex admits an open interval of r values, bounded by its two hull
+neighbours.  The predicates run on an integer grid: the points
 are scaled to (x*X, y*Y), X and Y the lcms of the x and y denominators,
 which keeps order, turn signs and collinearity, and only the stored r
 values and r-range bounds are formed as exact Fractions.  The degenerate
@@ -32,13 +33,6 @@ def _pt(p) -> Point:
 
 def _cross(o: Point, a: Point, b: Point) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _between(a: Point, b: Point, s: Point) -> bool:
-    """s on the closed segment [a,b], assuming a, b, s collinear."""
-    d = (b[0] - a[0], b[1] - a[1])
-    t = (s[0] - a[0]) * d[0] + (s[1] - a[1]) * d[1]
-    return 0 <= t <= d[0] * d[0] + d[1] * d[1]
 
 
 @dataclass(frozen=True)
@@ -78,10 +72,7 @@ class Face:
         return (lo is None or lo < r) and (hi is None or r < hi)
 
     def label(self) -> str:
-        pts = "-".join(
-            f"({rat_str(p[0])},{rat_str(p[1])})" for p in self.endpoints
-        )
-        return pts
+        return "-".join(f"({rat_str(x)},{rat_str(y)})" for x, y in self.endpoints)
 
 
 @dataclass(frozen=True)
@@ -131,18 +122,18 @@ def _grid_rat(ratio: tuple, scale: tuple) -> Fraction:
     return Fraction(-ratio[0] * scale[1], ratio[1] * scale[0])
 
 
-def _vertex_r_range(v: Point, grid, scale: tuple):
+def _vertex_r_range(v: Point, neighbours, scale: tuple):
     """Open interval of r with (-1,-r) strictly maximal at v, or None.
 
-    The constraint from another support point s is
-    (s1 - v1) + r (s2 - v2) > 0; each bound is kept as the grid ratio
-    of s - v, its second entry made positive.
+    A hull vertex that beats its two hull neighbours beats every point, so
+    each neighbour s gives the constraint (s1 - v1) + r (s2 - v2) > 0; each
+    bound is kept as the grid ratio of s - v, its second entry positive.
     """
     lo = hi = None
-    for s in grid:
+    for s in neighbours:
         d = (s[0] - v[0], s[1] - v[1])
         if d[1] == 0:
-            if d[0] < 0:  # s == v gives d = (0, 0)
+            if d[0] < 0:  # s == v, a one-point hull, gives d = (0, 0)
                 return None
         elif d[1] > 0:
             if lo is None or d[0] * lo[1] < lo[0] * d[1]:
@@ -154,34 +145,26 @@ def _vertex_r_range(v: Point, grid, scale: tuple):
     return tuple(None if b is None else _grid_rat(b, scale) for b in (lo, hi))
 
 
-def _edge_r(a: Point, b: Point, subset: tuple, grid, scale: tuple) -> Fraction | None:
-    """The unique r with (-1,-r) normal to edge ab and outward, if any:
-    (-1,-r).s is smaller off the edge than on it, which on the grid reads
-    cross(a, b, s) * (b2 - a2) < 0."""
-    d = (b[0] - a[0], b[1] - a[1])
-    if d[1] == 0:
-        return None
-    for s in grid:
-        if s not in subset and _cross(a, b, s) * d[1] >= 0:
-            return None
-    return _grid_rat(d, scale)
-
-
 def build_polygon(support) -> NewtonPolygon:
     """Exact convex hull of a nonempty support with all faces annotated."""
     grid, scale = _grid(support)
     if not grid:
         raise ValueError("empty support")
     hull = _chain(grid)
-    faces = [
-        Face(0, (grid[v],), (grid[v],), None, _vertex_r_range(v, grid, scale))
-        for v in hull
-    ]
     n = len(hull)
+    faces = [
+        Face(0, (grid[v],), (grid[v],), None,
+             _vertex_r_range(v, (hull[i - 1], hull[(i + 1) % n]), scale))
+        for i, v in enumerate(hull)
+    ]
     for a, b in [(hull[i], hull[(i + 1) % n]) for i in range(n if n >= 3 else n - 1)]:
-        subset = tuple(s for s in grid if _cross(a, b, s) == 0 and _between(a, b, s))
-        r = _edge_r(a, b, subset, grid, scale)
-        faces.append(Face(1, tuple(map(grid.get, subset)), (grid[a], grid[b]), r, None))
+        # The hull turns strictly counterclockwise: no point of the line ab
+        # lies outside [a,b] and every other point lies left of it, so (-1,-r)
+        # is outward when b is below a, or not level with it on a segment.
+        d = (b[0] - a[0], b[1] - a[1])
+        r = _grid_rat(d, scale) if d[1] < 0 or (n == 2 and d[1]) else None
+        subset = tuple(grid[s] for s in grid if _cross(a, b, s) == 0)
+        faces.append(Face(1, subset, (grid[a], grid[b]), r, None))
     return NewtonPolygon(
         tuple(grid.values()), tuple(grid[v] for v in hull), tuple(faces)
     )

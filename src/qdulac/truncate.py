@@ -69,7 +69,8 @@ class TruncatedSolution:
 def truncated_sum(f: QPolynomial, face: Face) -> QPolynomial:
     """Terms of f whose exponent point lies in the face's boundary subset."""
     wanted = set(face.points)
-    return QPolynomial([t for t in f.terms if t.q_point in wanted])
+    return QPolynomial._trusted({(t.x_exp, t.sigma_powers): t.coeff
+                                 for t in f.terms if t.q_point in wanted})
 
 
 def _collect(terms, key, value) -> dict:

@@ -225,6 +225,17 @@ def test_bad_point_in_face_selector(eq_main, capsys):
     assert "bad point" in err
 
 
+def test_edge_selector_with_equal_endpoints(tmp_path, capsys):
+    eq = write_eq(tmp_path, "S(y) - 2*y + x")
+    for face in ("(0,1)-(0,1)", "(0,1) - (0/3,2/2)"):
+        code, out, err = run(capsys, ["expand", "--eq", eq, "--q", "1/2", "--face", face])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "an edge needs two distinct endpoints" in err
+    # the one point alone still selects the vertex
+    code, _, _ = run(capsys, ["expand", "--eq", eq, "--q", "1/2", "--face", "(0,1)"])
+    assert code == EXIT_OK
+
+
 def test_duplicate_parameter_name(eq_main, capsys):
     code, _, err = run(capsys, ["polygon", "--eq", eq_main, "--params", "a,a"])
     assert code == EXIT_INPUT

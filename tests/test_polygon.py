@@ -217,6 +217,45 @@ def test_face_admits_matches_support_scan():
     assert seen == {(0, True), (0, False), (1, True), (1, False)}
 
 
+def _large_grid_draw(rng, shape):
+    """300 to 1,000 points on a small integer grid: spread over the plane
+    with binomial coordinates (a ragged hull, collinear runs, points level
+    with each other), strung along one line, or one point repeated."""
+    n = rng.randint(300, 1000)
+
+    def coord():
+        return rng.randint(-4, 4) + rng.randint(-4, 4)
+
+    if shape == "plane":
+        tilt = rng.randint(-1, 1)
+        return [(F(u), F(coord() + tilt * u)) for u in (coord() for _ in range(n))]
+    a = (coord(), coord())
+    if shape == "point":
+        return [tuple(map(F, a))] * n
+    d = rng.choice([(1, 0), (0, 1), (1, 1), (2, -1), (-1, 3)])
+    steps = (rng.randint(0, 8) for _ in range(n))
+    return [(F(a[0] + j * d[0]), F(a[1] + j * d[1])) for j in steps]
+
+
+def test_cones_at_scale_match_support_scans(deadline):
+    rng = random.Random(20261020)
+    shapes = ["plane"] * 8 + ["line"] * 5 + ["point"] * 2
+    draws = [_large_grid_draw(rng, shape) for shape in shapes]
+    with deadline(2):
+        polys = [build_polygon(pts) for pts in draws]
+    seen = set()
+    for pts, poly in zip(draws, polys):
+        assert _fields(poly) == _fields(reference_polygon(pts)), pts
+        for face in poly.faces:
+            for r in _admits_probes(face) | {F(0)}:
+                assert face.admits(r) == cone_contains(face, poly.support, r), (face, r)
+        edges = [f for f in poly.faces if f.dim == 1]
+        seen.add(min(len(poly.hull_vertices), 3))
+        seen |= {"collinear run" for f in edges if len(f.points) > 2}
+        seen |= {"level edge" for f in edges if f.endpoints[0][1] == f.endpoints[1][1]}
+    assert seen == {1, 2, 3, "collinear run", "level edge"}
+
+
 def test_cone_partition_property():
     rng = random.Random(15)
     for _ in range(30):
