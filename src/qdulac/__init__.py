@@ -4,7 +4,8 @@ The pipeline: parse an equation built from x, y and the scaling operator
 S (S y(x) = y(q x)); take the Newton polygon of its support; read leading
 candidates y ~ c*x^r off the polygon's faces; then expand term by term,
 y = c*x^r + sum beta_k(log_q x) * x^k, solving one polynomial difference
-equation per exponent.  All arithmetic is exact rational.
+equation per exponent.  All arithmetic is exact rational, and the records
+each stage returns are immutable named tuples.
 """
 
 from .algebra import ParamPoly, TPoly, q_log, q_pow, rational_roots

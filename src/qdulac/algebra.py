@@ -39,9 +39,9 @@ in the bit size of its input:
                     decompositions q = q0^e and w = w0^f.
 
 It also owns the notation every printed expression is written in: one
-`Notation` holds the shared printers (monomial, signed sum, ParamPoly,
-TPoly and power-logarithmic series) and two styles, TEXT (the equation
-DSL) and LATEX.
+`Notation`, a named tuple of formats, holds the shared printers (monomial,
+signed sum, ParamPoly, TPoly and power-logarithmic series); TEXT (the
+equation DSL) and LATEX are its two styles.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -52,9 +52,8 @@ import itertools
 import math
 import re
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     IndeterminateEquationError,
@@ -551,8 +550,7 @@ def _param_terms(p: ParamPoly) -> list[tuple]:
 _INDEXED_SYMBOL = re.compile(r"^([A-Za-z]+)([0-9]+)$")
 
 
-@dataclass(frozen=True)
-class Notation:
+class Notation(NamedTuple):
     """One style of writing expressions; the printers are shared.
 
     A style is only data: the formats below.  Every printed expression is

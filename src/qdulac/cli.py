@@ -19,8 +19,6 @@ import functools
 import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .algebra import (
     LATEX,
@@ -33,7 +31,7 @@ from .algebra import (
     q_log,
     rat_str,
 )
-from .errors import QDulacError
+from .errors import InvalidQError, QDulacError
 from .expand import ExpansionResult, expand_solution, verify_residual
 from .parser import parse_equation, parse_param_expr
 from .polygon import (
@@ -229,7 +227,8 @@ def _split_params(text: str) -> list:
 
 
 def _load_equation(args) -> QPolynomial:
-    text = Path(args.eq).read_text(encoding="utf-8")
+    with open(args.eq, encoding="utf-8") as file:
+        text = file.read()
     return parse_equation(text, args.params)
 
 
@@ -312,18 +311,23 @@ def _pick_candidate(analyses, args, c_override, r_override):
     return candidates[0]
 
 
-def _log_var(args, q: Fraction):
-    """Display variable and per-degree scale for the log base."""
-    if args.log_base:
+def _log_var(args):
+    """(display variable, j with q = base^j) of --log-base, or None for base
+    q.  Checked before any algebra: the base must be a valid q in every
+    format, and in text and LaTeX one that q is a rational power of."""
+    if args.log_base is None:
+        return None
+    try:
         base = check_q(parse_rat(args.log_base))
-        j = q_log(base, q)
-        if j is None or j == 0:
-            raise ValueError(
-                f"q={rat_str(q)} is not a rational power of base "
-                f"{rat_str(base)}"
-            )
-        return f"log_{{{rat_str(base)}}}(x)", j
-    return f"log_{{{rat_str(q)}}}(x)", Fraction(1)
+    except (ValueError, InvalidQError):
+        raise ValueError(f"--log-base {args.log_base!r}: not a positive rational != 1") from None
+    if args.format == "json":
+        return None
+    q = check_q(parse_rat(args.q))
+    j = q_log(base, q)
+    if j is None:
+        raise ValueError(f"q={rat_str(q)} is not a rational power of base {rat_str(base)}")
+    return f"log_{{{rat_str(base)}}}(x)", j
 
 
 def _rebase_series(series: PowerLogSeries, j: Fraction) -> PowerLogSeries:
@@ -352,6 +356,31 @@ def _face_text(face: Face) -> str:
     return f"vertex {face.label()}: r in ({lo_s}, {hi_s})"
 
 
+# json.dumps's escapes in ASCII: these seven short ones, and \uXXXX (a
+# surrogate pair above U+FFFF) for any other character outside space..~.
+_SHORT_ESCAPES = {c: "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}
+
+
+def _escape_char(char: str) -> str:
+    if char in _SHORT_ESCAPES or " " <= char <= "~":
+        return _SHORT_ESCAPES.get(char, char)
+    n = ord(char)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000
+    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+
+
+def _quote(text: str) -> str:
+    """text as a JSON string literal in ASCII, as json.dumps writes it; a
+    key that is not a str fails `str.isascii` with TypeError."""
+    if str.isascii(text) and text.isprintable():  # only " and \ to escape
+        text = text.replace("\\", "\\\\").replace('"', '\\"')
+    else:
+        text = "".join(map(_escape_char, text))
+    return f'"{text}"'
+
+
 def json_text(doc) -> str:
     """json.dumps(doc, indent=2), in one pass over a document of strs, ints,
     bools, None, str-keyed dicts and lists; anything else raises TypeError."""
@@ -360,11 +389,11 @@ def json_text(doc) -> str:
 
     def write(value, newline: str, prefix: str) -> None:
         if isinstance(value, str):
-            put(prefix + encode_basestring_ascii(value))
+            put(prefix + _quote(value))
         elif type(value) is dict:
             inner, sep = newline + "  ", prefix + "{" + newline + "  "
             for key, item in value.items():
-                write(item, inner, sep + encode_basestring_ascii(key) + ": ")
+                write(item, inner, sep + _quote(key) + ": ")
                 sep = "," + inner
             put(newline + "}" if value else prefix + "{}")
         elif type(value) is list:
@@ -375,7 +404,7 @@ def json_text(doc) -> str:
             put(newline + "]" if value else prefix + "[]")
         elif value is None or value is True or value is False:
             put(prefix + ("null" if value is None else "true" if value else "false"))
-        else:  # int.__repr__, as the string encoder, refuses any other type
+        else:  # int.__repr__, as str.isascii in _quote, refuses any other type
             put(prefix + int.__repr__(value))
 
     write(doc, "\n", "")
@@ -510,12 +539,13 @@ def _expand_pipeline(args):
 
 
 def cmd_expand(args) -> int:
+    log_var = _log_var(args)
     _, k_max, result = _expand_pipeline(args)
     q = result.series.q
     if args.format == "json":
         _print_json(expansion_json(result))
         return EXIT_OK
-    var, j = _log_var(args, q)
+    var, j = log_var or (f"log_{{{rat_str(q)}}}(x)", Fraction(1))
     display = _rebase_series(result.series, j)
     if args.format == "latex":
         latex_var = "\\" + var
@@ -577,7 +607,8 @@ def cmd_verify(args) -> int:
 def cmd_plot(args) -> int:
     f = _load_equation(args)
     polygon = build_polygon(support(f))
-    Path(args.svg).write_text(render_svg(polygon), encoding="utf-8")
+    with open(args.svg, "w", encoding="utf-8") as file:
+        file.write(render_svg(polygon))
     print(f"wrote {args.svg}")
     return EXIT_OK
 

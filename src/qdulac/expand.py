@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import count
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .algebra import (
     ParamPoly,
@@ -63,36 +61,49 @@ from .qexpr import (
 from .truncate import TruncatedSolution, vertex_char_poly
 
 
-@dataclass(frozen=True)
-class LinearPart:
-    """Constant coefficients a_0 ... a_m of the linear operator L(S)."""
-
+class _LinearPart(NamedTuple):
     coeffs: tuple
 
-    def __post_init__(self):
-        cs = tuple(_as_rat(c) for c in self.coeffs)
+
+class LinearPart(_LinearPart):
+    """Constant coefficients a_0 ... a_m of the linear operator L(S).
+
+    Built, copied by `_replace` and remade by `_make` through one check:
+    exact coefficients, trailing zeros dropped, one nonzero.  No attribute
+    can be set; the instance dict holds only the cache of `roots`."""
+
+    def __new__(cls, coeffs):
+        cs = tuple(_as_rat(c) for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         if not cs:
             raise ValueError("linear part must have a nonzero coefficient")
-        object.__setattr__(self, "coeffs", cs)
+        return super().__new__(cls, cs)
+
+    @classmethod
+    def _make(cls, values) -> LinearPart:
+        return cls(*values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: LinearPart is immutable")
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @cached_property
+    @property
     def roots(self) -> dict:
         """Rational roots of L(s) with their multiplicities, found once."""
-        return dict(rational_roots(self.coeffs))
+        if "roots" not in self.__dict__:
+            self.__dict__["roots"] = dict(rational_roots(self.coeffs))
+        return self.__dict__["roots"]
 
     def root_multiplicity(self, w: Fraction) -> int:
         """Multiplicity of w as a root of L(s)."""
         return self.roots.get(w, 0)
 
 
-@dataclass(frozen=True)
-class CriticalData:
+class CriticalData(NamedTuple):
     """Rational eigenvalues of the linear part relative to a base exponent.
 
     eigen_rational lists (k, mu) with nu(k) = 0 exactly, mu the
@@ -110,8 +121,7 @@ class CriticalData:
         return tuple((k, mu) for k, mu in self.eigen_rational if k > self.r)
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     """A computed expansion y = c*x^r + sum beta_k(t) x^k up to k_max."""
 
     series: PowerLogSeries

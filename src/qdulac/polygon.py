@@ -13,14 +13,15 @@ neighbours.  The predicates run on an integer grid: the points
 are scaled to (x*X, y*Y), X and Y the lcms of the x and y denominators,
 which keeps order, turn signs and collinearity, and only the stored r
 values and r-range bounds are formed as exact Fractions.  The degenerate
-hulls (single point, segment) use the same Face vocabulary.
+hulls (single point, segment) use the same Face vocabulary; a `Face` and
+the `NewtonPolygon` are named tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import _as_rat, rat_str
 
@@ -35,8 +36,7 @@ def _cross(o: Point, a: Point, b: Point) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A vertex (dim 0) or edge (dim 1) with its boundary subset.
 
     `points` lists every support point on the face; `endpoints` the hull
@@ -75,8 +75,7 @@ class Face:
         return "-".join(f"({rat_str(x)},{rat_str(y)})" for x, y in self.endpoints)
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     support: tuple
     hull_vertices: tuple  # counterclockwise
     faces: tuple

@@ -34,11 +34,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .algebra import (
     TEXT,
@@ -93,15 +91,14 @@ def _check_sigma(keys, times: int = 1) -> None:
                 raise ResourceLimitError("power of y or S^l(y) reaches 2^31")
 
 
-@dataclass(frozen=True)
-class QTerm:
+class QTerm(NamedTuple):
     """One monomial of a q-difference sum."""
 
     coeff: ParamPoly
     x_exp: Fraction
     sigma_powers: SigmaPowers
 
-    @cached_property
+    @property
     def y_degree(self) -> int:
         return sum(d for _, d in self.sigma_powers)
 
@@ -110,7 +107,7 @@ class QTerm:
         """Sum of level*power; the w-exponent under y = c*x^r (w = q^r)."""
         return sum(l * d for l, d in self.sigma_powers)
 
-    @cached_property
+    @property
     def q_point(self) -> Point:
         return (self.x_exp, Fraction(self.y_degree))
 

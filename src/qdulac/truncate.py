@@ -16,14 +16,15 @@ below 2^31 in w or c.
 `analyze_face` treats both kinds of face alike: it turns the roots into
 one ordered list of proposals (c, r, provenance), appends the user's
 value last, and keeps each proposal that solves the truncated sum as a
-solution, which keeps the q it was verified at.
+`TruncatedSolution`, which keeps the q it was verified at.  Both records
+are named tuples; a `TruncatedSolution` is copied only through its checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from typing import NamedTuple
 
 from .algebra import (
     _EXP_LIMIT,
@@ -49,21 +50,30 @@ from .polygon import Face
 from .qexpr import QPolynomial
 
 
-@dataclass(frozen=True)
-class TruncatedSolution:
-    """A verified leading-order solution y = c * x^r on a face, at base q."""
-
+class _TruncatedSolution(NamedTuple):
     c: ParamPoly
     r: Fraction
     q: Fraction
     face: Face
     provenance: str  # "vertex-root" | "edge-root" | "user-supplied"
 
-    def __post_init__(self):
-        if self.c.is_zero():
+
+class TruncatedSolution(_TruncatedSolution):
+    """A verified leading-order solution y = c * x^r on a face, at base q.
+
+    Built, copied by `_replace` and remade by `_make` through one check:
+    c != 0, r exact and q a valid base."""
+
+    __slots__ = ()
+
+    def __new__(cls, c: ParamPoly, r, q, face: Face, provenance: str):
+        if c.is_zero():
             raise TruncatedSolutionError("leading coefficient c must be nonzero")
-        object.__setattr__(self, "r", _as_rat(self.r))
-        object.__setattr__(self, "q", check_q(self.q))
+        return super().__new__(cls, c, _as_rat(r), check_q(q), face, provenance)
+
+    @classmethod
+    def _make(cls, values) -> TruncatedSolution:
+        return cls(*values)
 
 
 def truncated_sum(f: QPolynomial, face: Face) -> QPolynomial:
@@ -137,8 +147,7 @@ def determining_poly(g: QPolynomial, r, q) -> TPoly:
     return _face_poly(by_degree, "c")
 
 
-@dataclass(frozen=True)
-class FaceAnalysis:
+class FaceAnalysis(NamedTuple):
     """Everything the pipeline learns from one face."""
 
     face: Face

@@ -3,7 +3,6 @@ import json
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import jsonschema
@@ -530,6 +529,26 @@ def test_expand_log_base_must_be_compatible(eq_main, capsys):
     assert "not a rational power" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+@pytest.mark.parametrize("base", ["abc", "0", "1", "-1/2", "1/0", ""])
+def test_expand_refuses_malformed_log_base_first(fmt, base, tmp_path, capsys):
+    # no equation file: the base is refused before anything is read
+    missing = str(tmp_path / "missing.qde")
+    argv = ["expand", "--eq", missing, "--q", "1/2", "--format", fmt, f"--log-base={base}"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: --log-base {base!r}: not a positive rational != 1\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+def test_expand_refuses_incompatible_log_base_first(fmt, tmp_path, capsys):
+    missing = str(tmp_path / "missing.qde")
+    argv = ["expand", "--eq", missing, "--q", "1/2", "--format", fmt, "--log-base", "1/3"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: q=1/2 is not a rational power of base 1/3\n"
+
+
 def test_expand_explicit_face_and_root(eq_main, capsys):
     code, out, _ = run(
         capsys,
@@ -699,8 +718,7 @@ def test_verify_detects_truncation_gap(eq_main, capsys, monkeypatch):
 
     def broken_pipeline(ns):
         f, k_max, result = pipeline(ns)
-        bare = replace(
-            result,
+        bare = result._replace(
             series=PowerLogSeries(
                 result.series.q, [], base_shift=result.series.base_shift
             ),
@@ -1025,6 +1043,16 @@ def no_digit_limit():
 def test_json_text_matches_json_dumps(value):
     with no_digit_limit():
         assert cli.json_text(value) == json.dumps(value, indent=2)
+
+
+# ASCII with its control characters and DEL, astral characters and a lone surrogate
+quote_chars = st.characters(max_codepoint=0x80) | st.sampled_from("\U0001f600\U0010ffff\ud800")
+
+
+@settings(derandomize=True, max_examples=500)
+@given(st.text() | st.text(quote_chars))
+def test_quote_matches_json_dumps(text):
+    assert cli._quote(text) == json.dumps(text)
 
 
 @pytest.mark.parametrize(

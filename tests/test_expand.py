@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -534,7 +533,7 @@ def test_expansion_matches_fresh_loop_on_golden_equations(monkeypatch, tmp_path)
 
 def _same_expansion(a, b) -> bool:
     """Equal ExpansionResults; the series compared by (q, terms, base_shift)."""
-    return replace(a, series=None) == replace(b, series=None) and (
+    return a._replace(series=None) == b._replace(series=None) and (
         a.series.q, a.series.terms, a.series.base_shift
     ) == (b.series.q, b.series.terms, b.series.base_shift)
 
@@ -648,8 +647,7 @@ def test_residual_case1_vanishes_to_order():
 def test_residual_of_bare_base():
     f, ts = main_ts()
     result = expand_solution(f, ts, 1)
-    bare = replace(
-        result,
+    bare = result._replace(
         series=PowerLogSeries(F(1, 2), [], base_shift=(ParamPoly.const(-1), F(0))),
     )
     assert verify_residual(f, bare, {"a3": 1, "a4": 1}, 5) == 1
@@ -664,8 +662,7 @@ def test_vertex_residual_with_c_bound_to_zero():
     face = find_face(polygon, [(0, 1)])
     (ts,) = analyze_face(f, face, 2).candidates
     result = expand_solution(f, ts, 9)
-    cut = replace(
-        result,
+    cut = result._replace(
         series=PowerLogSeries(
             2, result.series.terms[:1], base_shift=result.series.base_shift
         ),
@@ -722,8 +719,7 @@ def test_degree_bound_negative_control():
     f, ts = main_ts()
     result = expand_solution(f, ts, 1)
     t5 = TPoly([0, 0, 0, 0, 0, 1])
-    fake = replace(
-        result,
+    fake = result._replace(
         series=PowerLogSeries(
             F(1, 2), [(F(1), t5)], base_shift=result.series.base_shift
         ),
