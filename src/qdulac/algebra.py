@@ -138,7 +138,7 @@ class _FractionFree:
     """The store ParamPoly and TPoly share, as FLINT's fmpq_mpoly is: `_nums`
     maps each packed key to a nonzero int numerator and `_den` is one
     positive int denominator, with gcd(den, *numerators) == 1; zero is {}
-    over 1.  That form is unique, so equality and hashing compare it."""
+    over 1.  That form is unique, so hashing and same-class equality compare it."""
 
     __slots__ = ("_nums", "_den")
 
@@ -172,6 +172,11 @@ class _FractionFree:
 
     def __neg__(self):
         return self._canonical({m: -n for m, n in self._nums.items()}, self._den)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
         return hash((frozenset(self._nums.items()), self._den))
@@ -275,11 +280,10 @@ class ParamPoly(_FractionFree):
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ParamPoly.const(other)
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        return self._den == other._den and self._nums == other._nums
+        return super().__eq__(other)
 
-    __hash__ = _FractionFree.__hash__
+    def __hash__(self):  # a constant equals its rational, so it hashes alike
+        return hash(self.constant_value()) if self.is_constant() else super().__hash__()
 
     # -- evaluation and display
 
@@ -438,19 +442,22 @@ class TPoly(_FractionFree):
         """The sum of a*b over the pairs, in one kernel pass."""
         return _sum_products(pairs, TPoly)
 
-    def _rows(self) -> dict[int, dict[int, int]]:
-        """t-degree -> {ParamPoly key: numerator} over `_den`, in one pass."""
+    def _rows(self) -> tuple[dict[int, dict[int, int]], int]:
+        """(t-degree -> {ParamPoly key: numerator}, den); `_from_rows` inverts it."""
         rows: dict[int, dict] = {}
         for key, n in self._nums.items():
             d = key & _FIELD_MASK
             rows.setdefault(d, {})[key - d] = n
-        return rows
+        return rows, self._den
+
+    @classmethod
+    def _from_rows(cls, rows: Mapping[int, Mapping[int, int]], den: int) -> "TPoly":
+        return cls._trusted({m + d: n for d, row in rows.items() for m, n in row.items()}, den)
 
     @property
     def coeffs(self) -> tuple[ParamPoly, ...]:
         """The coefficients up to the degree, formed in one pass."""
-        rows = self._rows()
-        zero, den = ParamPoly.zero(), self._den
+        (rows, den), zero = self._rows(), ParamPoly.zero()
         return tuple(ParamPoly._trusted(rows[d], den) if d in rows else zero
                      for d in range(max(rows, default=-1) + 1))
 
@@ -458,11 +465,11 @@ class TPoly(_FractionFree):
         """(d, terms) per nonzero t-degree d, highest first: the terms of
         t^d's coefficient in display order as (monomial, p, m), p/m reduced,
         read from the store in one pass, each packed key decoded once."""
-        den, rows = self._den, sorted(self._rows().items(), reverse=True)
-        decoded = {key: _decode(key) for _, row in rows for key in row}
+        rows, den = self._rows()
+        decoded = {key: _decode(key) for row in rows.values() for key in row}
         return [(d, sorted(((decoded[key], n // (g := math.gcd(n, den)), den // g)
                             for key, n in row.items()), key=_display_order))
-                for d, row in rows]
+                for d, row in sorted(rows.items(), reverse=True)]
 
     def rational_terms(self) -> dict[int, Fraction] | None:
         """{degree: coefficient} of the nonzero terms, or None if one holds a parameter."""
@@ -520,13 +527,6 @@ class TPoly(_FractionFree):
         common = math.lcm(*(c for _, c in sums.values()))
         nums = {d: total * (common // c) for d, (total, c) in sums.items()}
         return TPoly._trusted(nums, common * self._den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self._den == other._den and self._nums == other._nums
-
-    __hash__ = _FractionFree.__hash__
 
     def to_string(self, var: str = "t") -> str:
         return TEXT.tpoly(self, var)

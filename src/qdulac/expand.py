@@ -269,7 +269,7 @@ def solve_poly_difference(
     mu = L.root_multiplicity(w)
     rows, dens, den = {}, {}, 1  # t-degree -> {parameter key: int}, over dens[t-degree]
     if not theta.is_zero():
-        thetas, size = theta._rows(), theta.degree() + mu + 1
+        (thetas, theta_den), size = theta._rows(), theta.degree() + mu + 1
         lcm, wn, wd = math.lcm(*(a.denominator for a in L.coeffs)), w.numerator, w.denominator
         weights = [(j, a.numerator * (lcm // a.denominator) * wn**j * wd ** (L.order - j))
                    for j, a in enumerate(L.coeffs) if a]  # E*a_j*w^j
@@ -277,10 +277,10 @@ def solve_poly_difference(
         if any(moments[:mu]) or moments[mu] == 0:
             raise InternalInvariantError(f"moment criterion broken at k = {k}")
         e, lead = lcm * wd**L.order, moments[mu]
-        sign, dens[size] = (-1 if lead > 0 else 1), theta._den
+        sign, dens[size] = (-1 if lead > 0 else 1), theta_den
         for i in range(size - mu - 1, -1, -1):
             below = dens[i + mu + 1]
-            scale = sign * e * (below // theta._den)
+            scale = sign * e * (below // theta_den)
             row = {m: n * scale for m, n in thetas.get(i, {}).items()}
             for d in range(i + mu + 1, size):
                 if c := sign * math.comb(d, i) * moments[d - i] * (below // dens[d]):
@@ -288,13 +288,10 @@ def solve_poly_difference(
                         row[m] = row.get(m, 0) + n * c
             rows[i + mu], dens[i + mu] = row, below * math.comb(i + mu, i) * abs(lead)
         den = dens[mu]
-    nums = {m + d: n * (den // dens[d]) for d, row in rows.items() for m, n in row.items()}
-    names = []
-    for i in range(mu):
-        names.append(const_namer())
-        (key,) = ParamPoly.symbol(names[-1])._nums
-        nums[key + i] = den
-    beta = TPoly._trusted(nums, den)
+    beta = TPoly._from_rows(
+        {d: {m: n * (den // dens[d]) for m, n in row.items()} for d, row in rows.items()}, den)
+    names = [const_namer() for _ in range(mu)]  # C_i*t^i, i < mu, span the kernel
+    beta += TPoly({i: ParamPoly.symbol(name) for i, name in enumerate(names)})
     check = apply_difference_operator(L, q, k, beta) + theta
     if not check.is_zero():
         raise InternalInvariantError(f"difference solve failed to verify at k = {k}")

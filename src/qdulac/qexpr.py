@@ -115,13 +115,13 @@ class QTerm(NamedTuple):
 class QPolynomial:
     """Canonical finite sum of QTerms (like terms merged, zeros dropped).
 
-    Stored as {(x_exp, sigma_powers): coeff}.  The public constructor
-    `QPolynomial(terms)` validates each term (exact exponent, nonnegative
+    Stored as {(x_exp, sigma_powers): coeff} and never changed in place;
+    sums with equal stores are equal and hash alike.  `QPolynomial(terms)`
+    validates each term (exact coefficient and exponent, nonnegative
     levels, positive powers), merges like terms and refuses a level or
     merged power of 2^31 (ResourceLimitError); `constant` goes through it.
-    Arithmetic results are trusted and only drop zero coefficients.  `terms`
-    is the sorted view for iteration and display, built on first use and
-    kept: a QPolynomial never changes in place.
+    Arithmetic results are trusted and only drop zero coefficients.
+    `terms` is the sorted view for iteration and display, built once on first use.
     """
 
     __slots__ = ("_terms", "_sorted")
@@ -130,7 +130,7 @@ class QPolynomial:
         merged: dict[tuple[Fraction, SigmaPowers], ParamPoly] = {}
         for term in terms:
             key = (_as_rat(term.x_exp), _normalize_sigma(term.sigma_powers))
-            _add_into(merged, key, term.coeff)
+            _add_into(merged, key, ParamPoly.coerce(term.coeff))
         _check_sigma(merged)
         self._terms = {
             key: coeff for key, coeff in merged.items() if not coeff.is_zero()
@@ -212,6 +212,12 @@ class QPolynomial:
             _check_sigma(self._terms, exponent)
         return _power(self, exponent, QPolynomial.constant(1))
 
+    def __eq__(self, other) -> bool:
+        return self._terms == other._terms if isinstance(other, QPolynomial) else NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
     # -- display
 
     def __str__(self) -> str:
@@ -253,6 +259,7 @@ class PowerLogSeries:
     exponent of `terms`, else ValueError.  `terms` is checked, never repaired:
     strictly ascending in k (else ValueError), TPoly betas (else TypeError),
     zeros dropped.  `all_terms` prepends the pair as the constant (r, c).
+    Series are equal, and hash alike, when their (q, terms, base_shift) are.
     """
 
     __slots__ = ("q", "terms", "base_shift", "all_terms")
@@ -283,6 +290,14 @@ class PowerLogSeries:
             base_shift = (c, r)
             self.all_terms = ((r, TPoly.const(c)),) + self.terms
         self.base_shift = base_shift
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PowerLogSeries):
+            return NotImplemented
+        return (self.q, self.terms, self.base_shift) == (other.q, other.terms, other.base_shift)
+
+    def __hash__(self):
+        return hash((self.q, self.terms, self.base_shift))
 
     def coefficient(self, k: Scalar) -> TPoly:
         k = _as_rat(k)

@@ -62,12 +62,12 @@ class TruncatedSolution(_TruncatedSolution):
     """A verified leading-order solution y = c * x^r on a face, at base q.
 
     Built, copied by `_replace` and remade by `_make` through one check:
-    c != 0, r exact and q a valid base."""
+    c an exact nonzero value, r exact and q a valid base."""
 
     __slots__ = ()
 
-    def __new__(cls, c: ParamPoly, r, q, face: Face, provenance: str):
-        if c.is_zero():
+    def __new__(cls, c: ParamPoly | int | Fraction, r, q, face: Face, provenance: str):
+        if (c := ParamPoly.coerce(c)).is_zero():
             raise TruncatedSolutionError("leading coefficient c must be nonzero")
         return super().__new__(cls, c, _as_rat(r), check_q(q), face, provenance)
 

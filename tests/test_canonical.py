@@ -74,6 +74,7 @@ _L = LinearPart((-2, 1))
         lambda: TPoly([1, 0.5]),
         lambda: ParamPoly.symbol("a").evaluate({"a": 0.5}),
         lambda: QPolynomial([QTerm(ParamPoly.const(1), 0.5, ())]),
+        lambda: QPolynomial([QTerm(1.5, F(0), ())]),
         lambda: check_q(0.5),
         lambda: q_pow(0.5, 1),
         lambda: q_pow(F(1, 4), 0.5),
@@ -99,6 +100,7 @@ _L = LinearPart((-2, 1))
         lambda: TruncatedSolution(
             ParamPoly.const(1), 0, 0.5, _case().vertex, "user-supplied"
         ),
+        lambda: TruncatedSolution(1.5, 0, 2, _case().vertex, "user-supplied"),
     ],
     ids=[
         "const",
@@ -106,6 +108,7 @@ _L = LinearPart((-2, 1))
         "tpoly",
         "evaluate",
         "x_power",
+        "qterm_coeff",
         "check_q",
         "q_pow_base",
         "q_pow_exponent",
@@ -123,11 +126,21 @@ _L = LinearPart((-2, 1))
         "analyze_face_r_override",
         "truncated_solution_constructor_r",
         "truncated_solution_q",
+        "truncated_solution_c",
     ],
 )
 def test_floats_refused(build):
     with pytest.raises(TypeError):
         build()
+
+
+@pytest.mark.parametrize("value", [3, F(2, 3), F(-1, 2)])
+def test_exact_coefficients_coerced_at_the_boundary(value):
+    term = QTerm(value, F(0), ())
+    assert QPolynomial([term]) == QPolynomial.constant(value)
+    assert QPolynomial([term, term]).terms == (QTerm(ParamPoly.const(2 * value), F(0), ()),)
+    ts = TruncatedSolution(value, 1, F(1, 2), _case().edge, "user-supplied")
+    assert ts.c == ParamPoly.const(value) and type(ts.c) is ParamPoly
 
 
 def test_no_float_name_in_sources():

@@ -2,24 +2,27 @@
 
 The pipeline's records are named tuples, so importing the command line
 needs neither `dataclasses` (which loads `inspect`, `ast` and `dis`) nor
-`json` and `pathlib`; the last test holds the import to that.
+`json` and `pathlib`; the last test holds the import to that.  The sums
+and series they hold compare and hash by value too, so two runs of the
+pipeline give equal records.
 """
 
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import qdulac
 from qdulac import expand
-from qdulac.algebra import TEXT, Notation, ParamPoly
+from qdulac.algebra import TEXT, Notation, ParamPoly, TPoly
 from qdulac.errors import InvalidQError, TruncatedSolutionError
 from qdulac.expand import LinearPart, critical_numbers, expand_solution
 from qdulac.parser import parse_equation
 from qdulac.polygon import build_polygon, find_face
-from qdulac.qexpr import support
+from qdulac.qexpr import PowerLogSeries, QPolynomial, support
 from qdulac.truncate import analyze_face
 
 F = Fraction
@@ -64,12 +67,54 @@ def two_runs():
 def test_records_are_immutable_and_equal_by_value(two_runs, name):
     a, b = (run[name] for run in two_runs)
     assert type(a).__name__ == name and a is not b
-    # sums and series compare by identity, so the two runs share theirs
-    b = b._replace(**{f: getattr(a, f) for f in ("truncated", "series") if f in a._fields})
     assert a == b and hash(a) == hash(b)
     for field in (*a._fields, "unknown"):
         with pytest.raises(AttributeError):
             setattr(a, field, getattr(a, field, None))
+
+
+def _golden_run() -> tuple:
+    """The sum, face analysis, series and expansion of a fresh run on
+    tests/golden/main.qde: q = 1/2, face (0,3)-(0,2), kmax 8."""
+    text = (Path(__file__).resolve().parent / "golden" / "main.qde").read_text(encoding="utf-8")
+    f = parse_equation(text, ["a3", "a4"])
+    analysis = analyze_face(f, find_face(build_polygon(support(f)), [(0, 3), (0, 2)]), F(1, 2))
+    result = expand_solution(f, analysis.candidates[0], 8)
+    return f, analysis, result.series, result
+
+
+def test_sums_and_series_compare_and_hash_by_value():
+    first, second = _golden_run(), _golden_run()
+    for a, b in zip(first, second):
+        assert a is not b and a == b and hash(a) == hash(b), type(a).__name__
+    f, _, s, _ = first
+    assert f != f + 1 and f != QPolynomial.constant(1) and f != 1
+    (c, r), (k, beta) = s.base_shift, s.terms[3]
+    assert PowerLogSeries(s.q, s.terms, (c, r)) == s
+    changed = {
+        "q": PowerLogSeries(F(1, 4), s.terms, s.base_shift),
+        "c": PowerLogSeries(s.q, s.terms, (c * 2, r)),
+        "r": PowerLogSeries(s.q, s.terms, (c, r - 1)),
+        "beta": PowerLogSeries(
+            s.q, s.terms[:3] + ((k, beta + TPoly.const(1)),) + s.terms[4:], s.base_shift
+        ),
+        "base pair": PowerLogSeries(s.q, s.all_terms),
+    }
+    for name, other in changed.items():
+        assert other != s and s != other, name
+
+
+def test_a_constant_param_poly_hashes_like_its_rational():
+    for value in (F(1, 2), F(-7, 3), 3, 0):
+        p = ParamPoly.const(value)
+        assert p == value and value == p and hash(p) == hash(value), value
+        assert len({p, value}) == 1 and {value: "v"}[p] == "v", value
+    a = ParamPoly.symbol("a")
+    assert a != 0 and a + 1 != 1 and hash(a * 0) == hash(0)
+    t = TPoly.const(3)  # a TPoly equals only a TPoly
+    assert t == TPoly([3]) and hash(t) == hash(TPoly([3]))
+    for other in (ParamPoly.const(3), 3, F(3)):
+        assert t != other and other != t, other
 
 
 def test_copies_of_validating_records_pass_their_checks(two_runs):
