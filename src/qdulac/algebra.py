@@ -19,7 +19,7 @@ sit two polynomial layers:
 
 Products and sums of products in both layers run through one kernel,
 `_sum_products`: one accumulator and one gcd per result, and one divmod
-per pair of operands, however many coefficients a TPoly has.
+per pair of operands; a ParamPoly times a constant only scales (`_scaled`).
 
 The module also provides the number-theoretic helpers of the expansion
 engine, none of which factors an integer, so each runs in time polynomial
@@ -138,7 +138,8 @@ class _FractionFree:
     """The store ParamPoly and TPoly share, as FLINT's fmpq_mpoly is: `_nums`
     maps each packed key to a nonzero int numerator and `_den` is one
     positive int denominator, with gcd(den, *numerators) == 1; zero is {}
-    over 1.  That form is unique, so hashing and same-class equality compare it."""
+    over 1.  That form is unique, so hashing and same-class equality compare
+    it, and `_scaled` by a constant needs gcds with p and m alone."""
 
     __slots__ = ("_nums", "_den")
 
@@ -173,6 +174,16 @@ class _FractionFree:
     def __neg__(self):
         return self._canonical({m: -n for m, n in self._nums.items()}, self._den)
 
+    def _scaled(self, k: "ParamPoly"):
+        """self times the constant k = p/m: each numerator times p over den*m,
+        divided by their content gcd(den, p) * gcd(m, numerators)."""
+        p, m = k._nums.get(0, 0), k._den
+        if p == m or not self._nums:  # k is 1, or self is 0
+            return self
+        g, h = math.gcd(self._den, p), math.gcd(m, *self._nums.values()) if m > 1 else 1
+        p, den = p // g, self._den // g * (m // h)  # p = 0 leaves {} over 1
+        return self._canonical({key: n // h * p for key, n in self._nums.items() if p}, den)
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -185,15 +196,15 @@ class _FractionFree:
 class ParamPoly(_FractionFree):
     """Multivariate polynomial over Q in named parameter symbols.
 
-    Stored fraction-free (`_FractionFree`); `_sum_products` forms each
-    product, paying one gcd per result.  A monomial is a packed int key
-    (Monagan and Pearce): registry slot i's exponent in bits
-    [32*(i + 1), 32*(i + 2)), so a monomial product is one addition; a
+    Stored fraction-free (`_FractionFree`); `*` scales by a constant, and
+    `_sum_products` forms other products, one gcd per result.  A monomial
+    is a packed int key (Monagan and Pearce): registry slot i's exponent in
+    bits [32*(i + 1), 32*(i + 2)), so a monomial product is one addition; a
     field reaching 2^31 raises ResourceLimitError.  The public
     constructors (`ParamPoly(mapping)`, `const`, `symbol`, `coerce`)
     validate exact rational coefficients, legal names (`_check_symbol`) and
-    int exponents in [1, 2^31), each name once per monomial; arithmetic results
-    are trusted.  `items()` and `sorted_terms()` decode the keys.
+    int exponents in [1, 2^31), each name once per monomial; arithmetic
+    results are trusted.  `items()` and `sorted_terms()` decode the keys.
     """
 
     __slots__ = ()
@@ -270,7 +281,11 @@ class ParamPoly(_FractionFree):
     __radd__ = __add__
 
     def __mul__(self, other) -> "ParamPoly":
-        return _sum_products(((self, ParamPoly.coerce(other)),))
+        """A constant on either side scales the other; else one kernel pass."""
+        other = ParamPoly.coerce(other)
+        if other._nums.keys() <= {0}:
+            return self._scaled(other)
+        return other._scaled(self) if self._nums.keys() <= {0} else _sum_products(((self, other),))
 
     __rmul__ = __mul__
 

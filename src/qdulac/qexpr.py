@@ -48,6 +48,7 @@ from .algebra import (
     _check_power,
     _param_terms,
     _power,
+    _sum_products,
     check_q,
     q_pow,
     rat_str,
@@ -330,35 +331,39 @@ def substitute_shift(
 ) -> QPolynomial:
     """The substitution y = c*x^r + z, fully expanded and merged.
 
-    Each factor S^l y becomes c*q^{l r}*x^r + S^l z, and its p-th power is
-    written out by the binomial theorem; the result is a q-difference sum
-    in z, which prints as y.  Needs q^{l r} rational for every level l that
-    occurs (always true for integer r).
+    Each factor S^l y becomes lead_l*x^r + S^l z, lead_l = c*q^{l r}, and
+    its p-th power is written out by the binomial theorem; the result is a
+    q-difference sum in z, which prints as y.  One walk of f: lead_l and
+    its powers are formed once per call, each binomial from the one before,
+    and each monomial expands into (key, coefficient times binomials, lead
+    powers) pairs: a shifted coefficient is one product or one kernel pass.
+    Needs q^{l r} rational for every level l that occurs (always true for
+    integer r); the first irrational one in `f.terms` order is named.
     """
     q = check_q(q)
     c = ParamPoly.coerce(c)
     r = _as_rat(r)
     if c.is_zero():
         return f
-    powers: dict[tuple[int, int], QPolynomial] = {}  # (l, p) -> binomial power
-
-    out: dict = {}
+    one, leads, groups = ParamPoly.const(1), {}, {}  # leads: level -> [lead^0, lead^1, ...]
     for term in f.terms:
-        prod = QPolynomial._trusted({(term.x_exp, ()): term.coeff})
+        partial = [(0, (), 1, one)]  # (power of x^r, sigma left, binomials, lead powers)
         for level, power in term.sigma_powers:
-            if (level, power) not in powers:
-                lead = c * q_pow(q, level * r)
-                lead_i, binomial, terms = ParamPoly.const(1), 1, {}
+            row = leads.get(level) or leads.setdefault(level, [one, c * q_pow(q, level * r)])
+            while len(row) <= power:
+                row.append(row[-1] * row[1])
+            nxt = []
+            for n, rest, b, lead in partial:
+                binomial = 1
                 for i in range(power + 1):
-                    sigma = ((level, power - i),) if i < power else ()
-                    terms[r * i, sigma] = lead_i * binomial
-                    lead_i = lead_i * lead
+                    nxt.append((n + i, rest + ((level, power - i),) if i < power else rest,
+                                b * binomial, row[i] if lead is one else lead * row[i]))
                     binomial = binomial * (power - i) // (i + 1)
-                powers[level, power] = QPolynomial._trusted(terms)
-            prod = prod * powers[level, power]
-        for key, value in prod._terms.items():
-            _add_into(out, key, value)
-    return QPolynomial._trusted(out)
+            partial = nxt
+        for n, rest, b, lead in partial:
+            groups.setdefault((term.x_exp + r * n, rest), []).append((term.coeff * b, lead))
+    return QPolynomial._trusted({key: pairs[0][0] * pairs[0][1] if len(pairs) == 1 else
+                                 _sum_products(pairs) for key, pairs in groups.items()})
 
 
 def evaluate_on_series(

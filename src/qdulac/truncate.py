@@ -11,8 +11,8 @@ so a vertex contributes solutions through the rational roots w of chi
 (then r = log_q w, filtered by the normal cone, with c free), and an edge
 fixes r and determines c through the roots of its determining polynomial.
 One collector sums the sub-sum's terms by shift weight, y-degree or
-x-power, so a face polynomial holds only its nonzero terms, of degree
-below 2^31 in w or c.
+x-power, each factor c^d*q^(r*w) formed once and each sum in one pass, so
+a face polynomial holds only its nonzero terms, of degree below 2^31.
 `analyze_face` treats both kinds of face alike: it turns the roots into
 one ordered list of proposals (c, r, provenance), appends the user's
 value last, and keeps each proposal that solves the truncated sum as a
@@ -31,6 +31,7 @@ from .algebra import (
     ParamPoly,
     TPoly,
     _as_rat,
+    _sum_products,
     check_q,
     fresh_names,
     q_log,
@@ -83,13 +84,20 @@ def truncated_sum(f: QPolynomial, face: Face) -> QPolynomial:
                                  for t in f.terms if t.q_point in wanted})
 
 
-def _collect(terms, key, value) -> dict:
-    """{key(t): sum of value(t)} over the terms, zero sums dropped."""
-    out: dict = {}
-    for t in terms:
-        k = key(t)
-        out[k] = out[k] + value(t) if k in out else value(t)
-    return {k: v for k, v in out.items() if not v.is_zero()}
+def _collect(g: QPolynomial, key, c=ParamPoly.const(1), r=Fraction(0), q=None) -> dict:
+    """{key(t): sum of t.coeff * c^d * q^(r*w)} over g's terms t (d the y-degree,
+    w the shift weight), zero sums dropped: y = c*x^r, or the coefficients alone.
+    Each c^d * q^(r*w) is formed once, c^d by squaring, in `g.terms` order, so
+    the first power that fails is raised; a sum is one product or kernel pass."""
+    factors, groups = {}, {}
+    for t in g.terms:
+        d, w = t.y_degree, t.shift_weight
+        if (d, w) not in factors:
+            factors[d, w] = c**d * (q_pow(q, r * w) if r * w else 1)
+        groups.setdefault(key(t), []).append((t.coeff, factors[d, w]))
+    sums = {k: pairs[0][0] * pairs[0][1] if len(pairs) == 1 else _sum_products(pairs)
+            for k, pairs in groups.items()}
+    return {k: v for k, v in sums.items() if not v.is_zero()}
 
 
 def _face_poly(coeffs: dict, var: str) -> TPoly:
@@ -101,9 +109,7 @@ def _face_poly(coeffs: dict, var: str) -> TPoly:
 
 def _substitute(g: QPolynomial, ts: TruncatedSolution) -> dict:
     """The nonzero terms of g(x, c*x^r) by power of x; needs q^{r*weight} in Q."""
-    c, r, q = ts.c, ts.r, ts.q
-    return _collect(g.terms, lambda t: t.x_exp + r * t.y_degree,
-                    lambda t: t.coeff * c**t.y_degree * q_pow(q, r * t.shift_weight))
+    return _collect(g, lambda t: t.x_exp + ts.r * t.y_degree, ts.c, ts.r, ts.q)
 
 
 def verify_truncated(ts: TruncatedSolution, f: QPolynomial) -> bool:
@@ -127,7 +133,7 @@ def vertex_char_poly(g: QPolynomial) -> TPoly:
         raise NotAVertexError(
             f"terms span {len(points)} exponent points; a vertex has one"
         )
-    return _face_poly(_collect(terms, lambda t: t.shift_weight, lambda t: t.coeff), "w")
+    return _face_poly(_collect(g, lambda t: t.shift_weight), "w")
 
 
 def determining_poly(g: QPolynomial, r, q) -> TPoly:
@@ -142,9 +148,7 @@ def determining_poly(g: QPolynomial, r, q) -> TPoly:
             f"substitution leaves {len(powers)} distinct x-powers; "
             f"r={rat_str(r)} is not this edge's slope"
         )
-    by_degree = _collect(terms, lambda t: t.y_degree,
-                         lambda t: t.coeff * q_pow(q, r * t.shift_weight))
-    return _face_poly(by_degree, "c")
+    return _face_poly(_collect(g, lambda t: t.y_degree, r=r, q=q), "c")
 
 
 class FaceAnalysis(NamedTuple):
@@ -253,11 +257,12 @@ def analyze_face(
             diagnostics.append(f"r={rat_str(r)} lies outside this vertex's normal cone; skipped")
         elif not any(s.c == c and s.r == r for s in candidates):
             ts = TruncatedSolution(c, r, q, face, provenance)
-            if _substitute(g, ts):
-                diagnostics.append(
-                    f"y = ({c})*x^{rat_str(ts.r)} does not solve the "
-                    f"truncated equation of face {face.label()}"
-                )
+            try:
+                fault = "does not solve the truncated equation of" if _substitute(g, ts) else ""
+            except IrrationalQPowerError as err:
+                fault = f"cannot be checked ({err}) on"
+            if fault:
+                diagnostics.append(f"y = ({c})*x^{rat_str(ts.r)} {fault} face {face.label()}")
             else:
                 candidates.append(ts)
     return FaceAnalysis(face, g, poly, roots, tuple(candidates), tuple(diagnostics))

@@ -11,10 +11,13 @@ roots, a brute-force evaluation of a q-difference sum on a
 power-logarithmic series, a recursive multiset enumerator of the
 exponent set K, a generator of random equations with a planted edge
 solution (`verified_solution` builds such a solution and checks it with
-the library's `verify_truncated`), the expansion loop that evaluates the
-residual afresh at every exponent, the `expand` JSON document built from
-Fraction coefficients through `rat_str`, and the equation parser that
-multiplies out every factor and adds up every term as a QPolynomial.
+the library's `verify_truncated`), the substitutions y = c*x^r + z and
+y = c*x^r done term by term (each binomial power a QPolynomial, each face
+term's factor formed on its own, every scalar product a kernel pass), the
+expansion loop that evaluates the residual afresh at every exponent, the
+`expand` JSON document built from Fraction coefficients through
+`rat_str`, and the equation parser that multiplies out every factor and
+adds up every term as a QPolynomial.
 """
 
 import math
@@ -23,8 +26,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qdulac.algebra import ParamPoly, TPoly, _as_rat, q_pow, rat_str
-from qdulac.errors import IndeterminateEquationError, ParseError, ResourceLimitError
+from qdulac.algebra import _EXP_LIMIT, ParamPoly, TPoly, _as_rat, _sum_products, check_q, q_pow, rat_str
+from qdulac.errors import (
+    EmptySupportError,
+    InconsistentEdgeError,
+    IndeterminateEquationError,
+    NotAVertexError,
+    ParseError,
+    ResourceLimitError,
+)
 from qdulac.expand import (
     ExpansionResult,
     check_exponent_order,
@@ -726,6 +736,103 @@ def random_edge_equation(rng: random.Random):
     a_pt = (e_a, F(d_a))
     b_pt = (e_b, F(d_b))
     return eq, q, c, r, (a_pt, b_pt)
+
+
+def _kernel_mul(a, b) -> ParamPoly:
+    """a*b through the general product kernel, a constant factor included."""
+    return _sum_products(((ParamPoly.coerce(a), ParamPoly.coerce(b)),))
+
+
+def _kernel_power(c: ParamPoly, d: int) -> ParamPoly:
+    """c^d by repeated squaring, every product through the kernel."""
+    result = ParamPoly.const(1)
+    while d:
+        if d & 1:
+            result = _kernel_mul(result, c)
+        d >>= 1
+        if d:
+            c = _kernel_mul(c, c)
+    return result
+
+
+def reference_substitute_shift(f, c, r, q) -> QPolynomial:
+    """y = c*x^r + z term by term: each (level, power) factor's binomial
+    power built as a QPolynomial, each monomial a chain of QPolynomial
+    products, the results added up one by one, and every scalar product a
+    kernel pass.  The first q-power it needs that is irrational, in
+    `f.terms` order, is the one it names."""
+    q, c, r = check_q(q), ParamPoly.coerce(c), _as_rat(r)
+    if c.is_zero():
+        return f
+    powers, out = {}, QPolynomial()
+    for term in f.terms:
+        prod = QPolynomial([QTerm(term.coeff, term.x_exp, ())])
+        for level, power in term.sigma_powers:
+            if (level, power) not in powers:
+                lead = _kernel_mul(c, q_pow(q, level * r))
+                lead_i, binomial, terms = ParamPoly.const(1), 1, []
+                for i in range(power + 1):
+                    sigma = ((level, power - i),) if i < power else ()
+                    terms.append(QTerm(_kernel_mul(lead_i, binomial), r * i, sigma))
+                    if i < power:
+                        lead_i = _kernel_mul(lead_i, lead)
+                    binomial = binomial * (power - i) // (i + 1)
+                powers[level, power] = QPolynomial(terms)
+            prod = prod * powers[level, power]
+        out = out + prod
+    return out
+
+
+def _reference_collect(terms, key, value) -> dict:
+    """{key(t): value(t) summed one term at a time}, zero sums dropped."""
+    out: dict = {}
+    for t in terms:
+        k = key(t)
+        out[k] = out[k] + value(t) if k in out else value(t)
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _reference_face_poly(coeffs: dict, var: str) -> TPoly:
+    if max(coeffs, default=0) >= _EXP_LIMIT:
+        raise ResourceLimitError(f"exponent of {var} reaches 2^31")
+    return TPoly(coeffs)
+
+
+def reference_substitute(g, ts) -> dict:
+    """g(x, c*x^r) by power of x, each term coeff * c^d * q^(r*w) formed in
+    that order on its own, as `truncate._substitute` must agree."""
+    c, r, q = ts.c, ts.r, ts.q
+    return _reference_collect(
+        g.terms, lambda t: t.x_exp + r * t.y_degree,
+        lambda t: _kernel_mul(_kernel_mul(t.coeff, _kernel_power(c, t.y_degree)),
+                              q_pow(q, r * t.shift_weight)))
+
+
+def reference_vertex_char_poly(g) -> TPoly:
+    """chi(w) of a one-point truncation, its coefficients added term by term."""
+    if not g.terms:
+        raise EmptySupportError("empty truncation has no characteristic polynomial")
+    points = {t.q_point for t in g.terms}
+    if len(points) != 1:
+        raise NotAVertexError(f"terms span {len(points)} exponent points; a vertex has one")
+    return _reference_face_poly(
+        _reference_collect(g.terms, lambda t: t.shift_weight, lambda t: t.coeff), "w")
+
+
+def reference_determining_poly(g, r, q) -> TPoly:
+    """The determining polynomial in c of an edge truncation at slope r,
+    each term's coeff * q^(r*w) formed on its own."""
+    if not g.terms:
+        raise EmptySupportError("empty truncation has no determining polynomial")
+    r, q = _as_rat(r), check_q(q)
+    powers = {t.x_exp + r * t.y_degree for t in g.terms}
+    if len(powers) != 1:
+        raise InconsistentEdgeError(
+            f"substitution leaves {len(powers)} distinct x-powers; "
+            f"r={rat_str(r)} is not this edge's slope")
+    return _reference_face_poly(_reference_collect(
+        g.terms, lambda t: t.y_degree,
+        lambda t: _kernel_mul(t.coeff, q_pow(q, r * t.shift_weight))), "c")
 
 
 def verified_solution(f, face, c, r, q) -> TruncatedSolution:

@@ -191,6 +191,19 @@ def test_truncate_irrational_power_note(tmp_path, capsys):
     assert "c = 1/2, r = 1/2 (edge-root)" in out
 
 
+def test_user_r_needing_an_irrational_q_power_is_a_note(tmp_path, capsys):
+    path = write_eq(tmp_path, "S(y) - 4*y + x")
+    args = ["--eq", path, "--q", "1/2", "--face", "(0,1)", "--r", "1/2"]
+    note = "y = (c)*x^1/2 cannot be checked (irrational q-power: (1/2)^(1/2)) on face (0,1)"
+    code, out, _ = run(capsys, ["truncate", *args])
+    assert code == EXIT_OK
+    assert "c = c, r = -2 (vertex-root)" in out and f"note: {note}" in out
+    for command in (["expand"], ["verify", "--assign", "c=1"]):
+        code, _, err = run(capsys, [*command, *args])
+        assert code == EXIT_INPUT
+        assert "no truncated-solution candidates" in err and note in err
+
+
 def test_truncate_bad_face(eq_main, capsys):
     code, _, err = run(
         capsys, ["truncate", *main_args(eq_main), "--q", "1/2", "--face", "(9,9)"]

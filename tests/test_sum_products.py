@@ -232,3 +232,51 @@ def test_t_degree_never_carries_into_a_parameter():
         top * top
     product = top * TPoly.const(first)
     assert product.terms_by_degree() == [(2**31 - 1, [(((algebra._NAMES[0], 1),), 1, 1)])]
+
+
+BIG = 10**59 + 151  # 60 digits
+SCALARS = (0, 1, -1, 6, -35, F(-35, 12), F(10, 21), BIG, -BIG, F(BIG, 2**199), F(-1, BIG))
+
+
+def _scalar_operands():
+    a, b = ParamPoly.symbol("a"), ParamPoly.symbol("b")
+    yield ParamPoly.zero()
+    yield ParamPoly.const(1)
+    yield ParamPoly.const(F(-6, 35))
+    yield ParamPoly.const(F(BIG, 3**40))
+    yield a * F(3, 4) + F(-9, 10)
+    yield (a + b * F(1, 6)) * (a + -b) * F(14, 15)
+    yield a * F(2**70, BIG) + F(-BIG, 21)
+
+
+def assert_stored_canonically(p: ParamPoly):
+    assert p._den > 0 and all(p._nums.values())
+    assert math.gcd(p._den, *p._nums.values()) == 1
+
+
+@pytest.mark.parametrize("p", list(_scalar_operands()), ids=str)
+def test_a_constant_scales_on_either_side(p):
+    for s in SCALARS:
+        want = _sum_products([(p, ParamPoly.const(s))])  # the kernel's product
+        for got in (p * s, s * p, p * ParamPoly.const(s), ParamPoly.const(s) * p):
+            assert got == want and hash(got) == hash(want), (p, s)
+            assert_stored_canonically(got)
+
+
+@relaxed
+@given(polys, st.integers(-10**60, 10**60), st.integers(1, 10**60))
+def test_scaling_matches_the_kernel(ref, num, den):
+    p, s = param(ref), F(num, den)
+    want = _sum_products([(p, ParamPoly.const(s))])
+    for got in (p * s, s * p, ParamPoly.const(s) * p):
+        assert got == want
+        assert_stored_canonically(got)
+
+
+def test_a_product_of_two_parametric_polys_keeps_the_kernel():
+    a, b = ParamPoly.symbol("a") * F(2, 3) + 1, ParamPoly.symbol("b") + F(-1, 4)
+    assert a * b == _sum_products([(a, b)]) == b * a
+    with pytest.raises(TypeError):
+        a * 1.5
+    with pytest.raises(TypeError):
+        1.5 * a

@@ -218,22 +218,26 @@ def test_analyze_vertex_root_outside_cone():
 
 
 @pytest.mark.parametrize(
-    "eq, params, vertex, r, expected, tried",
+    "eq, params, vertex, r, expected, note",
     [
         # a supplied r equal to a root adds no second candidate
-        ("S(y) - 4*y + x", [], (0, 1), -2, [(-2, "vertex-root")], False),
-        ("S(y) - 4*y + x", [], (0, 1), 0, [(-2, "vertex-root")], True),
-        ("S(y) - a*y + x", ["a"], (0, 1), -2, [], True),
-        ("y*S^2(y) - S(y)^2 + x", [], (0, 2), -1, [(-1, "user-supplied")], False),
+        ("S(y) - 4*y + x", [], (0, 1), -2, [(-2, "vertex-root")], None),
+        ("S(y) - 4*y + x", [], (0, 1), 0, [(-2, "vertex-root")], "does not solve"),
+        ("S(y) - a*y + x", ["a"], (0, 1), -2, [], "does not solve"),
+        ("y*S^2(y) - S(y)^2 + x", [], (0, 2), -1, [(-1, "user-supplied")], None),
+        # (1/2)^(1/2) is irrational: the proposal is noted, the root kept
+        ("S(y) - 4*y + x", [], (0, 1), F(1, 2), [(-2, "vertex-root")],
+         "y = (c)*x^1/2 cannot be checked (irrational q-power: (1/2)^(1/2)) on face (0,1)"),
     ],
-    ids=["root", "extra", "parameter_chi", "zero_chi"],
+    ids=["root", "extra", "parameter_chi", "zero_chi", "irrational"],
 )
-def test_analyze_vertex_r_override(eq, params, vertex, r, expected, tried):
+def test_analyze_vertex_r_override(eq, params, vertex, r, expected, note):
     f = parse_equation(eq, params)
     poly = build_polygon(support(f))
     analysis = analyze_face(f, find_face(poly, [vertex]), F(1, 2), None, r)
     assert [(ts.r, ts.provenance) for ts in analysis.candidates] == expected
-    assert tried == any("does not solve" in d for d in analysis.diagnostics)
+    notes = [d for d in analysis.diagnostics if d.startswith("y = ")]
+    assert [note in d for d in notes] == ([] if note is None else [True])
 
 
 def test_analyze_edge_user_supplied_c():
