@@ -20,6 +20,7 @@ sit two polynomial layers:
 Products and sums of products in both layers run through one kernel,
 `_sum_products`: one accumulator and one gcd per result, and one divmod
 per pair of operands; a ParamPoly times a constant only scales (`_scaled`).
+`_sums_by_key` is every merge of like terms: one product or pass per key.
 
 The module also provides the number-theoretic helpers of the expansion
 engine, none of which factors an integer, so each runs in time polynomial
@@ -387,6 +388,15 @@ def _sum_products(pairs: Iterable[tuple], kind: type = ParamPoly):
     return kind._trusted(out, den)
 
 
+def _sums_by_key(groups: Mapping, kind: type = ParamPoly) -> dict:
+    """{key: the sum of a*b over the (a, b) pairs of groups[key]}, zero sums
+    dropped.  A one-pair group is a*b, so a constant only scales; any other
+    is one `_sum_products` pass of `kind`: one gcd per key, not per pair."""
+    sums = ((key, pairs[0][0] * pairs[0][1] if len(pairs) == 1 else _sum_products(pairs, kind))
+            for key, pairs in groups.items())
+    return {key: total for key, total in sums if total._nums}
+
+
 def _power(base, exponent: int, one):
     """base**exponent by repeated squaring; squaring only while bits remain
     builds no factor above the result (a^(2^31 - 1) never forms a^(2^31))."""
@@ -420,11 +430,11 @@ class TPoly(_FractionFree):
     in field 0, so t^d*m is m + d, and all coefficients share one
     denominator.  The public constructor takes the coefficients low degree
     first, or a {degree: coefficient} mapping, and coerces each; arithmetic
-    results are trusted.  A product or sum of products is one
-    `_sum_products` pass, so a result pays one gcd.  `coeffs` builds
-    canonical ParamPolys from the store; `terms_by_degree` reads it for
-    display, text, LaTeX and JSON alike, and `rational_terms` for root
-    finding, with no ParamPoly built.
+    results are trusted.  A product is one `_sum_products` pass, and sums
+    of products by key are one `_sums_by_key`, so a result pays one gcd.
+    `coeffs` builds canonical ParamPolys from the store; `terms_by_degree`
+    reads it for display, text, LaTeX and JSON alike, and `rational_terms`
+    for root finding, with no ParamPoly built.
     """
 
     __slots__ = ()
@@ -451,11 +461,6 @@ class TPoly(_FractionFree):
     def const(cls, value: ParamPoly | Scalar) -> "TPoly":
         value = ParamPoly.coerce(value)
         return cls._canonical(value._nums, value._den)
-
-    @staticmethod
-    def sum_of_products(pairs: Iterable[tuple["TPoly", "TPoly"]]) -> "TPoly":
-        """The sum of a*b over the pairs, in one kernel pass."""
-        return _sum_products(pairs, TPoly)
 
     def _rows(self) -> tuple[dict[int, dict[int, int]], int]:
         """(t-degree -> {ParamPoly key: numerator}, den); `_from_rows` inverts it."""

@@ -304,19 +304,18 @@ def check_exponent_order(h: QPolynomial, r) -> None:
     Every support point (q1, q2) of h must satisfy q1 + r*(q2 - 1) >= 0,
     strictly when q2 <= 1; otherwise a term could feed the residual at an
     exponent at or below the one being solved and the term-by-term
-    recursion would not terminate.
+    recursion would not terminate.  One scan names the least such point.
     """
-    if h.is_zero():
-        return
     r = _as_rat(r)
-    for q1, q2 in sorted(support(h)):
-        value = q1 + r * (q2 - 1)
-        if value < 0 or (value == 0 and q2 <= 1):
-            raise ExponentOrderError(
-                f"support point ({rat_str(q1)},{rat_str(q2)}) breaks the "
-                f"exponent ordering for r={rat_str(r)}: "
-                f"q1 + r*(q2-1) = {rat_str(value)}"
-            )
+    late = [(q1, q2, value) for q1, q2 in (t.q_point for t in h.terms)
+            if (value := q1 + r * (q2 - 1)) < 0 or (value == 0 and q2 <= 1)]
+    if late:
+        q1, q2, value = min(late)
+        raise ExponentOrderError(
+            f"support point ({rat_str(q1)},{rat_str(q2)}) breaks the "
+            f"exponent ordering for r={rat_str(r)}: "
+            f"q1 + r*(q2-1) = {rat_str(value)}"
+        )
 
 
 def expand_solution(

@@ -24,7 +24,8 @@ QPolynomial: powers and products expanded, like terms merged.
 One pass, linear in the length of the text: one regex makes (kind, text,
 offset) tokens, and an error counts its (line, column) from the offset.
 A term's factors fold into one monomial; only a parenthesised sum of
-several terms is a QPolynomial.  Each sum adds its terms into one dict.
+several terms is a QPolynomial.  A sum merges its terms, each sign a
+factor of +1 or -1, in one `algebra._sums_by_key` pass.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import ParamPoly, _as_rat, _check_symbol
+from .algebra import ParamPoly, _as_rat, _check_symbol, _sums_by_key
 from .errors import ParseError, ResourceLimitError
-from .qexpr import QPolynomial, _add_into, _check_sigma
+from .qexpr import _ONE, QPolynomial, _check_sigma
 
 _TOKEN_RE = re.compile(
     r"""
@@ -69,6 +70,7 @@ def tokenize(text: str) -> list[tuple]:
 
 
 _MAX_NESTING = 100
+_SIGNS = {"+": _ONE, "-": -_ONE}  # a term's factor in a sum
 
 
 def check_params(params) -> tuple[str, ...]:
@@ -86,7 +88,7 @@ def _as_poly(mono) -> QPolynomial:
     coeff None meaning 1."""
     coeff, x, sigma = mono
     key = (_as_rat(x), tuple(sorted((l, d) for l, d in sigma.items() if d)))
-    return QPolynomial._trusted({key: ParamPoly.const(1) if coeff is None else coeff})
+    return QPolynomial._trusted({key: _ONE if coeff is None else coeff})
 
 
 class _Parser:
@@ -127,17 +129,16 @@ class _Parser:
         return result
 
     def parse_expr(self) -> QPolynomial:
-        total: dict = {}  # every term added in place
-        sign = 1
+        groups: dict = {}  # key -> (coeff, sign) pairs of every term, merged once
+        op = "+"
         if self.cur[0] == "-":
-            self.pos += 1
-            sign = -1
+            self.pos, op = self.pos + 1, "-"
         while True:
             for key, coeff in self.parse_term().items():
-                _add_into(total, key, coeff if sign > 0 else -coeff)
-            if self.cur[0] not in ("+", "-"):
-                return QPolynomial._trusted(total)
-            sign = 1 if self.cur[0] == "+" else -1
+                groups.setdefault(key, []).append((coeff, _SIGNS[op]))
+            op = self.cur[0]
+            if op not in _SIGNS:
+                return QPolynomial._trusted(_sums_by_key(groups))
             self.pos += 1
 
     def parse_term(self) -> dict:

@@ -26,8 +26,9 @@ and each coefficient that is final (every series term it reads is known);
 results are the same without it, and it refuses another f, another q or
 a non-extending series.
 Exponents are Fractions at the boundary (terms, series, results) and ints
-on one grid 1/D, i.e. powers of x^(1/D), inside the evaluator.  Both kinds
-of sum print in the text notation of `algebra.TEXT`.
+on one grid 1/D, i.e. powers of x^(1/D), inside the evaluator.  Every
+merge of like terms is one `algebra._sums_by_key` pass per key.  Both
+kinds of sum print in the text notation of `algebra.TEXT`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .algebra import (
     _check_power,
     _param_terms,
     _power,
-    _sum_products,
+    _sums_by_key,
     check_q,
     q_pow,
     rat_str,
@@ -61,6 +62,7 @@ SigmaPowers = tuple
 Point = tuple  # (Fraction, Fraction)
 
 _exponent = itemgetter(0)  # of a (k, beta) pair
+_ONE = ParamPoly.const(1)
 
 
 def _merge_sigma(s1: SigmaPowers, s2) -> SigmaPowers:
@@ -121,21 +123,20 @@ class QPolynomial:
     validates each term (exact coefficient and exponent, nonnegative
     levels, positive powers), merges like terms and refuses a level or
     merged power of 2^31 (ResourceLimitError); `constant` goes through it.
-    Arithmetic results are trusted and only drop zero coefficients.
+    The constructor, `+` and `*` merge like terms by `_sums_by_key`, one
+    pass and one gcd per output term.  Arithmetic results are trusted.
     `terms` is the sorted view for iteration and display, built once on first use.
     """
 
     __slots__ = ("_terms", "_sorted")
 
     def __init__(self, terms: Iterable[QTerm] = ()):
-        merged: dict[tuple[Fraction, SigmaPowers], ParamPoly] = {}
+        groups: dict[tuple[Fraction, SigmaPowers], list] = {}
         for term in terms:
             key = (_as_rat(term.x_exp), _normalize_sigma(term.sigma_powers))
-            _add_into(merged, key, ParamPoly.coerce(term.coeff))
-        _check_sigma(merged)
-        self._terms = {
-            key: coeff for key, coeff in merged.items() if not coeff.is_zero()
-        }
+            groups.setdefault(key, []).append((ParamPoly.coerce(term.coeff), _ONE))
+        _check_sigma(groups)
+        self._terms = _sums_by_key(groups)
         self._sorted = None
 
     @classmethod
@@ -184,10 +185,10 @@ class QPolynomial:
         raise TypeError(f"cannot combine QPolynomial with {type(other).__name__}")
 
     def __add__(self, other) -> "QPolynomial":
-        out = dict(self._terms)
-        for key, c in self._coerce(other)._terms.items():
-            _add_into(out, key, c)
-        return QPolynomial._trusted(out)
+        groups: dict = {}
+        for key, c in [*self._terms.items(), *self._coerce(other)._terms.items()]:
+            groups.setdefault(key, []).append((c, _ONE))
+        return QPolynomial._trusted(_sums_by_key(groups))
 
     __radd__ = __add__
 
@@ -199,11 +200,12 @@ class QPolynomial:
 
     def __mul__(self, other) -> "QPolynomial":
         other = self._coerce(other)
-        out: dict = {}
+        groups: dict = {}
         for (e1, s1), c1 in self._terms.items():
             for (e2, s2), c2 in other._terms.items():
-                _add_into(out, (e1 + e2, _merge_sigma(s1, s2) if s1 else s2), c1 * c2)
-        return QPolynomial._trusted(out)
+                key = (e1 + e2, _merge_sigma(s1, s2) if s1 else s2)
+                groups.setdefault(key, []).append((c1, c2))
+        return QPolynomial._trusted(_sums_by_key(groups))
 
     __rmul__ = __mul__
 
@@ -226,11 +228,6 @@ class QPolynomial:
 
     def __repr__(self) -> str:
         return f"QPolynomial({self})"
-
-
-def _add_into(terms: dict, key, coeff) -> None:
-    prev = terms.get(key)
-    terms[key] = coeff if prev is None else prev + coeff
 
 
 def format_qpolynomial(f: QPolynomial) -> str:
@@ -345,11 +342,11 @@ def substitute_shift(
     r = _as_rat(r)
     if c.is_zero():
         return f
-    one, leads, groups = ParamPoly.const(1), {}, {}  # leads: level -> [lead^0, lead^1, ...]
+    leads, groups = {}, {}  # leads: level -> [lead^0, lead^1, ...]
     for term in f.terms:
-        partial = [(0, (), 1, one)]  # (power of x^r, sigma left, binomials, lead powers)
+        partial = [(0, (), 1, _ONE)]  # (power of x^r, sigma left, binomials, lead powers)
         for level, power in term.sigma_powers:
-            row = leads.get(level) or leads.setdefault(level, [one, c * q_pow(q, level * r)])
+            row = leads.get(level) or leads.setdefault(level, [_ONE, c * q_pow(q, level * r)])
             while len(row) <= power:
                 row.append(row[-1] * row[1])
             nxt = []
@@ -357,13 +354,12 @@ def substitute_shift(
                 binomial = 1
                 for i in range(power + 1):
                     nxt.append((n + i, rest + ((level, power - i),) if i < power else rest,
-                                b * binomial, row[i] if lead is one else lead * row[i]))
+                                b * binomial, row[i] if lead is _ONE else lead * row[i]))
                     binomial = binomial * (power - i) // (i + 1)
             partial = nxt
         for n, rest, b, lead in partial:
             groups.setdefault((term.x_exp + r * n, rest), []).append((term.coeff * b, lead))
-    return QPolynomial._trusted({key: pairs[0][0] * pairs[0][1] if len(pairs) == 1 else
-                                 _sum_products(pairs) for key, pairs in groups.items()})
+    return QPolynomial._trusted(_sums_by_key(groups))
 
 
 def evaluate_on_series(
@@ -468,8 +464,7 @@ def evaluate_on_series(
 
     def form(key, pairs, bound):  # the kept terms, then one sum per exponent; keep up to bound
         done = kept.setdefault(key, [])
-        formed = [(k, beta) for k in sorted(pairs)
-                  if not (beta := TPoly.sum_of_products(pairs[k])).is_zero()]
+        formed = sorted(_sums_by_key(pairs, TPoly).items())
         out, fin[key] = done + formed, max(fin.get(key, -math.inf), bound)
         done += formed[: bisect_right(formed, fin[key], key=_exponent)]
         return out

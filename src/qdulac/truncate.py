@@ -31,7 +31,7 @@ from .algebra import (
     ParamPoly,
     TPoly,
     _as_rat,
-    _sum_products,
+    _sums_by_key,
     check_q,
     fresh_names,
     q_log,
@@ -88,16 +88,14 @@ def _collect(g: QPolynomial, key, c=ParamPoly.const(1), r=Fraction(0), q=None) -
     """{key(t): sum of t.coeff * c^d * q^(r*w)} over g's terms t (d the y-degree,
     w the shift weight), zero sums dropped: y = c*x^r, or the coefficients alone.
     Each c^d * q^(r*w) is formed once, c^d by squaring, in `g.terms` order, so
-    the first power that fails is raised; a sum is one product or kernel pass."""
+    the first power that fails is raised; `_sums_by_key` forms each sum."""
     factors, groups = {}, {}
     for t in g.terms:
         d, w = t.y_degree, t.shift_weight
         if (d, w) not in factors:
             factors[d, w] = c**d * (q_pow(q, r * w) if r * w else 1)
         groups.setdefault(key(t), []).append((t.coeff, factors[d, w]))
-    sums = {k: pairs[0][0] * pairs[0][1] if len(pairs) == 1 else _sum_products(pairs)
-            for k, pairs in groups.items()}
-    return {k: v for k, v in sums.items() if not v.is_zero()}
+    return _sums_by_key(groups)
 
 
 def _face_poly(coeffs: dict, var: str) -> TPoly:

@@ -16,8 +16,11 @@ y = c*x^r done term by term (each binomial power a QPolynomial, each face
 term's factor formed on its own, every scalar product a kernel pass), the
 expansion loop that evaluates the residual afresh at every exponent, the
 `expand` JSON document built from Fraction coefficients through
-`rat_str`, and the equation parser that multiplies out every factor and
-adds up every term as a QPolynomial.
+`rat_str`, the merge of like terms done incrementally (`reference_add`,
+`reference_mul`, `reference_power` and `reference_qpolynomial`: one
+ParamPoly product and one sum per pair of terms, where `QPolynomial`
+forms each output term in one pass), and the equation parser that
+multiplies out every factor and adds up every term through that merge.
 """
 
 import math
@@ -26,6 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from qdulac import algebra
 from qdulac.algebra import _EXP_LIMIT, ParamPoly, TPoly, _as_rat, _sum_products, check_q, q_pow, rat_str
 from qdulac.errors import (
     EmptySupportError,
@@ -738,6 +742,82 @@ def random_edge_equation(rng: random.Random):
     return eq, q, c, r, (a_pt, b_pt)
 
 
+# -- like terms merged incrementally: one product and one sum per pair of terms
+
+
+def _merge_into(out: dict, key, coeff) -> None:
+    """out[key] += coeff, one ParamPoly sum per term."""
+    out[key] = out[key] + coeff if key in out else coeff
+
+
+def _reference_sigma(*sigmas) -> tuple:
+    """The canonical (level, power) tuple of a product of sigma powers."""
+    powers: dict = {}
+    for sigma in sigmas:
+        for level, power in sigma:
+            if not isinstance(level, int) or level < 0:
+                raise ValueError("shift levels must be nonnegative integers")
+            if not isinstance(power, int) or power < 1:
+                raise ValueError("shift powers must be positive integers")
+            powers[level] = powers.get(level, 0) + power
+    return tuple(sorted(powers.items()))
+
+
+def _reference_sigma_guard(keys, times: int = 1) -> None:
+    for _, sigma in keys:
+        for level, power in sigma:
+            if level >= _EXP_LIMIT or power * times >= _EXP_LIMIT:
+                raise ResourceLimitError("shift level or power of y reaches 2^31")
+
+
+def reference_qpolynomial(terms) -> QPolynomial:
+    """`QPolynomial(terms)`, each term's coefficient added to its key's one by one."""
+    out: dict = {}
+    for t in terms:
+        key = (_as_rat(t.x_exp), _reference_sigma(t.sigma_powers))
+        _merge_into(out, key, ParamPoly.coerce(t.coeff))
+    _reference_sigma_guard(out)
+    return QPolynomial._trusted(out)
+
+
+def reference_add(f: QPolynomial, g: QPolynomial) -> QPolynomial:
+    """f + g, g's terms added into a copy of f's one by one."""
+    out = dict(f._terms)
+    for key, c in g._terms.items():
+        _merge_into(out, key, c)
+    return QPolynomial._trusted(out)
+
+
+def reference_mul(f: QPolynomial, g: QPolynomial) -> QPolynomial:
+    """f * g, one ParamPoly product and one sum for every pair of terms."""
+    out: dict = {}
+    for (e1, s1), c1 in f._terms.items():
+        for (e2, s2), c2 in g._terms.items():
+            _merge_into(out, (e1 + e2, _reference_sigma(s1, s2)), c1 * c2)
+    return QPolynomial._trusted(out)
+
+
+def reference_power(f: QPolynomial, n: int) -> QPolynomial:
+    """f**n by repeated squaring through `reference_mul`, refused up front
+    when a parameter exponent, shift level or power of y would reach 2^31."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("QPolynomial powers must be nonnegative integers")
+    over = [name for c in f._terms.values() for mono, _ in c.items()
+            for name, e in mono if e * n >= _EXP_LIMIT]
+    if over:
+        name = max(over, key=algebra._NAMES.index)  # the top slot, as the kernel names it
+        raise ResourceLimitError(f"exponent of {name} reaches 2^31")
+    _reference_sigma_guard(f._terms, n)
+    result = reference_qpolynomial([QTerm(ParamPoly.const(1), F(0), ())])
+    while n:
+        if n & 1:
+            result = reference_mul(result, f)
+        n >>= 1
+        if n:  # square only while bits remain, as `algebra._power` does
+            f = reference_mul(f, f)
+    return result
+
+
 def _kernel_mul(a, b) -> ParamPoly:
     """a*b through the general product kernel, a constant factor included."""
     return _sum_products(((ParamPoly.coerce(a), ParamPoly.coerce(b)),))
@@ -757,7 +837,7 @@ def _kernel_power(c: ParamPoly, d: int) -> ParamPoly:
 
 def reference_substitute_shift(f, c, r, q) -> QPolynomial:
     """y = c*x^r + z term by term: each (level, power) factor's binomial
-    power built as a QPolynomial, each monomial a chain of QPolynomial
+    power built as a QPolynomial, each monomial a chain of `reference_mul`
     products, the results added up one by one, and every scalar product a
     kernel pass.  The first q-power it needs that is irrational, in
     `f.terms` order, is the one it names."""
@@ -766,7 +846,7 @@ def reference_substitute_shift(f, c, r, q) -> QPolynomial:
         return f
     powers, out = {}, QPolynomial()
     for term in f.terms:
-        prod = QPolynomial([QTerm(term.coeff, term.x_exp, ())])
+        prod = reference_qpolynomial([QTerm(term.coeff, term.x_exp, ())])
         for level, power in term.sigma_powers:
             if (level, power) not in powers:
                 lead = _kernel_mul(c, q_pow(q, level * r))
@@ -777,9 +857,9 @@ def reference_substitute_shift(f, c, r, q) -> QPolynomial:
                     if i < power:
                         lead_i = _kernel_mul(lead_i, lead)
                     binomial = binomial * (power - i) // (i + 1)
-                powers[level, power] = QPolynomial(terms)
-            prod = prod * powers[level, power]
-        out = out + prod
+                powers[level, power] = reference_qpolynomial(terms)
+            prod = reference_mul(prod, powers[level, power])
+        out = reference_add(out, prod)
     return out
 
 
@@ -970,6 +1050,10 @@ def tokenize(text: str) -> list[Token]:
 _MAX_NESTING = 100
 
 
+def _reference_constant(value) -> QPolynomial:
+    return reference_qpolynomial([QTerm(ParamPoly.coerce(value), F(0), ())])
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], params: tuple[str, ...]):
         self.tokens = tokens
@@ -1021,14 +1105,14 @@ class _Parser:
         while self.cur.kind in ("+", "-"):
             op = self.advance()
             term = self.parse_term()
-            result = result + term if op.kind == "+" else result - term
+            result = reference_add(result, term if op.kind == "+" else -term)
         return result
 
     def parse_term(self) -> QPolynomial:
         result = self.parse_factor()
         while self.cur.kind == "*":
             self.advance()
-            result = result * self.parse_factor()
+            result = reference_mul(result, self.parse_factor())
         return result
 
     def parse_power(self, subject: str) -> int | Fraction:
@@ -1059,9 +1143,9 @@ class _Parser:
             self.advance()
             power = self.parse_power(subject)
             if subject == "x":
-                atom = QPolynomial([QTerm(ParamPoly.const(1), F(power), ())])
+                atom = reference_qpolynomial([QTerm(ParamPoly.const(1), F(power), ())])
             else:
-                atom = atom**power
+                atom = reference_power(atom, power)
         return atom
 
     def parse_rational(self) -> Fraction:
@@ -1077,7 +1161,7 @@ class _Parser:
     def parse_atom(self) -> tuple[QPolynomial, str]:
         tok = self.cur
         if tok.kind == "int":
-            return QPolynomial.constant(self.parse_rational()), "a constant"
+            return _reference_constant(self.parse_rational()), "a constant"
         if tok.kind == "(":
             if self.depth == _MAX_NESTING:
                 raise ResourceLimitError(
@@ -1098,9 +1182,9 @@ class _Parser:
         tok = self.advance()
         name = tok.text
         if name == "x":
-            return QPolynomial([QTerm(ParamPoly.const(1), F(1), ())]), "x"
+            return reference_qpolynomial([QTerm(ParamPoly.const(1), F(1), ())]), "x"
         if name == "y":
-            return QPolynomial([QTerm(ParamPoly.const(1), F(0), ((0, 1),))]), "y"
+            return reference_qpolynomial([QTerm(ParamPoly.const(1), F(0), ((0, 1),))]), "y"
         if name == "S":
             level = 1
             if self.cur.kind == "^":
@@ -1114,14 +1198,11 @@ class _Parser:
                 )
             self.expect(")")
             return (
-                QPolynomial([QTerm(ParamPoly.const(1), F(0), ((level, 1),))]),
+                reference_qpolynomial([QTerm(ParamPoly.const(1), F(0), ((level, 1),))]),
                 "a shifted factor",
             )
         if name in self.params:
-            return (
-                QPolynomial.constant(ParamPoly.symbol(name)),
-                f"parameter {name}",
-            )
+            return _reference_constant(ParamPoly.symbol(name)), f"parameter {name}"
         raise ParseError(f"undeclared identifier {name!r}", tok.line, tok.col)
 
 

@@ -433,6 +433,17 @@ def test_exponent_order_examples():
         check_exponent_order(parse_equation("x^(1/2)"), 1)
 
 
+def test_exponent_order_names_the_least_offending_point():
+    # at r = 2, (0,1) and (1,0) both break the order and (3,2) keeps it;
+    # (0,1) is named, though (1,0) breaks it further
+    h = parse_equation("x + x^3*y^2 + y")
+    with pytest.raises(ExponentOrderError) as err:
+        check_exponent_order(h, 2)
+    assert str(err.value) == (
+        "support point (0,1) breaks the exponent ordering for r=2: q1 + r*(q2-1) = 0"
+    )
+
+
 def test_expand_rejects_descending_exponents():
     f = parse_equation("y + y^2 - 2 + x^-1")
     face = build_polygon(support(f)).faces[0]

@@ -1,12 +1,17 @@
-"""Two metamorphic relations, stated on the pipeline's records.
+"""Three metamorphic relations, stated on the pipeline's records.
 
 Sums, face analyses and expansions compare by value, so each relation is
-one `==` between the records of an equation and of its transform.
+one `==` between the records of an equation and of its transform, or
+between two `expand` documents.
 
 - Term order: f's terms written in a shuffled order and parsed again give
   an equal QPolynomial, FaceAnalysis and ExpansionResult.
 - Scaling: lam*f, for a rational lam != 0 of either sign, has the same
   candidates, and its expansion is f's with the linear part scaled by lam.
+- Multiplying by x^j: `expand` on x^j*f, with the face (j,3)-(j,2) of the
+  paper's cubic, c = -1 and q = 1/2, prints f's JSON document for j = 1, 2
+  and 1/3.  The shifted x^j*f has least x-exponent j > 0, so these cases
+  run the normalisation `QPolynomial.shift_x` of `expand_solution`.
 
 The cases are seeded planted edges (`oracles.random_edge_equation`) and
 the paper's cubic, tests/golden/main.qde, at q = 1/2 and q = 1/4.  An
@@ -20,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from oracles import random_edge_equation
+from qdulac.cli import main
 from qdulac.errors import QDulacError
 from qdulac.expand import LinearPart, expand_solution
 from qdulac.parser import parse_equation
@@ -93,3 +99,21 @@ def test_scaling_keeps_the_expansion():
             expanded += 1
         signs.add(lam > 0)
     assert signs == {True, False} and expanded >= 30
+
+
+def _expand_json(tmp_path, capsys, text, face):
+    """(exit code, stdout) of `expand --format json` on the cubic's parameters."""
+    path = tmp_path / "eq.qde"
+    path.write_text(text, encoding="utf-8")
+    code = main(["expand", "--eq", str(path), "--params", "a3,a4", "--q", "1/2",
+                 "--face", face, "--c", "-1", "--format", "json"])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("j", ["1", "2", "1/3"])
+def test_multiplying_by_a_power_of_x_keeps_the_document(j, tmp_path, capsys):
+    lhs = MAIN.split("=")[0]
+    want = _expand_json(tmp_path, capsys, MAIN, "(0,3)-(0,2)")
+    got = _expand_json(tmp_path, capsys, f"x^({j})*({lhs})", f"({j},3)-({j},2)")
+    assert want[0] == 0 and '"terms"' in want[1]
+    assert got == want

@@ -1,10 +1,18 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from oracles import reference_parse_equation
+from oracles import (
+    random_edge_equation,
+    reference_add,
+    reference_mul,
+    reference_parse_equation,
+    reference_power,
+    reference_qpolynomial,
+)
 from qdulac.algebra import ParamPoly, TPoly, q_pow
 from qdulac.errors import EmptySupportError, ParseError, ResourceLimitError
 from qdulac.parser import parse_equation, parse_param_expr
@@ -511,6 +519,96 @@ def test_parser_matches_reference():
             assert got == want, text
         kinds.add(want[0])
     assert {"terms", ParseError, ResourceLimitError, ZeroDivisionError} <= kinds
+
+
+def _random_coeff(rng):
+    """A small fraction, a 60-digit one, or a sum in a and b whose exponents
+    may be near 2^31, so that a product of two can reach it."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return F(rng.randint(-5, 5), rng.randint(1, 4))
+    if kind == 1:
+        return F(rng.choice((-1, 1)) * rng.randrange(10**59, 10**60), rng.randrange(1, 10**60))
+    a, b = ParamPoly.symbol("a"), ParamPoly.symbol("b")
+    tops = (1, 2, 3) if kind == 2 else (2**30 - 1, 2**30, 2**31 - 2)
+    scale = F(rng.randint(1, 3), rng.randint(1, 3))
+    return scale * a ** rng.choice(tops) + -(b ** rng.choice(tops))
+
+
+def _random_sum(rng):
+    """QTerms with fractional x-exponents, levels 0-3 (a level may repeat),
+    and like terms that cancel in full or in part."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        sigma = [(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+        term = QTerm(_random_coeff(rng), F(rng.randint(-3, 3), rng.randint(1, 3)), tuple(sigma))
+        terms.append(term)
+        if rng.random() < 0.3:  # a like term that cancels it, or half of it
+            terms.append(term._replace(coeff=-term.coeff * rng.choice((1, F(1, 2)))))
+    rng.shuffle(terms)
+    return terms
+
+
+def _top(f, name):
+    """The largest exponent of the parameter `name` in f's coefficients."""
+    return max((e for c in f._terms.values() for mono, _ in c.items()
+                for n, e in mono if n == name), default=0)
+
+
+def _merged_alike(op, reference, args, reach=lambda name: True):
+    """op(*args) equals reference(*args), or both raise the same type; a
+    ResourceLimitError names a symbol whose exponent reaches 2^31."""
+    outcomes = []
+    for fn in (op, reference):
+        try:
+            outcomes.append(fn(*args))
+        except (ResourceLimitError, ValueError, TypeError) as err:
+            outcomes.append(err)
+    got, want = outcomes
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (args, got, want)
+        named = re.match(r"exponent of (\w+) reaches 2\^31", str(got))
+        assert named is None or reach(named.group(1)), (args, got)
+    else:
+        assert got == want, args
+
+
+def test_merge_matches_incremental_reference():
+    """`QPolynomial(terms)`, `+`, `*` and `**`, which form each output term
+    in one pass, against the merge that adds one product per pair of terms."""
+    rng = random.Random(3800)
+    for i in range(300):
+        if i % 3:
+            f, g = (QPolynomial(_random_sum(rng)) for _ in range(2))
+        else:
+            f, g = (random_edge_equation(rng)[0] for _ in range(2))
+        _merged_alike(QPolynomial, reference_qpolynomial, (f.terms + g.terms,))
+        _merged_alike(QPolynomial.__add__, reference_add, (f, g))
+        _merged_alike(QPolynomial.__sub__, lambda f, g: reference_add(f, -g), (f, g))
+        _merged_alike(QPolynomial.__mul__, reference_mul, (f, g),
+                      lambda name: _top(f, name) + _top(g, name) >= 2**31)
+        n = rng.randint(0, 3)
+        _merged_alike(QPolynomial.__pow__, reference_power, (f, n),
+                      lambda name: _top(f, name) * n >= 2**31)
+        terms = _random_sum(rng)
+        _merged_alike(QPolynomial, reference_qpolynomial, (terms,))
+        assert QPolynomial(terms) == QPolynomial(terms[::-1])
+
+
+def test_parsed_powers_of_sums_match_incremental_reference():
+    """Powers and products of printed sums, parsed: each output term formed
+    in one pass equals the sum built one product per pair of terms."""
+    rng = random.Random(3801)
+    texts = [f"(y + 1)^{n}" for n in (2, 17, 40)] + ["(y - S(y))^3*(y + S(y))^3 + x^(1/2)"]
+    for _ in range(60):
+        f, g = (QPolynomial(_random_sum(rng)) for _ in range(2))
+        n, m = rng.randint(0, 3), rng.randint(1, 2)
+        texts += [f"({f})^{n}", f"({f})^{n}*({g}) - ({g})^{m}"]
+        _merged_alike(lambda: parse_equation(f"({f})^{n}", ["a", "b"]),
+                      lambda: reference_power(f, n), (),
+                      lambda name: _top(f, name) * n >= 2**31)
+    for text in texts:
+        _merged_alike(parse_equation, reference_parse_equation, (text, ["a", "b"]))
 
 
 def _long_equation(n):

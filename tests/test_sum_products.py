@@ -1,7 +1,7 @@
 """The fused sum-of-products kernel against schoolbook arithmetic.
 
 `_sum_products` accumulates a whole sum of ParamPoly or TPoly products over
-one running denominator; `TPoly.sum_of_products`, the fused shift-and-scale
+one running denominator; TPoly sums of products, the fused shift-and-scale
 and `apply_difference_operator` are built on it.  Each is compared with
 the reference polynomials of tests/oracles.py, which use nothing from
 qdulac.algebra, and every result must be in the one canonical form.  A
@@ -114,7 +114,7 @@ def test_tpoly_sum_of_products(pairs):
     expected: list = []
     for a, b in pairs:
         expected = _log_poly_add(expected, _log_poly_mul(a, b))
-    got = TPoly.sum_of_products([(tpoly(a), tpoly(b)) for a, b in pairs])
+    got = _sum_products([(tpoly(a), tpoly(b)) for a, b in pairs], TPoly)
     assert_tpoly(got, expected)
     naive = TPoly.zero()
     for a, b in pairs:
@@ -160,7 +160,7 @@ def test_exponent_reaching_limit_raises_through_kernel():
     with pytest.raises(ResourceLimitError, match="exponent of a reaches 2\\^31"):
         beta * beta
     with pytest.raises(ResourceLimitError):
-        TPoly.sum_of_products([(TPoly.const(1), beta), (TPoly.const(half), beta)])
+        _sum_products([(TPoly.const(1), beta), (TPoly.const(half), beta)], TPoly)
     with pytest.raises(ResourceLimitError):
         _sum_products([(top, a)])
     assert _sum_products([(top, ParamPoly.const(2))]) == 2 * top
@@ -215,7 +215,7 @@ def test_overflow_in_a_later_slot_is_named_through_tpoly():
     with pytest.raises(ResourceLimitError, match="exponent of z_late reaches 2\\^31"):
         beta * beta
     with pytest.raises(ResourceLimitError, match="exponent of z_late reaches 2\\^31"):
-        TPoly.sum_of_products([(TPoly.const(a), beta), (beta, beta)])
+        _sum_products([(TPoly.const(a), beta), (beta, beta)], TPoly)
 
 
 def test_t_degree_never_carries_into_a_parameter():
