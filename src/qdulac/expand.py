@@ -33,6 +33,7 @@ from itertools import count
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .algebra import (
+    _EXP_LIMIT,
     ParamPoly,
     TPoly,
     _as_rat,
@@ -49,16 +50,11 @@ from .errors import (
     InternalInvariantError,
     LinearCoefficientError,
     LinearVertexError,
+    ResourceLimitError,
 )
-from .polygon import convex_hull
-from .qexpr import (
-    PowerLogSeries,
-    QPolynomial,
-    evaluate_on_series,
-    substitute_shift,
-    support,
-)
-from .truncate import TruncatedSolution, vertex_char_poly
+from .polygon import _chain
+from .qexpr import PowerLogSeries, QPolynomial, evaluate_on_series, substitute_shift
+from .truncate import TruncatedSolution
 
 
 class _LinearPart(NamedTuple):
@@ -137,35 +133,42 @@ class ExpansionResult(NamedTuple):
         return all(beta.degree() == 0 for _, beta in self.series.terms)
 
 
+def _grid_points(g: QPolynomial, r: Fraction = Fraction(0)) -> tuple:
+    """(D, r*D, the distinct exponent points (e*D, d) of g): ints on one grid
+    1/D, D the lcm of the denominators of r and of g's x-exponents e."""
+    grid = math.lcm(r.denominator, *(e.denominator for e, _ in g._terms))
+    return grid, r.numerator * (grid // r.denominator), {
+        (e.numerator * (grid // e.denominator), sum(p for _, p in s)) for e, s in g._terms}
+
+
 def extract_linear_part(ft: QPolynomial):
     """Split the shifted equation into (LinearPart, h).
 
     Requires the two structural hypotheses: the point (0,1) carries terms
     and is a vertex of the Newton polygon, and every coefficient there is a
-    plain constant.
+    plain constant.  One walk of ft's keys reads a_l from the key
+    (0, ((l, 1),)); the vertex test runs on ft's points as ints on one grid.
     """
     if ft.is_zero():
         raise LinearVertexError(
             "the substituted equation is identically zero; nothing to expand"
         )
-    linear, rest = {}, {}
-    for t in ft.terms:
-        side = linear if t.x_exp == 0 and t.y_degree == 1 else rest
-        side[t.x_exp, t.sigma_powers] = t.coeff
+    linear, rest = {}, {}  # level l -> a_l; every other term
+    for (e, sigma), coeff in ft._terms.items():
+        if not e and len(sigma) == 1 and sigma[0][1] == 1:
+            linear[sigma[0][0]] = coeff
+        else:
+            rest[e, sigma] = coeff
     if not linear:
-        raise LinearVertexError(
-            "no terms at support point (0,1): the linear part is missing"
-        )
-    if (Fraction(0), Fraction(1)) not in convex_hull(support(ft)):
-        raise LinearVertexError(
-            "support point (0,1) is not a vertex of the Newton polygon"
-        )
-    chi = vertex_char_poly(QPolynomial._trusted(linear))  # L(s): S^l y has weight l
-    coeffs = chi.coeffs
-    if varying := [coeff for coeff in coeffs if not coeff.is_constant()]:
+        raise LinearVertexError("no terms at support point (0,1): the linear part is missing")
+    if (0, 1) not in _chain(sorted(_grid_points(ft)[2])):
+        raise LinearVertexError("support point (0,1) is not a vertex of the Newton polygon")
+    if (top := max(linear)) >= _EXP_LIMIT:
+        raise ResourceLimitError("exponent of w reaches 2^31")
+    if varying := [c for _, c in sorted(linear.items()) if not c.is_constant()]:
         raise LinearCoefficientError(f"coefficient at (0,1) is not constant: {varying[0]}")
-    h = QPolynomial._trusted(rest)
-    return LinearPart(tuple(c.constant_value() for c in coeffs)), h
+    coeffs = [linear[l].constant_value() if l in linear else 0 for l in range(top + 1)]
+    return LinearPart(coeffs), QPolynomial._trusted(rest)
 
 
 def critical_numbers(L: LinearPart, q, r) -> CriticalData:
@@ -192,12 +195,14 @@ def k_lattice(h_support, criticals, r, k_max) -> list:
 
     Seeds: the critical numbers and the abscissas of z-free support points
     (q1, 0).  Closure: k = q1 + l_1 + ... + l_{q2} for every support point
-    (q1, q2) with q2 >= 1 and l_i already generated.  Exponents are ints
-    scaled by the lcm of all denominators.  The rounds are semi-naive: a
-    sum is new only if one of its summands came in the round before, so
-    each round takes its first summand from those alone and the rest from
-    all of K, one summand at a time, pruned by min(K) times the summands
-    left; K stays sorted by inserting what each round adds.
+    (q1, q2) with q2 >= 1 and l_i already generated; `expand_solution`
+    passes h's points from the grid its exponent-order check uses.
+    Exponents are ints scaled by the lcm of all denominators.  The rounds
+    are semi-naive: a sum is new only if one of its summands came in the
+    round before, so each round takes its first summand from those alone
+    and the rest from all of K, one summand at a time, pruned by min(K)
+    times the summands left; K stays sorted by inserting what each round
+    adds.
     """
     r = _as_rat(r)
     k_max = _as_rat(k_max)
@@ -213,13 +218,14 @@ def k_lattice(h_support, criticals, r, k_max) -> list:
             generators.append((q1, int(q2)))
     scale = math.lcm(r.denominator, *(k.denominator for k in seeds),
                      *(q1.denominator for q1, _ in generators))
-    low, cap = int(r * scale), math.floor(k_max * scale)
-    known = {s for s in (int(k * scale) for k in seeds) if low <= s <= cap}
+    low, cap = r.numerator * (scale // r.denominator), k_max.numerator * scale // k_max.denominator
+    known = {s for s in (k.numerator * (scale // k.denominator) for k in seeds) if low <= s <= cap}
+    generators = [(q1.numerator * (scale // q1.denominator), d) for q1, d in generators]
     elems = new = sorted(known)
     while new:
         found = set()
         for q1, d in generators:
-            sums = {int(q1 * scale)}
+            sums = {q1}
             for left in range(d - 1, -1, -1):
                 pool = new if left == d - 1 else elems
                 bound = cap - left * elems[0]
@@ -304,17 +310,19 @@ def check_exponent_order(h: QPolynomial, r) -> None:
     Every support point (q1, q2) of h must satisfy q1 + r*(q2 - 1) >= 0,
     strictly when q2 <= 1; otherwise a term could feed the residual at an
     exponent at or below the one being solved and the term-by-term
-    recursion would not terminate.  One scan names the least such point.
+    recursion would not terminate.  One scan of h's points, ints on one
+    grid, names the least such point; only its message forms Fractions.
     """
     r = _as_rat(r)
-    late = [(q1, q2, value) for q1, q2 in (t.q_point for t in h.terms)
-            if (value := q1 + r * (q2 - 1)) < 0 or (value == 0 and q2 <= 1)]
+    grid, step, points = _grid_points(h, r)
+    late = [(x, d, value) for x, d in points
+            if (value := x + step * (d - 1)) < 0 or (value == 0 and d <= 1)]
     if late:
-        q1, q2, value = min(late)
+        x, d, value = min(late)
         raise ExponentOrderError(
-            f"support point ({rat_str(q1)},{rat_str(q2)}) breaks the "
+            f"support point ({rat_str(Fraction(x, grid))},{d}) breaks the "
             f"exponent ordering for r={rat_str(r)}: "
-            f"q1 + r*(q2-1) = {rat_str(value)}"
+            f"q1 + r*(q2-1) = {rat_str(Fraction(value, grid))}"
         )
 
 
@@ -334,8 +342,9 @@ def expand_solution(
     L, h = extract_linear_part(ft)
     check_exponent_order(h, r)
     crit = critical_numbers(L, q, r)
-    h_support = set() if h.is_zero() else support(h)
-    k_set = k_lattice(h_support, [k for k, _ in crit.criticals()], r, k_max)
+    grid, _, points = _grid_points(h, r)
+    k_set = k_lattice([(Fraction(x, grid), d) for x, d in points],
+                      [k for k, _ in crit.criticals()], r, k_max)
     # exactness gate: ft already holds q^(l*r); the loop takes q^(l*k) for k in K only
     q_pow(q, Fraction(1, math.lcm(*(k.denominator for k in k_set))))
 

@@ -110,12 +110,6 @@ def _chain(grid) -> list:
     return half(grid) + half(reversed(grid))
 
 
-def convex_hull(points) -> list:
-    """Counterclockwise hull vertices by the monotone chain, strict turns only."""
-    grid, _ = _grid(points)
-    return [grid[p] for p in _chain(grid)]
-
-
 def _grid_rat(ratio: tuple, scale: tuple) -> Fraction:
     """The r that a grid ratio (dx, dy) names: -dx*Y / (dy*X)."""
     return Fraction(-ratio[0] * scale[1], ratio[1] * scale[0])

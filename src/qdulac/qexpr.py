@@ -26,9 +26,9 @@ and each coefficient that is final (every series term it reads is known);
 results are the same without it, and it refuses another f, another q or
 a non-extending series.
 Exponents are Fractions at the boundary (terms, series, results) and ints
-on one grid 1/D, i.e. powers of x^(1/D), inside the evaluator.  Every
-merge of like terms is one `algebra._sums_by_key` pass per key.  Both
-kinds of sum print in the text notation of `algebra.TEXT`.
+on one grid 1/D, i.e. powers of x^(1/D), inside the shift and the
+evaluator.  Every merge of like terms is one `algebra._sums_by_key` pass
+per key.  Both kinds of sum print in the text notation of `algebra.TEXT`.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ class QPolynomial:
     Stored as {(x_exp, sigma_powers): coeff} and never changed in place;
     sums with equal stores are equal and hash alike.  `QPolynomial(terms)`
     validates each term (exact coefficient and exponent, nonnegative
-    levels, positive powers), merges like terms and refuses a level or
-    merged power of 2^31 (ResourceLimitError); `constant` goes through it.
+    levels, positive powers), merges like terms and, as `*` and `**` do,
+    refuses a level or merged power of 2^31 (ResourceLimitError).
     The constructor, `+` and `*` merge like terms by `_sums_by_key`, one
     pass and one gcd per output term.  Arithmetic results are trusted.
     `terms` is the sorted view for iteration and display, built once on first use.
@@ -205,6 +205,7 @@ class QPolynomial:
             for (e2, s2), c2 in other._terms.items():
                 key = (e1 + e2, _merge_sigma(s1, s2) if s1 else s2)
                 groups.setdefault(key, []).append((c1, c2))
+        _check_sigma(groups)
         return QPolynomial._trusted(_sums_by_key(groups))
 
     __rmul__ = __mul__
@@ -334,6 +335,8 @@ def substitute_shift(
     its powers are formed once per call, each binomial from the one before,
     and each monomial expands into (key, coefficient times binomials, lead
     powers) pairs: a shifted coefficient is one product or one kernel pass.
+    Keys sum x-exponents as ints on one grid 1/D, D the lcm of r's and f's
+    denominators, and each distinct output key forms one Fraction.
     Needs q^{l r} rational for every level l that occurs (always true for
     integer r); the first irrational one in `f.terms` order is named.
     """
@@ -342,8 +345,10 @@ def substitute_shift(
     r = _as_rat(r)
     if c.is_zero():
         return f
-    leads, groups = {}, {}  # leads: level -> [lead^0, lead^1, ...]
+    grid = math.lcm(r.denominator, *(e.denominator for e, _ in f._terms))
+    step, leads, groups = r.numerator * (grid // r.denominator), {}, {}  # leads[l][i] = lead_l^i
     for term in f.terms:
+        e = term.x_exp.numerator * (grid // term.x_exp.denominator)
         partial = [(0, (), 1, _ONE)]  # (power of x^r, sigma left, binomials, lead powers)
         for level, power in term.sigma_powers:
             row = leads.get(level) or leads.setdefault(level, [_ONE, c * q_pow(q, level * r)])
@@ -358,8 +363,9 @@ def substitute_shift(
                     binomial = binomial * (power - i) // (i + 1)
             partial = nxt
         for n, rest, b, lead in partial:
-            groups.setdefault((term.x_exp + r * n, rest), []).append((term.coeff * b, lead))
-    return QPolynomial._trusted(_sums_by_key(groups))
+            groups.setdefault((e + step * n, rest), []).append((term.coeff * b, lead))
+    return QPolynomial._trusted({(Fraction(e, grid), rest): coeff
+                                 for (e, rest), coeff in _sums_by_key(groups).items()})
 
 
 def evaluate_on_series(

@@ -14,13 +14,15 @@ solution (`verified_solution` builds such a solution and checks it with
 the library's `verify_truncated`), the substitutions y = c*x^r + z and
 y = c*x^r done term by term (each binomial power a QPolynomial, each face
 term's factor formed on its own, every scalar product a kernel pass), the
-expansion loop that evaluates the residual afresh at every exponent, the
-`expand` JSON document built from Fraction coefficients through
-`rat_str`, the merge of like terms done incrementally (`reference_add`,
-`reference_mul`, `reference_power` and `reference_qpolynomial`: one
-ParamPoly product and one sum per pair of terms, where `QPolynomial`
-forms each output term in one pass), and the equation parser that
-multiplies out every factor and adds up every term through that merge.
+split of the shifted equation into L(S) and h and its exponent-order check
+on Fraction points, the expansion loop that evaluates the residual afresh
+at every exponent, the `expand` JSON document built from Fraction
+coefficients through `rat_str`, the merge of like terms done
+incrementally (`reference_add`, `reference_mul`, `reference_power` and
+`reference_qpolynomial`: one ParamPoly product and one sum per pair of
+terms, where `QPolynomial` forms each output term in one pass), and the
+equation parser that multiplies out every factor and adds up every term
+through that merge.
 """
 
 import math
@@ -33,18 +35,20 @@ from qdulac import algebra
 from qdulac.algebra import _EXP_LIMIT, ParamPoly, TPoly, _as_rat, _sum_products, check_q, q_pow, rat_str
 from qdulac.errors import (
     EmptySupportError,
+    ExponentOrderError,
     InconsistentEdgeError,
     IndeterminateEquationError,
+    LinearCoefficientError,
+    LinearVertexError,
     NotAVertexError,
     ParseError,
     ResourceLimitError,
 )
 from qdulac.expand import (
     ExpansionResult,
-    check_exponent_order,
+    LinearPart,
     constant_namer,
     critical_numbers,
-    extract_linear_part,
     k_lattice,
     solve_poly_difference,
 )
@@ -58,7 +62,7 @@ from qdulac.qexpr import (
     substitute_shift,
     support,
 )
-from qdulac.truncate import TruncatedSolution, verify_truncated
+from qdulac.truncate import TruncatedSolution, vertex_char_poly, verify_truncated
 
 F = Fraction
 
@@ -923,10 +927,45 @@ def verified_solution(f, face, c, r, q) -> TruncatedSolution:
     return ts
 
 
+def reference_extract_linear_part(ft):
+    """`expand.extract_linear_part` on Fraction points: the terms at (0,1)
+    split off through the sorted view, (0,1) looked up in the Fraction
+    hull of `support(ft)` and L(s) read from `vertex_char_poly`."""
+    if ft.is_zero():
+        raise LinearVertexError("the substituted equation is identically zero; nothing to expand")
+    linear, rest = {}, {}
+    for t in ft.terms:
+        side = linear if t.x_exp == 0 and t.y_degree == 1 else rest
+        side[t.x_exp, t.sigma_powers] = t.coeff
+    if not linear:
+        raise LinearVertexError("no terms at support point (0,1): the linear part is missing")
+    if (F(0), F(1)) not in _reference_chain(sorted(support(ft))):
+        raise LinearVertexError("support point (0,1) is not a vertex of the Newton polygon")
+    coeffs = vertex_char_poly(QPolynomial._trusted(linear)).coeffs  # S^l y has weight l
+    if varying := [coeff for coeff in coeffs if not coeff.is_constant()]:
+        raise LinearCoefficientError(f"coefficient at (0,1) is not constant: {varying[0]}")
+    return LinearPart(tuple(c.constant_value() for c in coeffs)), QPolynomial._trusted(rest)
+
+
+def reference_check_exponent_order(h, r) -> None:
+    """`expand.check_exponent_order` on Fraction points: every q1 + r*(q2 - 1)
+    formed as a Fraction, the least offending point named."""
+    r = _as_rat(r)
+    late = [(q1, q2, value) for q1, q2 in (t.q_point for t in h.terms)
+            if (value := q1 + r * (q2 - 1)) < 0 or (value == 0 and q2 <= 1)]
+    if late:
+        q1, q2, value = min(late)
+        raise ExponentOrderError(
+            f"support point ({rat_str(q1)},{rat_str(q2)}) breaks the "
+            f"exponent ordering for r={rat_str(r)}: q1 + r*(q2-1) = {rat_str(value)}")
+
+
 def reference_expansion(f, ts, k_max) -> ExpansionResult:
     """The expansion of f around ts up to k_max, with theta_k evaluated afresh.
 
-    Each step calls the public `evaluate_on_series` with no carry on the
+    The preamble runs on Fraction points (`reference_extract_linear_part`,
+    `reference_check_exponent_order`, K generated from `support(h)`).  Each
+    step calls the public `evaluate_on_series` with no carry on the
     partial sum below k and solves with the public
     `solve_poly_difference`, so nothing formed for one k is reused at the
     next.  The degree-bound check of `expand_solution` is left out.
@@ -936,8 +975,8 @@ def reference_expansion(f, ts, k_max) -> ExpansionResult:
     ft = substitute_shift(f, ts.c, r, q)
     if not ft.is_zero() and ft.min_x_exponent() > 0:
         ft = ft.shift_x(-ft.min_x_exponent())
-    L, h = extract_linear_part(ft)
-    check_exponent_order(h, r)
+    L, h = reference_extract_linear_part(ft)
+    reference_check_exponent_order(h, r)
     crit = critical_numbers(L, q, r)
     h_support = set() if h.is_zero() else support(h)
     k_set = k_lattice(h_support, [k for k, _ in crit.criticals()], r, k_max)

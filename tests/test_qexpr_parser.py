@@ -626,6 +626,18 @@ def test_long_equation_parses_and_shifts_in_linear_time(deadline):
     assert all(t.sigma_powers or t.x_exp > 1 for t in g.terms)  # c*q*x - 2*c*x + x = 0
 
 
+def test_a_product_refuses_a_power_of_y_that_reaches_the_limit():
+    # `**` and the constructor refused y^(2^31); `*` returned it
+    for level in (0, 2):
+        p = QPolynomial([QTerm(1, 0, ((level, 2**30),))])
+        for op in (lambda: p * p, lambda: p**2, lambda: QPolynomial(reference_mul(p, p).terms)):
+            with pytest.raises(ResourceLimitError) as err:
+                op()
+            assert str(err.value) == "power of y or S^l(y) reaches 2^31"
+    q = QPolynomial([QTerm(1, 0, ((0, 2**30 - 1),))])
+    assert (q * q).terms == (QTerm(ParamPoly.const(1), F(0), ((0, 2**31 - 2),)),)
+
+
 def test_power_of_a_sum_is_refused_before_it_is_expanded(deadline):
     # the squarings of (a + b^2) built ever larger sums before the kernel's guard could fire
     with deadline(2):

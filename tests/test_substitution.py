@@ -10,6 +10,7 @@ the same message: which irrational q-power is named, and a parameter
 exponent of c^d reaching 2^31.
 """
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -150,3 +151,30 @@ def test_shift_forms_lead_powers_up_to_the_highest_power_only():
     g = parse_equation("y^2 + x")
     with pytest.raises(ResourceLimitError, match="exponent of a reaches 2"):
         substitute_shift(g, c, 1, F(2))
+
+
+def test_shift_on_mixed_grids_matches_the_reference():
+    """x-exponents over 3, 4 and 5 and r in 1/4, -2/3, 5/6: the shift sums
+    exponents on the lcm grid, and some keys reduce (6/12 is 1/2)."""
+    rng = random.Random(3900)
+    reduced, grids = 0, set()
+    for _ in range(40):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            levels = sorted(rng.sample(range(4), rng.randint(0, 2)))
+            sigma = tuple((level, rng.randint(1, 3)) for level in levels)
+            x_exp = F(rng.randint(-6, 12), rng.choice([3, 4, 5]))
+            terms.append(QTerm(ParamPoly.const(F(rng.choice([-2, 1, 3]), rng.choice([1, 4]))),
+                               x_exp, sigma))
+        f = QPolynomial(terms)
+        for r in (F(1, 4), F(-2, 3), F(5, 6)):
+            q = F(1, 2**12)  # every q^(l*r) is rational
+            c = rng.choice(LEADS)
+            got = substitute_shift(f, c, r, q)
+            assert got == reference_substitute_shift(f, c, r, q), (str(f), c, r)
+            dens = {t.x_exp.denominator for t in f.terms} | {r.denominator}
+            grid = math.lcm(*dens)  # a key e/grid that reduces has a denominator no input has
+            reduced += any(t.x_exp.denominator < grid and t.x_exp.denominator not in dens
+                           for t in got.terms)
+            grids.add(grid)
+    assert reduced > 20 and {12, 20, 30, 60} <= grids
