@@ -388,11 +388,15 @@ def _sum_products(pairs: Iterable[tuple], kind: type = ParamPoly):
     return kind._trusted(out, den)
 
 
+_ONE = ParamPoly.const(1)
+
+
 def _sums_by_key(groups: Mapping, kind: type = ParamPoly) -> dict:
     """{key: the sum of a*b over the (a, b) pairs of groups[key]}, zero sums
-    dropped.  A one-pair group is a*b, so a constant only scales; any other
-    is one `_sum_products` pass of `kind`: one gcd per key, not per pair."""
-    sums = ((key, pairs[0][0] * pairs[0][1] if len(pairs) == 1 else _sum_products(pairs, kind))
+    dropped.  A one-pair group is a*b (a alone when b is `_ONE`); any other is
+    one `_sum_products` pass of `kind`: one gcd per key, not per pair."""
+    sums = ((key, _sum_products(pairs, kind) if len(pairs) > 1 else
+             pairs[0][0] if pairs[0][1] is _ONE else pairs[0][0] * pairs[0][1])
             for key, pairs in groups.items())
     return {key: total for key, total in sums if total._nums}
 

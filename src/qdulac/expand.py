@@ -53,7 +53,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .polygon import _chain
-from .qexpr import PowerLogSeries, QPolynomial, evaluate_on_series, substitute_shift
+from .qexpr import PowerLogSeries, QPolynomial, _grid_points, evaluate_on_series, substitute_shift
 from .truncate import TruncatedSolution
 
 
@@ -133,14 +133,6 @@ class ExpansionResult(NamedTuple):
         return all(beta.degree() == 0 for _, beta in self.series.terms)
 
 
-def _grid_points(g: QPolynomial, r: Fraction = Fraction(0)) -> tuple:
-    """(D, r*D, the distinct exponent points (e*D, d) of g): ints on one grid
-    1/D, D the lcm of the denominators of r and of g's x-exponents e."""
-    grid = math.lcm(r.denominator, *(e.denominator for e, _ in g._terms))
-    return grid, r.numerator * (grid // r.denominator), {
-        (e.numerator * (grid // e.denominator), sum(p for _, p in s)) for e, s in g._terms}
-
-
 def extract_linear_part(ft: QPolynomial):
     """Split the shifted equation into (LinearPart, h).
 
@@ -168,7 +160,7 @@ def extract_linear_part(ft: QPolynomial):
     if varying := [c for _, c in sorted(linear.items()) if not c.is_constant()]:
         raise LinearCoefficientError(f"coefficient at (0,1) is not constant: {varying[0]}")
     coeffs = [linear[l].constant_value() if l in linear else 0 for l in range(top + 1)]
-    return LinearPart(coeffs), QPolynomial._trusted(rest)
+    return LinearPart(coeffs), QPolynomial._trusted(rest, ft._grid)
 
 
 def critical_numbers(L: LinearPart, q, r) -> CriticalData:
@@ -348,7 +340,7 @@ def expand_solution(
     # exactness gate: ft already holds q^(l*r); the loop takes q^(l*k) for k in K only
     q_pow(q, Fraction(1, math.lcm(*(k.denominator for k in k_set))))
 
-    namer = constant_namer(ts.c.symbols().union(*(t.coeff.symbols() for t in f.terms)))
+    namer = constant_namer(ts.c.symbols().union(*(coeff.symbols() for coeff in f._terms.values())))
     carry: dict = {}  # the residual's products, formed once across the loop
     collected: list = []
     constants: list = []
@@ -393,10 +385,10 @@ def verify_residual(
     left.  None means the residual vanishes identically through k_max.
     """
     k_max = _as_rat(k_max)
-    bound_f = QPolynomial._trusted({
-        (t.x_exp, t.sigma_powers): ParamPoly.const(t.coeff.evaluate(assignment))
-        for t in f.terms
-    })
+    bound_f = QPolynomial._trusted({  # a coefficient can bind to zero
+        key: ParamPoly.const(value) for key, coeff in f._terms.items()
+        if (value := coeff.evaluate(assignment))
+    }, f._grid)
     bound = result.series.bind_parameters(assignment)
     residual = evaluate_on_series(bound_f, bound, k_max).all_terms
     return residual[0][0] if residual else None

@@ -25,7 +25,7 @@ One pass, linear in the length of the text: one regex makes (kind, text,
 offset) tokens, and an error counts its (line, column) from the offset.
 A term's factors fold into one monomial; only a parenthesised sum of
 several terms is a QPolynomial.  A sum merges its terms, each sign a
-factor of +1 or -1, in one `algebra._sums_by_key` pass.
+factor of +1 or -1, in one `qexpr._combination` pass on one int grid.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import ParamPoly, _as_rat, _check_symbol, _sums_by_key
+from .algebra import _ONE, ParamPoly, _check_symbol
 from .errors import ParseError, ResourceLimitError
-from .qexpr import _ONE, QPolynomial, _check_sigma
+from .qexpr import QPolynomial, _check_sigma, _combination
 
 _TOKEN_RE = re.compile(
     r"""
@@ -85,10 +85,11 @@ def check_params(params) -> tuple[str, ...]:
 
 def _as_poly(mono) -> QPolynomial:
     """The QPolynomial of a (coeff, x-exponent, {level: power}) monomial,
-    coeff None meaning 1."""
+    coeff None meaning 1, the x-exponent an int or a reduced Fraction."""
     coeff, x, sigma = mono
-    key = (_as_rat(x), tuple(sorted((l, d) for l, d in sigma.items() if d)))
-    return QPolynomial._trusted({key: _ONE if coeff is None else coeff})
+    coeff = _ONE if coeff is None else coeff
+    key = (x.numerator, tuple(sorted((l, d) for l, d in sigma.items() if d)))
+    return QPolynomial._trusted({key: coeff} if coeff._nums else {}, x.denominator)
 
 
 class _Parser:
@@ -129,23 +130,22 @@ class _Parser:
         return result
 
     def parse_expr(self) -> QPolynomial:
-        groups: dict = {}  # key -> (coeff, sign) pairs of every term, merged once
+        terms = []  # (term, sign) of every term, merged once
         op = "+"
         if self.cur[0] == "-":
             self.pos, op = self.pos + 1, "-"
         while True:
-            for key, coeff in self.parse_term().items():
-                groups.setdefault(key, []).append((coeff, _SIGNS[op]))
+            terms.append((self.parse_term(), _SIGNS[op]))
             op = self.cur[0]
             if op not in _SIGNS:
-                return QPolynomial._trusted(_sums_by_key(groups))
+                return _combination(terms)
             self.pos += 1
 
-    def parse_term(self) -> dict:
-        """The product of the factors as {key: coeff}.  Monomials fold into
-        one monomial until a factor of several terms; from there on the
-        product is a QPolynomial taking each factor as it comes, so an
-        exponent reaching 2^31 is refused at the factor that reaches it."""
+    def parse_term(self) -> QPolynomial:
+        """The product of the factors.  Monomials fold into one monomial
+        until a factor of several terms; from there on the product is a
+        QPolynomial taking each factor as it comes, so an exponent reaching
+        2^31 is refused at the factor that reaches it."""
         coeff, x, sigma, poly = None, 0, {}, None
         while True:
             factor = self.parse_factor()
@@ -161,7 +161,7 @@ class _Parser:
                     poly = _as_poly((coeff, x, sigma))
                 poly = poly * (factor if isinstance(factor, QPolynomial) else _as_poly(factor))
             if self.cur[0] != "*":
-                return (_as_poly((coeff, x, sigma)) if poly is None else poly)._terms
+                return _as_poly((coeff, x, sigma)) if poly is None else poly
             self.pos += 1
 
     def parse_power(self, subject: str) -> int | Fraction:
@@ -198,8 +198,8 @@ class _Parser:
                 atom = (None if coeff is None else coeff**n, x * n,
                         {level: power * n for level, power in sigma.items()})
         if isinstance(atom, QPolynomial) and len(atom._terms) < 2:  # one term or none
-            ((x, sigma), coeff), = atom._terms.items() or [((0, ()), ParamPoly.zero())]
-            atom = (coeff, x, dict(sigma))
+            ((e, sigma), coeff), = atom._terms.items() or [((0, ()), ParamPoly.zero())]
+            atom = (coeff, e if atom._grid == 1 else Fraction(e, atom._grid), dict(sigma))
         return atom
 
     def parse_rational(self) -> int | Fraction:

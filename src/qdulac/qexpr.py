@@ -25,10 +25,11 @@ caller-owned carry keeps, for calls on a growing series, the shifted terms
 and each coefficient that is final (every series term it reads is known);
 results are the same without it, and it refuses another f, another q or
 a non-extending series.
-Exponents are Fractions at the boundary (terms, series, results) and ints
-on one grid 1/D, i.e. powers of x^(1/D), inside the shift and the
-evaluator.  Every merge of like terms is one `algebra._sums_by_key` pass
-per key.  Both kinds of sum print in the text notation of `algebra.TEXT`.
+A sum stores its x-exponents as ints on its coarsest grid 1/D (powers of
+x^(1/D)); only this module rescales a store to another grid, and each
+`QTerm.x_exp`, `support` point and series exponent is a Fraction.  Every
+merge of like terms is one `algebra._sums_by_key` pass per key.  Both kinds
+of sum print in the text notation of `algebra.TEXT`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .algebra import (
     TEXT,
     _EXP_LIMIT,
+    _ONE,
     ParamPoly,
     Scalar,
     TPoly,
@@ -62,7 +64,6 @@ SigmaPowers = tuple
 Point = tuple  # (Fraction, Fraction)
 
 _exponent = itemgetter(0)  # of a (k, beta) pair
-_ONE = ParamPoly.const(1)
 
 
 def _merge_sigma(s1: SigmaPowers, s2) -> SigmaPowers:
@@ -95,7 +96,7 @@ def _check_sigma(keys, times: int = 1) -> None:
 
 
 class QTerm(NamedTuple):
-    """One monomial of a q-difference sum."""
+    """One monomial of a q-difference sum; `x_exp` is a Fraction."""
 
     coeff: ParamPoly
     x_exp: Fraction
@@ -110,41 +111,40 @@ class QTerm(NamedTuple):
         """Sum of level*power; the w-exponent under y = c*x^r (w = q^r)."""
         return sum(l * d for l, d in self.sigma_powers)
 
-    @property
-    def q_point(self) -> Point:
-        return (self.x_exp, Fraction(self.y_degree))
-
 
 class QPolynomial:
     """Canonical finite sum of QTerms (like terms merged, zeros dropped).
 
-    Stored as {(x_exp, sigma_powers): coeff} and never changed in place;
-    sums with equal stores are equal and hash alike.  `QPolynomial(terms)`
-    validates each term (exact coefficient and exponent, nonnegative
-    levels, positive powers), merges like terms and, as `*` and `**` do,
-    refuses a level or merged power of 2^31 (ResourceLimitError).
-    The constructor, `+` and `*` merge like terms by `_sums_by_key`, one
-    pass and one gcd per output term.  Arithmetic results are trusted.
-    `terms` is the sorted view for iteration and display, built once on first use.
+    Stored as {(e, sigma_powers): coeff} for x^(e/_grid), ints e over the
+    coarsest grid (gcd(_grid, every e) = 1), and never changed in place; sums
+    with equal stores are equal and hash alike.  `+`, `*`, `**` and
+    `shift_x` align two grids with one lcm.  `QPolynomial(terms)` validates
+    each term (exact coefficient and exponent, nonnegative levels, positive
+    powers), merges like terms and, as `*` and `**` do, refuses a level or
+    merged power of 2^31 (ResourceLimitError).  The constructor, `+` and
+    `*` merge like terms by `_sums_by_key`, one pass and one gcd per output
+    term.  Arithmetic results are trusted.  `terms` is the sorted view for
+    iteration and display, each `x_exp` a Fraction, built once on first use.
     """
 
-    __slots__ = ("_terms", "_sorted")
+    __slots__ = ("_terms", "_grid", "_sorted")
 
-    def __init__(self, terms: Iterable[QTerm] = ()):
-        groups: dict[tuple[Fraction, SigmaPowers], list] = {}
-        for term in terms:
-            key = (_as_rat(term.x_exp), _normalize_sigma(term.sigma_powers))
-            groups.setdefault(key, []).append((ParamPoly.coerce(term.coeff), _ONE))
+    def __new__(cls, terms: Iterable[QTerm] = ()):
+        checked = [(_as_rat(t.x_exp), _normalize_sigma(t.sigma_powers), ParamPoly.coerce(t.coeff))
+                   for t in terms]
+        grid, groups = math.lcm(*(e.denominator for e, _, _ in checked)), {}
+        for e, sigma, c in checked:
+            groups.setdefault((e.numerator * (grid // e.denominator), sigma), []).append((c, _ONE))
         _check_sigma(groups)
-        self._terms = _sums_by_key(groups)
-        self._sorted = None
+        return cls._trusted(_sums_by_key(groups), grid)
 
     @classmethod
-    def _trusted(cls, terms: dict) -> "QPolynomial":
-        """Canonical keys from arithmetic; only zero coefficients drop."""
-        out = cls.__new__(cls)
-        out._terms = {key: c for key, c in terms.items() if not c.is_zero()}
-        out._sorted = None
+    def _trusted(cls, terms: dict, grid: int) -> "QPolynomial":
+        """A sum from arithmetic: nonzero {(e, sigma): coeff}, x^(e/grid),
+        taken as given; only the grid is made the coarsest."""
+        out, g = object.__new__(cls), math.gcd(grid, *(e for e, _ in terms))
+        out._terms = {(e // g, sigma): c for (e, sigma), c in terms.items()} if g > 1 else terms
+        out._grid, out._sorted = grid // g, None
         return out
 
     @classmethod
@@ -153,11 +153,23 @@ class QPolynomial:
 
     # -- structure
 
+    def _on_grid(self, grid: int) -> dict:
+        """The store with its x-exponents on the grid 1/grid, a multiple of `_grid`."""
+        scale = grid // self._grid
+        return self._terms if scale == 1 else {
+            (e * scale, sigma): c for (e, sigma), c in self._terms.items()}
+
+    def _in_order(self, grid: int) -> list:
+        """(e, sigma, coeff) per term in `terms` order, x^(e/grid) as in `_on_grid`."""
+        scale, store = grid // self._grid, self._terms
+        return [(e * scale, sigma, store[e, sigma])
+                for e, sigma in sorted(store, key=lambda k: (k[0], sum(d for _, d in k[1]), k[1]))]
+
     @property
     def terms(self) -> tuple[QTerm, ...]:
         if self._sorted is None:
-            keys = sorted(self._terms, key=lambda k: (k[0], sum(d for _, d in k[1]), k[1]))
-            self._sorted = tuple(QTerm(self._terms[k], k[0], k[1]) for k in keys)
+            self._sorted = tuple(QTerm(c, Fraction(e, self._grid), sigma)
+                                 for e, sigma, c in self._in_order(self._grid))
         return self._sorted
 
     def is_zero(self) -> bool:
@@ -166,14 +178,13 @@ class QPolynomial:
     def min_x_exponent(self) -> Fraction:
         if not self._terms:
             raise EmptySupportError("zero polynomial has no support")
-        return min(key[0] for key in self._terms)
+        return Fraction(min(e for e, _ in self._terms), self._grid)
 
     def shift_x(self, delta: Scalar) -> "QPolynomial":
         """Multiply by x^delta (delta may be negative)."""
-        delta = _as_rat(delta)
+        grid, step = _grid_with(self, _as_rat(delta))
         return QPolynomial._trusted(
-            {(e + delta, sig): c for (e, sig), c in self._terms.items()}
-        )
+            {(e + step, sigma): c for (e, sigma), c in self._on_grid(grid).items()}, grid)
 
     # -- ring operations
 
@@ -185,28 +196,26 @@ class QPolynomial:
         raise TypeError(f"cannot combine QPolynomial with {type(other).__name__}")
 
     def __add__(self, other) -> "QPolynomial":
-        groups: dict = {}
-        for key, c in [*self._terms.items(), *self._coerce(other)._terms.items()]:
-            groups.setdefault(key, []).append((c, _ONE))
-        return QPolynomial._trusted(_sums_by_key(groups))
+        return _combination([(self, _ONE), (self._coerce(other), _ONE)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPolynomial":
-        return QPolynomial._trusted({key: -c for key, c in self._terms.items()})
+        return QPolynomial._trusted({key: -c for key, c in self._terms.items()}, self._grid)
 
     def __sub__(self, other) -> "QPolynomial":
-        return self + (-self._coerce(other))
+        return _combination([(self, _ONE), (self._coerce(other), -_ONE)])
 
     def __mul__(self, other) -> "QPolynomial":
         other = self._coerce(other)
-        groups: dict = {}
-        for (e1, s1), c1 in self._terms.items():
-            for (e2, s2), c2 in other._terms.items():
+        grid, groups = math.lcm(self._grid, other._grid), {}
+        right = other._on_grid(grid).items()
+        for (e1, s1), c1 in self._on_grid(grid).items():
+            for (e2, s2), c2 in right:
                 key = (e1 + e2, _merge_sigma(s1, s2) if s1 else s2)
                 groups.setdefault(key, []).append((c1, c2))
         _check_sigma(groups)
-        return QPolynomial._trusted(_sums_by_key(groups))
+        return QPolynomial._trusted(_sums_by_key(groups), grid)
 
     __rmul__ = __mul__
 
@@ -217,10 +226,12 @@ class QPolynomial:
         return _power(self, exponent, QPolynomial.constant(1))
 
     def __eq__(self, other) -> bool:
-        return self._terms == other._terms if isinstance(other, QPolynomial) else NotImplemented
+        if not isinstance(other, QPolynomial):
+            return NotImplemented
+        return self._grid == other._grid and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._grid, frozenset(self._terms.items())))
 
     # -- display
 
@@ -229,6 +240,28 @@ class QPolynomial:
 
     def __repr__(self) -> str:
         return f"QPolynomial({self})"
+
+
+def _combination(pairs) -> QPolynomial:
+    """The sum of f*a over (QPolynomial f, ParamPoly a) pairs, on the lcm of
+    their grids, like terms merged by one `_sums_by_key` pass."""
+    grid, groups = math.lcm(*(f._grid for f, _ in pairs)), {}
+    for f, a in pairs:
+        for key, c in f._on_grid(grid).items():
+            groups.setdefault(key, []).append((c, a))
+    return QPolynomial._trusted(_sums_by_key(groups), grid)
+
+
+def _grid_with(f: QPolynomial, r: Fraction) -> tuple:
+    """(D, r*D) for D the lcm of f's grid and r's denominator."""
+    grid = math.lcm(f._grid, r.denominator)
+    return grid, r.numerator * (grid // r.denominator)
+
+
+def _grid_points(f: QPolynomial, r: Fraction = Fraction(0)) -> tuple:
+    """(D, r*D, the distinct points (e, d) of f's terms x^(e/D)*y^d) as in `_grid_with`."""
+    grid, step = _grid_with(f, r)
+    return grid, step, {(e, sum(p for _, p in sigma)) for e, sigma in f._on_grid(grid)}
 
 
 def format_qpolynomial(f: QPolynomial) -> str:
@@ -244,10 +277,11 @@ def format_qpolynomial(f: QPolynomial) -> str:
 
 
 def support(f: QPolynomial) -> set[Point]:
-    """Exponent points of all terms; duplicates collapse to one point."""
+    """Exponent points of all terms, as Fractions formed once per distinct point."""
     if f.is_zero():
         raise EmptySupportError("zero polynomial has no support")
-    return {t.q_point for t in f.terms}
+    grid, _, points = _grid_points(f)
+    return {(Fraction(e, grid), Fraction(d)) for e, d in points}
 
 
 class PowerLogSeries:
@@ -334,9 +368,9 @@ def substitute_shift(
     q-difference sum in z, which prints as y.  One walk of f: lead_l and
     its powers are formed once per call, each binomial from the one before,
     and each monomial expands into (key, coefficient times binomials, lead
-    powers) pairs: a shifted coefficient is one product or one kernel pass.
-    Keys sum x-exponents as ints on one grid 1/D, D the lcm of r's and f's
-    denominators, and each distinct output key forms one Fraction.
+    powers) pairs: a shifted coefficient is one product or one kernel pass,
+    none by a binomial or lead power of 1.  Keys sum x-exponents as ints on
+    the grid 1/D of `_grid_with`, and the result keeps them.
     Needs q^{l r} rational for every level l that occurs (always true for
     integer r); the first irrational one in `f.terms` order is named.
     """
@@ -345,12 +379,10 @@ def substitute_shift(
     r = _as_rat(r)
     if c.is_zero():
         return f
-    grid = math.lcm(r.denominator, *(e.denominator for e, _ in f._terms))
-    step, leads, groups = r.numerator * (grid // r.denominator), {}, {}  # leads[l][i] = lead_l^i
-    for term in f.terms:
-        e = term.x_exp.numerator * (grid // term.x_exp.denominator)
+    (grid, step), leads, groups = _grid_with(f, r), {}, {}  # leads[l][i] = lead_l^i
+    for e, sigma, coeff in f._in_order(grid):
         partial = [(0, (), 1, _ONE)]  # (power of x^r, sigma left, binomials, lead powers)
-        for level, power in term.sigma_powers:
+        for level, power in sigma:
             row = leads.get(level) or leads.setdefault(level, [_ONE, c * q_pow(q, level * r)])
             while len(row) <= power:
                 row.append(row[-1] * row[1])
@@ -363,9 +395,9 @@ def substitute_shift(
                     binomial = binomial * (power - i) // (i + 1)
             partial = nxt
         for n, rest, b, lead in partial:
-            groups.setdefault((e + step * n, rest), []).append((term.coeff * b, lead))
-    return QPolynomial._trusted({(Fraction(e, grid), rest): coeff
-                                 for (e, rest), coeff in _sums_by_key(groups).items()})
+            groups.setdefault((e + step * n, rest), []).append(
+                (coeff if b == 1 else coeff * b, lead))
+    return QPolynomial._trusted(_sums_by_key(groups), grid)
 
 
 def evaluate_on_series(
@@ -380,7 +412,7 @@ def evaluate_on_series(
     k_min None means no lower limit; k_min above k_max gives the empty
     series.  Inside, exponents are ints on the grid 1/D (powers of
     t = x^(1/D), D the lcm of the denominators of s's exponents and f's
-    x-exponents), with k_max floored and k_min raised to the grid; the
+    grid), with k_max floored and k_min raised to the grid; the
     result turns them back into Fractions.  Each factor q^(l*k) of S^l s
     is `q_pow(q, l*k)`, all formed before a carry changes.  f is nested
     the Horner way over a prefix tree: a monomial coeff*x^e*F_1*...*F_d
@@ -411,12 +443,10 @@ def evaluate_on_series(
     k_min = None if k_min is None else _as_rat(k_min)
     c = {} if carry is None else carry
     if not c:
-        grid = math.lcm(*(term.x_exp.denominator for term in f.terms))
         nodes, consts = {(): (0, None, 0, 1)}, {}  # node -> (depth, parent, level, power)
-        for term in f.terms:
-            node, depth = term.sigma_powers, term.y_degree
-            e = term.x_exp.numerator * (grid // term.x_exp.denominator)
-            consts.setdefault(node, []).append((e, TPoly.const(term.coeff)))
+        for e, node, coeff in f._in_order(f._grid):
+            depth = sum(p for _, p in node)
+            consts.setdefault(node, []).append((e, TPoly.const(coeff)))
             while node not in nodes:  # up to the first node already in the tree
                 level, power = node[-1]
                 parent = node[:-1] + (((level, power - 1),) if power > 1 else ())
@@ -428,7 +458,7 @@ def evaluate_on_series(
             if parent and nodes[parent][2:] == (level, 1):
                 nodes[node] = (depth, nodes[parent][1], level, 2)
         c.update(f=f, q=q, given=(), nodes=nodes, consts=consts, order=order, base=[], kept={},
-                 fin={}, grid=grid, shifted={nodes[node][2]: [] for node in nodes if node})
+                 fin={}, grid=f._grid, shifted={nodes[node][2]: [] for node in nodes if node})
     if c.get("f") is not f or c["q"] != q or s.all_terms[: len(c["given"])] != c["given"]:
         raise ValueError("the carry holds another equation, q or series")
     given, base, shifted, kept, fin = c["given"], c["base"], c["shifted"], c["kept"], c["fin"]

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from .algebra import (
     _EXP_LIMIT,
+    _ONE,
     ParamPoly,
     TPoly,
     _as_rat,
@@ -48,7 +49,7 @@ from .errors import (
     TruncatedSolutionError,
 )
 from .polygon import Face
-from .qexpr import QPolynomial
+from .qexpr import QPolynomial, _grid_points, _grid_with
 
 
 class _TruncatedSolution(NamedTuple):
@@ -79,23 +80,26 @@ class TruncatedSolution(_TruncatedSolution):
 
 def truncated_sum(f: QPolynomial, face: Face) -> QPolynomial:
     """Terms of f whose exponent point lies in the face's boundary subset."""
-    wanted = set(face.points)
-    return QPolynomial._trusted({(t.x_exp, t.sigma_powers): t.coeff
-                                 for t in f.terms if t.q_point in wanted})
+    grid = f._grid  # no term lies at a point off f's grid or of fractional y
+    wanted = {(x.numerator * (grid // x.denominator), y.numerator) for x, y in face.points
+              if not grid % x.denominator and y.denominator == 1}
+    return QPolynomial._trusted({(e, sigma): c for (e, sigma), c in f._terms.items()
+                                 if (e, sum(p for _, p in sigma)) in wanted}, grid)
 
 
-def _collect(g: QPolynomial, key, c=ParamPoly.const(1), r=Fraction(0), q=None) -> dict:
-    """{key(t): sum of t.coeff * c^d * q^(r*w)} over g's terms t (d the y-degree,
-    w the shift weight), zero sums dropped: y = c*x^r, or the coefficients alone.
-    Each c^d * q^(r*w) is formed once, c^d by squaring, in `g.terms` order, so
-    the first power that fails is raised; `_sums_by_key` forms each sum."""
-    factors, groups = {}, {}
-    for t in g.terms:
-        d, w = t.y_degree, t.shift_weight
-        if (d, w) not in factors:
-            factors[d, w] = c**d * (q_pow(q, r * w) if r * w else 1)
-        groups.setdefault(key(t), []).append((t.coeff, factors[d, w]))
-    return _sums_by_key(groups)
+def _collect(g: QPolynomial, key, c=_ONE, r=Fraction(0), q=None) -> tuple:
+    """(D, {key(x, d, w): sum of coeff * c^d * q^(r*w)}) over g's terms, zero sums
+    dropped: x^(x/D) (D of `_grid_with`) is a term's power of x at y = c*x^r, d its
+    y-degree, w its shift weight.  Each c^d, by squaring, and each c^d * q^(r*w) is
+    formed once, in `g.terms` order, so the first power that fails is raised."""
+    (grid, step), powers, factors, groups = _grid_with(g, r), {}, {}, {}
+    for e, sigma, coeff in g._in_order(grid):
+        d, w = sum(p for _, p in sigma), sum(l * p for l, p in sigma)
+        if (d, w) not in factors:  # _ONE for 1, which `_sums_by_key` does not multiply by
+            power = powers.get(d) or powers.setdefault(d, c**d if d and c is not _ONE else _ONE)
+            factors[d, w] = power * q_pow(q, r * w) if w and r else power
+        groups.setdefault(key(e + step * d, d, w), []).append((coeff, factors[d, w]))
+    return grid, _sums_by_key(groups)
 
 
 def _face_poly(coeffs: dict, var: str) -> TPoly:
@@ -107,7 +111,8 @@ def _face_poly(coeffs: dict, var: str) -> TPoly:
 
 def _substitute(g: QPolynomial, ts: TruncatedSolution) -> dict:
     """The nonzero terms of g(x, c*x^r) by power of x; needs q^{r*weight} in Q."""
-    return _collect(g, lambda t: t.x_exp + ts.r * t.y_degree, ts.c, ts.r, ts.q)
+    grid, sums = _collect(g, lambda x, d, w: x, ts.c, ts.r, ts.q)
+    return {Fraction(x, grid): total for x, total in sums.items()}
 
 
 def verify_truncated(ts: TruncatedSolution, f: QPolynomial) -> bool:
@@ -123,30 +128,29 @@ def vertex_char_poly(g: QPolynomial) -> TPoly:
     shift weight.  chi does not depend on q; only the back-conversion
     r = log_q w does.
     """
-    terms = g.terms
-    if not terms:
+    if g.is_zero():
         raise EmptySupportError("empty truncation has no characteristic polynomial")
-    points = {t.q_point for t in terms}
+    points = _grid_points(g)[2]
     if len(points) != 1:
         raise NotAVertexError(
             f"terms span {len(points)} exponent points; a vertex has one"
         )
-    return _face_poly(_collect(g, lambda t: t.shift_weight), "w")
+    return _face_poly(_collect(g, lambda x, d, w: w)[1], "w")
 
 
 def determining_poly(g: QPolynomial, r, q) -> TPoly:
     """Determining polynomial in c of an edge truncation at its slope r."""
-    terms = g.terms
-    if not terms:
+    if g.is_zero():
         raise EmptySupportError("empty truncation has no determining polynomial")
     r, q = _as_rat(r), check_q(q)
-    powers = {t.x_exp + r * t.y_degree for t in terms}
+    _, step, points = _grid_points(g, r)
+    powers = {e + step * d for e, d in points}
     if len(powers) != 1:
         raise InconsistentEdgeError(
             f"substitution leaves {len(powers)} distinct x-powers; "
             f"r={rat_str(r)} is not this edge's slope"
         )
-    return _face_poly(_collect(g, lambda t: t.y_degree, r=r, q=q), "c")
+    return _face_poly(_collect(g, lambda x, d, w: d, r=r, q=q)[1], "c")
 
 
 class FaceAnalysis(NamedTuple):
@@ -208,7 +212,7 @@ def analyze_face(
     user = "user-supplied"
     free_c = c_override
     if free_c is None and (vertex or poly.is_zero()):
-        taken = (name for t in f.terms for name in t.coeff.symbols())
+        taken = (name for coeff in f._terms.values() for name in coeff.symbols())
         free_c = ParamPoly.symbol(next(fresh_names(taken, (f"c{i or ''}" for i in count()))))
     free_provenance = user if c_override is not None else (
         "vertex-root" if vertex else "edge-root"

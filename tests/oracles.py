@@ -19,8 +19,11 @@ on Fraction points, the expansion loop that evaluates the residual afresh
 at every exponent, the `expand` JSON document built from Fraction
 coefficients through `rat_str`, the merge of like terms done
 incrementally (`reference_add`, `reference_mul`, `reference_power` and
-`reference_qpolynomial`: one ParamPoly product and one sum per pair of
-terms, where `QPolynomial` forms each output term in one pass), and the
+`reference_qpolynomial`: terms keyed by Fraction x-exponents read from
+the sorted view, one ParamPoly product and one sum per pair of terms,
+where `QPolynomial` forms each output term in one pass on an int grid;
+the merged terms become a sum through `QTerm` and the public
+constructor), and the
 equation parser that multiplies out every factor and adds up every term
 through that merge.
 """
@@ -774,6 +777,17 @@ def _reference_sigma_guard(keys, times: int = 1) -> None:
                 raise ResourceLimitError("shift level or power of y reaches 2^31")
 
 
+def _from_merged(out: dict) -> QPolynomial:
+    """The QPolynomial of merged {(Fraction x-exponent, sigma): coeff} terms,
+    each key holding one QTerm, built by the public constructor."""
+    return QPolynomial([QTerm(c, e, sigma) for (e, sigma), c in out.items() if not c.is_zero()])
+
+
+def _merged(f: QPolynomial) -> dict:
+    """f's terms as {(Fraction x-exponent, sigma): coeff}, read from `terms`."""
+    return {(t.x_exp, t.sigma_powers): t.coeff for t in f.terms}
+
+
 def reference_qpolynomial(terms) -> QPolynomial:
     """`QPolynomial(terms)`, each term's coefficient added to its key's one by one."""
     out: dict = {}
@@ -781,24 +795,24 @@ def reference_qpolynomial(terms) -> QPolynomial:
         key = (_as_rat(t.x_exp), _reference_sigma(t.sigma_powers))
         _merge_into(out, key, ParamPoly.coerce(t.coeff))
     _reference_sigma_guard(out)
-    return QPolynomial._trusted(out)
+    return _from_merged(out)
 
 
 def reference_add(f: QPolynomial, g: QPolynomial) -> QPolynomial:
     """f + g, g's terms added into a copy of f's one by one."""
-    out = dict(f._terms)
-    for key, c in g._terms.items():
+    out = _merged(f)
+    for key, c in _merged(g).items():
         _merge_into(out, key, c)
-    return QPolynomial._trusted(out)
+    return _from_merged(out)
 
 
 def reference_mul(f: QPolynomial, g: QPolynomial) -> QPolynomial:
     """f * g, one ParamPoly product and one sum for every pair of terms."""
     out: dict = {}
-    for (e1, s1), c1 in f._terms.items():
-        for (e2, s2), c2 in g._terms.items():
+    for (e1, s1), c1 in _merged(f).items():
+        for (e2, s2), c2 in _merged(g).items():
             _merge_into(out, (e1 + e2, _reference_sigma(s1, s2)), c1 * c2)
-    return QPolynomial._trusted(out)
+    return _from_merged(out)
 
 
 def reference_power(f: QPolynomial, n: int) -> QPolynomial:
@@ -806,12 +820,13 @@ def reference_power(f: QPolynomial, n: int) -> QPolynomial:
     when a parameter exponent, shift level or power of y would reach 2^31."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("QPolynomial powers must be nonnegative integers")
-    over = [name for c in f._terms.values() for mono, _ in c.items()
+    terms = _merged(f)
+    over = [name for c in terms.values() for mono, _ in c.items()
             for name, e in mono if e * n >= _EXP_LIMIT]
     if over:
         name = max(over, key=algebra._NAMES.index)  # the top slot, as the kernel names it
         raise ResourceLimitError(f"exponent of {name} reaches 2^31")
-    _reference_sigma_guard(f._terms, n)
+    _reference_sigma_guard(terms, n)
     result = reference_qpolynomial([QTerm(ParamPoly.const(1), F(0), ())])
     while n:
         if n & 1:
@@ -896,7 +911,7 @@ def reference_vertex_char_poly(g) -> TPoly:
     """chi(w) of a one-point truncation, its coefficients added term by term."""
     if not g.terms:
         raise EmptySupportError("empty truncation has no characteristic polynomial")
-    points = {t.q_point for t in g.terms}
+    points = {(t.x_exp, F(t.y_degree)) for t in g.terms}
     if len(points) != 1:
         raise NotAVertexError(f"terms span {len(points)} exponent points; a vertex has one")
     return _reference_face_poly(
@@ -933,25 +948,30 @@ def reference_extract_linear_part(ft):
     hull of `support(ft)` and L(s) read from `vertex_char_poly`."""
     if ft.is_zero():
         raise LinearVertexError("the substituted equation is identically zero; nothing to expand")
-    linear, rest = {}, {}
+    linear, rest = [], {}
     for t in ft.terms:
-        side = linear if t.x_exp == 0 and t.y_degree == 1 else rest
-        side[t.x_exp, t.sigma_powers] = t.coeff
+        if t.x_exp == 0 and t.y_degree == 1:
+            linear.append(t)
+        else:
+            rest[t.x_exp, t.sigma_powers] = t.coeff
     if not linear:
         raise LinearVertexError("no terms at support point (0,1): the linear part is missing")
     if (F(0), F(1)) not in _reference_chain(sorted(support(ft))):
         raise LinearVertexError("support point (0,1) is not a vertex of the Newton polygon")
-    coeffs = vertex_char_poly(QPolynomial._trusted(linear)).coeffs  # S^l y has weight l
+    # the terms at (0,1) as ft less h: arithmetic keeps a level of 2^31 there,
+    # which the constructor refuses
+    h = _from_merged(rest)
+    coeffs = vertex_char_poly(ft - h).coeffs  # S^l y has weight l
     if varying := [coeff for coeff in coeffs if not coeff.is_constant()]:
         raise LinearCoefficientError(f"coefficient at (0,1) is not constant: {varying[0]}")
-    return LinearPart(tuple(c.constant_value() for c in coeffs)), QPolynomial._trusted(rest)
+    return LinearPart(tuple(c.constant_value() for c in coeffs)), h
 
 
 def reference_check_exponent_order(h, r) -> None:
     """`expand.check_exponent_order` on Fraction points: every q1 + r*(q2 - 1)
     formed as a Fraction, the least offending point named."""
     r = _as_rat(r)
-    late = [(q1, q2, value) for q1, q2 in (t.q_point for t in h.terms)
+    late = [(q1, q2, value) for q1, q2 in ((t.x_exp, F(t.y_degree)) for t in h.terms)
             if (value := q1 + r * (q2 - 1)) < 0 or (value == 0 and q2 <= 1)]
     if late:
         q1, q2, value = min(late)

@@ -14,6 +14,7 @@ from oracles import (
     reference_solve,
     verified_solution,
 )
+from qdulac import expand as expand_module
 from qdulac.algebra import ParamPoly, TPoly, q_pow
 from qdulac.errors import (
     ExponentOrderError,
@@ -93,7 +94,8 @@ def test_extract_linear_part_shifted_equation():
     assert L.order == 2
     assert len(h.terms) == 13
     assert (F(0), F(1)) not in support(h)
-    assert (h + QPolynomial([t for t in ft.terms if t.q_point == (0, 1)])).terms == ft.terms
+    at_01 = [t for t in ft.terms if support(QPolynomial([t])) == {(0, 1)}]
+    assert (h + QPolynomial(at_01)).terms == ft.terms
 
 
 def test_extract_linear_part_matches_substitution():
@@ -685,6 +687,20 @@ def test_residual_zero_equation():
         )
         is None
     )
+
+
+def test_bound_equation_drops_the_terms_that_bind_to_zero(monkeypatch):
+    # at a3 = a4 = 0 four terms of the paper's cubic vanish; the equation
+    # that `verify_residual` evaluates must not keep them as zero terms
+    f, ts = main_ts()
+    result = expand_solution(f, ts, 4)
+    seen = []
+    evaluate = expand_module.evaluate_on_series
+    monkeypatch.setattr(expand_module, "evaluate_on_series",
+                        lambda g, *args: seen.append(g) or evaluate(g, *args))
+    assert verify_residual(f, result, {"a3": 0, "a4": 0, "C1": 0}, 4) is None
+    want = parse_equation("S^2(y)*y^2 - (3/2)*S(y)^2*y - S^2(y)*y + (1/2)*S(y)^2")
+    assert seen == [want] and hash(seen[0]) == hash(want)
 
 
 def test_residual_property_random_assignments():

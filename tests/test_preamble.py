@@ -135,9 +135,10 @@ def test_hand_made_refusals_match_the_reference():
         (substitute_shift(x_inverse * main, -1, 0, F(1, 2)), LinearVertexError, vertex),
         (parse_equation("a*S(y) + b*y + x", ["a", "b"]), LinearCoefficientError,
          "coefficient at (0,1) is not constant: b"),
-        (QPolynomial._trusted({(F(0), ((2**31, 1),)): ParamPoly.const(1),
-                               (F(0), ((0, 1),)): ParamPoly.const(-2),
-                               (F(1), ()): ParamPoly.const(1)}),
+        # a level of 2^31, which only the store (int x-exponents on grid 1) holds
+        (QPolynomial._trusted({(0, ((2**31, 1),)): ParamPoly.const(1),
+                               (0, ((0, 1),)): ParamPoly.const(-2),
+                               (1, ()): ParamPoly.const(1)}, 1),
          ResourceLimitError, "exponent of w reaches 2^31"),
     ]
     for ft, kind, message in cases:

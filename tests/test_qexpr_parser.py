@@ -53,7 +53,7 @@ def test_parse_main_equation():
 def test_parse_single_unknown():
     f = parse_equation("y")
     assert len(f.terms) == 1
-    assert f.terms[0].q_point == (0, 1)
+    assert support(f) == {(0, 1)}
 
 
 def test_parse_unbalanced():
@@ -143,8 +143,8 @@ def test_q_additivity():
         p2 = QPolynomial([t2])
         prod = p1 * p2
         assert len(prod.terms) == 1
-        q1, q2 = t1.q_point, t2.q_point
-        assert prod.terms[0].q_point == (q1[0] + q2[0], q1[1] + q2[1])
+        (q1,), (q2,) = support(p1), support(p2)
+        assert support(prod) == {(q1[0] + q2[0], q1[1] + q2[1])}
 
 
 def test_parse_print_parse_fixpoint():

@@ -313,7 +313,7 @@ def test_truncation_attains_minimal_exponent():
                 values = {}
                 for term in f.terms:
                     e = term.x_exp + r * term.y_degree
-                    values.setdefault(e, set()).add(term.q_point)
+                    values.setdefault(e, set()).update(support(QPolynomial([term])))
                 low = min(values)
                 on_face = set(face.points)
                 assert values[low] <= on_face
