@@ -57,7 +57,6 @@ from .qexpr import (
     evaluate_on_series,
     format_qpolynomial,
     substitute_shift,
-    support,
 )
 from .truncate import (
     FaceAnalysis,
@@ -122,7 +121,6 @@ __all__ = [
     "render_svg",
     "solve_poly_difference",
     "substitute_shift",
-    "support",
     "truncated_sum",
     "verify_residual",
     "verify_truncated",

@@ -42,7 +42,7 @@ from .polygon import (
     find_face,
     render_svg,
 )
-from .qexpr import PowerLogSeries, QPolynomial, format_qpolynomial, support
+from .qexpr import PowerLogSeries, QPolynomial, format_qpolynomial
 from .truncate import FaceAnalysis, analyze_face
 
 EXIT_OK = 0
@@ -274,7 +274,7 @@ def _truncate_pipeline(args):
     """Equation, q, per-face analyses and the parsed (--c, --r)."""
     f = _load_equation(args)
     q = check_q(parse_rat(args.q))
-    polygon = build_polygon(support(f))
+    polygon = build_polygon(f)
     c_override = parse_param_expr(args.c, args.params) if args.c else None
     r_override = parse_rat(args.r) if args.r else None
     analyses = [
@@ -420,11 +420,11 @@ def _print_json(doc) -> None:
 
 def cmd_polygon(args) -> int:
     f = _load_equation(args)
-    polygon = build_polygon(support(f))
+    polygon = build_polygon(f)
     if args.format == "json":
         _print_json(
             {
-                "support": [_point_json(p) for p in sorted(polygon.support)],
+                "support": [_point_json(p) for p in polygon.support],
                 "hull": [_point_json(p) for p in polygon.hull_vertices],
                 "faces": [_face_json(face) for face in polygon.faces],
             }
@@ -432,7 +432,7 @@ def cmd_polygon(args) -> int:
         return EXIT_OK
     if args.format == "latex":
         pts = ", ".join(
-            f"({rat_str(p[0])}, {rat_str(p[1])})" for p in sorted(polygon.support)
+            f"({rat_str(p[0])}, {rat_str(p[1])})" for p in polygon.support
         )
         hull = ", ".join(
             f"({rat_str(p[0])}, {rat_str(p[1])})" for p in polygon.hull_vertices
@@ -444,7 +444,7 @@ def cmd_polygon(args) -> int:
         return EXIT_OK
     print(f"equation: {format_qpolynomial(f)}")
     print("support:")
-    for p in sorted(polygon.support):
+    for p in polygon.support:
         print(f"  ({rat_str(p[0])}, {rat_str(p[1])})")
     print("hull vertices:")
     for p in polygon.hull_vertices:
@@ -606,7 +606,7 @@ def cmd_verify(args) -> int:
 
 def cmd_plot(args) -> int:
     f = _load_equation(args)
-    polygon = build_polygon(support(f))
+    polygon = build_polygon(f)
     with open(args.svg, "w", encoding="utf-8") as file:
         file.write(render_svg(polygon))
     print(f"wrote {args.svg}")

@@ -1,20 +1,20 @@
-"""Newton polygon of a support set: hull, faces, normal cones, SVG.
+"""Newton polygon of a q-difference sum: hull, faces, normal cones, SVG.
 
 The polygon is the convex hull of the (rational) exponent points of a
-q-difference sum.  Its faces are vertices (dim 0) and edges (dim 1), each
-carrying its boundary subset: all support points lying on the face,
-including collinear interior points of an edge.
+q-difference sum, its support.  Its faces are vertices (dim 0) and edges
+(dim 1), each carrying its boundary subset: all support points lying on
+the face, including collinear interior points of an edge.
 
 For the direction x -> 0 the relevant normal directions are the rays
 lambda * (-1, -r).  An edge admits exactly one such r, read off its
 direction (when its outward normal points into the half-plane p1 < 0); a
 vertex admits an open interval of r values, bounded by its two hull
-neighbours.  The predicates run on an integer grid: the points
-are scaled to (x*X, y*Y), X and Y the lcms of the x and y denominators,
-which keeps order, turn signs and collinearity, and only the stored r
-values and r-range bounds are formed as exact Fractions.  The degenerate
-hulls (single point, segment) use the same Face vocabulary; a `Face` and
-the `NewtonPolygon` are named tuples.
+neighbours.  The predicates run on the sum's own integer grid, a term
+x^(e/D)*y^d at (e, d), which keeps order, turn signs and collinearity;
+only the stored points, r values and r-range bounds are formed as exact
+Fractions, each once.  The degenerate hulls (single point, segment) use
+the same Face vocabulary; a `Face` and the `NewtonPolygon` are named
+tuples.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import _as_rat, rat_str
+from .errors import EmptySupportError
+from .qexpr import QPolynomial, _grid_points
 
 Point = tuple  # (Fraction, Fraction); on the grid (int, int)
-
-
-def _pt(p) -> Point:
-    return (_as_rat(p[0]), _as_rat(p[1]))
 
 
 def _cross(o: Point, a: Point, b: Point) -> int:
@@ -81,18 +79,6 @@ class NewtonPolygon(NamedTuple):
     faces: tuple
 
 
-def _grid(points) -> tuple:
-    """{grid point: point} over the distinct points sorted on the grid, each
-    (x, y) mapped to (x*X, y*Y) with X, Y > 0, and the scale (X, Y)."""
-    pts = {_pt(p) for p in points}
-    scale = tuple(math.lcm(*(p[i].denominator for p in pts)) for i in (0, 1))
-    grid = {
-        tuple(p[i].numerator * (scale[i] // p[i].denominator) for i in (0, 1)): p
-        for p in pts
-    }
-    return dict(sorted(grid.items())), scale
-
-
 def _chain(grid) -> list:
     """Counterclockwise hull of sorted distinct grid points by the monotone
     chain, strict turns only."""
@@ -110,12 +96,12 @@ def _chain(grid) -> list:
     return half(grid) + half(reversed(grid))
 
 
-def _grid_rat(ratio: tuple, scale: tuple) -> Fraction:
-    """The r that a grid ratio (dx, dy) names: -dx*Y / (dy*X)."""
-    return Fraction(-ratio[0] * scale[1], ratio[1] * scale[0])
+def _grid_rat(ratio: tuple, scale: int) -> Fraction:
+    """The r that a grid ratio (dx, dy) names: -dx / (dy*D)."""
+    return Fraction(-ratio[0], ratio[1] * scale)
 
 
-def _vertex_r_range(v: Point, neighbours, scale: tuple):
+def _vertex_r_range(v: Point, neighbours, scale: int):
     """Open interval of r with (-1,-r) strictly maximal at v, or None.
 
     A hull vertex that beats its two hull neighbours beats every point, so
@@ -138,11 +124,13 @@ def _vertex_r_range(v: Point, neighbours, scale: tuple):
     return tuple(None if b is None else _grid_rat(b, scale) for b in (lo, hi))
 
 
-def build_polygon(support) -> NewtonPolygon:
-    """Exact convex hull of a nonempty support with all faces annotated."""
-    grid, scale = _grid(support)
-    if not grid:
-        raise ValueError("empty support")
+def build_polygon(f: QPolynomial) -> NewtonPolygon:
+    """Exact convex hull of f's support with all faces annotated; the zero
+    sum raises EmptySupportError."""
+    scale, _, points = _grid_points(f)
+    if not points:
+        raise EmptySupportError("zero polynomial has no support")
+    grid = {p: (Fraction(p[0], scale), Fraction(p[1])) for p in sorted(points)}
     hull = _chain(grid)
     n = len(hull)
     faces = [
@@ -181,9 +169,10 @@ def faces_for_x_to_zero(polygon: NewtonPolygon) -> list:
 
 def find_face(polygon: NewtonPolygon, endpoints) -> Face | None:
     """Face with the given endpoint set (one point: vertex; two: edge)."""
-    want = frozenset(_pt(p) for p in endpoints)
+    pts = sorted((_as_rat(x), _as_rat(y)) for x, y in endpoints)
+    want = pts[:1] + [p for a, p in zip(pts, pts[1:]) if p != a]  # distinct, unhashed
     for face in polygon.faces:
-        if frozenset(face.endpoints) == want and face.dim == len(want) - 1:
+        if face.dim == len(want) - 1 and sorted(face.endpoints) == want:
             return face
     return None
 

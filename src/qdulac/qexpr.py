@@ -7,11 +7,11 @@ A q-difference sum is a finite sum of monomials
 where S is the dilation operator (S y)(x) = y(q x) and S^l its l-fold
 composition (level 0 is y itself).  Each monomial carries an exponent point
 Q(term) = (e, d0 + d1 + ...) in Q^2; the set of these points is the support
-of the sum, the input to the Newton polygon.
+of the sum, which `polygon.build_polygon` reads from the store as ints.
 
-The module implements the three transformations the expansion pipeline
-needs: the support map, the shift substitution y = c*x^r + z, and exact
-evaluation of a sum on a finite power-logarithmic series
+The module implements the two transformations the expansion pipeline
+needs: the shift substitution y = c*x^r + z, and exact evaluation of a
+sum on a finite power-logarithmic series
 y = c*x^r + sum_k beta_k(t) x^k with t = log_q x.  A series checks, and
 never repairs, its input once: the k ascend strictly above r and c != 0,
 so the pair and the beta_k form one ascending term tuple.  S acts on a
@@ -26,10 +26,11 @@ and each coefficient that is final (every series term it reads is known);
 results are the same without it, and it refuses another f, another q or
 a non-extending series.
 A sum stores its x-exponents as ints on its coarsest grid 1/D (powers of
-x^(1/D)); only this module rescales a store to another grid, and each
-`QTerm.x_exp`, `support` point and series exponent is a Fraction.  Every
-merge of like terms is one `algebra._sums_by_key` pass per key.  Both kinds
-of sum print in the text notation of `algebra.TEXT`.
+x^(1/D)); only this module rescales a store to another grid, and
+`_grid_points` gives the support as int points (e, d) on one grid.  Each
+`QTerm.x_exp` and series exponent is a Fraction.  Every merge of like
+terms is one `algebra._sums_by_key` pass per key.  Both kinds of sum
+print in the text notation of `algebra.TEXT`.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ from .errors import EmptySupportError, ResourceLimitError
 
 # ((level, power), ...): levels ascending and distinct, powers >= 1
 SigmaPowers = tuple
-
-Point = tuple  # (Fraction, Fraction)
 
 _exponent = itemgetter(0)  # of a (k, beta) pair
 
@@ -101,15 +100,6 @@ class QTerm(NamedTuple):
     coeff: ParamPoly
     x_exp: Fraction
     sigma_powers: SigmaPowers
-
-    @property
-    def y_degree(self) -> int:
-        return sum(d for _, d in self.sigma_powers)
-
-    @property
-    def shift_weight(self) -> int:
-        """Sum of level*power; the w-exponent under y = c*x^r (w = q^r)."""
-        return sum(l * d for l, d in self.sigma_powers)
 
 
 class QPolynomial:
@@ -274,14 +264,6 @@ def format_qpolynomial(f: QPolynomial) -> str:
             tail.append(TEXT.power(base, power))
         parts.append(TEXT.term(_param_terms(term.coeff), TEXT.factor_sep.join(tail)))
     return TEXT.signed_sum(parts)
-
-
-def support(f: QPolynomial) -> set[Point]:
-    """Exponent points of all terms, as Fractions formed once per distinct point."""
-    if f.is_zero():
-        raise EmptySupportError("zero polynomial has no support")
-    grid, _, points = _grid_points(f)
-    return {(Fraction(e, grid), Fraction(d)) for e, d in points}
 
 
 class PowerLogSeries:

@@ -25,7 +25,10 @@ where `QPolynomial` forms each output term in one pass on an int grid;
 the merged terms become a sum through `QTerm` and the public
 constructor), and the
 equation parser that multiplies out every factor and adds up every term
-through that merge.
+through that merge.  `support` reads a sum's exponent points from its
+`terms`, where `polygon.build_polygon` reads them from the int store, and
+`point_sum` turns a rational point set into a sum with that support, up
+to an increasing affine map of y.
 """
 
 import math
@@ -63,7 +66,6 @@ from qdulac.qexpr import (
     QTerm,
     evaluate_on_series,
     substitute_shift,
-    support,
 )
 from qdulac.truncate import TruncatedSolution, vertex_char_poly, verify_truncated
 
@@ -192,6 +194,32 @@ def cone_contains(face, support, r) -> bool:
         return False
     (face_value,) = values
     return all(value(s) < face_value for s in support if s not in face.points)
+
+
+def y_degree(term) -> int:
+    """d0 + d1 + ... of a QTerm, read from its sigma powers."""
+    return sum(d for _, d in term.sigma_powers)
+
+
+def shift_weight(term) -> int:
+    """Sum of level*power of a QTerm; the w-exponent under y = c*x^r (w = q^r)."""
+    return sum(l * d for l, d in term.sigma_powers)
+
+
+def support(f) -> set:
+    """The exponent points (x_exp, y-degree) of f's terms, as Fractions."""
+    return {(t.x_exp, F(y_degree(t))) for t in f.terms}
+
+
+def point_sum(points) -> QPolynomial:
+    """A sum with one term x^a*y^d per rational point (a, b), d = (b - min b)*L
+    for L the lcm of the b denominators.  That map of b is affine and
+    increasing, so it keeps every hull vertex, collinear run and which
+    edges face x -> 0; `support` of the sum is the mapped points."""
+    pts = [(_as_rat(a), _as_rat(b)) for a, b in points]
+    low, scale = min(b for _, b in pts), math.lcm(*(b.denominator for _, b in pts))
+    return QPolynomial([QTerm(1, a, ((0, int((b - low) * scale)),) if b != low else ())
+                        for a, b in pts])
 
 
 def random_point_set(rng: random.Random, max_size: int = 12):
@@ -902,20 +930,20 @@ def reference_substitute(g, ts) -> dict:
     that order on its own, as `truncate._substitute` must agree."""
     c, r, q = ts.c, ts.r, ts.q
     return _reference_collect(
-        g.terms, lambda t: t.x_exp + r * t.y_degree,
-        lambda t: _kernel_mul(_kernel_mul(t.coeff, _kernel_power(c, t.y_degree)),
-                              q_pow(q, r * t.shift_weight)))
+        g.terms, lambda t: t.x_exp + r * y_degree(t),
+        lambda t: _kernel_mul(_kernel_mul(t.coeff, _kernel_power(c, y_degree(t))),
+                              q_pow(q, r * shift_weight(t))))
 
 
 def reference_vertex_char_poly(g) -> TPoly:
     """chi(w) of a one-point truncation, its coefficients added term by term."""
     if not g.terms:
         raise EmptySupportError("empty truncation has no characteristic polynomial")
-    points = {(t.x_exp, F(t.y_degree)) for t in g.terms}
+    points = support(g)
     if len(points) != 1:
         raise NotAVertexError(f"terms span {len(points)} exponent points; a vertex has one")
     return _reference_face_poly(
-        _reference_collect(g.terms, lambda t: t.shift_weight, lambda t: t.coeff), "w")
+        _reference_collect(g.terms, shift_weight, lambda t: t.coeff), "w")
 
 
 def reference_determining_poly(g, r, q) -> TPoly:
@@ -924,14 +952,14 @@ def reference_determining_poly(g, r, q) -> TPoly:
     if not g.terms:
         raise EmptySupportError("empty truncation has no determining polynomial")
     r, q = _as_rat(r), check_q(q)
-    powers = {t.x_exp + r * t.y_degree for t in g.terms}
+    powers = {t.x_exp + r * y_degree(t) for t in g.terms}
     if len(powers) != 1:
         raise InconsistentEdgeError(
             f"substitution leaves {len(powers)} distinct x-powers; "
             f"r={rat_str(r)} is not this edge's slope")
     return _reference_face_poly(_reference_collect(
-        g.terms, lambda t: t.y_degree,
-        lambda t: _kernel_mul(t.coeff, q_pow(q, r * t.shift_weight))), "c")
+        g.terms, y_degree,
+        lambda t: _kernel_mul(t.coeff, q_pow(q, r * shift_weight(t)))), "c")
 
 
 def verified_solution(f, face, c, r, q) -> TruncatedSolution:
@@ -950,7 +978,7 @@ def reference_extract_linear_part(ft):
         raise LinearVertexError("the substituted equation is identically zero; nothing to expand")
     linear, rest = [], {}
     for t in ft.terms:
-        if t.x_exp == 0 and t.y_degree == 1:
+        if t.x_exp == 0 and y_degree(t) == 1:
             linear.append(t)
         else:
             rest[t.x_exp, t.sigma_powers] = t.coeff
@@ -971,7 +999,7 @@ def reference_check_exponent_order(h, r) -> None:
     """`expand.check_exponent_order` on Fraction points: every q1 + r*(q2 - 1)
     formed as a Fraction, the least offending point named."""
     r = _as_rat(r)
-    late = [(q1, q2, value) for q1, q2 in ((t.x_exp, F(t.y_degree)) for t in h.terms)
+    late = [(q1, q2, value) for q1, q2 in support(h)
             if (value := q1 + r * (q2 - 1)) < 0 or (value == 0 and q2 <= 1)]
     if late:
         q1, q2, value = min(late)
@@ -998,8 +1026,7 @@ def reference_expansion(f, ts, k_max) -> ExpansionResult:
     L, h = reference_extract_linear_part(ft)
     reference_check_exponent_order(h, r)
     crit = critical_numbers(L, q, r)
-    h_support = set() if h.is_zero() else support(h)
-    k_set = k_lattice(h_support, [k for k, _ in crit.criticals()], r, k_max)
+    k_set = k_lattice(support(h), [k for k, _ in crit.criticals()], r, k_max)
     q_pow(q, F(1, math.lcm(*(k.denominator for k in k_set))))
     namer = constant_namer(ts.c.symbols().union(*(t.coeff.symbols() for t in f.terms)))
     collected, constants, report = [], [], []

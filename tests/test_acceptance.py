@@ -15,8 +15,10 @@ from oracles import (
     brute_force_hull,
     dense_difference_solve,
     random_edge_equation,
+    point_sum,
     random_linear_part,
     random_point_set,
+    support,
 )
 from qdulac.algebra import ParamPoly, TPoly
 from qdulac.cli import (
@@ -40,7 +42,7 @@ from qdulac.expand import (
 )
 from qdulac.parser import parse_equation, parse_param_expr
 from qdulac.polygon import build_polygon, faces_for_x_to_zero, find_face
-from qdulac.qexpr import substitute_shift, support
+from qdulac.qexpr import substitute_shift
 from qdulac.truncate import analyze_face, verify_truncated
 
 F = Fraction
@@ -65,7 +67,7 @@ def main_equation():
 
 
 def left_edge_solution(f, q):
-    polygon = build_polygon(support(f))
+    polygon = build_polygon(f)
     edge = find_face(polygon, ((F(0), F(2)), (F(0), F(3))))
     (ts,) = analyze_face(f, edge, q).candidates
     return ts
@@ -111,7 +113,7 @@ def test_criterion_3_intermediate_objects_exact():
     L, _ = extract_linear_part(shifted)
     assert L.coeffs == (F(3, 2), F(-4), F(2))
 
-    polygon = build_polygon(support(f))
+    polygon = build_polygon(f)
     edge = find_face(polygon, ((F(0), F(2)), (F(0), F(3))))
     candidates = analyze_face(f, edge, F(1, 2)).candidates
     assert [(ts.c, ts.r) for ts in candidates] == [(ParamPoly.const(-1), F(0))]
@@ -179,10 +181,10 @@ def test_criterion_6_log_degree_bound():
 def test_criterion_7_hull_matches_brute_force():
     rng = random.Random(31415)
     for _ in range(500):
-        pts = random_point_set(rng)
-        ours = list(build_polygon(pts).hull_vertices)
-        assert ours == brute_force_hull(pts), pts
-    hull = build_polygon(support(main_equation())).hull_vertices
+        f = point_sum(random_point_set(rng))
+        ours = list(build_polygon(f).hull_vertices)
+        assert ours == brute_force_hull(support(f)), f
+    hull = build_polygon(main_equation()).hull_vertices
     assert set(hull) == {(0, 2), (0, 3), (2, 3), (2, 2)}
     print(
         "ACCEPTANCE 7 PASS: hull agrees with brute force on 500 random sets;"
@@ -192,7 +194,7 @@ def test_criterion_7_hull_matches_brute_force():
 
 def test_criterion_8_truncated_solutions_vanish():
     f = main_equation()
-    polygon = build_polygon(support(f))
+    polygon = build_polygon(f)
     emitted = 0
     for q in (F(1, 2), F(1, 4)):
         for face in faces_for_x_to_zero(polygon):
@@ -204,7 +206,7 @@ def test_criterion_8_truncated_solutions_vanish():
     rng = random.Random(2718)
     for _ in range(50):
         eq, q, c, r, endpoints = random_edge_equation(rng)
-        poly = build_polygon(support(eq))
+        poly = build_polygon(eq)
         planted_face = find_face(poly, endpoints)
         planted = analyze_face(eq, planted_face, q).candidates
         assert (ParamPoly.const(c), r) in [(ts.c, ts.r) for ts in planted]

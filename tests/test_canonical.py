@@ -34,7 +34,7 @@ from qdulac.expand import (
 )
 from qdulac.parser import parse_equation
 from qdulac.polygon import build_polygon, find_face
-from qdulac.qexpr import QPolynomial, QTerm, support
+from qdulac.qexpr import QPolynomial, QTerm
 from qdulac.truncate import (
     TruncatedSolution,
     analyze_face,
@@ -51,11 +51,12 @@ F = Fraction
 def _case():
     """S(y) - 2*y + x^3 + x*y^2 at q=2: vertex (0,1), edge to (3,0) at r=3."""
     f = parse_equation("S(y) - 2*y + x^3 + x*y^2 = 0")
-    polygon = build_polygon(support(f))
+    polygon = build_polygon(f)
     vertex = find_face(polygon, [(0, 1)])
     (ts,) = analyze_face(f, vertex, 2).candidates
     return SimpleNamespace(
         f=f,
+        polygon=polygon,
         vertex=vertex,
         edge=find_face(polygon, [(0, 1), (3, 0)]),
         ts=ts,
@@ -79,7 +80,7 @@ _L = LinearPart((-2, 1))
         lambda: q_pow(0.5, 1),
         lambda: q_pow(F(1, 4), 0.5),
         lambda: expand_solution(_case().f, _case().ts, 5.0),
-        lambda: build_polygon([(0.5, 1), (0, 1)]),
+        lambda: find_face(_case().polygon, [(0.5, 1)]),
         lambda: k_lattice([], [0.5], 0, 2),
         lambda: LinearPart((1.5, -1)),
         lambda: TruncatedSolution(
@@ -113,7 +114,7 @@ _L = LinearPart((-2, 1))
         "q_pow_base",
         "q_pow_exponent",
         "expand_solution_k_max",
-        "build_polygon",
+        "find_face",
         "k_lattice",
         "linear_part",
         "truncated_solution_r",

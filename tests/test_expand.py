@@ -12,6 +12,7 @@ from oracles import (
     reference_expansion,
     reference_k_lattice,
     reference_solve,
+    support,
     verified_solution,
 )
 from qdulac import expand as expand_module
@@ -44,7 +45,6 @@ from qdulac.qexpr import (
     QTerm,
     evaluate_on_series,
     substitute_shift,
-    support,
 )
 from qdulac.truncate import TruncatedSolution, analyze_face
 
@@ -71,7 +71,7 @@ def main_eq():
 
 def main_ts(q=F(1, 2)):
     f = main_eq()
-    polygon = build_polygon(support(f))
+    polygon = build_polygon(f)
     edge = next(
         face
         for face in faces_for_x_to_zero(polygon)
@@ -93,8 +93,8 @@ def test_extract_linear_part_shifted_equation():
     assert L.coeffs == (F(3, 2), F(-4), F(2))
     assert L.order == 2
     assert len(h.terms) == 13
-    assert (F(0), F(1)) not in support(h)
-    at_01 = [t for t in ft.terms if support(QPolynomial([t])) == {(0, 1)}]
+    assert (F(0), F(1)) not in build_polygon(h).support
+    at_01 = [t for t in ft.terms if build_polygon(QPolynomial([t])).support == ((0, 1),)]
     assert (h + QPolynomial(at_01)).terms == ft.terms
 
 
@@ -448,7 +448,7 @@ def test_exponent_order_names_the_least_offending_point():
 
 def test_expand_rejects_descending_exponents():
     f = parse_equation("y + y^2 - 2 + x^-1")
-    face = build_polygon(support(f)).faces[0]
+    face = build_polygon(f).faces[0]
     ts = TruncatedSolution(ParamPoly.const(1), F(0), F(1, 2), face, "user-supplied")
     with pytest.raises(ExponentOrderError):
         expand_solution(f, ts, 3)
@@ -551,7 +551,7 @@ def test_expansion_matches_fresh_loop_on_planted_edges():
     compared = 0
     for _ in range(80):
         eq, q, c, r, endpoints = random_edge_equation(rng)
-        face = find_face(build_polygon(support(eq)), endpoints)
+        face = find_face(build_polygon(eq), endpoints)
         ts = verified_solution(eq, face, c, r, q)
         k_max = r + F(rng.randint(2, 12), 2)
         try:
@@ -586,7 +586,7 @@ def test_expand_base_still_truncated_solution():
 
 def test_expand_exactness_gate():
     f = parse_equation("y - x + x^(3/2)")
-    polygon = build_polygon(support(f))
+    polygon = build_polygon(f)
     edge = next(
         face for face in faces_for_x_to_zero(polygon) if face.dim == 1
     )
@@ -604,7 +604,7 @@ def test_exactness_gate_reads_only_k():
     # r = 1/2 at q = 2: q^r is irrational, but the loop needs only q^k for
     # k in K = {1}, and substitute_shift takes q^(2r) = 2 before the gate.
     f = parse_equation("S^2(y) - 4*y + 2*x^(1/2)")
-    edge = find_face(build_polygon(support(f)), [(0, 1), (F(1, 2), 0)])
+    edge = find_face(build_polygon(f), [(0, 1), (F(1, 2), 0)])
     (ts,) = analyze_face(f, edge, 2).candidates
     assert (ts.c, ts.r) == (ParamPoly.const(1), F(1, 2))
     result = expand_solution(f, ts, 2)
@@ -618,7 +618,7 @@ def test_expansion_runs_at_the_q_of_its_truncated_solution():
     # S(y) - 4*y + x: the vertex (0,1) gives r = log_q 4 (none at q = 3),
     # the edge to (1,0) gives r = 1 with c = 1/(1 - 4/q).
     f = parse_equation("S(y) - 4*y + x = 0")
-    polygon = build_polygon(support(f))
+    polygon = build_polygon(f)
     leads = set()
     for q in (F(1, 2), F(1, 4), F(3)):
         for face in faces_for_x_to_zero(polygon):
@@ -664,7 +664,7 @@ def test_vertex_residual_with_c_bound_to_zero():
     # Cut after beta_3: with c = 0, y = -x^3/6 leaves x*y^2 = x^7/36; with
     # c = 1, y = x - x^3/3 leaves -2/3*x^5 first.
     f = parse_equation("S(y) - 2*y + x^3 + x*y^2 = 0")
-    polygon = build_polygon(support(f))
+    polygon = build_polygon(f)
     face = find_face(polygon, [(0, 1)])
     (ts,) = analyze_face(f, face, 2).candidates
     result = expand_solution(f, ts, 9)
@@ -755,7 +755,7 @@ def test_a_path_deeper_than_the_recursion_limit(deadline):
     0 keeps every node of the chain in its window, x*y^3000 is
     x*(1 + x)^3000 through x^4."""
     f = parse_equation("S(y) - 2*y + x + x*y^3000")
-    face = find_face(build_polygon(support(f)), [(0, 1), (1, 0)])
+    face = find_face(build_polygon(f), [(0, 1), (1, 0)])
     (ts,) = analyze_face(f, face, F(1, 2)).candidates
     with deadline(3):
         result = expand_solution(f, ts, 3)

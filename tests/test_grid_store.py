@@ -3,10 +3,10 @@
 A QPolynomial stores each x-exponent as an int over one grid, the
 coarsest one.  tests/oracles.py merges like terms keyed by Fraction
 exponents (`reference_qpolynomial`, `reference_add`, `reference_mul`,
-`reference_power`); here the store's results, its sorted view, support,
-least exponent, equality and hash must agree with them on seeded sums
-whose exponents have denominators 1 to 6, are negative, and cancel so
-that a grid collapses.
+`reference_power`); here the store's results, its sorted view, the
+support `build_polygon` reads, least exponent, equality and hash must
+agree with them on seeded sums whose exponents have denominators 1 to 6,
+are negative, and cancel so that a grid collapses.
 """
 
 import math
@@ -15,11 +15,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_add, reference_mul, reference_power, reference_qpolynomial
+from oracles import reference_add, reference_mul, reference_power, reference_qpolynomial, y_degree
 from qdulac.algebra import ParamPoly
 from qdulac.errors import EmptySupportError
 from qdulac.parser import parse_equation
-from qdulac.qexpr import QPolynomial, QTerm, support
+from qdulac.polygon import build_polygon
+from qdulac.qexpr import QPolynomial, QTerm
 
 F = Fraction
 A = ParamPoly.symbol("a")
@@ -46,17 +47,18 @@ def _random_terms(rng):
 def _check_view(f):
     """The sorted view, support and least exponent on Fractions, and the
     store on the coarsest grid: the lcm of the view's denominators."""
-    keys = [(t.x_exp, t.y_degree, t.sigma_powers) for t in f.terms]
+    keys = [(t.x_exp, y_degree(t), t.sigma_powers) for t in f.terms]
     assert keys == sorted(keys)
     assert all(type(t.x_exp) is Fraction for t in f.terms)
     assert f._grid == math.lcm(*(t.x_exp.denominator for t in f.terms))
     if f.is_zero():
-        for probe in (support, QPolynomial.min_x_exponent):
+        for probe in (build_polygon, QPolynomial.min_x_exponent):
             with pytest.raises(EmptySupportError):
                 probe(f)
     else:
-        points = support(f)
-        assert points == {(t.x_exp, F(t.y_degree)) for t in f.terms}
+        points = build_polygon(f).support
+        assert set(points) == {(t.x_exp, y_degree(t)) for t in f.terms}
+        assert list(points) == sorted(points)
         assert all(type(x) is type(y) is Fraction for x, y in points)
         least = f.min_x_exponent()
         assert type(least) is Fraction and least == min(t.x_exp for t in f.terms)

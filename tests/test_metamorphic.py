@@ -30,7 +30,7 @@ from qdulac.errors import QDulacError
 from qdulac.expand import LinearPart, expand_solution
 from qdulac.parser import parse_equation
 from qdulac.polygon import build_polygon, find_face
-from qdulac.qexpr import QPolynomial, support
+from qdulac.qexpr import QPolynomial
 from qdulac.truncate import analyze_face
 
 F = Fraction
@@ -65,7 +65,7 @@ def _expansions(f, analysis, k_max) -> list:
 
 
 def _analysis(f, q, endpoints):
-    return analyze_face(f, find_face(build_polygon(support(f)), endpoints), q)
+    return analyze_face(f, find_face(build_polygon(f), endpoints), q)
 
 
 @pytest.mark.parametrize("case", range(len(CASES)))

@@ -1,7 +1,24 @@
+"""The Newton polygon of a sum, against Fraction references.
+
+Point-set draws become sums through `oracles.point_sum`, which maps the
+y of each point by an increasing affine map onto a y-degree; each
+polygon is compared with the brute-force hull or `reference_polygon` of
+the mapped points, read back by `oracles.support`.
+"""
+
 import random
 from fractions import Fraction
+from pathlib import Path
 
-from oracles import brute_force_hull, cone_contains, random_point_set, reference_polygon
+from oracles import (
+    brute_force_hull,
+    cone_contains,
+    point_sum,
+    random_edge_equation,
+    random_point_set,
+    reference_polygon,
+    support,
+)
 from qdulac.parser import parse_equation
 from qdulac.polygon import (
     build_polygon,
@@ -9,9 +26,9 @@ from qdulac.polygon import (
     find_face,
     render_svg,
 )
-from qdulac.qexpr import support
 
 F = Fraction
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 EQ_MAIN = (
     "-a3*x*y^3 + a3*x*y^2 - a4*x^2*y^3 - a4*x^2*y^2 + S^2(y)*y^2"
@@ -20,7 +37,7 @@ EQ_MAIN = (
 
 
 def main_polygon():
-    return build_polygon(support(parse_equation(EQ_MAIN, ["a3", "a4"])))
+    return build_polygon(parse_equation(EQ_MAIN, ["a3", "a4"]))
 
 
 def test_main_equation_hull():
@@ -63,7 +80,7 @@ def test_main_equation_x_to_zero_faces():
 
 
 def test_single_point_polygon():
-    poly = build_polygon([(1, 1)])
+    poly = build_polygon(parse_equation("x*y"))
     assert poly.hull_vertices == ((1, 1),)
     assert len(poly.faces) == 1
     assert poly.faces[0].dim == 0
@@ -74,7 +91,7 @@ def test_single_point_polygon():
 
 
 def test_horizontal_segment_polygon():
-    poly = build_polygon([(0, 1), (1, 1)])
+    poly = build_polygon(parse_equation("y + x*y"))
     assert poly.hull_vertices == ((0, 1), (1, 1))
     edges = [f for f in poly.faces if f.dim == 1]
     assert len(edges) == 1
@@ -84,7 +101,7 @@ def test_horizontal_segment_polygon():
 
 
 def test_vertical_segment_polygon():
-    poly = build_polygon([(0, 0), (0, 2), (0, 1)])
+    poly = build_polygon(parse_equation("1 + y^2 + y"))
     edges = [f for f in poly.faces if f.dim == 1]
     assert len(edges) == 1
     assert set(edges[0].points) == {(0, 0), (0, 1), (0, 2)}
@@ -92,8 +109,7 @@ def test_vertical_segment_polygon():
 
 
 def test_collinear_points_join_edge_subset():
-    pts = [(0, 0), (1, 1), (2, 2), (2, 0)]
-    poly = build_polygon(pts)
+    poly = build_polygon(parse_equation("1 + x*y + x^2*y^2 + x^2"))
     assert set(poly.hull_vertices) == {(0, 0), (2, 2), (2, 0)}
     diag = find_face(poly, [(0, 0), (2, 2)])
     assert set(diag.points) == {(0, 0), (1, 1), (2, 2)}
@@ -102,10 +118,10 @@ def test_collinear_points_join_edge_subset():
 def test_hull_matches_brute_force():
     rng = random.Random(20260815)
     for _ in range(300):
-        pts = random_point_set(rng)
-        ours = list(build_polygon(pts).hull_vertices)
-        expected = brute_force_hull(pts)
-        assert ours == expected, (pts, ours, expected)
+        f = point_sum(random_point_set(rng))
+        ours = list(build_polygon(f).hull_vertices)
+        expected = brute_force_hull(support(f))
+        assert ours == expected, (f, ours, expected)
 
 
 def _fields(poly):
@@ -115,11 +131,12 @@ def _fields(poly):
 
 
 def _affine_draw(rng):
-    """A random draw moved by a 20-digit affine map with positive scales,
-    which keeps duplicates, collinear runs and every face."""
-    sx, ux, vy = (rng.randint(10**19, 10**20) for _ in range(3))
-    dy = F(rng.randint(10**19, 10**20), rng.randint(10**19, 10**20))
-    return [(x * sx + ux, y / dy - F(vy, 7)) for x, y in random_point_set(rng)]
+    """A random draw moved on x by a 20-digit affine map with a positive
+    scale, which keeps duplicates, collinear runs and every face.  Large
+    values go on x: a y-degree is an int below 2^31."""
+    sx = F(rng.randint(10**19, 10**20), rng.randint(10**19, 10**20))
+    ux = F(rng.randint(10**19, 10**20), 7)
+    return [(x * sx - ux, y) for x, y in random_point_set(rng)]
 
 
 def test_polygon_matches_fraction_reference():
@@ -129,14 +146,15 @@ def test_polygon_matches_fraction_reference():
     draws += [
         [
             (F(rng.randint(-(10**20), 10**20), rng.randint(1, 10**20)),
-             F(rng.randint(-(10**20), 10**20), rng.randint(1, 10**20)))
+             F(rng.randint(-8, 8), rng.randint(1, 4)))
             for _ in range(rng.randint(1, 9))
         ]
         for _ in range(40)
     ]
     kinds = set()
     for pts in draws:
-        poly, expected = build_polygon(pts), reference_polygon(pts)
+        f = point_sum(pts)
+        poly, expected = build_polygon(f), reference_polygon(support(f))
         assert _fields(poly) == _fields(expected), pts
         kinds |= {
             (f.dim, len(f.points), f.admissible) for f in poly.faces
@@ -147,20 +165,39 @@ def test_polygon_matches_fraction_reference():
     assert {(1, 3, True), (1, 3, False)} <= kinds
 
 
+def test_polygon_of_real_sums_matches_fraction_reference():
+    # the golden inputs, planted-edge sums and sums of two such, one moved
+    # onto another x-grid; repr tells an int from an equal Fraction
+    params = {"main": ["a3", "a4"], "param": ["a"]}
+    sums = [parse_equation(path.read_text(encoding="utf-8"), params.get(path.stem, []))
+            for path in sorted(GOLDEN.glob("*.qde"))]
+    assert len(sums) == 4
+    rng = random.Random(20261022)
+    for _ in range(150):
+        f, g = random_edge_equation(rng)[0], random_edge_equation(rng)[0]
+        sums += [f, f + g.shift_x(F(rng.randint(-6, 6), rng.choice([1, 2, 3, 5])))]
+    levels, grids = set(), set()
+    for f in sums:
+        assert _fields(build_polygon(f)) == _fields(reference_polygon(support(f))), str(f)
+        levels |= {level for t in f.terms for level, _ in t.sigma_powers}
+        grids.add(len({t.x_exp.denominator for t in f.terms}))
+    # shift levels 0 to 2; sums on one x-grid and on two and three mixed
+    assert levels == {0, 1, 2} and {1, 2, 3} <= grids
+
+
 def test_hull_idempotence():
     rng = random.Random(77)
     for _ in range(50):
-        pts = random_point_set(rng)
-        poly = build_polygon(pts)
-        again = build_polygon(poly.hull_vertices)
+        poly = build_polygon(point_sum(random_point_set(rng)))
+        # the least y is 0 at a hull vertex, so `point_sum` keeps the hull
+        again = build_polygon(point_sum(poly.hull_vertices))
         assert again.hull_vertices == poly.hull_vertices
 
 
 def test_cone_separation_invariant():
     rng = random.Random(5)
     for _ in range(50):
-        pts = random_point_set(rng, max_size=8)
-        poly = build_polygon(pts)
+        poly = build_polygon(point_sum(random_point_set(rng, max_size=8)))
         for face in poly.faces:
             probes = []
             if face.dim == 1 and face.r is not None:
@@ -205,7 +242,7 @@ def test_face_admits_matches_support_scan():
     rng = random.Random(20261018)
     seen = set()
     for _ in range(300):
-        poly = build_polygon(random_point_set(rng, max_size=8))
+        poly = build_polygon(point_sum(random_point_set(rng, max_size=8)))
         probes = {F(0)}.union(*map(_admits_probes, poly.faces))
         for face in poly.faces:
             for r in probes:
@@ -238,12 +275,12 @@ def _large_grid_draw(rng, shape):
 def test_cones_at_scale_match_support_scans(deadline):
     rng = random.Random(20261020)
     shapes = ["plane"] * 8 + ["line"] * 5 + ["point"] * 2
-    draws = [_large_grid_draw(rng, shape) for shape in shapes]
+    sums = [point_sum(_large_grid_draw(rng, shape)) for shape in shapes]
     with deadline(2):
-        polys = [build_polygon(pts) for pts in draws]
+        polys = [build_polygon(f) for f in sums]
     seen = set()
-    for pts, poly in zip(draws, polys):
-        assert _fields(poly) == _fields(reference_polygon(pts)), pts
+    for f, poly in zip(sums, polys):
+        assert _fields(poly) == _fields(reference_polygon(support(f))), f
         for face in poly.faces:
             for r in _admits_probes(face) | {F(0)}:
                 assert face.admits(r) == cone_contains(face, poly.support, r), (face, r)
@@ -257,19 +294,18 @@ def test_cones_at_scale_match_support_scans(deadline):
 def test_cone_partition_property():
     rng = random.Random(15)
     for _ in range(30):
-        pts = random_point_set(rng, max_size=8)
-        poly = build_polygon(pts)
+        poly = build_polygon(point_sum(random_point_set(rng, max_size=8)))
         sel = faces_for_x_to_zero(poly)
         for num in range(-12, 13):
             r = F(num, 3)
             holders = [f for f in sel if f.admits(r)]
-            assert len(holders) == 1, (pts, r)
+            assert len(holders) == 1, (poly.support, r)
 
 
 def test_svg_deterministic_and_structured():
     poly = main_polygon()
     one = render_svg(poly)
-    two = render_svg(build_polygon(support(parse_equation(EQ_MAIN, ["a3", "a4"]))))
+    two = render_svg(build_polygon(parse_equation(EQ_MAIN, ["a3", "a4"])))
     assert one == two
     assert one.startswith("<svg ")
     assert one.rstrip().endswith("</svg>")
@@ -279,6 +315,6 @@ def test_svg_deterministic_and_structured():
 
 
 def test_svg_degenerate():
-    svg = render_svg(build_polygon([(1, 1)]))
+    svg = render_svg(build_polygon(parse_equation("x*y")))
     assert svg.count("<circle") == 1
     assert "polygon" not in svg.replace("svg", "")

@@ -28,7 +28,7 @@ from qdulac.errors import (
 from qdulac.expand import check_exponent_order, extract_linear_part
 from qdulac.parser import parse_equation
 from qdulac.polygon import build_polygon
-from qdulac.qexpr import QPolynomial, QTerm, substitute_shift, support
+from qdulac.qexpr import QPolynomial, QTerm, substitute_shift
 from qdulac.truncate import analyze_face
 
 F = Fraction
@@ -81,7 +81,7 @@ def _shifted_equations():
                          ("degenerate", [])):
         f = parse_equation((GOLDEN / f"{name}.qde").read_text(encoding="utf-8"), params)
         for q in (F(1, 2), F(1, 4), F(9)):
-            for face in build_polygon(support(f)).faces:
+            for face in build_polygon(f).faces:
                 cases += [(f, ts.c, ts.r, q) for ts in analyze_face(f, face, q).candidates]
             cases += [(f, c, r, q) for c in LEADS for r in (F(0), F(1), F(1, 2))]
     rng = random.Random(39)

@@ -16,13 +16,13 @@ from oracles import (
 from qdulac.algebra import ParamPoly, TPoly, q_pow
 from qdulac.errors import EmptySupportError, ParseError, ResourceLimitError
 from qdulac.parser import parse_equation, parse_param_expr
+from qdulac.polygon import build_polygon
 from qdulac.qexpr import (
     PowerLogSeries,
     QPolynomial,
     QTerm,
     evaluate_on_series,
     substitute_shift,
-    support,
 )
 
 F = Fraction
@@ -53,7 +53,7 @@ def test_parse_main_equation():
 def test_parse_single_unknown():
     f = parse_equation("y")
     assert len(f.terms) == 1
-    assert support(f) == {(0, 1)}
+    assert build_polygon(f).support == ((0, 1),)
 
 
 def test_parse_unbalanced():
@@ -109,15 +109,15 @@ def test_parse_comments_and_whitespace():
 
 
 def test_support_main_equation():
-    pts = support(main_eq())
-    assert pts == {(0, 2), (0, 3), (1, 2), (1, 3), (2, 2), (2, 3)}
+    pts = build_polygon(main_eq()).support
+    assert set(pts) == {(0, 2), (0, 3), (1, 2), (1, 3), (2, 2), (2, 3)}
 
 
 def test_support_misc():
     f = parse_equation("a3*x^2*y", ["a3"])
-    assert support(f) == {(2, 1)}
-    with pytest.raises(EmptySupportError):
-        support(QPolynomial())
+    assert build_polygon(f).support == ((2, 1),)
+    with pytest.raises(EmptySupportError, match="zero polynomial has no support"):
+        build_polygon(QPolynomial())
 
 
 def test_q_additivity():
@@ -143,8 +143,8 @@ def test_q_additivity():
         p2 = QPolynomial([t2])
         prod = p1 * p2
         assert len(prod.terms) == 1
-        (q1,), (q2,) = support(p1), support(p2)
-        assert support(prod) == {(q1[0] + q2[0], q1[1] + q2[1])}
+        (q1,), (q2,) = build_polygon(p1).support, build_polygon(p2).support
+        assert build_polygon(prod).support == ((q1[0] + q2[0], q1[1] + q2[1]),)
 
 
 def test_parse_print_parse_fixpoint():

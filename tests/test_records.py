@@ -22,7 +22,7 @@ from qdulac.errors import InvalidQError, TruncatedSolutionError
 from qdulac.expand import LinearPart, critical_numbers, expand_solution
 from qdulac.parser import parse_equation
 from qdulac.polygon import build_polygon, find_face
-from qdulac.qexpr import PowerLogSeries, QPolynomial, support
+from qdulac.qexpr import PowerLogSeries, QPolynomial
 from qdulac.truncate import analyze_face
 
 F = Fraction
@@ -41,7 +41,7 @@ RECORDS = (
 def _records() -> dict:
     """One of each record, from a fresh run on the paper's cubic at q = 1/2."""
     f = parse_equation(EQ_MAIN, ["a3", "a4"])
-    polygon = build_polygon(support(f))
+    polygon = build_polygon(f)
     analysis = analyze_face(f, find_face(polygon, [(0, 3), (0, 2)]), F(1, 2))
     (ts,) = analysis.candidates
     result = expand_solution(f, ts, 2)
@@ -78,7 +78,7 @@ def _golden_run() -> tuple:
     tests/golden/main.qde: q = 1/2, face (0,3)-(0,2), kmax 8."""
     text = (Path(__file__).resolve().parent / "golden" / "main.qde").read_text(encoding="utf-8")
     f = parse_equation(text, ["a3", "a4"])
-    analysis = analyze_face(f, find_face(build_polygon(support(f)), [(0, 3), (0, 2)]), F(1, 2))
+    analysis = analyze_face(f, find_face(build_polygon(f), [(0, 3), (0, 2)]), F(1, 2))
     result = expand_solution(f, analysis.candidates[0], 8)
     return f, analysis, result.series, result
 

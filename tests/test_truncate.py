@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_edge_equation
+from oracles import random_edge_equation, y_degree
 from qdulac.algebra import ParamPoly, TPoly
 from qdulac.cli import main
 from qdulac.errors import (
@@ -15,7 +15,7 @@ from qdulac.errors import (
 )
 from qdulac.parser import parse_equation
 from qdulac.polygon import Face, build_polygon, faces_for_x_to_zero, find_face
-from qdulac.qexpr import QPolynomial, support
+from qdulac.qexpr import QPolynomial
 from qdulac.truncate import (
     TruncatedSolution,
     analyze_face,
@@ -35,7 +35,7 @@ EQ_MAIN = (
 
 def setup_main():
     f = parse_equation(EQ_MAIN, ["a3", "a4"])
-    poly = build_polygon(support(f))
+    poly = build_polygon(f)
     return f, poly
 
 
@@ -59,7 +59,7 @@ def test_truncated_sum_whole_support_face():
     f, poly = setup_main()
     whole = Face(
         dim=1,
-        points=tuple(sorted(support(f))),
+        points=poly.support,
         endpoints=((F(0), F(2)), (F(2), F(3))),
         r=None,
         r_range=None,
@@ -171,7 +171,7 @@ def test_analyze_left_edge():
 def test_free_c_avoids_parameter_names(params, free):
     # vertex (0,1) at q = 4: chi(w) = w - 2, so r = 1/2 with c free
     f = parse_equation(f"({' + '.join(params)})*x*y^2 + S(y) - 2*y + x", params)
-    vertex = find_face(build_polygon(support(f)), [(0, 1)])
+    vertex = find_face(build_polygon(f), [(0, 1)])
     (ts,) = analyze_face(f, vertex, F(4)).candidates
     assert (ts.c, ts.r, ts.provenance) == (ParamPoly.symbol(free), F(1, 2), "vertex-root")
 
@@ -187,7 +187,7 @@ def test_analyze_vertex_no_admissible_roots():
 
 def test_analyze_vertex_with_free_coefficient():
     f = parse_equation("S(y)*y - 2*y^2 + x*y^3")
-    poly = build_polygon(support(f))
+    poly = build_polygon(f)
     v = find_face(poly, [(0, 2)])
     analysis = analyze_face(f, v, F(1, 4))
     assert analysis.poly == TPoly([-2, 1])
@@ -200,7 +200,7 @@ def test_analyze_vertex_with_free_coefficient():
 
 def test_analyze_vertex_irrational_log_skipped():
     f = parse_equation("S(y)*y - 2*y^2 + x*y^3")
-    poly = build_polygon(support(f))
+    poly = build_polygon(f)
     v = find_face(poly, [(0, 2)])
     analysis = analyze_face(f, v, F(1, 3))
     assert analysis.candidates == ()
@@ -209,7 +209,7 @@ def test_analyze_vertex_irrational_log_skipped():
 
 def test_analyze_vertex_root_outside_cone():
     f = parse_equation("S(y)*y - 2*y^2 + x*y^3")
-    poly = build_polygon(support(f))
+    poly = build_polygon(f)
     v = find_face(poly, [(0, 2)])
     # q = 1/2 puts r = -1 exactly on the adjacent edge, outside the cone
     analysis = analyze_face(f, v, F(1, 2))
@@ -233,7 +233,7 @@ def test_analyze_vertex_root_outside_cone():
 )
 def test_analyze_vertex_r_override(eq, params, vertex, r, expected, note):
     f = parse_equation(eq, params)
-    poly = build_polygon(support(f))
+    poly = build_polygon(f)
     analysis = analyze_face(f, find_face(poly, [vertex]), F(1, 2), None, r)
     assert [(ts.r, ts.provenance) for ts in analysis.candidates] == expected
     notes = [d for d in analysis.diagnostics if d.startswith("y = ")]
@@ -254,7 +254,7 @@ def test_analyze_edge_user_supplied_c():
 
 def test_analyze_edge_needs_c():
     f = parse_equation("a3*y^2 + a3*y", ["a3"])
-    poly = build_polygon(support(f))
+    poly = build_polygon(f)
     edge = find_face(poly, [(0, 1), (0, 2)])
     analysis = analyze_face(f, edge, F(1, 2))
     assert analysis.candidates == ()
@@ -271,7 +271,7 @@ def test_planted_edge_equations():
     found_planted = 0
     for _ in range(50):
         eq, q, c, r, endpoints = random_edge_equation(rng)
-        poly = build_polygon(support(eq))
+        poly = build_polygon(eq)
         face = find_face(poly, endpoints)
         assert face is not None and face.dim == 1
         assert face.r == r
@@ -295,7 +295,7 @@ def test_truncation_attains_minimal_exponent():
     for _ in range(20):
         cases.append(random_edge_equation(rng)[0])
     for f in cases:
-        poly = build_polygon(support(f))
+        poly = build_polygon(f)
         for face in faces_for_x_to_zero(poly):
             if face.dim == 1:
                 probes = [face.r]
@@ -312,8 +312,8 @@ def test_truncation_attains_minimal_exponent():
             for r in probes:
                 values = {}
                 for term in f.terms:
-                    e = term.x_exp + r * term.y_degree
-                    values.setdefault(e, set()).update(support(QPolynomial([term])))
+                    e = term.x_exp + r * y_degree(term)
+                    values.setdefault(e, set()).add((term.x_exp, y_degree(term)))
                 low = min(values)
                 on_face = set(face.points)
                 assert values[low] <= on_face
@@ -334,7 +334,7 @@ def test_face_polynomials_keep_only_their_terms(deadline):
         assert vertex_char_poly(parse_equation("y^1000000000")) == TPoly([1])
         assert determining_poly(lacunary, F(1, 10**9), F(1, 2)) == TPoly({10**9: 1, 0: -1})
         assert determining_poly(shifted, 1, F(1, 2)) == TPoly({1: F(1, 2**100000) - 2, 0: 1})
-        edge = find_face(build_polygon(support(lacunary)), [(0, 10**9), (1, 0)])
+        edge = find_face(build_polygon(lacunary), [(0, 10**9), (1, 0)])
         analysis = analyze_face(lacunary, edge, F(1, 2))
         assert analysis.roots == ((F(-1), 1), (F(1), 1))
         assert [(ts.c, ts.r) for ts in analysis.candidates] == [
@@ -347,7 +347,7 @@ def test_lacunary_trinomial_edge_is_never_made_dense(deadline):
     # 500000000*Z: its roots are those of (u - 1)^2 at u = c^500000000
     with deadline(1):
         f = parse_equation("y^1000000000 - 2*x^500000000*y^500000000 + x^1000000000")
-        edge = find_face(build_polygon(support(f)), [(0, 10**9), (10**9, 0)])
+        edge = find_face(build_polygon(f), [(0, 10**9), (10**9, 0)])
         analysis = analyze_face(f, edge, F(1, 2))
         assert analysis.roots == ((F(-1), 2), (F(1), 2))
         assert [(ts.c, ts.r) for ts in analysis.candidates] == [
