@@ -133,7 +133,7 @@ VERIFY_SCHEMA = _record(
 
 
 def _point_json(p) -> list:
-    return [rat_str(Fraction(p[0])), rat_str(Fraction(p[1]))]
+    return [rat_str(p[0]), rat_str(p[1])]
 
 
 def _terms_json(terms) -> list:
@@ -626,11 +626,10 @@ def _add_equation(sub) -> None:
     )
 
 
-def _add_common(sub, *, q: bool, face: bool, kmax: bool) -> None:
+def _add_common(sub, *, face: bool, kmax: bool) -> None:
     _add_equation(sub)
-    if q:
-        sub.add_argument("--q", required=True, help="the base q, as p/m")
     if face:
+        sub.add_argument("--q", required=True, help="the base q, as p/m")
         sub.add_argument(
             "--face",
             default="auto",
@@ -662,15 +661,15 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("polygon", help="support, hull, and faces")
-    _add_common(sub, q=False, face=False, kmax=False)
+    _add_common(sub, face=False, kmax=False)
     sub.set_defaults(func=cmd_polygon)
 
     sub = commands.add_parser("truncate", help="truncated solutions per face")
-    _add_common(sub, q=True, face=True, kmax=False)
+    _add_common(sub, face=True, kmax=False)
     sub.set_defaults(func=cmd_truncate)
 
     sub = commands.add_parser("expand", help="power-logarithmic expansion")
-    _add_common(sub, q=True, face=True, kmax=True)
+    _add_common(sub, face=True, kmax=True)
     sub.add_argument(
         "--log-base",
         default=None,
@@ -679,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_expand)
 
     sub = commands.add_parser("verify", help="residual check of an expansion")
-    _add_common(sub, q=True, face=True, kmax=True)
+    _add_common(sub, face=True, kmax=True)
     sub.add_argument(
         "--assign",
         required=True,

@@ -182,37 +182,30 @@ def critical_numbers(L: LinearPart, q, r) -> CriticalData:
     )
 
 
-def k_lattice(h_support, criticals, r, k_max) -> list:
+def k_lattice(h: QPolynomial, criticals, r, k_max) -> list:
     """The exponent set K within (r, k_max], as a least fixed point.
 
-    Seeds: the critical numbers and the abscissas of z-free support points
-    (q1, 0).  Closure: k = q1 + l_1 + ... + l_{q2} for every support point
-    (q1, q2) with q2 >= 1 and l_i already generated; `expand_solution`
-    passes h's points from the grid its exponent-order check uses.
-    Exponents are ints scaled by the lcm of all denominators.  The rounds
-    are semi-naive: a sum is new only if one of its summands came in the
-    round before, so each round takes its first summand from those alone
-    and the rest from all of K, one summand at a time, pruned by min(K)
-    times the summands left; K stays sorted by inserting what each round
-    adds.
+    Seeds: the critical numbers and the abscissas of h's z-free points
+    (q1, 0).  Closure: k = q1 + l_1 + ... + l_{q2} for every point
+    (q1, q2) of h with q2 >= 1 and l_i already generated.  h is read
+    through `_grid_points(h, r)`, the grid of its exponent-order check;
+    exponents are ints scaled by the lcm of that grid and the critical
+    numbers' denominators, and each k of K is formed as a Fraction once.
+    The rounds are semi-naive: a sum is new only if one of its summands
+    came in the round before, so each round takes its first summand from
+    those alone and the rest from all of K, one summand at a time, pruned
+    by min(K) times the summands left; K stays sorted by inserting what
+    each round adds.
     """
-    r = _as_rat(r)
-    k_max = _as_rat(k_max)
-    seeds = {_as_rat(k) for k in criticals}
-    generators = []
-    for point in h_support:
-        q1, q2 = _as_rat(point[0]), _as_rat(point[1])
-        if q2 == 0:
-            seeds.add(q1)
-        else:
-            if q2.denominator != 1:
-                raise ValueError(f"non-integer y-degree in support: {point}")
-            generators.append((q1, int(q2)))
-    scale = math.lcm(r.denominator, *(k.denominator for k in seeds),
-                     *(q1.denominator for q1, _ in generators))
-    low, cap = r.numerator * (scale // r.denominator), k_max.numerator * scale // k_max.denominator
-    known = {s for s in (k.numerator * (scale // k.denominator) for k in seeds) if low <= s <= cap}
-    generators = [(q1.numerator * (scale // q1.denominator), d) for q1, d in generators]
+    r, k_max, criticals = _as_rat(r), _as_rat(k_max), [_as_rat(k) for k in criticals]
+    grid, low, points = _grid_points(h, r)
+    scale = math.lcm(grid, *(k.denominator for k in criticals))
+    up, cap = scale // grid, k_max.numerator * scale // k_max.denominator
+    low *= up
+    seeds = {k.numerator * (scale // k.denominator) for k in criticals}
+    seeds.update(e * up for e, d in points if not d)
+    generators = [(e * up, d) for e, d in points if d]
+    known = {s for s in seeds if low <= s <= cap}
     elems = new = sorted(known)
     while new:
         found = set()
@@ -334,9 +327,7 @@ def expand_solution(
     L, h = extract_linear_part(ft)
     check_exponent_order(h, r)
     crit = critical_numbers(L, q, r)
-    grid, _, points = _grid_points(h, r)
-    k_set = k_lattice([(Fraction(x, grid), d) for x, d in points],
-                      [k for k, _ in crit.criticals()], r, k_max)
+    k_set = k_lattice(h, [k for k, _ in crit.criticals()], r, k_max)
     # exactness gate: ft already holds q^(l*r); the loop takes q^(l*k) for k in K only
     q_pow(q, Fraction(1, math.lcm(*(k.denominator for k in k_set))))
 

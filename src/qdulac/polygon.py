@@ -170,9 +170,10 @@ def faces_for_x_to_zero(polygon: NewtonPolygon) -> list:
 def find_face(polygon: NewtonPolygon, endpoints) -> Face | None:
     """Face with the given endpoint set (one point: vertex; two: edge)."""
     pts = sorted((_as_rat(x), _as_rat(y)) for x, y in endpoints)
-    want = pts[:1] + [p for a, p in zip(pts, pts[1:]) if p != a]  # distinct, unhashed
+    want = tuple(pts[:1] + [p for a, p in zip(pts, pts[1:]) if p != a])  # distinct, unhashed
+    dim, back = len(want) - 1, want[::-1]
     for face in polygon.faces:
-        if face.dim == len(want) - 1 and sorted(face.endpoints) == want:
+        if face.dim == dim and (face.endpoints == want or face.endpoints == back):
             return face
     return None
 

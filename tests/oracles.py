@@ -28,7 +28,8 @@ equation parser that multiplies out every factor and adds up every term
 through that merge.  `support` reads a sum's exponent points from its
 `terms`, where `polygon.build_polygon` reads them from the int store, and
 `point_sum` turns a rational point set into a sum with that support, up
-to an increasing affine map of y.
+to an increasing affine map of y; `monomial_sum` does so with no map,
+for points with integer y-degrees.
 """
 
 import math
@@ -220,6 +221,12 @@ def point_sum(points) -> QPolynomial:
     low, scale = min(b for _, b in pts), math.lcm(*(b.denominator for _, b in pts))
     return QPolynomial([QTerm(1, a, ((0, int((b - low) * scale)),) if b != low else ())
                         for a, b in pts])
+
+
+def monomial_sum(points) -> QPolynomial:
+    """A sum with one term x^a*y^d per point (a, d), d an integer y-degree;
+    `support` of the sum is the points."""
+    return QPolynomial([QTerm(1, a, ((0, int(d)),) if d else ()) for a, d in points])
 
 
 def random_point_set(rng: random.Random, max_size: int = 12):
@@ -648,14 +655,14 @@ def reference_k_lattice(h_support, criticals, r, k_max) -> list:
 
 
 def random_k_lattice_input(rng: random.Random):
-    """Random (h_support, criticals, r, k_max) for k_lattice.
+    """Random (support points, criticals, r, k_max) for k_lattice.
 
     r lies in [-2, 2], denominators are 1-3 and y-degrees 0-3.  A support
     point (q1, q2) with q2 >= 1 keeps q1 + r*(q2 - 1) >= 0, strictly when
     q2 = 1, as check_exponent_order demands of every expansion.  About
-    one seed in fifty has denominator 1000003, one case in a hundred
-    carries a float (refused with TypeError) and one in a hundred a
-    non-integer y-degree (ValueError).
+    one seed in fifty has denominator 1000003 and one case in a hundred
+    carries a float (refused with TypeError).  `monomial_sum` turns the
+    support into the sum h that k_lattice takes.
     """
 
     def den():
@@ -676,8 +683,6 @@ def random_k_lattice_input(rng: random.Random):
         else:
             q1 = -r * (q2 - 1) + F(rng.randint(int(q2 == 1), 6), den())
             support.append((q1, F(q2)))
-    if rng.random() < 0.01:
-        support.append((F(1), F(rng.randint(1, 5), 2)))
     criticals = [seed() for _ in range(rng.randint(0, 3))]
     if rng.random() < 0.01:
         criticals.append(0.5)
@@ -963,10 +968,12 @@ def reference_determining_poly(g, r, q) -> TPoly:
 
 
 def verified_solution(f, face, c, r, q) -> TruncatedSolution:
-    """The edge-root solution y = c*x^r of f on face at base q, asserted to
-    solve the face's truncated equation."""
+    """The edge-root solution y = c*x^r of f on face at base q, checked to
+    solve the face's truncated equation (AssertionError if not, also under
+    python -O)."""
     ts = TruncatedSolution(ParamPoly.coerce(c), r, q, face, "edge-root")
-    assert verify_truncated(ts, f), (str(f), face.label(), c, r, q)
+    if not verify_truncated(ts, f):
+        raise AssertionError(f"({c})*x^({r}) does not solve {f} on {face.label()} at q = {q}")
     return ts
 
 
@@ -1012,7 +1019,7 @@ def reference_expansion(f, ts, k_max) -> ExpansionResult:
     """The expansion of f around ts up to k_max, with theta_k evaluated afresh.
 
     The preamble runs on Fraction points (`reference_extract_linear_part`,
-    `reference_check_exponent_order`, K generated from `support(h)`).  Each
+    `reference_check_exponent_order`); K is `k_lattice` of h.  Each
     step calls the public `evaluate_on_series` with no carry on the
     partial sum below k and solves with the public
     `solve_poly_difference`, so nothing formed for one k is reused at the
@@ -1026,7 +1033,7 @@ def reference_expansion(f, ts, k_max) -> ExpansionResult:
     L, h = reference_extract_linear_part(ft)
     reference_check_exponent_order(h, r)
     crit = critical_numbers(L, q, r)
-    k_set = k_lattice(support(h), [k for k, _ in crit.criticals()], r, k_max)
+    k_set = k_lattice(h, [k for k, _ in crit.criticals()], r, k_max)
     q_pow(q, F(1, math.lcm(*(k.denominator for k in k_set))))
     namer = constant_namer(ts.c.symbols().union(*(t.coeff.symbols() for t in f.terms)))
     collected, constants, report = [], [], []

@@ -81,7 +81,7 @@ _L = LinearPart((-2, 1))
         lambda: q_pow(F(1, 4), 0.5),
         lambda: expand_solution(_case().f, _case().ts, 5.0),
         lambda: find_face(_case().polygon, [(0.5, 1)]),
-        lambda: k_lattice([], [0.5], 0, 2),
+        lambda: k_lattice(QPolynomial(), [0.5], 0, 2),
         lambda: LinearPart((1.5, -1)),
         lambda: TruncatedSolution(
             ParamPoly.const(F(-1, 6)), 3.0, 2, _case().edge, "edge-root"

@@ -6,6 +6,7 @@ polygon is compared with the brute-force hull or `reference_polygon` of
 the mapped points, read back by `oracles.support`.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -192,6 +193,27 @@ def test_hull_idempotence():
         # the least y is 0 at a hull vertex, so `point_sum` keeps the hull
         again = build_polygon(point_sum(poly.hull_vertices))
         assert again.hull_vertices == poly.hull_vertices
+
+
+def test_find_face_by_endpoints_in_either_order():
+    rng = random.Random(11)
+    for _ in range(300):
+        poly = build_polygon(point_sum(random_point_set(rng)))
+        for face in poly.faces:
+            assert find_face(poly, face.endpoints) is face
+            assert find_face(poly, face.endpoints[::-1]) is face
+        for v in poly.support:
+            vertex = find_face(poly, [v, v])
+            assert vertex is find_face(poly, [v])
+            if v in poly.hull_vertices:
+                assert vertex.dim == 0 and vertex.endpoints == (v,)
+            else:
+                assert vertex is None
+        edges = {frozenset(face.endpoints) for face in poly.faces if face.dim == 1}
+        for a, b in itertools.combinations(poly.support, 2):
+            if frozenset((a, b)) not in edges:
+                assert find_face(poly, [a, b]) is None
+                assert find_face(poly, [b, a]) is None
 
 
 def test_cone_separation_invariant():
